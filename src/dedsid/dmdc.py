@@ -221,15 +221,70 @@ def rollout(model: StateSpaceModel, y0: np.ndarray, inputs: np.ndarray) -> np.nd
         raise DimensionMismatch(f"y0 must have length {q}, got {y0.shape}")
     if inputs.shape[0] != p:
         raise DimensionMismatch(f"inputs must have {p} rows, got {inputs.shape[0]}")
-    steps = inputs.shape[1]
-    a = model.A
-    drive = (model.B @ inputs).T  # precomputed row-per-step input contribution
-    out = np.empty((steps, q))
-    y = y0
-    for t in range(steps):
-        y = a @ y + drive[t]
-        out[t] = y
-    return out.T
+    return linear_recurrence(model.A, (model.B @ inputs).T, y0).T
+
+
+def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Run y[t] = A y[t-1] + drive[t-1] for t = 1 ... T; return rows y[1..T].
+
+    Chunked form of the parallel linear-recurrence scan (Blelloch 1990;
+    Martin & Cundy 2018). With chunks of length L and s the state entering a
+    chunk, step j of that chunk is
+
+        y[j] = A^(j+1) s + sum_{i<=j} A^(j-i) d[i].
+
+    The sum is one matmul of every chunk's drive against the block
+    lower-triangular Toeplitz matrix of A^0 ... A^(L-1); chunk-entry states
+    are carried with A^L in a loop over the T/L chunks; the A^(j+1) s term is
+    one more matmul. Agrees with the per-step loop to rounding.
+
+    Parameters
+    ----------
+    a : array, shape (q, q)
+    drive : array, shape (T, q)
+        Row t is the input contribution entering step t + 1.
+    y0 : array, shape (q,)
+    """
+    drive = np.asarray(drive, dtype=float)
+    steps, q = drive.shape
+    # sqrt(T) chunks balance the per-chunk carry loop against the L-fold
+    # matmul work; the cap on L*q bounds the Toeplitz matrix for wide states.
+    L = max(1, min(round(steps**0.5), 64, 256 // max(q, 1)))
+
+    powers = np.empty((L + 1, q, q))
+    powers[0] = np.eye(q)
+    powers[1] = a
+    have = 1
+    while have < L:  # A^(have+j) = A^j A^have, doubling the known powers
+        k = min(have, L - have)
+        powers[have + 1 : have + k + 1] = powers[1 : k + 1] @ powers[have]
+        have += k
+    # An operator outside the unit circle may overflow its high powers
+    # before the trajectory itself does; shorten the chunks to the last
+    # finite power (L = 1 is the per-step loop).
+    bad = ~np.isfinite(powers).all(axis=(1, 2))
+    if bad.any():
+        L = max(1, int(np.argmax(bad)) - 1)
+        powers = powers[: L + 1]
+
+    chunks = -(-steps // L)
+    d = np.zeros((chunks * L, q))
+    d[:steps] = drive
+    # Row-vector form: block (i, j) of the Toeplitz matrix is (A^(j-i))^T.
+    lag = np.arange(L)[None, :] - np.arange(L)[:, None]
+    toeplitz = powers[np.maximum(lag, 0)].transpose(0, 1, 3, 2) * (lag >= 0)[:, :, None, None]
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(L * q, L * q)
+    y = d.reshape(chunks, L * q) @ toeplitz
+
+    starts = np.empty((chunks, q))
+    state = np.asarray(y0, dtype=float)
+    a_chunk = powers[L]
+    ends = y[:, -q:]
+    for c in range(chunks):
+        starts[c] = state
+        state = a_chunk @ state + ends[c]
+    y += starts @ powers[1:].transpose(2, 0, 1).reshape(q, L * q)
+    return y.reshape(chunks * L, q)[:steps]
 
 
 def _encode_matrix(m: np.ndarray) -> dict:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import ChannelSpec, TimeSeriesDataset
+from .dmdc import linear_recurrence
 from .errors import CorruptFile, DimensionMismatch, StabilityWarning, UnknownChannel
 from .gcode import parse_gcode_subset, program_to_timeseries
 
@@ -158,7 +159,7 @@ def simulate(
 ) -> SimulationResult:
     """Drive the plant with a sampled input dataset.
 
-    Observable row t satisfies y[t] = A y[t-1] + B u[t-1] exactly before
+    Observable row t satisfies y[t] = A y[t-1] + B u[t-1] to rounding before
     noise; row 0 is the initial state (default zero). Observation noise and
     sentinel dropout are applied after the recursion, in that order, from a
     single seeded generator.
@@ -176,9 +177,7 @@ def simulate(
     clean = np.empty((m, q))
     if m:
         clean[0] = y0
-        a, b = spec.A, spec.B
-        for t in range(1, m):
-            clean[t] = a @ clean[t - 1] + b @ u[t - 1]
+        clean[1:] = linear_recurrence(spec.A, u[:-1] @ spec.B.T, y0)
 
     rng = np.random.default_rng(seed)
     observed = clean.copy()

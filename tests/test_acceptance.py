@@ -9,6 +9,7 @@ by independent prototypes before the assertions were written.
 from __future__ import annotations
 
 import itertools
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+import dedsid
 from dedsid.bench import throughput_benchmark
 from dedsid.dataset import impute_off_state
 from dedsid.dmdc import StateSpaceModel, build_snapshots, fit
@@ -331,13 +333,20 @@ def test_08_throughput():
 
 def test_09_pipeline_determinism(tmp_path):
     # The full CLI pipeline rerun with the same config and seed must lay down
-    # byte-identical artifacts, subprocess to subprocess.
+    # byte-identical artifacts, subprocess to subprocess. The child runs in
+    # tmp_path, so a relative PYTHONPATH would miss the package: put its
+    # absolute source root first.
+    src = str(Path(dedsid.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
     def run(*args: str) -> None:
         proc = subprocess.run(
             [sys.executable, "-m", "dedsid.cli", *args],
             capture_output=True,
             text=True,
             cwd=tmp_path,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
 

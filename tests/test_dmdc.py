@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 from helpers import make_dataset
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dedsid.dmdc import (
     SnapshotSet,
     StateSpaceModel,
     build_snapshots,
     fit,
+    linear_recurrence,
     load_model,
     rollout,
     save_model,
@@ -243,6 +246,102 @@ class TestRollout:
         combined = rollout(model, y0a + y0b, ua + ub)
         split = rollout(model, y0a, ua) + rollout(model, y0b, ub)
         assert np.allclose(combined, split, atol=1e-9)
+
+    def test_zero_steps(self):
+        model = StateSpaceModel(
+            A=A_TRUE,
+            B=B_TRUE,
+            observable_names=("y1", "y2"),
+            input_names=("u1",),
+            sample_rate_hz=100.0,
+            svd_rank_used=3,
+        )
+        assert rollout(model, [1.0, 2.0], np.zeros((1, 0))).shape == (2, 0)
+
+
+def loop_oracle(a, drive, y0):
+    """The per-step recurrence the chunked kernel replaces."""
+    out = np.empty_like(drive)
+    y = y0
+    for t in range(drive.shape[0]):
+        y = a @ y + drive[t]
+        out[t] = y
+    return out
+
+
+def random_model(q, p, radius, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(q, q))
+    a *= radius / np.max(np.abs(np.linalg.eigvals(a)))
+    return StateSpaceModel(
+        A=a,
+        B=rng.normal(size=(q, p)),
+        observable_names=tuple(f"y{i}" for i in range(q)),
+        input_names=tuple(f"u{i}" for i in range(p)),
+        sample_rate_hz=100.0,
+        svd_rank_used=q + p,
+    )
+
+
+class TestLinearRecurrence:
+    def _check(self, q, p, steps, radius, seed, rel_tol):
+        model = random_model(q, p, radius, seed)
+        rng = np.random.default_rng(seed + 1)
+        y0 = rng.normal(size=q)
+        u = rng.normal(size=(p, steps))
+        expected = loop_oracle(model.A, (model.B @ u).T, y0)
+        got = rollout(model, y0, u).T
+        assert got.shape == (steps, q)
+        finite = np.isfinite(expected)
+        assert np.all(np.isfinite(got)[finite])
+        scale = np.max(np.abs(expected), initial=0.0)
+        assert np.max(np.abs(got - expected), initial=0.0) <= rel_tol * scale
+
+    @given(
+        q=st.integers(1, 5),
+        p=st.integers(1, 4),
+        steps=st.integers(0, 400),
+        radius=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_loop_inside_unit_circle(self, q, p, steps, radius, seed):
+        self._check(q, p, steps, radius, seed, 1e-12)
+
+    @given(
+        q=st.integers(1, 5),
+        p=st.integers(1, 4),
+        steps=st.integers(0, 400),
+        radius=st.floats(1.0, 1.05, exclude_min=True),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_loop_outside_unit_circle(self, q, p, steps, radius, seed):
+        self._check(q, p, steps, radius, seed, 1e-10)
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 63, 64, 65, 4097])
+    def test_chunk_boundaries(self, steps):
+        self._check(3, 2, steps, 0.95, steps, 1e-12)
+
+    @pytest.mark.parametrize("unstable_mode_driven", [False, True])
+    def test_overflowing_powers_shorten_chunks(self, unstable_mode_driven):
+        # A^6 overflows, so the kernel falls back to chunks of 5. Undriven,
+        # the unstable mode stays at zero and the loop is finite throughout;
+        # driven, the loop overflows too. Wherever the loop stays finite the
+        # kernel must too, and agree with it.
+        a = np.array([[0.5, 0.1], [0.0, 1e60]])
+        drive = np.zeros((400, 2))
+        drive[:, 0] = 1.0
+        y0 = np.array([1.0, 0.0])
+        if unstable_mode_driven:
+            drive[:, 1] = 1.0
+            y0[1] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = loop_oracle(a, drive, y0)
+            got = linear_recurrence(a, drive, y0)
+        finite = np.isfinite(expected)
+        assert finite.sum() > 4
+        assert finite.all() or unstable_mode_driven
+        assert np.all(np.isfinite(got)[finite])
+        assert np.allclose(got[finite], expected[finite], rtol=1e-15, atol=0.0)
 
 
 class TestModelFile:

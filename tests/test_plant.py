@@ -35,15 +35,31 @@ def tiny_plant(noise_sd=0.0, dropout=None):
 
 class TestSimulate:
     def test_matches_recurrence_exactly(self):
+        # The per-step loop is the oracle; the chunked kernel sums in another
+        # order, so it agrees to rounding. Row 0 and the noiseless dataset
+        # columns stay exact copies.
         spec = tiny_plant()
         inputs = gaussian_inputs(["u1"], 50, 100.0, seed=0)
-        result = simulate(spec, inputs, seed=1)
+        result = simulate(spec, inputs, y0=[0.3, -0.7], seed=1)
         u = inputs.data
         y = np.zeros((50, 2))
+        y[0] = [0.3, -0.7]
         for t in range(1, 50):
             y[t] = spec.A @ y[t - 1] + spec.B @ u[t - 1]
-        assert np.array_equal(result.clean_observables, y)
-        assert np.array_equal(result.dataset.matrix_for(["y1", "y2"]), y)
+        clean = result.clean_observables
+        assert np.max(np.abs(clean - y)) <= 1e-13 * np.max(np.abs(y))
+        assert np.array_equal(clean[0], y[0])
+        assert np.array_equal(result.dataset.matrix_for(["y1", "y2"]), clean)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_empty_and_single_row(self, m):
+        spec = tiny_plant()
+        inputs = gaussian_inputs(["u1"], m, 100.0, seed=0)
+        result = simulate(spec, inputs, y0=[2.0, -1.0], seed=0)
+        assert result.clean_observables.shape == (m, 2)
+        assert result.dataset.row_count == m
+        if m:
+            assert np.array_equal(result.clean_observables[0], [2.0, -1.0])
 
     def test_noise_is_seeded(self):
         spec = tiny_plant(noise_sd=0.1)
