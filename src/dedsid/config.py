@@ -83,6 +83,13 @@ def _require(payload: dict, key: str) -> object:
     return payload[key]
 
 
+def _section(payload: dict, key: str) -> dict:
+    section = payload.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object")
+    return section
+
+
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
     path = Path(path)
     try:
@@ -98,10 +105,10 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     base = path.parent
     seed = int(payload.get("seed", 0)) if seed_override is None else int(seed_override)
 
-    lp = payload.get("lpocv", {})
-    vif = payload.get("vif", {})
-    spectro = payload.get("spectrogram", {})
-    bench = payload.get("bench", {})
+    lp = _section(payload, "lpocv")
+    vif = _section(payload, "vif")
+    spectro = _section(payload, "spectrogram")
+    bench = _section(payload, "bench")
     try:
         cfg = RunConfig(
             manifest=(base / str(_require(payload, "manifest"))).resolve(),
@@ -151,6 +158,8 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
 
     if cfg.lpocv.p < 1 or cfg.lpocv.repeats < 1:
         raise ConfigError("lpocv p and repeats must be positive")
+    if cfg.svd_rank is not None and cfg.svd_rank < 1:
+        raise ConfigError(f"svd_rank must be at least 1, got {cfg.svd_rank}")
     if cfg.eval_mode not in ("rollout", "one-step"):
         raise ConfigError(f"unknown eval_mode {cfg.eval_mode!r}")
     if any(f < 1 for f in cfg.decimation_factors):

@@ -2,10 +2,11 @@
 
 The model is y[t+1] = A y[t] + B u[t] with observables treated directly as
 state (identity output map, no feedthrough): with gappy sensing there is no
-separate latent state worth estimating. A and B come from one economy SVD of
-the stacked snapshot matrix; no reduced-order projection is applied unless a
-rank cap is requested, because the feature count is tiny next to the sample
-count and full rank keeps the operator interpretable per channel.
+separate latent state worth estimating. A and B come from the small R factor
+of a blocked tall-skinny QR of the snapshot pairs and one SVD of its leading
+(q+p)x(q+p) block; no reduced-order projection is applied unless a rank cap
+is requested, because the feature count is tiny next to the sample count and
+full rank keeps the operator interpretable per channel.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import numpy as np
 
 from .dataset import StandardizationParams, TimeSeriesDataset
 from .errors import (
+    ConfigError,
     CorruptFile,
     DimensionMismatch,
     InsufficientPairs,
+    NonFiniteSnapshots,
     RankDeficiencyWarning,
     SchemaMismatch,
     TooShort,
@@ -34,6 +37,9 @@ MODEL_FORMAT = "dedsid.model"
 MODEL_VERSION = 1
 
 _EPS = float(np.finfo(float).eps)
+# Pairs per QR step of fit: the block plus the carried R factor stays in
+# cache, and the per-call overhead is paid once per thousands of pairs.
+_QR_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -149,44 +155,69 @@ def fit(
     snapshots : SnapshotSet
         Aligned pairs; needs at least q + p columns to determine the operator.
     rank : int, optional
-        Cap on the SVD truncation rank. Default keeps every singular value
-        above the numerical-rank cutoff (machine epsilon times the larger
-        dimension of the stacked matrix, relative to the largest value).
+        Cap on the SVD truncation rank, at least 1. Default keeps every
+        singular value above the numerical-rank cutoff (machine epsilon times
+        the larger dimension of the stacked matrix, relative to the largest
+        value).
 
     Notes
     -----
-    With Omega = [y_cur; u_cur] = eta @ diag(s) @ zeta*, the minimum-norm
-    solution is [A B] = y_next @ zeta @ diag(1/s) @ eta*, split row-wise into
-    the state and input blocks of eta. Rank deficiency of Omega is survivable
-    (truncation handles it) but suspicious, so it warns rather than raises.
+    With M = [y_cur; u_cur; y_next]^T = Q R, taken block by block as a
+    sequential tall-skinny QR (Demmel et al. 2012), the leading (q+p) columns
+    give Omega^T = [y_cur; u_cur]^T = Q1 R11 and the rest y_next^T = Q1 R12 +
+    Q2 R22. So Omega has the singular values of R11 = U S V^T, and the
+    minimum-norm solution y_next pinv(Omega) is [A B] = R12^T U S^-1 V^T,
+    split column-wise into the state and input blocks. Rank deficiency of
+    Omega is survivable (truncation handles it) but suspicious, so it warns
+    rather than raises.
     """
+    if rank is not None and rank < 1:
+        raise ConfigError(f"svd rank cap must be at least 1, got {rank}")
     q = snapshots.y_cur.shape[0]
     p = snapshots.u_cur.shape[0]
+    k = q + p
     n = snapshots.pair_count
-    if n < q + p:
-        raise InsufficientPairs(n, q + p)
+    if n < k:
+        raise InsufficientPairs(n, k)
 
-    omega = np.vstack([snapshots.y_cur, snapshots.u_cur])
-    eta, s, zeta_t = np.linalg.svd(omega, full_matrices=False)
+    # Blocks of M are built transposed in `work`, so each copy is a row slice
+    # of the snapshot arrays and LAPACK receives column-major input.
+    work = np.empty((k + q, k + q + min(n, _QR_BLOCK_ROWS)))
+    r_factor = np.empty((0, k + q))
+    for start in range(0, n, _QR_BLOCK_ROWS):
+        stop = min(start + _QR_BLOCK_ROWS, n)
+        top = r_factor.shape[0]
+        width = top + stop - start
+        work[:, :top] = r_factor.T
+        work[:q, top:width] = snapshots.y_cur[:, start:stop]
+        work[q:k, top:width] = snapshots.u_cur[:, start:stop]
+        work[k:, top:width] = snapshots.y_next[:, start:stop]
+        r_factor = np.linalg.qr(work[:, :width].T, mode="r")
+    # NaN and inf anywhere in the pairs reach R through the reflections.
+    if not np.isfinite(r_factor).all():
+        raise NonFiniteSnapshots(n)
+
+    u, s, vt = np.linalg.svd(r_factor[:k, :k])
     if s[0] == 0.0:
         numerical_rank = 0
     else:
-        numerical_rank = int(np.count_nonzero(s > _EPS * max(omega.shape) * s[0]))
+        numerical_rank = int(np.count_nonzero(s > _EPS * max(k, n) * s[0]))
     r = numerical_rank if rank is None else min(int(rank), numerical_rank)
     if r < 1:
-        raise InsufficientPairs(n, q + p)
-    if numerical_rank < q + p:
+        raise InsufficientPairs(n, k)
+    if numerical_rank < k:
         warnings.warn(
-            f"snapshot matrix rank {numerical_rank} < {q + p}; "
+            f"snapshot matrix rank {numerical_rank} < {k}; "
             "solution is minimum-norm on a deficient span",
             RankDeficiencyWarning,
             stacklevel=2,
         )
 
-    # y_next @ zeta_r, scaled by 1/s_r, then projected back through eta_r.
-    proj = (snapshots.y_next @ zeta_t[:r].T) / s[:r]
-    a = proj @ eta[:q, :r].T
-    b = proj @ eta[q:, :r].T
+    # R12^T U_r, scaled by 1/s_r, then mapped back through the state and
+    # input columns of V_r^T.
+    proj = (r_factor[:k, k:].T @ u[:, :r]) / s[:r]
+    a = proj @ vt[:r, :q]
+    b = proj @ vt[:r, q:]
     return StateSpaceModel(
         A=a,
         B=b,

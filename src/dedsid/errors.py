@@ -140,6 +140,11 @@ class InsufficientPairs(NumericError):
         )
 
 
+class NonFiniteSnapshots(NumericError):
+    def __init__(self, pairs: int):
+        super().__init__(f"NaN or infinity among {pairs} snapshot pairs")
+
+
 class EmptySurvivorSet(NumericError):
     def __init__(self):
         super().__init__("collinearity elimination would remove every feature")

@@ -207,6 +207,19 @@ class TestExitCodes:
         cfg_path = derived_config(corpus, "out_bad", eval_mode="sideways")
         assert main(["cv", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_svd_rank_below_one_is_2(self, corpus, rank, capsys):
+        cfg_path = derived_config(corpus, f"out_rank{rank}", svd_rank=rank)
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert f"svd_rank must be at least 1, got {rank}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["lpocv", "vif", "spectrogram", "bench"])
+    @pytest.mark.parametrize("value", [None, [], 3])
+    def test_non_object_section_is_2(self, corpus, section, value, capsys):
+        cfg_path = derived_config(corpus, f"out_{section}_{value}", **{section: value})
+        assert main(["cv", "--config", str(cfg_path)]) == 2
+        assert f"config section {section!r} must be a JSON object" in capsys.readouterr().err
+
     def test_too_few_experiments_is_2(self, corpus):
         cfg_path = derived_config(corpus, "out_toofew", lpocv={"p": 6, "repeats": 2})
         assert main(["cv", "--config", str(cfg_path)]) == 2

@@ -6,6 +6,7 @@ from helpers import make_dataset
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dedsid import dmdc
 from dedsid.dmdc import (
     SnapshotSet,
     StateSpaceModel,
@@ -17,8 +18,10 @@ from dedsid.dmdc import (
     save_model,
 )
 from dedsid.errors import (
+    ConfigError,
     CorruptFile,
     InsufficientPairs,
+    NonFiniteSnapshots,
     RankDeficiencyWarning,
     SchemaMismatch,
     TooShort,
@@ -50,6 +53,43 @@ def snapshots_from(y, u, rate=100.0):
     )
 
 
+BLOCK = dmdc._QR_BLOCK_ROWS
+_EPS = float(np.finfo(float).eps)
+
+
+def svd_fit_oracle(snapshots, rank=None):
+    """The economy SVD of the stacked snapshot matrix that the blocked QR replaced."""
+    q = snapshots.y_cur.shape[0]
+    omega = np.vstack([snapshots.y_cur, snapshots.u_cur])
+    eta, s, zeta_t = np.linalg.svd(omega, full_matrices=False)
+    numerical_rank = int(np.count_nonzero(s > _EPS * max(omega.shape) * s[0]))
+    r = numerical_rank if rank is None else min(rank, numerical_rank)
+    proj = (snapshots.y_next @ zeta_t[:r].T) / s[:r]
+    return proj @ eta[:q, :r].T, proj @ eta[q:, :r].T, r
+
+
+def random_snapshots(q, p, n, seed, duplicate_input=False):
+    rng = np.random.default_rng(seed)
+    u_cur = rng.normal(size=(p, n))
+    if duplicate_input:
+        u_cur = np.vstack([u_cur, u_cur[:1]])
+    return SnapshotSet(
+        y_cur=rng.normal(size=(q, n)),
+        y_next=rng.normal(size=(q, n)),
+        u_cur=u_cur,
+        observable_names=tuple(f"y{i}" for i in range(q)),
+        input_names=tuple(f"u{i}" for i in range(u_cur.shape[0])),
+        sample_rate_hz=100.0,
+    )
+
+
+def pair_count(k, which):
+    """One of 1, BLOCK-1, BLOCK, BLOCK+1 and 2*BLOCK+1 pairs past the minimum
+    k, or exactly on either side of the first two block boundaries."""
+    past_minimum = [k + extra for extra in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)]
+    return (past_minimum + [BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])[which]
+
+
 class TestFit:
     def test_recovers_hand_instance_exactly(self):
         u_seq = [1.0, -1.0, 2.0, 0.0, 1.0, -2.0, 0.5]
@@ -59,7 +99,7 @@ class TestFit:
         assert np.allclose(model.B, B_TRUE, atol=1e-12)
 
     def test_matches_normal_equations_on_noisy_data(self):
-        # Dual route: the SVD pseudoinverse fit must agree with the normal
+        # Dual route: the pseudoinverse fit must agree with the normal
         # equations whenever the latter are well conditioned.
         rng = np.random.default_rng(0)
         y_cur = rng.normal(size=(3, 400))
@@ -168,6 +208,75 @@ class TestFit:
             warnings.simplefilter("error", RankDeficiencyWarning)
             model = fit(snaps, rank=2)
         assert model.svd_rank_used == 2
+
+    @pytest.mark.filterwarnings("ignore::dedsid.errors.RankDeficiencyWarning")
+    @pytest.mark.parametrize("smallest, rank", [(1.5e-12, 2), (6e-12, 3)])
+    def test_rank_cutoff_counts_every_pair(self, smallest, rank):
+        # With n = 8 blocks of pairs the cutoff eps * n is 3.6e-12 (relative
+        # to the largest singular value); the smallest value sits below or
+        # above it, and above eps times one block's height either way.
+        n = 8 * BLOCK
+        rng = np.random.default_rng(12)
+        orthonormal_rows = np.linalg.qr(rng.normal(size=(n, 3)))[0].T
+        omega = np.array([[1.0], [0.5], [smallest]]) * orthonormal_rows
+        snaps = SnapshotSet(
+            y_cur=omega[:2],
+            y_next=rng.normal(size=(2, n)),
+            u_cur=omega[2:],
+            observable_names=("y1", "y2"),
+            input_names=("u1",),
+            sample_rate_hz=100.0,
+        )
+        assert fit(snaps).svd_rank_used == rank == svd_fit_oracle(snaps)[2]
+
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_rank_cap_below_one_named(self, rank):
+        snaps = random_snapshots(2, 1, 50, seed=6)
+        with pytest.raises(ConfigError, match=f"got {rank}"):
+            fit(snaps, rank=rank)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("y_cur", np.nan), ("u_cur", np.nan), ("y_next", np.nan), ("y_next", np.inf)],
+    )
+    def test_non_finite_pairs_raise_named_error(self, field, value):
+        # The bad pair sits in the second QR block, so it reaches R through
+        # the carried factor as well as through its own block.
+        snaps = random_snapshots(2, 3, 2 * BLOCK + 1, seed=7)
+        getattr(snaps, field)[-1, BLOCK + 5] = value
+        with pytest.raises(NonFiniteSnapshots):
+            fit(snaps)
+
+
+class TestFitAgainstSvd:
+    shapes = dict(
+        q=st.integers(1, 5),
+        p=st.integers(1, 6),
+        which=st.integers(0, 8),
+        seed=st.integers(0, 2**31 - 1),
+    )
+
+    @given(**shapes)
+    def test_coefficients_match(self, q, p, which, seed):
+        snaps = random_snapshots(q, p, pair_count(q + p, which), seed)
+        model = fit(snaps)
+        a, b, r = svd_fit_oracle(snaps)
+        scale = max(np.abs(a).max(), np.abs(b).max())
+        assert np.abs(model.A - a).max() <= 1e-10 * scale
+        assert np.abs(model.B - b).max() <= 1e-10 * scale
+        assert model.svd_rank_used == r == q + p
+
+    @given(cap=st.integers(1, 12), **shapes)
+    def test_rank_cap_gives_same_rank(self, cap, q, p, which, seed):
+        snaps = random_snapshots(q, p, pair_count(q + p, which), seed)
+        assert fit(snaps, rank=cap).svd_rank_used == svd_fit_oracle(snaps, rank=cap)[2]
+
+    @given(**shapes)
+    def test_duplicate_input_warns_with_same_rank(self, q, p, which, seed):
+        snaps = random_snapshots(q, p, pair_count(q + p + 1, which), seed, duplicate_input=True)
+        with pytest.warns(RankDeficiencyWarning):
+            model = fit(snaps)
+        assert model.svd_rank_used == svd_fit_oracle(snaps)[2] == q + p
 
 
 class TestBuildSnapshots:
