@@ -181,18 +181,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    world = _World(cfg)
+def _ingest_stage(world: _World) -> None:
     _write_json(
-        cfg.output_dir / "ingest_report.json",
+        world.cfg.output_dir / "ingest_report.json",
         {
             "experiments": [r.to_dict() for r in world.ingest_reports],
             "dropped_channels": world.dropped_channels,
             "retained_schema": [c.to_dict() for c in world.schema],
         },
-        cfg,
+        world.cfg,
     )
+
+
+def cmd_ingest(args) -> int:
+    world = _World(load_run_config(args.config, args.seed))
+    _ingest_stage(world)
     print(f"ingested {len(world.datasets)} experiments")
     return 0
 
@@ -236,33 +239,36 @@ def cmd_select_features(args) -> int:
     return 0
 
 
-def cmd_dist_report(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    world = _World(cfg)
-    world.check_split_size()
-    world.apply_imputation()
+def _dist_stage(world: _World) -> int:
+    """Shift distances over the configured splits; returns the result count."""
+    cfg = world.cfg
     by_id = {ds.experiment_id: ds for ds in world.datasets}
-    id_splits = draw_splits(
-        list(by_id), cfg.lpocv.p, cfg.lpocv.repeats, cfg.seed
+    id_splits = draw_splits(list(by_id), cfg.lpocv.p, cfg.lpocv.repeats, cfg.seed)
+    results = split_shift_report(
+        [([by_id[i] for i in tr], [by_id[i] for i in te]) for tr, te in id_splits],
+        world.observable_names,
     )
-    splits = [
-        ([by_id[i] for i in train], [by_id[i] for i in test]) for train, test in id_splits
-    ]
-    results = split_shift_report(splits, world.observable_names)
     _write_json(
         cfg.output_dir / "dist_report.json",
         {"results": [r.to_dict() for r in results]},
         cfg,
     )
-    rows = np.asarray([[r.mean_distance, r.ci95_halfwidth, r.repeats] for r in results])
-    labels = [f"{r.channel}:{r.pair_label}" for r in results]
     with open(cfg.output_dir / "dist_report.csv", "w", newline="") as fh:
         fh.write(f"# config_sha256={cfg.config_sha256} seed={cfg.seed}\n")
         fh.write("channel,pair,mean_distance,ci95_halfwidth,repeats\n")
-        for label, row in zip(labels, rows):
-            ch, pair = label.split(":")
-            fh.write(f"{ch},{pair},{row[0]:.17g},{row[1]:.17g},{int(row[2])}\n")
-    print(f"wrote {len(results)} distance summaries")
+        for r in results:
+            fh.write(
+                f"{r.channel},{r.pair_label},{r.mean_distance:.17g},"
+                f"{r.ci95_halfwidth:.17g},{r.repeats}\n"
+            )
+    return len(results)
+
+
+def cmd_dist_report(args) -> int:
+    world = _World(load_run_config(args.config, args.seed))
+    world.check_split_size()
+    world.apply_imputation()
+    print(f"wrote {_dist_stage(world)} distance summaries")
     return 0
 
 
@@ -487,15 +493,7 @@ def cmd_pipeline(args) -> int:
     world.check_split_size()
     stages: list[str] = []
 
-    _write_json(
-        cfg.output_dir / "ingest_report.json",
-        {
-            "experiments": [r.to_dict() for r in world.ingest_reports],
-            "dropped_channels": world.dropped_channels,
-            "retained_schema": [c.to_dict() for c in world.schema],
-        },
-        cfg,
-    )
+    _ingest_stage(world)
     stages.append("ingest")
 
     impute_counts = world.apply_imputation()
@@ -506,17 +504,7 @@ def cmd_pipeline(args) -> int:
     _write_json(cfg.output_dir / "vif_report.json", vif_payload, cfg)
     stages.append("select-features")
 
-    by_id = {ds.experiment_id: ds for ds in world.datasets}
-    id_splits = draw_splits(list(by_id), cfg.lpocv.p, cfg.lpocv.repeats, cfg.seed)
-    dist_results = split_shift_report(
-        [([by_id[i] for i in tr], [by_id[i] for i in te]) for tr, te in id_splits],
-        world.observable_names,
-    )
-    _write_json(
-        cfg.output_dir / "dist_report.json",
-        {"results": [r.to_dict() for r in dist_results]},
-        cfg,
-    )
+    _dist_stage(world)
     stages.append("dist-report")
 
     fit_cfg = world.fit_config(survivors)
@@ -544,7 +532,7 @@ def cmd_pipeline(args) -> int:
         cfg.output_dir / "pipeline_report.json",
         {
             "stages": stages,
-            "experiments": sorted(by_id),
+            "experiments": sorted(ds.experiment_id for ds in world.datasets),
             "surviving_inputs": survivors,
             "test_r2": {
                 obs: report.aggregates["r2_test"][obs].mean for obs in report.observables

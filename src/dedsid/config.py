@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,6 +161,11 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError("lpocv p and repeats must be positive")
     if cfg.svd_rank is not None and cfg.svd_rank < 1:
         raise ConfigError(f"svd_rank must be at least 1, got {cfg.svd_rank}")
+    sg = cfg.spectrogram
+    if sg.rows < 1 or sg.cols < 1:
+        raise ConfigError(f"spectrogram rows and cols must be at least 1, got {sg.rows}x{sg.cols}")
+    if not (math.isfinite(sg.cap_hz) and sg.cap_hz > 0):
+        raise ConfigError(f"spectrogram cap_hz must be finite and positive, got {sg.cap_hz}")
     if cfg.eval_mode not in ("rollout", "one-step"):
         raise ConfigError(f"unknown eval_mode {cfg.eval_mode!r}")
     if any(f < 1 for f in cfg.decimation_factors):

@@ -273,9 +273,12 @@ def ingest_csv(
 ) -> tuple[TimeSeriesDataset, IngestReport]:
     """Read one experiment CSV against a channel schema.
 
-    Columns wholly NaN are dropped and reported; a NaN inside an otherwise
-    valid column is an error, because silent interpolation at ingest would
-    mask sensor faults that the imputation stage handles explicitly. An
+    Every field after the header row must be a float literal (``nan`` and
+    ``inf`` included); an empty or non-numeric field, or a row whose width
+    differs from the header, is a ``CorruptFile``; a header-only file is zero
+    rows. Columns wholly NaN are dropped and reported; a NaN inside an
+    otherwise valid column is an error, because silent interpolation at ingest
+    would mask sensor faults that the imputation stage handles explicitly. An
     optional leading ``time_s`` column is checked for uniform spacing against
     the declared sample rate and then discarded.
     """
@@ -291,8 +294,13 @@ def ingest_csv(
         raise CorruptFile(str(path), "empty file")
     header = [h.strip() for h in header]
 
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=float)
-    raw = np.atleast_2d(raw)
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is a valid recording of zero rows.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise CorruptFile(str(path), str(exc)) from None
     if raw.size == 0:
         raw = np.empty((0, len(header)))
     if raw.shape[1] != len(header):

@@ -26,6 +26,19 @@ def derived_config(corpus, out_name, **overrides):
     return path
 
 
+def one_experiment_config(corpus, root: Path, csv_name: str) -> Path:
+    """Config in ``root`` over the corpus schema and one experiment file."""
+    entry = {"experiment_id": Path(csv_name).stem, "path": csv_name, "sample_rate_hz": 100.0}
+    (root / "manifest.json").write_text(json.dumps({"experiments": [entry]}))
+    (root / "schema.json").write_text((corpus / "schema.json").read_text())
+    payload = json.loads((corpus / "config.json").read_text())
+    payload["manifest"] = "manifest.json"
+    payload["schema"] = "schema.json"
+    path = root / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
 def read_tree(root: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
 
@@ -161,6 +174,7 @@ class TestPipeline:
             "impute_report.json",
             "vif_report.json",
             "dist_report.json",
+            "dist_report.csv",
             "cv_report.json",
             "model.json",
             "predict_report.json",
@@ -175,6 +189,17 @@ class TestPipeline:
         first = read_tree(out)
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         assert read_tree(out) == first
+
+    def test_dist_report_matches_standalone_stage(self, corpus):
+        cfg_path = derived_config(corpus, "out_dist_pipe")
+        out = corpus / "out_dist_pipe"
+        names = ["dist_report.json", "dist_report.csv"]
+        assert main(["dist-report", "--config", str(cfg_path)]) == 0
+        standalone = {n: (out / n).read_bytes() for n in names}
+        for n in names:
+            (out / n).unlink()
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert {n: (out / n).read_bytes() for n in names} == standalone
 
     def test_seed_override_changes_provenance(self, corpus):
         cfg_path = derived_config(corpus, "out_seed")
@@ -225,20 +250,43 @@ class TestExitCodes:
         assert main(["cv", "--config", str(cfg_path)]) == 2
 
     def test_missing_experiment_file_is_3(self, corpus, tmp_path, capsys):
-        manifest = {
-            "experiments": [
-                {"experiment_id": "ghost", "path": "ghost.csv", "sample_rate_hz": 100.0}
-            ]
-        }
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        (tmp_path / "schema.json").write_text((corpus / "schema.json").read_text())
-        payload = json.loads((corpus / "config.json").read_text())
-        payload["manifest"] = str(tmp_path / "manifest.json")
-        payload["schema"] = str(tmp_path / "schema.json")
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(payload))
+        cfg = one_experiment_config(corpus, tmp_path, "ghost.csv")
         assert main(["ingest", "--config", str(cfg)]) == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            (lambda row: row.rsplit(",", 1)[0], "number of columns changed"),
+            (lambda row: "abc" + row[row.index(","):], "could not convert string 'abc'"),
+        ],
+        ids=["short_row", "word_in_field"],
+    )
+    def test_malformed_csv_is_3(self, corpus, tmp_path, edit, detail, capsys):
+        lines = (corpus / "exp01.csv").read_text().splitlines()
+        lines[5] = edit(lines[5])
+        (tmp_path / "exp01.csv").write_text("\n".join(lines) + "\n")
+        cfg = one_experiment_config(corpus, tmp_path, "exp01.csv")
+        assert main(["ingest", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "data error: cannot read" in err and detail in err
+
+    @pytest.mark.parametrize(
+        "key, value, detail",
+        [
+            ("rows", 0, "rows and cols must be at least 1, got 0x100"),
+            ("cols", -3, "rows and cols must be at least 1, got 100x-3"),
+            ("cap_hz", float("nan"), "cap_hz must be finite and positive, got nan"),
+            ("cap_hz", float("inf"), "cap_hz must be finite and positive, got inf"),
+            ("cap_hz", 0.0, "cap_hz must be finite and positive, got 0.0"),
+            ("cap_hz", -1.0, "cap_hz must be finite and positive, got -1.0"),
+        ],
+        ids=["rows_0", "cols_negative", "cap_nan", "cap_inf", "cap_0", "cap_negative"],
+    )
+    def test_bad_spectrogram_grid_or_cap_is_2(self, corpus, key, value, detail, capsys):
+        cfg_path = derived_config(corpus, f"out_sg_{key}_{value}", spectrogram={key: value})
+        assert main(["spectrogram", "--config", str(cfg_path)]) == 2
+        assert f"spectrogram {detail}" in capsys.readouterr().err
 
     def test_predict_before_fit_is_3(self, corpus):
         cfg_path = derived_config(corpus, "out_nofit")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import make_dataset
@@ -27,6 +29,7 @@ from dedsid.dataset import (
 )
 from dedsid.errors import (
     AllSentinel,
+    CorruptFile,
     DataError,
     DegenerateChannelWarning,
     MissingColumn,
@@ -110,6 +113,40 @@ class TestIngest:
         p = self._write(tmp_path / "e.csv", "time_s,u,y\n0.0,1,2\n0.5,3,4\n0.52,5,6\n")
         with pytest.raises(NonUniformTimestamps):
             ingest_csv(p, SCHEMA, 100.0, "e")
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("u,y\n1.0,2.0\n3.0\n", "number of columns changed"),
+            ("u,y\n1.0,2.0\nabc,3.0\n", "'abc'"),
+            ("u,y\nabc,1.0\ndef,2.0\n", "'abc'"),
+            ("u,y\n1.0,2.0\n,3.0\n", "''"),
+        ],
+        ids=["short_row", "word_in_field", "text_column", "empty_field"],
+    )
+    def test_malformed_rows_are_corrupt(self, tmp_path, text, detail):
+        p = self._write(tmp_path / "e.csv", text)
+        with pytest.raises(CorruptFile, match=detail):
+            ingest_csv(p, SCHEMA, 100.0, "e")
+
+    def test_nan_and_inf_literals_accepted(self, tmp_path):
+        p = self._write(tmp_path / "e.csv", "u,y\nnan,inf\nNaN,-inf\n")
+        ds, report = ingest_csv(p, SCHEMA, 100.0, "e")
+        assert report.excluded_all_nan == ("u",)
+        assert np.array_equal(ds.column("y"), [np.inf, -np.inf])
+
+    def test_header_only_is_zero_rows_without_warning(self, tmp_path):
+        p = self._write(tmp_path / "e.csv", "u,y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds, report = ingest_csv(p, SCHEMA, 100.0, "e")
+        assert ds.row_count == 0
+        assert report.retained == ("u", "y")
+
+    def test_single_column_file(self, tmp_path):
+        p = self._write(tmp_path / "e.csv", "y\n1.0\n2.0\n3.0\n")
+        ds, _ = ingest_csv(p, (ChannelSpec("y", "au", "observable"),), 100.0, "e")
+        assert np.array_equal(ds.data, [[1.0], [2.0], [3.0]])
 
 
 class TestStandardizer:

@@ -13,6 +13,7 @@ from dedsid.wasserstein import (
     PAIR_TEST_UNIFORM,
     PAIR_TRAIN_UNIFORM,
     ci95_halfwidth,
+    split_distances,
     split_shift_report,
     uniform_benchmark,
     wasserstein_1d,
@@ -21,6 +22,45 @@ from dedsid.wasserstein import (
 finite_arrays = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=30
 ).map(np.asarray)
+
+
+# Heavy ties within and across samples: few distinct integer values.
+tied_arrays = st.lists(
+    st.integers(min_value=-3, max_value=3).map(float), min_size=1, max_size=40
+).map(np.asarray)
+oracle_arrays = st.one_of(
+    finite_arrays,
+    tied_arrays,
+    st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
+    ).map(np.asarray),
+    st.builds(
+        np.full,
+        st.integers(min_value=1, max_value=20),
+        st.floats(min_value=-50, max_value=50, allow_nan=False),
+    ),
+)
+
+
+def triple_sort_oracle(a, b):
+    """W1 as the integral of |F_a - F_b|: the three-sort reference kernel."""
+    a = np.sort(np.asarray(a, dtype=float).ravel())
+    b = np.sort(np.asarray(b, dtype=float).ravel())
+    merged = np.sort(np.concatenate([a, b]))
+    deltas = np.diff(merged)
+    if deltas.size == 0:
+        return 0.0
+    cdf_a = np.searchsorted(a, merged[:-1], side="right") / a.size
+    cdf_b = np.searchsorted(b, merged[:-1], side="right") / b.size
+    return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
+
+
+def uniform_oracle(x):
+    return triple_sort_oracle(x, np.linspace(x.min(), x.max(), x.size))
+
+
+def assert_matches_oracle(got, ref):
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def matching_oracle(a, b):
@@ -82,6 +122,43 @@ class TestWasserstein1d:
         assert wasserstein_1d(s * a, s * b) == pytest.approx(
             abs(s) * wasserstein_1d(a, b), rel=1e-9, abs=1e-9
         )
+
+
+class TestAgainstTripleSortOracle:
+    @given(oracle_arrays, oracle_arrays)
+    def test_wasserstein_1d(self, a, b):
+        assert_matches_oracle(wasserstein_1d(a, b), triple_sort_oracle(a, b))
+
+    @given(oracle_arrays)
+    def test_size_one_against_any(self, a):
+        assert_matches_oracle(wasserstein_1d(a[:1], a), triple_sort_oracle(a[:1], a))
+
+    @given(oracle_arrays)
+    def test_uniform_benchmark(self, x):
+        if x.min() == x.max():
+            with pytest.raises(ConstantChannel):
+                uniform_benchmark(x)
+        else:
+            assert_matches_oracle(uniform_benchmark(x), uniform_oracle(x))
+
+    @given(
+        st.lists(tied_arrays | finite_arrays, min_size=2, max_size=5),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_split_distances(self, columns, n_test):
+        n_test = min(n_test, len(columns) - 1)
+        corpus = [make_dataset(c, names=["m"], experiment_id=f"e{i}") for i, c in enumerate(columns)]
+        train, test = corpus[n_test:], corpus[:n_test]
+        tr = np.concatenate(columns[n_test:])
+        te = np.concatenate(columns[:n_test])
+        if tr.min() == tr.max() or te.min() == te.max():
+            with pytest.raises(ConstantChannel):
+                split_distances(train, test, ["m"])
+            return
+        got = split_distances(train, test, ["m"])["m"]
+        assert_matches_oracle(got[PAIR_TRAIN_UNIFORM], uniform_oracle(tr))
+        assert_matches_oracle(got[PAIR_TEST_UNIFORM], uniform_oracle(te))
+        assert_matches_oracle(got[PAIR_TEST_TRAIN], triple_sort_oracle(te, tr))
 
 
 class TestUniformBenchmark:
