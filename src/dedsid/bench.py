@@ -48,7 +48,8 @@ def throughput_benchmark(
     fit_target_us: float = 25.0,
     rollout_target_us: float = 150.0,
 ) -> BenchReport:
-    """Time one fit and one self-fed rollout over ``points`` samples.
+    """Time one fit (snapshot set-up included) and one self-fed rollout over
+    ``points`` samples.
 
     Data comes from a seeded random stable plant under white-noise inputs;
     wall-clock per point is the headline number because that is what decides
@@ -59,10 +60,9 @@ def throughput_benchmark(
         [c.name for c in spec.input_channels], points, 100.0, seed=seed + 1
     )
     ds = simulate(spec, inputs, seed=seed + 2).dataset
-    snapshots = build_snapshots([ds], list(spec.input_names), list(spec.observable_names))
 
     t0 = time.perf_counter()
-    model = fit(snapshots)
+    model = fit(build_snapshots([ds], list(spec.input_names), list(spec.observable_names)))
     fit_seconds = time.perf_counter() - t0
 
     y0 = ds.matrix_for(spec.observable_names)[0]

@@ -22,7 +22,7 @@ from .bench import throughput_benchmark
 from .config import RunConfig, default_config_payload, load_run_config
 from .dataset import TimeSeriesDataset, load_datasets, load_manifest, load_schema
 from .dmdc import load_model, save_model
-from .errors import ConfigError, DataError, NumericError, TooFewExperiments
+from .errors import ConfigError, CorruptFile, DataError, NumericError, TooFewExperiments
 from .plant import make_demo_experiments, save_plant
 from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
@@ -317,9 +317,11 @@ def _load_envelope(cfg: RunConfig):
     path = cfg.output_dir / "cv_report.json"
     if not path.exists():
         raise DataError(f"{path} not found; run the cv stage first")
-    with open(path) as fh:
-        payload = json.load(fh)
-    return UncertaintyEnvelope.from_dict(payload["envelope"])
+    try:
+        with open(path) as fh:
+            return UncertaintyEnvelope.from_dict(json.load(fh)["envelope"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CorruptFile(str(path), f"no uncertainty envelope: {exc!r}") from None
 
 
 def _predict_artifacts(
@@ -547,8 +549,13 @@ def cmd_pipeline(args) -> int:
 def cmd_bench(args) -> int:
     cfg = load_run_config(args.config, args.seed) if args.config else None
     bench_cfg = cfg.bench if cfg else None
+    points = args.points
+    if points is None:
+        points = bench_cfg.points if bench_cfg else 1_000_000
+    if points < 1:
+        raise ConfigError(f"--points must be at least 1, got {points}")
     report = throughput_benchmark(
-        points=args.points or (bench_cfg.points if bench_cfg else 1_000_000),
+        points=points,
         q=bench_cfg.q if bench_cfg else 3,
         p=bench_cfg.p if bench_cfg else 21,
         seed=cfg.seed if cfg else (args.seed or 0),

@@ -161,6 +161,9 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError("lpocv p and repeats must be positive")
     if cfg.svd_rank is not None and cfg.svd_rank < 1:
         raise ConfigError(f"svd_rank must be at least 1, got {cfg.svd_rank}")
+    b = cfg.bench
+    if min(b.points, b.q, b.p) < 1:
+        raise ConfigError(f"bench points, q and p must be at least 1, got {b.points}, {b.q}, {b.p}")
     sg = cfg.spectrogram
     if sg.rows < 1 or sg.cols < 1:
         raise ConfigError(f"spectrogram rows and cols must be at least 1, got {sg.rows}x{sg.cols}")

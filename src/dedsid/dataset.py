@@ -438,13 +438,23 @@ def zero_variance_channels(datasets: Sequence[TimeSeriesDataset], names: Sequenc
     return out
 
 
-def load_schema(path: str | Path) -> tuple[ChannelSpec, ...]:
+def _load_json_object(path: str | Path) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptFile(str(path), str(exc)) from None
-    return tuple(ChannelSpec.from_dict(d) for d in payload["channels"])
+    if not isinstance(payload, dict):
+        raise CorruptFile(str(path), "not a JSON object")
+    return payload
+
+
+def load_schema(path: str | Path) -> tuple[ChannelSpec, ...]:
+    payload = _load_json_object(path)
+    try:
+        return tuple(ChannelSpec.from_dict(d) for d in payload["channels"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(str(path), f"malformed channel list: {exc!r}") from None
 
 
 def save_schema(channels: Iterable[ChannelSpec], path: str | Path) -> None:
@@ -455,19 +465,18 @@ def save_schema(channels: Iterable[ChannelSpec], path: str | Path) -> None:
 
 def load_manifest(path: str | Path) -> ExperimentManifest:
     path = Path(path)
+    payload = _load_json_object(path)
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptFile(str(path), str(exc)) from None
-    entries = tuple(
-        ManifestEntry(
-            experiment_id=e["experiment_id"],
-            path=e["path"],
-            sample_rate_hz=float(e["sample_rate_hz"]),
+        entries = tuple(
+            ManifestEntry(
+                experiment_id=e["experiment_id"],
+                path=e["path"],
+                sample_rate_hz=float(e["sample_rate_hz"]),
+            )
+            for e in payload["experiments"]
         )
-        for e in payload["experiments"]
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptFile(str(path), f"malformed experiment list: {exc!r}") from None
     manifest = ExperimentManifest(entries=entries, root=path.parent)
     for entry in manifest.entries:
         if not manifest.resolved_path(entry).exists():

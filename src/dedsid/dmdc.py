@@ -3,10 +3,11 @@
 The model is y[t+1] = A y[t] + B u[t] with observables treated directly as
 state (identity output map, no feedthrough): with gappy sensing there is no
 separate latent state worth estimating. A and B come from the small R factor
-of a blocked tall-skinny QR of the snapshot pairs and one SVD of its leading
-(q+p)x(q+p) block; no reduced-order projection is applied unless a rank cap
-is requested, because the feature count is tiny next to the sample count and
-full rank keeps the operator interpretable per channel.
+of a blocked tall-skinny QR of the snapshot pairs, read straight from each
+experiment's rows, and one SVD of its leading (q+p)x(q+p) block; no
+reduced-order projection is applied unless a rank cap is requested, because
+the feature count is tiny next to the sample count and full rank keeps the
+operator interpretable per channel.
 """
 
 from __future__ import annotations
@@ -40,48 +41,149 @@ _EPS = float(np.finfo(float).eps)
 # Pairs per QR step of fit: the block plus the carried R factor stays in
 # cache, and the per-call overhead is paid once per thousands of pairs.
 _QR_BLOCK_ROWS = 2048
+# Pairs per gather from an experiment's rows. Gathering one QR block at a
+# time leaves only small frees between the QR calls' own copies, so glibc
+# trims and re-faults the heap around every call (46k-86k minor faults per
+# 1e6-pair fit, against ~4k with chunks); a 16-block chunk of 24 channels is
+# ~6 MB, under glibc's 32 MB cap on its trim threshold.
+_CHUNK_ROWS = 16 * _QR_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
 class SnapshotSet:
-    """Aligned snapshot columns: y_next[:, k] follows y_cur[:, k] under u_cur[:, k].
+    """Where the snapshot pairs live: row views of each experiment, not copies.
 
-    Pairs never straddle experiment boundaries; ``build_snapshots`` enforces
-    that by pairing within each dataset before concatenating.
+    Each segment is a pair of equally long row arrays ``(current, following)``;
+    for an experiment they are the views ``data[:-1]`` and ``data[1:]``, so
+    pair t is y and u at step t with y at step t + 1, and pairs never
+    straddle experiment boundaries. ``build_snapshots`` enforces one channel
+    schema, so every segment shares one column layout: ``observable_columns``
+    pick y from both arrays and ``input_columns`` pick u from ``current``.
+    ``fit`` gathers the pairs chunk by chunk and applies the optional
+    standardizers to what it gathers; the model carries them along.
     """
 
-    y_cur: np.ndarray
-    y_next: np.ndarray
-    u_cur: np.ndarray
+    segments: tuple[tuple[np.ndarray, np.ndarray], ...]
+    observable_columns: tuple[int, ...]
+    input_columns: tuple[int, ...]
     observable_names: tuple[str, ...]
     input_names: tuple[str, ...]
     sample_rate_hz: float
+    input_standardizer: StandardizationParams | None = None
+    observable_standardizer: StandardizationParams | None = None
 
     def __post_init__(self):
-        q, n = self.y_cur.shape
-        if self.y_next.shape != (q, n):
-            raise DimensionMismatch("y_next shape differs from y_cur")
-        if self.u_cur.shape[1] != n:
-            raise DimensionMismatch("u_cur column count differs from y_cur")
-        if len(self.observable_names) != q:
+        for current, following in self.segments:
+            if following.shape[0] != current.shape[0]:
+                raise DimensionMismatch("following rows differ in count from current rows")
+        if len(self.observable_names) != len(self.observable_columns):
             raise DimensionMismatch("observable name count differs from state rows")
-        if len(self.input_names) != self.u_cur.shape[0]:
+        if len(self.input_names) != len(self.input_columns):
             raise DimensionMismatch("input name count differs from input rows")
+        for std, names in (
+            (self.input_standardizer, self.input_names),
+            (self.observable_standardizer, self.observable_names),
+        ):
+            if std is not None and std.channels != names:
+                raise DimensionMismatch(f"standardizer channels {std.channels} differ from {names}")
+
+    @classmethod
+    def from_arrays(
+        cls,
+        y_cur: np.ndarray,
+        y_next: np.ndarray,
+        u_cur: np.ndarray,
+        observable_names: Sequence[str],
+        input_names: Sequence[str],
+        sample_rate_hz: float,
+    ) -> "SnapshotSet":
+        """One segment of pairs given as columns: y_next[:, t] follows
+        y_cur[:, t] under u_cur[:, t]."""
+        q, n = y_cur.shape
+        if y_next.shape != (q, n):
+            raise DimensionMismatch("y_next shape differs from y_cur")
+        if u_cur.shape[1] != n:
+            raise DimensionMismatch("u_cur column count differs from y_cur")
+        return cls(
+            segments=((np.vstack([y_cur, u_cur]).T, y_next.T),),
+            observable_columns=tuple(range(q)),
+            input_columns=tuple(range(q, q + u_cur.shape[0])),
+            observable_names=tuple(observable_names),
+            input_names=tuple(input_names),
+            sample_rate_hz=sample_rate_hz,
+        )
 
     @property
     def pair_count(self) -> int:
-        return self.y_cur.shape[1]
+        return sum(current.shape[0] for current, _ in self.segments)
+
+    def _chunks(self):
+        """Standardized ``[y u]`` rows and their ``y_next`` rows, per chunk.
+
+        Each chunk is one row-major gather of at most ``_CHUNK_ROWS`` pairs of
+        one segment, standardized in place with the exact ``(x - mean) /
+        scale``; a side without a standardizer gets the identity map, which
+        leaves every value unchanged.
+        """
+        state = list(self.observable_columns)
+        columns = state + list(self.input_columns)
+        q = len(state)
+        obs_std, in_std = self.observable_standardizer, self.input_standardizer
+        standardize = obs_std is not None or in_std is not None
+        if standardize:
+            obs_std = obs_std or StandardizationParams.identity(self.observable_names)
+            in_std = in_std or StandardizationParams.identity(self.input_names)
+            shift = np.concatenate([obs_std.mean, in_std.mean])
+            scale = np.concatenate([obs_std.scale, in_std.scale])
+        for current, following in self.segments:
+            for start in range(0, current.shape[0], _CHUNK_ROWS):
+                now = current[start : start + _CHUNK_ROWS].take(columns, axis=1)
+                then = following[start : start + _CHUNK_ROWS].take(state, axis=1)
+                if standardize:
+                    now -= shift
+                    now /= scale
+                    then -= shift[:q]
+                    then /= scale[:q]
+                yield now, then
+
+    def _stacked(self) -> np.ndarray:
+        """[y_cur; u_cur; y_next], (2q + p) x n, as ``fit`` sees it."""
+        k = len(self.observable_columns) + len(self.input_columns)
+        out = np.empty((k + len(self.observable_columns), self.pair_count))
+        at = 0
+        for now, then in self._chunks():
+            out[:k, at : at + len(now)] = now.T
+            out[k:, at : at + len(now)] = then.T
+            at += len(now)
+        return out
+
+    # On-demand standardized copies of the pairs, for tests and oracles.
+    @property
+    def y_cur(self) -> np.ndarray:
+        return self._stacked()[: len(self.observable_columns)]
+
+    @property
+    def u_cur(self) -> np.ndarray:
+        q = len(self.observable_columns)
+        return self._stacked()[q : q + len(self.input_columns)]
+
+    @property
+    def y_next(self) -> np.ndarray:
+        return self._stacked()[len(self.observable_columns) + len(self.input_columns) :]
 
 
 def build_snapshots(
     datasets: Sequence[TimeSeriesDataset],
     inputs: Sequence[str],
     observables: Sequence[str],
+    input_standardizer: StandardizationParams | None = None,
+    observable_standardizer: StandardizationParams | None = None,
 ) -> SnapshotSet:
-    """Assemble snapshot pairs from one or more experiments.
+    """Point at the snapshot pairs of one or more experiments, copying nothing.
 
     Each experiment with m rows contributes m - 1 pairs; experiments must
-    agree on channel schema and sample rate.
+    agree on channel schema and sample rate. The optional standardizers,
+    aligned with ``inputs`` and ``observables``, are applied by ``fit``.
     """
     if not datasets:
         raise TooShort("<none>", 0)
@@ -95,22 +197,18 @@ def build_snapshots(
             raise SchemaMismatch(
                 f"{ds.experiment_id!r} sample rate differs from {ref.experiment_id!r}"
             )
-    y_cur, y_next, u_cur = [], [], []
     for ds in datasets:
         if ds.row_count < 2:
             raise TooShort(ds.experiment_id, ds.row_count)
-        obs = ds.matrix_for(observables)
-        inp = ds.matrix_for(inputs)
-        y_cur.append(obs[:-1].T)
-        y_next.append(obs[1:].T)
-        u_cur.append(inp[:-1].T)
     return SnapshotSet(
-        y_cur=np.concatenate(y_cur, axis=1),
-        y_next=np.concatenate(y_next, axis=1),
-        u_cur=np.concatenate(u_cur, axis=1),
+        segments=tuple((ds.data[:-1], ds.data[1:]) for ds in datasets),
+        observable_columns=tuple(ref.index_of(name) for name in observables),
+        input_columns=tuple(ref.index_of(name) for name in inputs),
         observable_names=tuple(observables),
         input_names=tuple(inputs),
         sample_rate_hz=ref.sample_rate_hz,
+        input_standardizer=input_standardizer,
+        observable_standardizer=observable_standardizer,
     )
 
 
@@ -142,18 +240,15 @@ class StateSpaceModel:
         return self.B.shape[1]
 
 
-def fit(
-    snapshots: SnapshotSet,
-    rank: int | None = None,
-    input_standardizer: StandardizationParams | None = None,
-    observable_standardizer: StandardizationParams | None = None,
-) -> StateSpaceModel:
+def fit(snapshots: SnapshotSet, rank: int | None = None) -> StateSpaceModel:
     """Solve y_next = [A B] [y_cur; u_cur] in the least-squares sense.
 
     Parameters
     ----------
     snapshots : SnapshotSet
-        Aligned pairs; needs at least q + p columns to determine the operator.
+        Where the pairs live; needs at least q + p pairs to determine the
+        operator. Its standardizers are applied to the pairs and attached to
+        the model.
     rank : int, optional
         Cap on the SVD truncation rank, at least 1. Default keeps every
         singular value above the numerical-rank cutoff (machine epsilon times
@@ -170,29 +265,37 @@ def fit(
     split column-wise into the state and input blocks. Rank deficiency of
     Omega is survivable (truncation handles it) but suspicious, so it warns
     rather than raises.
+
+    The rows of M are read straight from each experiment's data: gathered
+    and standardized a chunk of up to ``_CHUNK_ROWS`` pairs at a time, then
+    cut into blocks of ``_QR_BLOCK_ROWS`` pairs counted over all
+    experiments, so a block may span an experiment boundary. No snapshot
+    matrix is ever stacked.
     """
     if rank is not None and rank < 1:
         raise ConfigError(f"svd rank cap must be at least 1, got {rank}")
-    q = snapshots.y_cur.shape[0]
-    p = snapshots.u_cur.shape[0]
-    k = q + p
+    q = len(snapshots.observable_names)
+    k = q + len(snapshots.input_names)
     n = snapshots.pair_count
     if n < k:
         raise InsufficientPairs(n, k)
 
-    # Blocks of M are built transposed in `work`, so each copy is a row slice
-    # of the snapshot arrays and LAPACK receives column-major input.
+    # Blocks of M are built transposed in `work` behind the carried R factor,
+    # so LAPACK receives column-major input.
     work = np.empty((k + q, k + q + min(n, _QR_BLOCK_ROWS)))
-    r_factor = np.empty((0, k + q))
-    for start in range(0, n, _QR_BLOCK_ROWS):
-        stop = min(start + _QR_BLOCK_ROWS, n)
-        top = r_factor.shape[0]
-        width = top + stop - start
-        work[:, :top] = r_factor.T
-        work[:q, top:width] = snapshots.y_cur[:, start:stop]
-        work[q:k, top:width] = snapshots.u_cur[:, start:stop]
-        work[k:, top:width] = snapshots.y_next[:, start:stop]
-        r_factor = np.linalg.qr(work[:, :width].T, mode="r")
+    top = filled = done = 0
+    for now, then in snapshots._chunks():
+        pos = 0
+        while pos < len(now):
+            take = min(_QR_BLOCK_ROWS - filled, len(now) - pos)
+            at = top + filled
+            work[:k, at : at + take] = now[pos : pos + take].T
+            work[k:, at : at + take] = then[pos : pos + take].T
+            pos, filled, done = pos + take, filled + take, done + take
+            if filled == _QR_BLOCK_ROWS or done == n:
+                r_factor = np.linalg.qr(work[:, : top + filled].T, mode="r")
+                top, filled = r_factor.shape[0], 0
+                work[:, :top] = r_factor.T
     # NaN and inf anywhere in the pairs reach R through the reflections.
     if not np.isfinite(r_factor).all():
         raise NonFiniteSnapshots(n)
@@ -225,8 +328,8 @@ def fit(
         input_names=snapshots.input_names,
         sample_rate_hz=snapshots.sample_rate_hz,
         svd_rank_used=r,
-        input_standardizer=input_standardizer,
-        observable_standardizer=observable_standardizer,
+        input_standardizer=snapshots.input_standardizer,
+        observable_standardizer=snapshots.observable_standardizer,
     )
 
 

@@ -16,12 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (
-    TimeSeriesDataset,
-    apply_standardizer,
-    decimate,
-    fit_standardizer_pooled,
-)
+from .dataset import TimeSeriesDataset, decimate, fit_standardizer_pooled
 from .dmdc import StateSpaceModel, build_snapshots, fit, rollout
 from .errors import ConstantActual, DimensionMismatch, EmptySample, TooFewExperiments
 from .wasserstein import ci95_halfwidth
@@ -69,7 +64,8 @@ class FitConfig:
 
 
 def fit_on_datasets(datasets: Sequence[TimeSeriesDataset], config: FitConfig) -> StateSpaceModel:
-    """Standardize (per config), build snapshots, fit; standardizers ride along."""
+    """Fit standardizers on the pooled rows (per config), then fit; the
+    standardizers are applied to the pairs as they are read and ride along."""
     input_std = (
         fit_standardizer_pooled(datasets, config.inputs) if config.standardize_inputs else None
     )
@@ -78,20 +74,14 @@ def fit_on_datasets(datasets: Sequence[TimeSeriesDataset], config: FitConfig) ->
         if config.standardize_observables
         else None
     )
-    transformed = []
-    for ds in datasets:
-        if input_std is not None:
-            ds = apply_standardizer(ds, input_std)
-        if obs_std is not None:
-            ds = apply_standardizer(ds, obs_std)
-        transformed.append(ds)
-    snapshots = build_snapshots(transformed, config.inputs, config.observables)
-    return fit(
-        snapshots,
-        rank=config.svd_rank,
+    snapshots = build_snapshots(
+        datasets,
+        config.inputs,
+        config.observables,
         input_standardizer=input_std,
         observable_standardizer=obs_std,
     )
+    return fit(snapshots, rank=config.svd_rank)
 
 
 def predict_series(

@@ -288,6 +288,46 @@ class TestExitCodes:
         assert main(["spectrogram", "--config", str(cfg_path)]) == 2
         assert f"spectrogram {detail}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("schema.json", {"fields": []}),
+            ("schema.json", {"channels": [{"name": "u1", "unit": "au", "kind": "sensor"}]}),
+            ("schema.json", [{"name": "u1", "unit": "au", "kind": "input"}]),
+            ("manifest.json", {"experiments": [{"path": "exp01.csv", "sample_rate_hz": 100.0}]}),
+            ("manifest.json", ["exp01.csv"]),
+        ],
+        ids=["no_channels", "bad_kind", "schema_list", "no_experiment_id", "manifest_list"],
+    )
+    def test_malformed_schema_or_manifest_is_3(self, corpus, tmp_path, name, payload, capsys):
+        (tmp_path / "exp01.csv").write_text((corpus / "exp01.csv").read_text())
+        cfg = one_experiment_config(corpus, tmp_path, "exp01.csv")
+        (tmp_path / name).write_text(json.dumps(payload))
+        assert main(["ingest", "--config", str(cfg)]) == 3
+        assert f"data error: cannot read {tmp_path / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"envelope": 3}', "{not json", "[]", '{"cv": {}}'])
+    def test_malformed_cv_report_is_3(self, corpus, text, capsys):
+        cfg_path = derived_config(corpus, "out_bad_envelope")
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        (corpus / "out_bad_envelope" / "cv_report.json").write_text(text)
+        assert main(["predict", "--config", str(cfg_path)]) == 3
+        assert "cv_report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_bench_points_below_one_is_2(self, tmp_path, monkeypatch, points, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--points", points]) == 2
+        assert f"--points must be at least 1, got {points}" in capsys.readouterr().err
+        assert not (tmp_path / "bench_report.json").exists()
+
+    @pytest.mark.parametrize("key", ["points", "q", "p"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_bench_size_below_one_is_2(self, corpus, key, value, capsys):
+        cfg_path = derived_config(corpus, f"out_bench_{key}_{value}", bench={key: value})
+        assert main(["bench", "--config", str(cfg_path)]) == 2
+        assert "bench points, q and p must be at least 1" in capsys.readouterr().err
+
     def test_predict_before_fit_is_3(self, corpus):
         cfg_path = derived_config(corpus, "out_nofit")
         assert main(["predict", "--config", str(cfg_path)]) == 3

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dedsid import dmdc
+from dedsid.dataset import apply_standardizer, fit_standardizer_pooled
 from dedsid.dmdc import (
     SnapshotSet,
     StateSpaceModel,
@@ -43,7 +45,7 @@ def simulate_pairs(a, b, y0, u_seq):
 
 
 def snapshots_from(y, u, rate=100.0):
-    return SnapshotSet(
+    return SnapshotSet.from_arrays(
         y_cur=y[:-1].T,
         y_next=y[1:].T,
         u_cur=u.T,
@@ -68,19 +70,27 @@ def svd_fit_oracle(snapshots, rank=None):
     return proj @ eta[:q, :r].T, proj @ eta[q:, :r].T, r
 
 
-def random_snapshots(q, p, n, seed, duplicate_input=False):
+def random_arrays(q, p, n, seed, duplicate_input=False):
     rng = np.random.default_rng(seed)
     u_cur = rng.normal(size=(p, n))
     if duplicate_input:
         u_cur = np.vstack([u_cur, u_cur[:1]])
-    return SnapshotSet(
-        y_cur=rng.normal(size=(q, n)),
-        y_next=rng.normal(size=(q, n)),
+    return dict(y_cur=rng.normal(size=(q, n)), y_next=rng.normal(size=(q, n)), u_cur=u_cur)
+
+
+def arrays_to_snapshots(y_cur, y_next, u_cur):
+    return SnapshotSet.from_arrays(
+        y_cur=y_cur,
+        y_next=y_next,
         u_cur=u_cur,
-        observable_names=tuple(f"y{i}" for i in range(q)),
+        observable_names=tuple(f"y{i}" for i in range(y_cur.shape[0])),
         input_names=tuple(f"u{i}" for i in range(u_cur.shape[0])),
         sample_rate_hz=100.0,
     )
+
+
+def random_snapshots(q, p, n, seed, duplicate_input=False):
+    return arrays_to_snapshots(**random_arrays(q, p, n, seed, duplicate_input))
 
 
 def pair_count(k, which):
@@ -105,7 +115,7 @@ class TestFit:
         y_cur = rng.normal(size=(3, 400))
         u_cur = rng.normal(size=(2, 400))
         y_next = rng.normal(size=(3, 400))
-        snaps = SnapshotSet(
+        snaps = SnapshotSet.from_arrays(
             y_cur=y_cur,
             y_next=y_next,
             u_cur=u_cur,
@@ -123,7 +133,7 @@ class TestFit:
         y_cur = rng.normal(size=(2, 120))
         u_cur = rng.normal(size=(1, 120))
         y_next = rng.normal(size=(2, 120))
-        snaps = SnapshotSet(
+        snaps = SnapshotSet.from_arrays(
             y_cur=y_cur,
             y_next=y_next,
             u_cur=u_cur,
@@ -147,7 +157,7 @@ class TestFit:
         y_next = rng.normal(size=(2, 200))
 
         def build(u, names):
-            return SnapshotSet(
+            return SnapshotSet.from_arrays(
                 y_cur=y_cur,
                 y_next=y_next,
                 u_cur=u,
@@ -165,7 +175,7 @@ class TestFit:
         rng = np.random.default_rng(3)
         y_cur = rng.normal(size=(2, 100))
         u = rng.normal(size=(1, 100))
-        snaps = SnapshotSet(
+        snaps = SnapshotSet.from_arrays(
             y_cur=y_cur,
             y_next=rng.normal(size=(2, 100)),
             u_cur=np.vstack([u, u]),
@@ -179,7 +189,7 @@ class TestFit:
 
     def test_insufficient_pairs(self):
         rng = np.random.default_rng(4)
-        snaps = SnapshotSet(
+        snaps = SnapshotSet.from_arrays(
             y_cur=rng.normal(size=(2, 2)),
             y_next=rng.normal(size=(2, 2)),
             u_cur=rng.normal(size=(1, 2)),
@@ -193,7 +203,7 @@ class TestFit:
     def test_requested_rank_caps_truncation(self):
         rng = np.random.default_rng(5)
         y_cur = rng.normal(size=(3, 300))
-        snaps = SnapshotSet(
+        snaps = SnapshotSet.from_arrays(
             y_cur=y_cur,
             y_next=rng.normal(size=(3, 300)),
             u_cur=rng.normal(size=(2, 300)),
@@ -219,7 +229,7 @@ class TestFit:
         rng = np.random.default_rng(12)
         orthonormal_rows = np.linalg.qr(rng.normal(size=(n, 3)))[0].T
         omega = np.array([[1.0], [0.5], [smallest]]) * orthonormal_rows
-        snaps = SnapshotSet(
+        snaps = SnapshotSet.from_arrays(
             y_cur=omega[:2],
             y_next=rng.normal(size=(2, n)),
             u_cur=omega[2:],
@@ -242,10 +252,10 @@ class TestFit:
     def test_non_finite_pairs_raise_named_error(self, field, value):
         # The bad pair sits in the second QR block, so it reaches R through
         # the carried factor as well as through its own block.
-        snaps = random_snapshots(2, 3, 2 * BLOCK + 1, seed=7)
-        getattr(snaps, field)[-1, BLOCK + 5] = value
+        arrays = random_arrays(2, 3, 2 * BLOCK + 1, seed=7)
+        arrays[field][-1, BLOCK + 5] = value
         with pytest.raises(NonFiniteSnapshots):
-            fit(snaps)
+            fit(arrays_to_snapshots(**arrays))
 
 
 class TestFitAgainstSvd:
@@ -277,6 +287,134 @@ class TestFitAgainstSvd:
         with pytest.warns(RankDeficiencyWarning):
             model = fit(snaps)
         assert model.svd_rank_used == svd_fit_oracle(snaps)[2] == q + p
+
+
+def copied_fit_oracle(datasets, inputs, observables, input_std, obs_std, rank):
+    """The fit before pairs were read in place: standardized copies of every
+    dataset, concatenated snapshot arrays, one array segment."""
+    copies = []
+    for ds in datasets:
+        if input_std is not None:
+            ds = apply_standardizer(ds, input_std)
+        if obs_std is not None:
+            ds = apply_standardizer(ds, obs_std)
+        copies.append(ds)
+    obs = [ds.matrix_for(observables) for ds in copies]
+    inp = [ds.matrix_for(inputs) for ds in copies]
+    snaps = SnapshotSet.from_arrays(
+        y_cur=np.concatenate([o[:-1].T for o in obs], axis=1),
+        y_next=np.concatenate([o[1:].T for o in obs], axis=1),
+        u_cur=np.concatenate([u[:-1].T for u in inp], axis=1),
+        observable_names=tuple(observables),
+        input_names=tuple(inputs),
+        sample_rate_hz=datasets[0].sample_rate_hz,
+    )
+    model = fit(snaps, rank=rank)
+    return model.A, model.B, model.svd_rank_used
+
+
+def fit_and_warnings(fn):
+    """Result or error type of ``fn()``, and the rank warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except InsufficientPairs:
+            result = InsufficientPairs
+    return result, [str(w.message) for w in caught if w.category is RankDeficiencyWarning]
+
+
+def random_corpus(q, p, lengths, seed, duplicate_input=False):
+    """Datasets over one shuffled schema: q observables, p inputs, one spare."""
+    rng = np.random.default_rng(seed)
+    names = [f"y{i}" for i in range(q)] + [f"u{i}" for i in range(p)] + ["spare"]
+    kinds = ["observable"] * q + ["input"] * p + ["input"]
+    order = rng.permutation(len(names))
+    datasets = []
+    for e, rows in enumerate(lengths):
+        data = rng.normal(loc=3.0, scale=2.0, size=(rows, len(names)))
+        if duplicate_input and p > 1:
+            data[:, q + 1] = data[:, q]
+        datasets.append(
+            make_dataset(
+                data[:, order],
+                names=[names[i] for i in order],
+                kinds=[kinds[i] for i in order],
+                experiment_id=f"e{e}",
+            )
+        )
+    return datasets, names[q : q + p], names[:q]
+
+
+CHUNK = dmdc._CHUNK_ROWS
+
+
+class TestFitFromDatasets:
+    """The in-place gather against the copied-and-concatenated fit it replaced."""
+
+    @given(
+        q=st.integers(1, 4),
+        p=st.integers(1, 5),
+        lengths=st.lists(
+            st.sampled_from([2, 2047, 2048, 2049, 2050, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2]),
+            min_size=1,
+            max_size=4,
+        ),
+        standardize_inputs=st.booleans(),
+        standardize_observables=st.booleans(),
+        rank=st.one_of(st.none(), st.integers(1, 12)),
+        duplicate_input=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_bit_identical_to_copied_fit(
+        self, q, p, lengths, standardize_inputs, standardize_observables, rank, duplicate_input, seed
+    ):
+        datasets, inputs, observables = random_corpus(q, p, lengths, seed, duplicate_input)
+        input_std = fit_standardizer_pooled(datasets, inputs) if standardize_inputs else None
+        obs_std = fit_standardizer_pooled(datasets, observables) if standardize_observables else None
+
+        def in_place():
+            snaps = build_snapshots(datasets, inputs, observables, input_std, obs_std)
+            model = fit(snaps, rank=rank)
+            assert model.input_standardizer is input_std
+            assert model.observable_standardizer is obs_std
+            return model.A, model.B, model.svd_rank_used
+
+        got, got_warnings = fit_and_warnings(in_place)
+        expected, expected_warnings = fit_and_warnings(
+            lambda: copied_fit_oracle(datasets, inputs, observables, input_std, obs_std, rank)
+        )
+        assert got_warnings == expected_warnings
+        if expected is InsufficientPairs:
+            assert got is InsufficientPairs
+            return
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+        assert got[2] == expected[2]
+
+    @pytest.mark.parametrize("role", ["observable", "input"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_selected_channel_in_second_chunk(self, role, value):
+        datasets, inputs, observables = random_corpus(2, 3, [50, CHUNK + 100], seed=8)
+        name = observables[1] if role == "observable" else inputs[2]
+        bad = datasets[1].data.copy()
+        bad[CHUNK + 10, datasets[1].index_of(name)] = value
+        datasets[1] = datasets[1].with_data(bad)
+        snaps = build_snapshots(datasets, inputs, observables)
+        with pytest.raises(NonFiniteSnapshots):
+            fit(snaps)
+
+    def test_nan_in_unselected_channel_ignored(self):
+        datasets, inputs, observables = random_corpus(2, 3, [50, CHUNK + 100], seed=9)
+        clean = fit(build_snapshots(datasets, inputs, observables))
+        spoiled = []
+        for ds in datasets:
+            data = ds.data.copy()
+            data[::7, ds.index_of("spare")] = np.nan
+            spoiled.append(ds.with_data(data))
+        model = fit(build_snapshots(spoiled, inputs, observables))
+        assert np.array_equal(model.A, clean.A)
+        assert np.array_equal(model.B, clean.B)
 
 
 class TestBuildSnapshots:
