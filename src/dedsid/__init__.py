@@ -6,6 +6,7 @@ distribution-shift reporting, and spectral validation, plus a synthetic
 plant for end-to-end exercises.
 """
 
+from .artifacts import to_plain, write_json
 from .dataset import (
     ChannelSpec,
     ExperimentManifest,
@@ -95,9 +96,11 @@ __all__ = [
     "select_features",
     "simulate",
     "split_shift_report",
+    "to_plain",
     "uniform_benchmark",
     "vif_single",
     "wasserstein_1d",
     "write_csv",
+    "write_json",
     "__version__",
 ]

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BenchConfig
 from .dmdc import build_snapshots, fit, rollout
 from .plant import gaussian_inputs, random_stable_plant, simulate
 
@@ -25,37 +26,17 @@ class BenchReport:
     rollout_within_target: bool
     hardware: str
 
-    def to_dict(self) -> dict:
-        return {
-            "points": self.points,
-            "q": self.q,
-            "p": self.p,
-            "fit_us_per_point": self.fit_us_per_point,
-            "rollout_us_per_point": self.rollout_us_per_point,
-            "fit_target_us": self.fit_target_us,
-            "rollout_target_us": self.rollout_target_us,
-            "fit_within_target": self.fit_within_target,
-            "rollout_within_target": self.rollout_within_target,
-            "hardware": self.hardware,
-        }
 
-
-def throughput_benchmark(
-    points: int = 1_000_000,
-    q: int = 3,
-    p: int = 21,
-    seed: int = 0,
-    fit_target_us: float = 25.0,
-    rollout_target_us: float = 150.0,
-) -> BenchReport:
+def throughput_benchmark(cfg: BenchConfig = BenchConfig(), seed: int = 0) -> BenchReport:
     """Time one fit (snapshot set-up included) and one self-fed rollout over
-    ``points`` samples.
+    ``cfg.points`` samples.
 
     Data comes from a seeded random stable plant under white-noise inputs;
     wall-clock per point is the headline number because that is what decides
     whether the surrogate can keep up with a build in progress.
     """
-    spec = random_stable_plant(q, p, seed=seed, radius=0.9)
+    points = cfg.points
+    spec = random_stable_plant(cfg.q, cfg.p, seed=seed, radius=0.9)
     inputs = gaussian_inputs(
         [c.name for c in spec.input_channels], points, 100.0, seed=seed + 1
     )
@@ -75,14 +56,14 @@ def throughput_benchmark(
     roll_us = rollout_seconds / max(1, u.shape[1]) * 1e6
     return BenchReport(
         points=points,
-        q=q,
-        p=p,
+        q=cfg.q,
+        p=cfg.p,
         fit_us_per_point=fit_us,
         rollout_us_per_point=roll_us,
-        fit_target_us=fit_target_us,
-        rollout_target_us=rollout_target_us,
-        fit_within_target=fit_us <= fit_target_us,
-        rollout_within_target=roll_us <= rollout_target_us,
+        fit_target_us=cfg.fit_target_us,
+        rollout_target_us=cfg.rollout_target_us,
+        fit_within_target=fit_us <= cfg.fit_target_us,
+        rollout_within_target=roll_us <= cfg.rollout_target_us,
         hardware=f"{platform.machine()} / {platform.processor() or 'unknown-cpu'} / "
         f"python {platform.python_version()} / numpy {np.__version__}",
     )

@@ -10,23 +10,32 @@ error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import dataset as dsmod
+from .artifacts import read_json_object, to_plain, write_json
 from .bench import throughput_benchmark
-from .config import RunConfig, default_config_payload, load_run_config
-from .dataset import TimeSeriesDataset, load_datasets, load_manifest, load_schema
+from .config import (
+    BenchConfig,
+    ImputationDirective,
+    RunConfig,
+    default_config_payload,
+    load_run_config,
+)
+from .dataset import load_datasets, load_manifest, load_schema
 from .dmdc import load_model, save_model
 from .errors import ConfigError, CorruptFile, DataError, NumericError, TooFewExperiments
 from .plant import make_demo_experiments, save_plant
 from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
     FitConfig,
+    UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
     fit_on_datasets,
@@ -38,23 +47,18 @@ from .vif import select_features
 from .wasserstein import split_shift_report
 
 
-def _write_json(path: Path, payload: dict, cfg: RunConfig | None = None) -> None:
-    if cfg is not None:
-        payload = {"provenance": cfg.provenance(), **payload}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _write_table(
-    path: Path, header: Sequence[str], rows: np.ndarray, cfg: RunConfig | None = None
-) -> None:
+@contextmanager
+def _csv_artifact(path: Path, header: str, cfg: RunConfig):
+    """Open a CSV artifact with its provenance comment and header row written."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        if cfg is not None:
-            fh.write(f"# config_sha256={cfg.config_sha256} seed={cfg.seed}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(f"# config_sha256={cfg.config_sha256} seed={cfg.seed}\n")
+        fh.write(header + "\n")
+        yield fh
+
+
+def _write_table(path: Path, header: Sequence[str], rows: np.ndarray, cfg: RunConfig) -> None:
+    with _csv_artifact(path, ",".join(header), cfg) as fh:
         np.savetxt(fh, np.atleast_2d(rows), delimiter=",", fmt="%.17g")
 
 
@@ -159,11 +163,11 @@ def cmd_synth(args) -> int:
     imputation = []
     if spec.dropout is not None:
         imputation.append(
-            {
-                "channel": spec.dropout.channel,
-                "sentinel": spec.dropout.sentinel,
-                "gate_channel": spec.dropout.gate_channel or "power_w",
-            }
+            ImputationDirective(
+                channel=spec.dropout.channel,
+                sentinel=spec.dropout.sentinel,
+                gate_channel=spec.dropout.gate_channel or "power_w",
+            )
         )
     payload = default_config_payload(
         manifest="manifest.json",
@@ -174,20 +178,18 @@ def cmd_synth(args) -> int:
         predict_experiment=datasets[0].experiment_id,
         spectrogram_observable=spec.observable_names[0],
     )
-    with open(out / "config.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "config.json", payload)
     print(f"wrote {len(datasets)} experiments, manifest, schema, config under {out}")
     return 0
 
 
 def _ingest_stage(world: _World) -> None:
-    _write_json(
+    write_json(
         world.cfg.output_dir / "ingest_report.json",
         {
-            "experiments": [r.to_dict() for r in world.ingest_reports],
+            "experiments": world.ingest_reports,
             "dropped_channels": world.dropped_channels,
-            "retained_schema": [c.to_dict() for c in world.schema],
+            "retained_schema": world.schema,
         },
         world.cfg,
     )
@@ -202,11 +204,7 @@ def cmd_ingest(args) -> int:
 
 def _vif_stage(world: _World) -> tuple[dict, list[str]]:
     report, survivors, constant = world.select_inputs()
-    payload = {
-        "constant_channels_excluded": constant,
-        **report.to_dict(),
-    }
-    return payload, survivors
+    return {"constant_channels_excluded": constant, **to_plain(report)}, survivors
 
 
 def cmd_select_features(args) -> int:
@@ -214,7 +212,7 @@ def cmd_select_features(args) -> int:
     world = _World(cfg)
     world.apply_imputation()
     payload, survivors = _vif_stage(world)
-    _write_json(cfg.output_dir / "vif_report.json", payload, cfg)
+    write_json(cfg.output_dir / "vif_report.json", payload, cfg)
 
     reduced_dir = cfg.output_dir / "reduced"
     reduced_dir.mkdir(parents=True, exist_ok=True)
@@ -248,14 +246,9 @@ def _dist_stage(world: _World) -> int:
         [([by_id[i] for i in tr], [by_id[i] for i in te]) for tr, te in id_splits],
         world.observable_names,
     )
-    _write_json(
-        cfg.output_dir / "dist_report.json",
-        {"results": [r.to_dict() for r in results]},
-        cfg,
-    )
-    with open(cfg.output_dir / "dist_report.csv", "w", newline="") as fh:
-        fh.write(f"# config_sha256={cfg.config_sha256} seed={cfg.seed}\n")
-        fh.write("channel,pair,mean_distance,ci95_halfwidth,repeats\n")
+    write_json(cfg.output_dir / "dist_report.json", {"results": results}, cfg)
+    header = "channel,pair,mean_distance,ci95_halfwidth,repeats"
+    with _csv_artifact(cfg.output_dir / "dist_report.csv", header, cfg) as fh:
         for r in results:
             fh.write(
                 f"{r.channel},{r.pair_label},{r.mean_distance:.17g},"
@@ -278,7 +271,6 @@ def cmd_fit(args) -> int:
     world.apply_imputation()
     _, survivors = _vif_stage(world)
     model = fit_on_datasets(world.datasets, world.fit_config(survivors))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, cfg.output_dir / "model.json")
     print(
         f"fit model: {model.state_dim} observables, {model.input_dim} inputs, "
@@ -300,28 +292,24 @@ def cmd_cv(args) -> int:
         repeats=cfg.lpocv.repeats,
         seed=cfg.seed,
     )
-    _write_json(
-        cfg.output_dir / "cv_report.json",
-        {"cv": report.to_dict(), "envelope": envelope.to_dict()},
-        cfg,
-    )
+    write_json(cfg.output_dir / "cv_report.json", {"cv": report, "envelope": envelope}, cfg)
     for obs in report.observables:
         agg = report.aggregates["r2_test"][obs]
         print(f"{obs}: test R^2 {agg.mean:.4f} +/- {agg.ci95:.4f}")
     return 0
 
 
-def _load_envelope(cfg: RunConfig):
-    from .validation import UncertaintyEnvelope
-
+def _load_envelope(cfg: RunConfig, observables: Sequence[str]) -> UncertaintyEnvelope:
     path = cfg.output_dir / "cv_report.json"
     if not path.exists():
         raise DataError(f"{path} not found; run the cv stage first")
     try:
-        with open(path) as fh:
-            return UncertaintyEnvelope.from_dict(json.load(fh)["envelope"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        envelope = UncertaintyEnvelope(**read_json_object(path)["envelope"])
+        for name in observables:  # every bound needs a numeric half-width
+            float(envelope.half_width(name))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(str(path), f"no uncertainty envelope: {exc!r}") from None
+    return envelope
 
 
 def _predict_artifacts(
@@ -383,9 +371,9 @@ def cmd_predict(args) -> int:
     if not model_path.exists():
         raise DataError(f"{model_path} not found; run the fit stage first")
     model = load_model(model_path)
-    envelope = _load_envelope(cfg)
+    envelope = _load_envelope(cfg, model.observable_names)
     summary = _predict_artifacts(cfg, world, model, envelope, args.experiment)
-    _write_json(cfg.output_dir / "predict_report.json", summary, cfg)
+    write_json(cfg.output_dir / "predict_report.json", summary, cfg)
     print(
         f"bounded predictions for {summary['experiment_id']}: "
         f"{summary['within_bounds_fraction']:.3f} within bounds"
@@ -447,7 +435,7 @@ def cmd_spectrogram(args) -> int:
     if model_path.exists():
         model = load_model(model_path)
     summary = _spectrogram_artifacts(cfg, world, model)
-    _write_json(cfg.output_dir / "spectrogram.json", summary, cfg)
+    write_json(cfg.output_dir / "spectrogram.json", summary, cfg)
     if "model_similarity" in summary:
         print(f"spectrogram similarity (measured vs model): {summary['model_similarity']:.4f}")
     else:
@@ -469,14 +457,9 @@ def cmd_freq_study(args) -> int:
         repeats=cfg.lpocv.repeats,
         seed=cfg.seed,
     )
-    _write_json(
-        cfg.output_dir / "freq_study.json",
-        {"rows": [r.to_dict() for r in rows]},
-        cfg,
-    )
-    with open(cfg.output_dir / "freq_study.csv", "w", newline="") as fh:
-        fh.write(f"# config_sha256={cfg.config_sha256} seed={cfg.seed}\n")
-        fh.write("factor,sample_rate_hz,observable,r2_mean,r2_ci95,rmse_mean,rmse_ci95\n")
+    write_json(cfg.output_dir / "freq_study.json", {"rows": rows}, cfg)
+    header = "factor,sample_rate_hz,observable,r2_mean,r2_ci95,rmse_mean,rmse_ci95"
+    with _csv_artifact(cfg.output_dir / "freq_study.csv", header, cfg) as fh:
         for row in rows:
             for obs in world.observable_names:
                 r2a = row.r2_test[obs]
@@ -499,11 +482,11 @@ def cmd_pipeline(args) -> int:
     stages.append("ingest")
 
     impute_counts = world.apply_imputation()
-    _write_json(cfg.output_dir / "impute_report.json", {"channels": impute_counts}, cfg)
+    write_json(cfg.output_dir / "impute_report.json", {"channels": impute_counts}, cfg)
     stages.append("impute")
 
     vif_payload, survivors = _vif_stage(world)
-    _write_json(cfg.output_dir / "vif_report.json", vif_payload, cfg)
+    write_json(cfg.output_dir / "vif_report.json", vif_payload, cfg)
     stages.append("select-features")
 
     _dist_stage(world)
@@ -513,24 +496,20 @@ def cmd_pipeline(args) -> int:
     report, envelope = run_lpocv(
         world.datasets, fit_cfg, p=cfg.lpocv.p, repeats=cfg.lpocv.repeats, seed=cfg.seed
     )
-    _write_json(
-        cfg.output_dir / "cv_report.json",
-        {"cv": report.to_dict(), "envelope": envelope.to_dict()},
-        cfg,
-    )
+    write_json(cfg.output_dir / "cv_report.json", {"cv": report, "envelope": envelope}, cfg)
     model = fit_on_datasets(world.datasets, fit_cfg)
     save_model(model, cfg.output_dir / "model.json")
     stages.append("cv")
 
     predict_summary = _predict_artifacts(cfg, world, model, envelope, None)
-    _write_json(cfg.output_dir / "predict_report.json", predict_summary, cfg)
+    write_json(cfg.output_dir / "predict_report.json", predict_summary, cfg)
     stages.append("predict")
 
     spectro_summary = _spectrogram_artifacts(cfg, world, model)
-    _write_json(cfg.output_dir / "spectrogram.json", spectro_summary, cfg)
+    write_json(cfg.output_dir / "spectrogram.json", spectro_summary, cfg)
     stages.append("spectrogram")
 
-    _write_json(
+    write_json(
         cfg.output_dir / "pipeline_report.json",
         {
             "stages": stages,
@@ -548,22 +527,14 @@ def cmd_pipeline(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = load_run_config(args.config, args.seed) if args.config else None
-    bench_cfg = cfg.bench if cfg else None
-    points = args.points
-    if points is None:
-        points = bench_cfg.points if bench_cfg else 1_000_000
-    if points < 1:
-        raise ConfigError(f"--points must be at least 1, got {points}")
-    report = throughput_benchmark(
-        points=points,
-        q=bench_cfg.q if bench_cfg else 3,
-        p=bench_cfg.p if bench_cfg else 21,
-        seed=cfg.seed if cfg else (args.seed or 0),
-        fit_target_us=bench_cfg.fit_target_us if bench_cfg else 25.0,
-        rollout_target_us=bench_cfg.rollout_target_us if bench_cfg else 150.0,
-    )
+    bench_cfg = cfg.bench if cfg else BenchConfig()
+    if args.points is not None:
+        if args.points < 1:
+            raise ConfigError(f"--points must be at least 1, got {args.points}")
+        bench_cfg = replace(bench_cfg, points=args.points)
+    report = throughput_benchmark(bench_cfg, seed=cfg.seed if cfg else (args.seed or 0))
     out_dir = cfg.output_dir if cfg else Path(".")
-    _write_json(out_dir / "bench_report.json", report.to_dict(), cfg)
+    write_json(out_dir / "bench_report.json", report, cfg)
     print(
         f"fit {report.fit_us_per_point:.3f} us/pt (target {report.fit_target_us}), "
         f"rollout {report.rollout_us_per_point:.3f} us/pt (target {report.rollout_target_us})"

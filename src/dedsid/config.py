@@ -1,9 +1,15 @@
 """Run configuration: one JSON file drives every subcommand.
 
-Paths inside the file resolve relative to the file's own directory so a
-config travels with its data. The sha256 of the resolved config plus the
-effective seed is stamped into every artifact, which is what makes reruns
-byte-comparable.
+The dataclasses below are the schema. Each config key is a field, and a
+missing key takes the field default. ``load_run_config`` checks every value
+against its field type and rejects unknown keys, so a bad config ends in
+``ConfigError`` naming the key. Paths resolve relative to the config file's
+own directory so a config travels with its data.
+
+Every artifact is stamped with ``config_sha256``: the sha256 of the payload
+as written, with the effective seed substituted, serialized as key-sorted
+compact JSON. Spelling out a default therefore changes the hash, although
+it changes no result.
 """
 
 from __future__ import annotations
@@ -11,9 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
+from .artifacts import to_plain
 from .errors import ConfigError
 
 
@@ -72,23 +81,62 @@ class RunConfig:
     eval_mode: str = "rollout"
     predict_experiment: str | None = None
     position_channels: tuple[str, ...] = ("x_mm", "y_mm", "z_mm")
-    config_sha256: str = ""
+    # Stamped by load_run_config from the payload, never read from it.
+    config_sha256: str = field(default="", metadata={"config_key": False})
 
     def provenance(self) -> dict:
         return {"config_sha256": self.config_sha256, "seed": self.seed}
 
 
-def _require(payload: dict, key: str) -> object:
-    if key not in payload:
-        raise ConfigError(f"config missing required key {key!r}")
-    return payload[key]
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", Path: "a path"}
 
 
-def _section(payload: dict, key: str) -> dict:
-    section = payload.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {key!r} must be a JSON object")
-    return section
+def _value(tp, value, key: str, base: Path):
+    """``value`` checked against the field type ``tp``, paths resolved."""
+    if get_origin(tp) is UnionType:  # ``X | None``, the only union used
+        return None if value is None else _value(get_args(tp)[0], value, key, base)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
+        return tuple(_value(get_args(tp)[0], v, f"{key}[{i}]", base) for i, v in enumerate(value))
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object")
+        return _load_section(tp, value, base, f"{key}.")
+    if tp is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif tp is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, str if tp is Path else tp)
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {_KINDS[tp]}, got {value!r}")
+    try:
+        if tp is Path:
+            return (base / value).resolve()
+        return float(value) if tp is float else value
+    except (OSError, OverflowError, ValueError) as exc:  # NUL in a path, int beyond float
+        raise ConfigError(f"config key {key!r} cannot be used: {exc}") from None
+
+
+def _load_section(cls, mapping: dict, base: Path, prefix: str = ""):
+    """An instance of the config dataclass ``cls`` read from ``mapping``.
+
+    Each key is a field; a missing key takes the field default, an unknown
+    one is an error.
+    """
+    keys = [f for f in fields(cls) if f.metadata.get("config_key", True)]
+    unknown = sorted(set(mapping) - {f.name for f in keys})
+    if unknown:
+        raise ConfigError(f"unknown config key {prefix + unknown[0]!r}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in keys:
+        if f.name in mapping:
+            values[f.name] = _value(hints[f.name], mapping[f.name], prefix + f.name, base)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config missing required key {prefix + f.name!r}")
+    return cls(**values)
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
@@ -98,64 +146,14 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
 
-    base = path.parent
-    seed = int(payload.get("seed", 0)) if seed_override is None else int(seed_override)
-
-    lp = _section(payload, "lpocv")
-    vif = _section(payload, "vif")
-    spectro = _section(payload, "spectrogram")
-    bench = _section(payload, "bench")
-    try:
-        cfg = RunConfig(
-            manifest=(base / str(_require(payload, "manifest"))).resolve(),
-            schema=(base / str(_require(payload, "schema"))).resolve(),
-            output_dir=(base / str(_require(payload, "output_dir"))).resolve(),
-            seed=seed,
-            lpocv=LpocvConfig(p=int(lp.get("p", 3)), repeats=int(lp.get("repeats", 10))),
-            vif=VifConfig(
-                remove_above=float(vif.get("remove_above", 10.0)),
-                accept_below=float(vif.get("accept_below", 5.0)),
-            ),
-            imputation=tuple(
-                ImputationDirective(
-                    channel=str(d["channel"]),
-                    sentinel=float(d["sentinel"]),
-                    gate_channel=str(d["gate_channel"]),
-                )
-                for d in payload.get("imputation", [])
-            ),
-            decimation_factors=tuple(
-                int(f) for f in payload.get("decimation_factors", (1, 2, 5, 10, 25, 50))
-            ),
-            spectrogram=SpectrogramConfig(
-                rows=int(spectro.get("rows", 100)),
-                cols=int(spectro.get("cols", 100)),
-                cap_hz=float(spectro.get("cap_hz", 1.0)),
-                observable=spectro.get("observable"),
-                power_channel=str(spectro.get("power_channel", "power_w")),
-            ),
-            bench=BenchConfig(
-                points=int(bench.get("points", 1_000_000)),
-                q=int(bench.get("q", 3)),
-                p=int(bench.get("p", 21)),
-                fit_target_us=float(bench.get("fit_target_us", 25.0)),
-                rollout_target_us=float(bench.get("rollout_target_us", 150.0)),
-            ),
-            standardize_inputs=bool(payload.get("standardize_inputs", True)),
-            standardize_observables=bool(payload.get("standardize_observables", True)),
-            svd_rank=(None if payload.get("svd_rank") is None else int(payload["svd_rank"])),
-            eval_mode=str(payload.get("eval_mode", "rollout")),
-            predict_experiment=payload.get("predict_experiment"),
-            position_channels=tuple(payload.get("position_channels", ("x_mm", "y_mm", "z_mm"))),
-            config_sha256=_hash_resolved(payload, seed),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from None
+    cfg = _load_section(RunConfig, payload, path.parent)
+    seed = cfg.seed if seed_override is None else int(seed_override)
+    cfg = replace(cfg, seed=seed, config_sha256=_hash_resolved(payload, seed))
 
     if cfg.lpocv.p < 1 or cfg.lpocv.repeats < 1:
         raise ConfigError("lpocv p and repeats must be positive")
@@ -191,31 +189,23 @@ def default_config_payload(
     schema: str,
     output_dir: str,
     seed: int,
-    imputation: list[dict] | None = None,
+    imputation: Sequence[ImputationDirective] = (),
     predict_experiment: str | None = None,
     spectrogram_observable: str | None = None,
 ) -> dict:
-    """Template payload written by the synth command, pipeline-ready."""
-    return {
-        "manifest": manifest,
-        "schema": schema,
-        "output_dir": output_dir,
-        "seed": seed,
-        "lpocv": {"p": 3, "repeats": 10},
-        "vif": {"remove_above": 10.0, "accept_below": 5.0},
-        "imputation": imputation or [],
-        "decimation_factors": [1, 2, 5, 10, 25, 50],
-        "spectrogram": {
-            "rows": 100,
-            "cols": 100,
-            "cap_hz": 1.0,
-            "observable": spectrogram_observable,
-            "power_channel": "power_w",
-        },
-        "standardize_inputs": True,
-        "standardize_observables": True,
-        "svd_rank": None,
-        "eval_mode": "rollout",
-        "predict_experiment": predict_experiment,
-        "position_channels": ["x_mm", "y_mm", "z_mm"],
-    }
+    """Template payload written by the synth command, pipeline-ready: every
+    key at its field default apart from the values passed in. The bench
+    section configures ``dedsid bench`` alone and stays out."""
+    payload = to_plain(
+        RunConfig(
+            manifest=Path(manifest),
+            schema=Path(schema),
+            output_dir=Path(output_dir),
+            seed=seed,
+            imputation=tuple(imputation),
+            spectrogram=SpectrogramConfig(observable=spectrogram_observable),
+            predict_experiment=predict_experiment,
+        )
+    )
+    del payload["bench"], payload["config_sha256"]
+    return payload

@@ -9,7 +9,6 @@ than in call sites.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import read_json_object, write_json
 from .errors import (
     AllSentinel,
     CorruptFile,
@@ -43,13 +43,6 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "unit": self.unit, "kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelSpec":
-        return cls(name=d["name"], unit=d["unit"], kind=d["kind"])
 
 
 @dataclass(frozen=True)
@@ -153,13 +146,6 @@ class IngestReport:
     retained: tuple[str, ...]
     excluded_all_nan: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "retained": list(self.retained),
-            "excluded_all_nan": list(self.excluded_all_nan),
-        }
-
 
 @dataclass(frozen=True)
 class StandardizationParams:
@@ -186,21 +172,6 @@ class StandardizationParams:
 
     def invert_matrix(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=float) * self.scale + self.mean
-
-    def to_dict(self) -> dict:
-        return {
-            "channels": list(self.channels),
-            "mean": [float(v) for v in self.mean],
-            "scale": [float(v) for v in self.scale],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StandardizationParams":
-        return cls(
-            channels=tuple(d["channels"]),
-            mean=np.asarray(d["mean"], dtype=float),
-            scale=np.asarray(d["scale"], dtype=float),
-        )
 
     @classmethod
     def identity(cls, channels: Sequence[str]) -> "StandardizationParams":
@@ -438,34 +409,21 @@ def zero_variance_channels(datasets: Sequence[TimeSeriesDataset], names: Sequenc
     return out
 
 
-def _load_json_object(path: str | Path) -> dict:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptFile(str(path), str(exc)) from None
-    if not isinstance(payload, dict):
-        raise CorruptFile(str(path), "not a JSON object")
-    return payload
-
-
 def load_schema(path: str | Path) -> tuple[ChannelSpec, ...]:
-    payload = _load_json_object(path)
+    payload = read_json_object(path)
     try:
-        return tuple(ChannelSpec.from_dict(d) for d in payload["channels"])
+        return tuple(ChannelSpec(**d) for d in payload["channels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(str(path), f"malformed channel list: {exc!r}") from None
 
 
 def save_schema(channels: Iterable[ChannelSpec], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump({"channels": [c.to_dict() for c in channels]}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"channels": list(channels)})
 
 
 def load_manifest(path: str | Path) -> ExperimentManifest:
     path = Path(path)
-    payload = _load_json_object(path)
+    payload = read_json_object(path)
     try:
         entries = tuple(
             ManifestEntry(
@@ -485,19 +443,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
 
 
 def save_manifest(manifest: ExperimentManifest, path: str | Path) -> None:
-    payload = {
-        "experiments": [
-            {
-                "experiment_id": e.experiment_id,
-                "path": e.path,
-                "sample_rate_hz": e.sample_rate_hz,
-            }
-            for e in manifest.entries
-        ]
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {"experiments": manifest.entries})
 
 
 def load_datasets(

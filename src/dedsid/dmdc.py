@@ -13,7 +13,6 @@ operator interpretable per channel.
 from __future__ import annotations
 
 import base64
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import read_json_object, write_json
 from .dataset import StandardizationParams, TimeSeriesDataset
 from .errors import (
     ConfigError,
@@ -448,30 +448,20 @@ def save_model(model: StateSpaceModel, path: str | Path) -> None:
         "version": MODEL_VERSION,
         "sample_rate_hz": model.sample_rate_hz,
         "svd_rank_used": model.svd_rank_used,
-        "observables": list(model.observable_names),
-        "inputs": list(model.input_names),
+        "observables": model.observable_names,
+        "inputs": model.input_names,
         "A": _encode_matrix(model.A),
         "B": _encode_matrix(model.B),
-        "input_standardizer": (
-            model.input_standardizer.to_dict() if model.input_standardizer else None
-        ),
-        "observable_standardizer": (
-            model.observable_standardizer.to_dict() if model.observable_standardizer else None
-        ),
+        "input_standardizer": model.input_standardizer,
+        "observable_standardizer": model.observable_standardizer,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path: str | Path) -> StateSpaceModel:
     path = str(path)
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptFile(path, str(exc)) from None
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+    payload = read_json_object(path)
+    if payload.get("format") != MODEL_FORMAT:
         raise CorruptFile(path, "not a model file")
     if payload.get("version") != MODEL_VERSION:
         raise VersionMismatch(payload.get("version"), MODEL_VERSION)
@@ -485,12 +475,8 @@ def load_model(path: str | Path) -> StateSpaceModel:
             input_names=tuple(payload["inputs"]),
             sample_rate_hz=float(payload["sample_rate_hz"]),
             svd_rank_used=int(payload["svd_rank_used"]),
-            input_standardizer=(
-                StandardizationParams.from_dict(in_std) if in_std else None
-            ),
-            observable_standardizer=(
-                StandardizationParams.from_dict(obs_std) if obs_std else None
-            ),
+            input_standardizer=StandardizationParams(**in_std) if in_std else None,
+            observable_standardizer=StandardizationParams(**obs_std) if obs_std else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(path, f"missing or malformed field: {exc}") from None

@@ -160,6 +160,11 @@ class GridMismatch(NumericError):
         super().__init__(detail)
 
 
+class NonFiniteArtifact(NumericError):
+    def __init__(self, path: str):
+        super().__init__(f"refusing to write NaN or -inf into {path}")
+
+
 class DegenerateChannelWarning(UserWarning):
     """Raised when a channel has zero variance and gets a unit scale."""
 

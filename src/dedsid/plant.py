@@ -9,7 +9,6 @@ command-line pipeline.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -18,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import read_json_object, write_json
 from .dataset import ChannelSpec, TimeSeriesDataset
 from .dmdc import linear_recurrence
 from .errors import CorruptFile, DimensionMismatch, StabilityWarning, UnknownChannel
@@ -34,23 +34,6 @@ class DropoutSpec:
     probability: float
     sentinel: float
     gate_channel: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "channel": self.channel,
-            "probability": self.probability,
-            "sentinel": self.sentinel,
-            "gate_channel": self.gate_channel,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DropoutSpec":
-        return cls(
-            channel=d["channel"],
-            probability=float(d["probability"]),
-            sentinel=float(d["sentinel"]),
-            gate_channel=d.get("gate_channel"),
-        )
 
 
 @dataclass(frozen=True)
@@ -100,46 +83,28 @@ class PlantSpec:
     def observable_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.observable_channels)
 
-    def to_dict(self) -> dict:
-        return {
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "input_channels": [c.to_dict() for c in self.input_channels],
-            "observable_channels": [c.to_dict() for c in self.observable_channels],
-            "noise_sd": self.noise_sd.tolist(),
-            "dropout": self.dropout.to_dict() if self.dropout else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlantSpec":
-        return cls(
-            A=np.asarray(d["A"], dtype=float),
-            B=np.asarray(d["B"], dtype=float),
-            input_channels=tuple(ChannelSpec.from_dict(c) for c in d["input_channels"]),
-            observable_channels=tuple(
-                ChannelSpec.from_dict(c) for c in d["observable_channels"]
-            ),
-            noise_sd=np.asarray(d["noise_sd"], dtype=float),
-            dropout=DropoutSpec.from_dict(d["dropout"]) if d.get("dropout") else None,
-        )
-
 
 def spectral_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=float)))))
 
 
 def save_plant(spec: PlantSpec, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, spec)
 
 
 def load_plant(path: str | Path) -> PlantSpec:
+    d = read_json_object(path)
     try:
-        with open(path) as fh:
-            return PlantSpec.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise CorruptFile(str(path), str(exc)) from None
+        return PlantSpec(
+            A=d["A"],
+            B=d["B"],
+            input_channels=tuple(ChannelSpec(**c) for c in d["input_channels"]),
+            observable_channels=tuple(ChannelSpec(**c) for c in d["observable_channels"]),
+            noise_sd=d["noise_sd"],
+            dropout=DropoutSpec(**d["dropout"]) if d.get("dropout") else None,
+        )
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise CorruptFile(str(path), f"missing or malformed field: {exc!r}") from None
 
 
 @dataclass(frozen=True)

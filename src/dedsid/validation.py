@@ -129,24 +129,11 @@ class FoldResult:
     rmse_train: Mapping[str, float]
     rmse_test: Mapping[str, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "fold_index": self.fold_index,
-            "test_ids": list(self.test_ids),
-            "r2_train": dict(self.r2_train),
-            "r2_test": dict(self.r2_test),
-            "rmse_train": dict(self.rmse_train),
-            "rmse_test": dict(self.rmse_test),
-        }
-
 
 @dataclass(frozen=True)
 class Aggregate:
     mean: float
     ci95: float
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "ci95": self.ci95}
 
 
 @dataclass(frozen=True)
@@ -159,20 +146,6 @@ class CvReport:
     folds: tuple[FoldResult, ...]
     aggregates: Mapping[str, Mapping[str, Aggregate]]
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "eval_mode": self.eval_mode,
-            "observables": list(self.observables),
-            "folds": [f.to_dict() for f in self.folds],
-            "aggregates": {
-                metric: {obs: agg.to_dict() for obs, agg in per_obs.items()}
-                for metric, per_obs in self.aggregates.items()
-            },
-        }
-
 
 @dataclass(frozen=True)
 class UncertaintyEnvelope:
@@ -183,13 +156,6 @@ class UncertaintyEnvelope:
 
     def half_width(self, observable: str) -> float:
         return self.rmse[observable] + self.ci95[observable]
-
-    def to_dict(self) -> dict:
-        return {"rmse": dict(self.rmse), "ci95": dict(self.ci95)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UncertaintyEnvelope":
-        return cls(rmse=dict(d["rmse"]), ci95=dict(d["ci95"]))
 
 
 def draw_splits(
@@ -400,14 +366,6 @@ class FrequencyStudyRow:
     sample_rate_hz: float
     r2_test: Mapping[str, Aggregate]
     rmse_test: Mapping[str, Aggregate]
-
-    def to_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "sample_rate_hz": self.sample_rate_hz,
-            "r2_test": {k: v.to_dict() for k, v in self.r2_test.items()},
-            "rmse_test": {k: v.to_dict() for k, v in self.rmse_test.items()},
-        }
 
 
 def frequency_study(

@@ -83,15 +83,6 @@ class VifIteration:
     vif_values: Mapping[str, float]
     excluded_feature: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration_index": self.iteration_index,
-            "column_count": self.column_count,
-            "matrix_rank": self.matrix_rank,
-            "vif_values": {k: _json_float(v) for k, v in self.vif_values.items()},
-            "excluded_feature": self.excluded_feature,
-        }
-
 
 @dataclass(frozen=True)
 class VifSelectionReport:
@@ -101,20 +92,6 @@ class VifSelectionReport:
     final_rank: int
     remove_above: float
     accept_below: float
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": [it.to_dict() for it in self.iterations],
-            "surviving_features": list(self.surviving_features),
-            "final_vif": {k: _json_float(v) for k, v in self.final_vif.items()},
-            "final_rank": self.final_rank,
-            "remove_above": self.remove_above,
-            "accept_below": self.accept_below,
-        }
-
-
-def _json_float(v: float):
-    return v if np.isfinite(v) else "inf"
 
 
 def select_features(

@@ -90,16 +90,6 @@ class WassersteinResult:
     repeats: int
     distances: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "pair_label": self.pair_label,
-            "channel": self.channel,
-            "mean_distance": self.mean_distance,
-            "ci95_halfwidth": self.ci95_halfwidth,
-            "repeats": self.repeats,
-            "distances": list(self.distances),
-        }
-
 
 def ci95_halfwidth(values: np.ndarray) -> float:
     """1.96 * sd / sqrt(n) with the sample standard deviation; 0 for n < 2."""

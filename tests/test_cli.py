@@ -3,11 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dedsid.cli import main
-from dedsid.config import load_run_config
+from dedsid.config import RunConfig, load_run_config
 from dedsid.dataset import load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
+from dedsid.errors import ConfigError, DataError
 
 
 @pytest.fixture(scope="session")
@@ -245,6 +248,62 @@ class TestExitCodes:
         assert main(["cv", "--config", str(cfg_path)]) == 2
         assert f"config section {section!r} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"seed": "abc"}, "seed"),
+            ({"seed": None}, "seed"),
+            ({"seed": [1]}, "seed"),
+            ({"seed": "3"}, "seed"),
+            ({"standardize_inputs": "false"}, "standardize_inputs"),
+            ({"lpocv": {"p": 2.9}}, "lpocv.p"),
+            ({"position_channels": "xyz"}, "position_channels"),
+            ({"svd_rank": True}, "svd_rank"),
+            ({"spectrogram": {"observable": 5}}, "spectrogram.observable"),
+            ({"spectrogram": {"cap_hz": "2"}}, "spectrogram.cap_hz"),
+            ({"predict_experiment": 7}, "predict_experiment"),
+            (
+                {"imputation": [{"channel": "c", "sentinel": "nan", "gate_channel": "g"}]},
+                "imputation[0].sentinel",
+            ),
+            ({"lpocvv": {"p": 2}}, "lpocvv"),
+            ({"vif": {"remove_abov": 9.0}}, "vif.remove_abov"),
+            ({"config_sha256": "0" * 64}, "config_sha256"),
+            ({"vif": {"remove_above": 10**400}}, "vif.remove_above"),
+            ({"manifest": "manifest\x00.json"}, "manifest"),
+        ],
+        ids=[
+            "seed_word",
+            "seed_null",
+            "seed_list",
+            "seed_string",
+            "standardize_string",
+            "p_fraction",
+            "positions_string",
+            "svd_rank_bool",
+            "observable_number",
+            "cap_string",
+            "predict_number",
+            "sentinel_string",
+            "unknown_section",
+            "unknown_key",
+            "hash_key",
+            "float_overflow",
+            "nul_in_path",
+        ],
+    )
+    def test_mistyped_or_unknown_config_key_is_2(self, corpus, overrides, key, capsys):
+        cfg_path = derived_config(corpus, "out_typed", **overrides)
+        assert main(["ingest", "--config", str(cfg_path)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_overflowing_seed_literal_is_2(self, corpus, capsys):
+        cfg_path = derived_config(corpus, "out_seed_1e400")
+        text = cfg_path.read_text()
+        cfg_path.write_text(text.replace('"seed": 0', '"seed": 1e400'))
+        assert main(["ingest", "--config", str(cfg_path)]) == 2
+        assert "config key 'seed' must be an integer, got inf" in capsys.readouterr().err
+
     def test_too_few_experiments_is_2(self, corpus):
         cfg_path = derived_config(corpus, "out_toofew", lpocv={"p": 6, "repeats": 2})
         assert main(["cv", "--config", str(cfg_path)]) == 2
@@ -306,7 +365,17 @@ class TestExitCodes:
         assert main(["ingest", "--config", str(cfg)]) == 3
         assert f"data error: cannot read {tmp_path / name}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ['{"envelope": 3}', "{not json", "[]", '{"cv": {}}'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"envelope": 3}',
+            "{not json",
+            "[]",
+            '{"cv": {}}',
+            '{"envelope": {"rmse": {}, "ci95": {}}}',
+            '{"envelope": {"rmse": 3, "ci95": 4}}',
+        ],
+    )
     def test_malformed_cv_report_is_3(self, corpus, text, capsys):
         cfg_path = derived_config(corpus, "out_bad_envelope")
         assert main(["fit", "--config", str(cfg_path)]) == 0
@@ -360,3 +429,67 @@ class TestExitCodes:
         (tmp_path / "config.json").write_text(json.dumps(config))
         assert main(["fit", "--config", str(tmp_path / "config.json")]) == 4
         assert "numeric failure" in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+INTS, FLOATS, TEXT = st.integers(), st.floats(), st.text(max_size=6)
+
+
+def mostly(valid):
+    """A value from ``valid`` three times in four, any JSON value otherwise.
+
+    Keys are checked in field order, so later keys are only reached when the
+    earlier ones hold values of the right type.
+    """
+    return st.integers(0, 3).flatmap(lambda i: JSON_VALUES if i == 0 else valid)
+
+
+def section(**keys):
+    return mostly(st.fixed_dictionaries({}, optional={k: mostly(v) for k, v in keys.items()}))
+
+
+CONFIG_PAYLOADS = st.fixed_dictionaries(
+    {
+        "manifest": mostly(st.just("manifest.json")),
+        "schema": mostly(st.just("schema.json")),
+        "output_dir": mostly(st.just("out_property")),
+    },
+    optional={
+        "seed": mostly(INTS),
+        "lpocv": section(p=INTS, repeats=INTS),
+        "vif": section(remove_above=FLOATS, accept_below=FLOATS),
+        "imputation": mostly(
+            st.lists(section(channel=TEXT, sentinel=FLOATS, gate_channel=TEXT), max_size=2)
+        ),
+        "decimation_factors": mostly(st.lists(mostly(INTS), max_size=3)),
+        "spectrogram": section(
+            rows=INTS, cols=INTS, cap_hz=FLOATS, observable=st.none() | TEXT, power_channel=TEXT
+        ),
+        "bench": section(
+            points=INTS, q=INTS, p=INTS, fit_target_us=FLOATS, rollout_target_us=FLOATS
+        ),
+        "standardize_inputs": mostly(st.booleans()),
+        "standardize_observables": mostly(st.booleans()),
+        "svd_rank": mostly(st.none() | INTS),
+        "eval_mode": mostly(st.sampled_from(["rollout", "one-step"])),
+        "predict_experiment": mostly(st.none() | TEXT),
+        "position_channels": mostly(st.lists(TEXT, max_size=3)),
+    },
+)
+
+
+class TestConfigSchema:
+    @settings(max_examples=300)
+    @given(payload=CONFIG_PAYLOADS)
+    def test_any_payload_loads_or_raises_a_named_error(self, corpus, payload):
+        path = corpus / "config_property.json"
+        path.write_text(json.dumps(payload))
+        try:
+            cfg = load_run_config(path)
+        except (ConfigError, DataError):
+            return
+        assert isinstance(cfg, RunConfig)

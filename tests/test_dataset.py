@@ -6,6 +6,7 @@ from helpers import make_dataset
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dedsid.artifacts import to_plain
 from dedsid.dataset import (
     ChannelSpec,
     ExperimentManifest,
@@ -184,7 +185,7 @@ class TestStandardizer:
         from dedsid.dataset import StandardizationParams
 
         params = standardizer_from_matrix(np.random.default_rng(4).normal(size=(20, 2)), ["a", "b"])
-        back = StandardizationParams.from_dict(params.to_dict())
+        back = StandardizationParams(**to_plain(params))
         assert back.channels == params.channels
         assert np.array_equal(back.mean, params.mean)
         assert np.array_equal(back.scale, params.scale)

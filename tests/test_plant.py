@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from helpers import make_dataset
 
 from dedsid.dataset import ChannelSpec
-from dedsid.errors import StabilityWarning
+from dedsid.errors import CorruptFile, StabilityWarning
 from dedsid.plant import (
     DropoutSpec,
     PlantSpec,
@@ -119,6 +121,18 @@ class TestDropout:
         assert np.array_equal(back.B, spec.B)
         assert back.dropout == spec.dropout
         assert back.input_channels == spec.input_channels
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda d: [d], lambda d: {**d, "A": "x"}, lambda d: {**d, "dropout": [1]}],
+        ids=["list_root", "A_not_numeric", "dropout_not_object"],
+    )
+    def test_malformed_plant_file_is_corrupt(self, tmp_path, edit):
+        path = tmp_path / "plant.json"
+        save_plant(self._spec(0.25), path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(CorruptFile, match="plant.json"):
+            load_plant(path)
 
 
 class TestStability:

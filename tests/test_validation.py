@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import linear_corpus, make_dataset
 
+from dedsid.artifacts import to_plain
 from dedsid.dataset import decimate
 from dedsid.dmdc import StateSpaceModel
 from dedsid.errors import ConstantActual, DimensionMismatch, TooFewExperiments
@@ -133,12 +134,12 @@ class TestLpocv:
         spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=500, seed=26, noise_sd=0.1)
         a, env_a = run_lpocv(datasets, _fit_config(spec), p=2, repeats=4, seed=7)
         b, env_b = run_lpocv(datasets, _fit_config(spec), p=2, repeats=4, seed=7)
-        assert a.to_dict() == b.to_dict()
-        assert env_a.to_dict() == env_b.to_dict()
+        assert to_plain(a) == to_plain(b)
+        assert to_plain(env_a) == to_plain(env_b)
 
     def test_envelope_from_dict_round_trip(self):
         env = UncertaintyEnvelope(rmse={"y1": 0.5}, ci95={"y1": 0.125})
-        back = UncertaintyEnvelope.from_dict(env.to_dict())
+        back = UncertaintyEnvelope(**to_plain(env))
         assert back.rmse == env.rmse and back.ci95 == env.ci95
         assert back.half_width("y1") == 0.625
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dedsid.artifacts import to_plain
 from dedsid.vif import matrix_rank, select_features, vif_single
 
 # Hand-worked instance (columns already zero-mean):
@@ -120,7 +121,7 @@ class TestSelectFeatures:
         names = [f"f{j}" for j in range(6)]
         a = select_features(x, names)
         b = select_features(x, names)
-        assert a.to_dict() == b.to_dict()
+        assert to_plain(a) == to_plain(b)
 
     def test_single_surviving_feature_allowed(self):
         base = random_standardized(100, 1, seed=9)
@@ -133,5 +134,5 @@ class TestSelectFeatures:
         base = random_standardized(100, 2, seed=10)
         x = np.column_stack([base[:, 0], base[:, 0], base[:, 1]])
         report = select_features(x, ["a", "b", "c"])
-        payload = report.to_dict()
+        payload = to_plain(report)
         assert payload["iterations"][0]["vif_values"]["a"] == "inf"
