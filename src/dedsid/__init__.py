@@ -44,7 +44,7 @@ from .validation import (
     frequency_study,
     run_lpocv,
 )
-from .vif import VifSelectionReport, matrix_rank, select_features, vif_single
+from .vif import VifSelectionReport, select_features
 from .wasserstein import split_shift_report, uniform_benchmark, wasserstein_1d
 
 __version__ = "0.1.0"
@@ -86,7 +86,6 @@ __all__ = [
     "load_model",
     "load_schema",
     "make_demo_experiments",
-    "matrix_rank",
     "pulse_spectra",
     "random_stable_plant",
     "rollout",
@@ -98,7 +97,6 @@ __all__ = [
     "split_shift_report",
     "to_plain",
     "uniform_benchmark",
-    "vif_single",
     "wasserstein_1d",
     "write_csv",
     "write_json",

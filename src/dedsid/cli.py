@@ -112,9 +112,11 @@ class _World:
     def select_inputs(self):
         """Zero-variance prefilter then collinearity elimination on pooled inputs."""
         names = self.input_names
-        constant = dsmod.zero_variance_channels(self.datasets, names)
-        candidates = [n for n in names if n not in constant]
-        pooled = np.concatenate([ds.matrix_for(candidates) for ds in self.datasets], axis=0)
+        pooled = np.concatenate([ds.matrix_for(names) for ds in self.datasets], axis=0)
+        constant = dsmod.zero_variance_channels(pooled, names)
+        keep = [j for j, n in enumerate(names) if n not in constant]
+        candidates = [names[j] for j in keep]
+        pooled = pooled[:, keep]
         params = dsmod.standardizer_from_matrix(pooled, candidates)
         report = select_features(
             params.transform_matrix(pooled),

@@ -88,7 +88,7 @@ class RunConfig:
         return {"config_sha256": self.config_sha256, "seed": self.seed}
 
 
-_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", Path: "a path"}
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string", Path: "a path"}
 
 
 def _value(tp, value, key: str, base: Path):
@@ -103,8 +103,9 @@ def _value(tp, value, key: str, base: Path):
         if not isinstance(value, dict):
             raise ConfigError(f"config section {key!r} must be a JSON object")
         return _load_section(tp, value, base, f"{key}.")
-    if tp is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is float:  # an int too large for a float fails the conversion below
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        ok = ok or isinstance(value, float) and math.isfinite(value)
     elif tp is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
@@ -165,7 +166,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     sg = cfg.spectrogram
     if sg.rows < 1 or sg.cols < 1:
         raise ConfigError(f"spectrogram rows and cols must be at least 1, got {sg.rows}x{sg.cols}")
-    if not (math.isfinite(sg.cap_hz) and sg.cap_hz > 0):
+    if sg.cap_hz <= 0:
         raise ConfigError(f"spectrogram cap_hz must be finite and positive, got {sg.cap_hz}")
     if cfg.eval_mode not in ("rollout", "one-step"):
         raise ConfigError(f"unknown eval_mode {cfg.eval_mode!r}")

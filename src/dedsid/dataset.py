@@ -398,15 +398,12 @@ def decimate(ds: TimeSeriesDataset, factor: int) -> TimeSeriesDataset:
     )
 
 
-def zero_variance_channels(datasets: Sequence[TimeSeriesDataset], names: Sequence[str]) -> list[str]:
-    """Names whose pooled samples are exactly constant across all datasets."""
-    stacked = np.concatenate([ds.matrix_for(names) for ds in datasets], axis=0)
-    out = []
-    for j, name in enumerate(names):
-        col = stacked[:, j]
-        if col.size and np.all(col == col[0]):
-            out.append(name)
-    return out
+def zero_variance_channels(values: np.ndarray, names: Sequence[str]) -> list[str]:
+    """Names of the columns of ``values`` (pooled samples) that are exactly constant."""
+    if len(values) == 0:
+        return []
+    constant = np.all(values == values[0], axis=0)
+    return [name for name, c in zip(names, constant) if c]
 
 
 def load_schema(path: str | Path) -> tuple[ChannelSpec, ...]:
@@ -433,12 +430,17 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             )
             for e in payload["experiments"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        for i, e in enumerate(entries):
+            if not (isinstance(e.experiment_id, str) and isinstance(e.path, str)):
+                raise TypeError(f"experiment {i}: id and path must be strings, got {e}")
+            if not 0 < e.sample_rate_hz < np.inf:
+                raise ValueError(f"experiment {i}: rate must be finite and positive, got {e}")
+        manifest = ExperimentManifest(entries=entries, root=path.parent)
+        missing = [e.path for e in entries if not manifest.resolved_path(e).exists()]
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
         raise CorruptFile(str(path), f"malformed experiment list: {exc!r}") from None
-    manifest = ExperimentManifest(entries=entries, root=path.parent)
-    for entry in manifest.entries:
-        if not manifest.resolved_path(entry).exists():
-            raise DataError(f"manifest references missing file {entry.path!r}")
+    if missing:
+        raise DataError(f"manifest references missing file {missing[0]!r}")
     return manifest
 
 

@@ -4,7 +4,9 @@ A feature's VIF is 1/(1 - R^2) for the least-squares regression of that
 feature on all the others. Exactly dependent features come out infinite;
 independent ones sit near 1. Selection removes the worst offender one at a
 time because VIFs are joint properties: eliminating one feature changes
-everyone else's score, so batch removal over-prunes.
+everyone else's score, so batch removal over-prunes. Every regression and
+rank is read off one R factor of the feature matrix, so after that one QR
+no step touches the rows.
 """
 
 from __future__ import annotations
@@ -19,58 +21,39 @@ from .errors import EmptySurvivorSet
 _EPS = float(np.finfo(float).eps)
 
 
-def matrix_rank(features: np.ndarray, tolerance: float | None = None) -> int:
-    """Numerical rank: singular values above ``tolerance`` times the largest.
+def _rank(r: np.ndarray, n: int) -> int:
+    """Numerical rank of the ``n``-row matrix with R factor ``r``: singular
+    values above eps * max(n, k) times the largest, the pseudoinverse cutoff."""
+    s = np.linalg.svd(r, compute_uv=False)
+    return int(np.count_nonzero(s > _EPS * max(n, r.shape[1]) * s[:1]))
 
-    Default tolerance is machine epsilon times the larger matrix dimension,
-    the usual pseudoinverse cutoff. Rank equal to the column count is
-    necessary but not sufficient for well-conditioned features, which is why
-    selection tracks both rank and VIFs.
+
+def _all_vifs(r: np.ndarray, colsum: np.ndarray, n: int) -> np.ndarray:
+    """VIF of every column of the ``n``-row matrix Z = QR from ``r``.
+
+    The columns of ``r`` have the inner products of Z's, so each regression
+    of one column on the others is k rows long; the total sum of squares
+    comes from the column sums. The solve is the pseudoinverse (lstsq, with
+    Z's own cutoff), never inv(R): an exactly dependent set gives +inf.
     """
-    features = np.asarray(features, dtype=float)
-    if features.size == 0:
-        return 0
-    s = np.linalg.svd(features, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    if tolerance is None:
-        tolerance = _EPS * max(features.shape)
-    return int(np.count_nonzero(s > tolerance * s[0]))
-
-
-def vif_single(features: np.ndarray, index: int) -> float:
-    """VIF of one column against the rest; +inf for exact dependence.
-
-    Columns are expected zero-mean (standardized); the regression carries no
-    intercept. The solve goes through the SVD pseudoinverse (lstsq), never the
-    normal equations, so near-singular designs degrade gracefully into large
-    finite values instead of blowing up.
-    """
-    features = np.asarray(features, dtype=float)
-    n, k = features.shape
-    if k < 2:
-        raise ValueError("vif_single needs at least two columns")
-    if not 0 <= index < k:
-        raise IndexError(f"column index {index} out of range for {k} columns")
-    y = features[:, index]
-    others = np.delete(features, index, axis=1)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst <= 0.0:
-        return float("inf")
-    coef, *_ = np.linalg.lstsq(others, y, rcond=None)
-    ssr = float(np.sum((y - others @ coef) ** 2))
-    r_squared = 1.0 - ssr / sst
-    if r_squared >= 1.0 - _EPS:
-        return float("inf")
-    return 1.0 / (1.0 - r_squared)
-
-
-def _all_vifs(features: np.ndarray) -> np.ndarray:
-    k = features.shape[1]
+    k = r.shape[1]
     if k == 1:
         # A lone feature regresses on nothing; define its VIF as the floor.
         return np.asarray([1.0])
-    return np.asarray([vif_single(features, j) for j in range(k)])
+    out = np.full(k, np.inf)
+    for j in range(k):
+        y = r[:, j]
+        sst = float(y @ y) - float(colsum[j]) ** 2 / max(n, 1)
+        if sst <= 0.0:
+            continue
+        others = np.delete(r, j, axis=1)
+        coef, *_ = np.linalg.lstsq(others, y, rcond=_EPS * max(n, k - 1))
+        resid = y - others @ coef
+        r_squared = 1.0 - float(resid @ resid) / sst
+        if r_squared >= 1.0 - _EPS:
+            continue
+        out[j] = 1.0 / (1.0 - r_squared)
+    return out
 
 
 @dataclass(frozen=True)
@@ -117,14 +100,17 @@ def select_features(
     if len(names) == 0:
         raise EmptySurvivorSet()
 
+    n = features.shape[0]
+    r = np.linalg.qr(features, mode="r")
+    colsum = features.sum(axis=0)
     active = list(range(len(names)))
     iterations: list[VifIteration] = []
     while True:
-        current = features[:, active]
-        vifs = _all_vifs(current)
+        current = r[:, active]
+        vifs = _all_vifs(current, colsum[active], n)
+        rank = _rank(current, n)
         vif_map = {names[g]: float(vifs[j]) for j, g in enumerate(active)}
         if np.nanmax(vifs) < accept_below:
-            final_rank = matrix_rank(current)
             break
         if len(active) == 1:
             raise EmptySurvivorSet()
@@ -133,7 +119,7 @@ def select_features(
             VifIteration(
                 iteration_index=len(iterations) + 1,
                 column_count=len(active),
-                matrix_rank=matrix_rank(current),
+                matrix_rank=rank,
                 vif_values=vif_map,
                 excluded_feature=names[active[worst]],
             )
@@ -144,7 +130,7 @@ def select_features(
         iterations=tuple(iterations),
         surviving_features=tuple(names[g] for g in active),
         final_vif=vif_map,
-        final_rank=final_rank,
+        final_rank=rank,
         remove_above=float(remove_above),
         accept_below=float(accept_below),
     )

@@ -3,9 +3,27 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dedsid.dataset import ChannelSpec, TimeSeriesDataset
 from dedsid.plant import pulse_train_inputs, random_stable_plant, simulate
+
+_EPS = float(np.finfo(float).eps)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(valid):
+    """A value from ``valid`` three times in four, any JSON value otherwise.
+
+    Keys are checked in field order, so later keys are only reached when the
+    earlier ones hold values of the right type.
+    """
+    return st.integers(0, 3).flatmap(lambda i: JSON_VALUES if i == 0 else valid)
 
 
 def make_dataset(
@@ -73,3 +91,48 @@ def parseval_gap(values: np.ndarray, magnitude: np.ndarray) -> float:
     total = float(np.sum(weights * two_sided))
     scale = max(mean_square, np.finfo(float).tiny)
     return abs(total - mean_square) / scale
+
+
+def matrix_rank(features: np.ndarray, tolerance: float | None = None) -> int:
+    """Numerical rank: singular values above ``tolerance`` times the largest.
+
+    Default tolerance is machine epsilon times the larger matrix dimension,
+    the usual pseudoinverse cutoff. The n-row oracle for the rank that
+    ``dedsid.vif.select_features`` reads off its R factor.
+    """
+    features = np.asarray(features, dtype=float)
+    if features.size == 0:
+        return 0
+    s = np.linalg.svd(features, compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    if tolerance is None:
+        tolerance = _EPS * max(features.shape)
+    return int(np.count_nonzero(s > tolerance * s[0]))
+
+
+def vif_single(features: np.ndarray, index: int) -> float:
+    """VIF of one column against the rest; +inf for exact dependence.
+
+    The n-row oracle for ``dedsid.vif.select_features``: the regression of
+    the column on all the others, over every row. Columns are expected
+    zero-mean (standardized); the regression carries no intercept. The solve
+    goes through the SVD pseudoinverse (lstsq), never the normal equations.
+    """
+    features = np.asarray(features, dtype=float)
+    n, k = features.shape
+    if k < 2:
+        raise ValueError("vif_single needs at least two columns")
+    if not 0 <= index < k:
+        raise IndexError(f"column index {index} out of range for {k} columns")
+    y = features[:, index]
+    others = np.delete(features, index, axis=1)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    if sst <= 0.0:
+        return float("inf")
+    coef, *_ = np.linalg.lstsq(others, y, rcond=None)
+    ssr = float(np.sum((y - others @ coef) ** 2))
+    r_squared = 1.0 - ssr / sst
+    if r_squared >= 1.0 - _EPS:
+        return float("inf")
+    return 1.0 / (1.0 - r_squared)

@@ -11,6 +11,7 @@ from dedsid.config import RunConfig, load_run_config
 from dedsid.dataset import load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
 from dedsid.errors import ConfigError, DataError
+from helpers import mostly
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,12 @@ def derived_config(corpus, out_name, **overrides):
     path = corpus / f"config_{out_name}.json"
     path.write_text(json.dumps(payload))
     return path
+
+
+def one_entry(**changes) -> dict:
+    """A one-experiment manifest payload with ``changes`` to its entry."""
+    entry = {"experiment_id": "exp01", "path": "exp01.csv", "sample_rate_hz": 100.0}
+    return {"experiments": [{**entry, **changes}]}
 
 
 def one_experiment_config(corpus, root: Path, csv_name: str) -> Path:
@@ -271,6 +278,11 @@ class TestExitCodes:
             ({"config_sha256": "0" * 64}, "config_sha256"),
             ({"vif": {"remove_above": 10**400}}, "vif.remove_above"),
             ({"manifest": "manifest\x00.json"}, "manifest"),
+            (
+                {"imputation": [{"channel": "c", "sentinel": float("nan"), "gate_channel": "g"}]},
+                "imputation[0].sentinel",
+            ),
+            ({"vif": {"accept_below": float("inf")}}, "vif.accept_below"),
         ],
         ids=[
             "seed_word",
@@ -290,6 +302,8 @@ class TestExitCodes:
             "hash_key",
             "float_overflow",
             "nul_in_path",
+            "sentinel_nan",
+            "accept_below_infinity",
         ],
     )
     def test_mistyped_or_unknown_config_key_is_2(self, corpus, overrides, key, capsys):
@@ -333,19 +347,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "key, value, detail",
         [
-            ("rows", 0, "rows and cols must be at least 1, got 0x100"),
-            ("cols", -3, "rows and cols must be at least 1, got 100x-3"),
-            ("cap_hz", float("nan"), "cap_hz must be finite and positive, got nan"),
-            ("cap_hz", float("inf"), "cap_hz must be finite and positive, got inf"),
-            ("cap_hz", 0.0, "cap_hz must be finite and positive, got 0.0"),
-            ("cap_hz", -1.0, "cap_hz must be finite and positive, got -1.0"),
+            ("rows", 0, "spectrogram rows and cols must be at least 1, got 0x100"),
+            ("cols", -3, "spectrogram rows and cols must be at least 1, got 100x-3"),
+            ("cap_hz", float("nan"), "key 'spectrogram.cap_hz' must be a finite number, got nan"),
+            ("cap_hz", float("inf"), "key 'spectrogram.cap_hz' must be a finite number, got inf"),
+            ("cap_hz", 0.0, "spectrogram cap_hz must be finite and positive, got 0.0"),
+            ("cap_hz", -1.0, "spectrogram cap_hz must be finite and positive, got -1.0"),
         ],
         ids=["rows_0", "cols_negative", "cap_nan", "cap_inf", "cap_0", "cap_negative"],
     )
     def test_bad_spectrogram_grid_or_cap_is_2(self, corpus, key, value, detail, capsys):
         cfg_path = derived_config(corpus, f"out_sg_{key}_{value}", spectrogram={key: value})
         assert main(["spectrogram", "--config", str(cfg_path)]) == 2
-        assert f"spectrogram {detail}" in capsys.readouterr().err
+        assert detail in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, payload",
@@ -355,8 +369,22 @@ class TestExitCodes:
             ("schema.json", [{"name": "u1", "unit": "au", "kind": "input"}]),
             ("manifest.json", {"experiments": [{"path": "exp01.csv", "sample_rate_hz": 100.0}]}),
             ("manifest.json", ["exp01.csv"]),
+            ("manifest.json", one_entry(path=5)),
+            ("manifest.json", one_entry(experiment_id=1)),
+            ("manifest.json", one_entry(sample_rate_hz=0)),
+            ("manifest.json", one_entry(sample_rate_hz=float("nan"))),
         ],
-        ids=["no_channels", "bad_kind", "schema_list", "no_experiment_id", "manifest_list"],
+        ids=[
+            "no_channels",
+            "bad_kind",
+            "schema_list",
+            "no_experiment_id",
+            "manifest_list",
+            "path_number",
+            "experiment_id_number",
+            "rate_zero",
+            "rate_nan",
+        ],
     )
     def test_malformed_schema_or_manifest_is_3(self, corpus, tmp_path, name, payload, capsys):
         (tmp_path / "exp01.csv").write_text((corpus / "exp01.csv").read_text())
@@ -431,21 +459,7 @@ class TestExitCodes:
         assert "numeric failure" in capsys.readouterr().err
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6,
-)
 INTS, FLOATS, TEXT = st.integers(), st.floats(), st.text(max_size=6)
-
-
-def mostly(valid):
-    """A value from ``valid`` three times in four, any JSON value otherwise.
-
-    Keys are checked in field order, so later keys are only reached when the
-    earlier ones hold values of the right type.
-    """
-    return st.integers(0, 3).flatmap(lambda i: JSON_VALUES if i == 0 else valid)
 
 
 def section(**keys):

@@ -1,9 +1,10 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
-from helpers import make_dataset
-from hypothesis import given
+from helpers import make_dataset, mostly
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dedsid.artifacts import to_plain
@@ -266,12 +267,32 @@ class TestZeroVariance:
     def test_detects_globally_constant_channel(self):
         a = make_dataset(np.column_stack([np.full(5, 2.0), np.arange(5.0)]), names=["c", "v"])
         b = make_dataset(np.column_stack([np.full(7, 2.0), np.arange(7.0)]), names=["c", "v"])
-        assert zero_variance_channels([a, b], ["c", "v"]) == ["c"]
+        assert zero_variance_channels(np.concatenate([a.data, b.data]), ["c", "v"]) == ["c"]
 
     def test_per_experiment_constant_but_varying_across_is_kept(self):
         a = make_dataset(np.full((5, 1), 1.0), names=["c"])
         b = make_dataset(np.full((5, 1), 2.0), names=["c"])
-        assert zero_variance_channels([a, b], ["c"]) == []
+        assert zero_variance_channels(np.concatenate([a.data, b.data]), ["c"]) == []
+
+
+MANIFEST_ENTRIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "experiment_id": mostly(st.text(max_size=6)),
+        "path": mostly(st.sampled_from(["e0.csv", "ghost.csv", ""]) | st.text(max_size=6)),
+        "sample_rate_hz": mostly(st.floats() | st.integers()),
+    },
+)
+MANIFESTS = mostly(
+    st.fixed_dictionaries({"experiments": mostly(st.lists(mostly(MANIFEST_ENTRIES), max_size=3))})
+)
+
+
+@pytest.fixture(scope="module")
+def manifest_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest_property")
+    (root / "e0.csv").write_text("u,y\n0,0\n")
+    return root
 
 
 class TestManifestSchema:
@@ -311,6 +332,17 @@ class TestManifestSchema:
                 ),
                 root=tmp_path,
             )
+
+    @settings(max_examples=300)
+    @given(payload=MANIFESTS)
+    def test_any_entry_loads_or_raises_a_named_error(self, manifest_root, payload):
+        path = manifest_root / "manifest.json"
+        path.write_text(json.dumps(payload))
+        try:
+            manifest = load_manifest(path)
+        except DataError:  # CorruptFile included
+            return
+        assert all(isinstance(e.path, str) for e in manifest.entries)
 
     def test_missing_file_rejected_at_load(self, tmp_path):
         manifest = ExperimentManifest(

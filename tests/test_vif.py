@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dedsid.artifacts import to_plain
-from dedsid.vif import matrix_rank, select_features, vif_single
+from dedsid.errors import EmptySurvivorSet
+from dedsid.vif import select_features
+from helpers import matrix_rank, vif_single
 
 # Hand-worked instance (columns already zero-mean):
 #   x1 = [ 1, -1,  1, -1]
@@ -136,3 +138,144 @@ class TestSelectFeatures:
         report = select_features(x, ["a", "b", "c"])
         payload = to_plain(report)
         assert payload["iterations"][0]["vif_values"]["a"] == "inf"
+
+
+def oracle_selection(features, names, accept_below=5.0):
+    """The elimination of ``select_features`` with every VIF and rank taken
+    over all n rows: (steps, final VIFs, survivors, final rank), where each
+    step is (excluded name, rank, VIFs)."""
+    active = list(range(features.shape[1]))
+    steps = []
+    while True:
+        current = features[:, active]
+        k = len(active)
+        vifs = [1.0] if k == 1 else [vif_single(current, j) for j in range(k)]
+        rank = matrix_rank(current)
+        named = {names[g]: v for g, v in zip(active, vifs)}
+        if max(vifs) < accept_below:
+            return steps, named, tuple(names[g] for g in active), rank
+        if k == 1:
+            raise EmptySurvivorSet()
+        worst = int(np.argmax(vifs))
+        steps.append((names[active[worst]], rank, named))
+        del active[worst]
+
+
+def assert_vifs_match(got, expected):
+    assert list(got) == list(expected)
+    for name, value in expected.items():
+        if np.isinf(value):
+            assert got[name] == np.inf, name
+        else:
+            assert got[name] == pytest.approx(value, rel=1e-9), name
+
+
+# Planted structures, each on top of randomly mixed (correlated) columns.
+PLANTS = ("full_rank", "duplicate", "combination", "near_finite", "near_inf", "zero", "wide")
+
+
+def planted_set(plant, n, k, seed):
+    rng = np.random.default_rng(seed)
+    if plant == "wide":
+        # Centering leaves n - 1 dimensions. From n >= 4 the rounding-level
+        # singular value of the lost one stays well under the rank cutoff;
+        # at n = 2 or 3 it crosses eps * max(n, k) * s0 in either route.
+        n = int(rng.integers(4, 7))
+        k = n + int(rng.integers(1, 4))
+    x = rng.normal(size=(n, k)) @ (np.eye(k) + 0.7 * rng.normal(size=(k, k)))
+    a, b, c = rng.choice(k, 3, replace=False)
+    if plant == "duplicate":
+        x[:, b] = x[:, a]
+    elif plant == "combination":
+        # Like distance_mm against program_time_s: an affine map of one
+        # column, here with a second column mixed in.
+        x[:, b] = 120.0 * x[:, a] - 0.5 * x[:, c] + 3.0
+    elif plant in ("near_finite", "near_inf"):
+        # 1 - R^2 of a, b and c is about delta^2: 1e-10 gives VIFs near
+        # 1e10, 1e-18 lies below the eps cutoff. The deviation w is
+        # orthogonal to every other column; otherwise the other columns'
+        # VIFs would hang on the direction a - b + 0.5 c, which rounding
+        # fixes only to eps / delta.
+        delta = 1e-5 if plant == "near_finite" else 1e-9
+        rest = np.column_stack([np.ones(n), np.delete(x, b, axis=1)])
+        w = rng.normal(size=n)
+        w -= rest @ np.linalg.lstsq(rest, w, rcond=None)[0]
+        x[:, b] = x[:, a] + 0.5 * x[:, c] + delta * w / w.std()
+    elif plant == "zero":
+        x[:, b] = 0.0
+    x -= x.mean(axis=0)
+    scale = x.std(axis=0)
+    return x / np.where(scale == 0.0, 1.0, scale)
+
+
+def rounding_tie(vif_maps):
+    """Whether two finite VIFs share the maximum to within rounding. Two
+    columns alone always have equal VIFs; which of them goes is then up to
+    the last bit of each route, not to the data."""
+    for vifs in vif_maps:
+        top = sorted(vifs.values(), reverse=True)[:2]
+        if len(top) == 2 and np.isfinite(top[0]) and top[1] >= top[0] * (1 - 1e-6):
+            return True
+    return False
+
+
+class TestAgainstRowOracle:
+    """The R-factor screen against the regression over every row."""
+
+    @settings(max_examples=200)
+    @given(
+        plant=st.sampled_from(PLANTS),
+        n=st.integers(min_value=20, max_value=300),
+        k=st.integers(min_value=3, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_trace_as_row_oracle(self, plant, n, k, seed):
+        x = planted_set(plant, n, k, seed)
+        names = [f"f{j}" for j in range(x.shape[1])]
+        try:
+            steps, final_vif, survivors, final_rank = oracle_selection(x, names)
+        except EmptySurvivorSet:
+            with pytest.raises(EmptySurvivorSet):
+                select_features(x, names)
+            return
+        assume(not rounding_tie([vifs for _, _, vifs in steps]))
+        report = select_features(x, names)
+        assert [(s.excluded_feature, s.matrix_rank) for s in report.iterations] == [
+            (name, rank) for name, rank, _ in steps
+        ]
+        for step, (_, _, vifs) in zip(report.iterations, steps):
+            assert_vifs_match(step.vif_values, vifs)
+        assert report.surviving_features == survivors
+        assert report.final_rank == final_rank
+        assert_vifs_match(report.final_vif, final_vif)
+
+    def test_cutoffs_count_the_rows_not_the_rows_of_r(self):
+        # A dependence at 1e-14 lies between eps * k and eps * n. The n-row
+        # oracle drops it from the rank and from the pseudoinverse, so the
+        # R route must put n, not the k rows of R, in both cutoffs.
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(1000, 3))
+        x[:, 2] = x[:, 0] + 1e-14 * rng.normal(size=1000)
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        step = select_features(x, ["a", "b", "c"]).iterations[0]
+        assert step.matrix_rank == matrix_rank(x) == 2
+        assert step.vif_values["b"] == pytest.approx(vif_single(x, 1), rel=1e-9)
+
+    def test_uncentered_column_keeps_the_centered_total(self):
+        # sst is taken about the mean, as in the oracle, also for a column
+        # the caller did not center.
+        x = HAND_X + np.array([0.0, 0.0, 1.5])
+        got = select_features(x, ["x1", "x2", "x3"], accept_below=np.inf).final_vif
+        assert_vifs_match(got, {f"x{j + 1}": vif_single(x, j) for j in range(3)})
+
+    @pytest.mark.parametrize("plant", PLANTS)
+    def test_planted_structure_lands_on_its_side_of_the_cutoff(self, plant):
+        x = planted_set(plant, 200, 6, seed=12)
+        k = x.shape[1]
+        report = select_features(x, [f"f{j}" for j in range(k)])
+        first = report.iterations[0].vif_values if report.iterations else report.final_vif
+        values = np.array(list(first.values()))
+        expected = {"duplicate": 2, "combination": 3, "near_inf": 3, "zero": 1, "wide": k}
+        assert np.isinf(values).sum() == expected.get(plant, 0)
+        if plant == "near_finite":
+            assert 1e9 < values.max() < 1e11
