@@ -18,7 +18,7 @@ from pathlib import Path, PurePath
 
 import numpy as np
 
-from .errors import CorruptFile, NonFiniteArtifact
+from .errors import CorruptFile, NonFiniteArtifact, StaleArtifact
 
 
 def to_plain(obj):
@@ -58,8 +58,12 @@ def write_json(path: str | Path, obj, cfg=None) -> None:
     path.write_text(text + "\n")
 
 
-def read_json_object(path: str | Path) -> dict:
-    """The JSON object stored at ``path``; any failure is ``CorruptFile``."""
+def read_json_object(path: str | Path, cfg=None) -> dict:
+    """The JSON object stored at ``path``; any failure is ``CorruptFile``.
+
+    With a run configuration ``cfg`` the object must also carry the
+    ``provenance`` block that ``write_json`` lays down for ``cfg``.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -67,4 +71,12 @@ def read_json_object(path: str | Path) -> dict:
         raise CorruptFile(str(path), str(exc)) from None
     if not isinstance(payload, dict):
         raise CorruptFile(str(path), "not a JSON object")
+    if cfg is not None:
+        check_provenance(payload, path, cfg)
     return payload
+
+
+def check_provenance(payload: dict, path: str | Path, cfg) -> None:
+    """``StaleArtifact`` unless ``payload`` was written under ``cfg``."""
+    if payload.get("provenance") != cfg.provenance():
+        raise StaleArtifact(str(path))

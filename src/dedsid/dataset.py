@@ -418,6 +418,12 @@ def save_schema(channels: Iterable[ChannelSpec], path: str | Path) -> None:
     write_json(path, {"channels": list(channels)})
 
 
+def _rate(value) -> float:
+    if isinstance(value, (str, bool)):  # float() would take "100" and true (1 Hz)
+        raise TypeError(f"sample_rate_hz must be a number, got {value!r}")
+    return float(value)
+
+
 def load_manifest(path: str | Path) -> ExperimentManifest:
     path = Path(path)
     payload = read_json_object(path)
@@ -426,7 +432,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
             ManifestEntry(
                 experiment_id=e["experiment_id"],
                 path=e["path"],
-                sample_rate_hz=float(e["sample_rate_hz"]),
+                sample_rate_hz=_rate(e["sample_rate_hz"]),
             )
             for e in payload["experiments"]
         )

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_json_object, write_json
+from .artifacts import check_provenance, read_json_object, write_json
 from .dataset import StandardizationParams, TimeSeriesDataset
 from .errors import (
     ConfigError,
@@ -35,7 +35,7 @@ from .errors import (
 )
 
 MODEL_FORMAT = "dedsid.model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _EPS = float(np.finfo(float).eps)
 # Pairs per QR step of fit: the block plus the carried R factor stays in
@@ -442,7 +442,8 @@ def _decode_matrix(d: dict, path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
 
 
-def save_model(model: StateSpaceModel, path: str | Path) -> None:
+def save_model(model: StateSpaceModel, path: str | Path, cfg=None) -> None:
+    """Write ``model``; with a run configuration ``cfg`` it carries that run's provenance."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -455,16 +456,19 @@ def save_model(model: StateSpaceModel, path: str | Path) -> None:
         "input_standardizer": model.input_standardizer,
         "observable_standardizer": model.observable_standardizer,
     }
-    write_json(path, payload)
+    write_json(path, payload, cfg)
 
 
-def load_model(path: str | Path) -> StateSpaceModel:
+def load_model(path: str | Path, cfg=None) -> StateSpaceModel:
+    """The model at ``path``; with ``cfg``, only one saved under that run's provenance."""
     path = str(path)
     payload = read_json_object(path)
     if payload.get("format") != MODEL_FORMAT:
         raise CorruptFile(path, "not a model file")
     if payload.get("version") != MODEL_VERSION:
         raise VersionMismatch(payload.get("version"), MODEL_VERSION)
+    if cfg is not None:  # after the version, so a version-1 file reads as one
+        check_provenance(payload, path, cfg)
     try:
         in_std = payload["input_standardizer"]
         obs_std = payload["observable_standardizer"]

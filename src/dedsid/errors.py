@@ -95,6 +95,13 @@ class CorruptFile(DataError):
         super().__init__(f"cannot read {path}: {detail}")
 
 
+class StaleArtifact(DataError):
+    def __init__(self, path: str):
+        super().__init__(
+            f"{path} was written under another config or seed; rerun the stage that writes it"
+        )
+
+
 class UnsupportedWord(DataError):
     def __init__(self, line_no: int, token: str):
         self.line_no = line_no

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from dedsid.artifacts import read_json_object, to_plain, write_json
 from dedsid.config import RunConfig
-from dedsid.errors import CorruptFile, NumericError
+from dedsid.errors import CorruptFile, NumericError, StaleArtifact
 from dedsid.validation import Aggregate, CvReport, FoldResult
 
 
@@ -74,3 +75,17 @@ class TestReadJsonObject:
     def test_round_trip(self, tmp_path):
         write_json(tmp_path / "r.json", cv_report(0.25))
         assert read_json_object(tmp_path / "r.json") == to_plain(cv_report(0.25))
+
+    def test_provenance_of_the_run_passes(self, tmp_path):
+        write_json(tmp_path / "r.json", {"x": 1}, RUN)
+        assert read_json_object(tmp_path / "r.json", RUN)["x"] == 1
+
+    @pytest.mark.parametrize(
+        "writer",
+        [None, replace(RUN, seed=4), replace(RUN, config_sha256="abd")],
+        ids=["no_provenance", "other_seed", "other_config"],
+    )
+    def test_other_provenance_is_stale(self, tmp_path, writer):
+        write_json(tmp_path / "r.json", {"x": 1}, writer)
+        with pytest.raises(StaleArtifact, match="r.json was written under another config or seed"):
+            read_json_object(tmp_path / "r.json", RUN)

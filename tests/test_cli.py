@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dedsid.cli import main
+import dedsid
+from dedsid.cli import PIPELINE, main
 from dedsid.config import RunConfig, load_run_config
 from dedsid.dataset import load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
@@ -200,16 +204,21 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         assert read_tree(out) == first
 
-    def test_dist_report_matches_standalone_stage(self, corpus):
-        cfg_path = derived_config(corpus, "out_dist_pipe")
-        out = corpus / "out_dist_pipe"
-        names = ["dist_report.json", "dist_report.csv"]
-        assert main(["dist-report", "--config", str(cfg_path)]) == 0
-        standalone = {n: (out / n).read_bytes() for n in names}
-        for n in names:
-            (out / n).unlink()
+    def test_every_stage_matches_pipeline(self, corpus):
+        # One config (so one provenance) for both runs: the stages' out/ is
+        # moved aside before the pipeline writes a fresh one.
+        cfg_path = derived_config(corpus, "out_stage_by_stage")
+        out = corpus / "out_stage_by_stage"
+        for name in PIPELINE:
+            assert main([name, "--config", str(cfg_path)]) == 0
+        staged = read_tree(out)
+        out.rename(corpus / "out_stage_by_stage_staged")
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
-        assert {n: (out / n).read_bytes() for n in names} == standalone
+        piped = read_tree(out)
+        assert set(piped) == set(staged) | {"pipeline_report.json"}
+        assert {n: piped[n] for n in staged} == staged
+        stages = json.loads(piped["pipeline_report.json"])["stages"]
+        assert stages == list(PIPELINE)
 
     def test_seed_override_changes_provenance(self, corpus):
         cfg_path = derived_config(corpus, "out_seed")
@@ -322,6 +331,11 @@ class TestExitCodes:
         cfg_path = derived_config(corpus, "out_toofew", lpocv={"p": 6, "repeats": 2})
         assert main(["cv", "--config", str(cfg_path)]) == 2
 
+    def test_pipeline_refuses_too_few_experiments_before_writing(self, corpus):
+        cfg_path = derived_config(corpus, "out_toofew_pipe", lpocv={"p": 6, "repeats": 2})
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert not (corpus / "out_toofew_pipe").exists()
+
     def test_missing_experiment_file_is_3(self, corpus, tmp_path, capsys):
         cfg = one_experiment_config(corpus, tmp_path, "ghost.csv")
         assert main(["ingest", "--config", str(cfg)]) == 3
@@ -373,6 +387,8 @@ class TestExitCodes:
             ("manifest.json", one_entry(experiment_id=1)),
             ("manifest.json", one_entry(sample_rate_hz=0)),
             ("manifest.json", one_entry(sample_rate_hz=float("nan"))),
+            ("manifest.json", one_entry(sample_rate_hz="100")),
+            ("manifest.json", one_entry(sample_rate_hz=True)),
         ],
         ids=[
             "no_channels",
@@ -384,6 +400,8 @@ class TestExitCodes:
             "experiment_id_number",
             "rate_zero",
             "rate_nan",
+            "rate_string",
+            "rate_bool",
         ],
     )
     def test_malformed_schema_or_manifest_is_3(self, corpus, tmp_path, name, payload, capsys):
@@ -407,9 +425,56 @@ class TestExitCodes:
     def test_malformed_cv_report_is_3(self, corpus, text, capsys):
         cfg_path = derived_config(corpus, "out_bad_envelope")
         assert main(["fit", "--config", str(cfg_path)]) == 0
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            payload = None
+        if isinstance(payload, dict):  # the run's provenance, so the envelope itself is read
+            provenance = load_run_config(cfg_path).provenance()
+            text = json.dumps({"provenance": provenance, **payload})
         (corpus / "out_bad_envelope" / "cv_report.json").write_text(text)
         assert main(["predict", "--config", str(cfg_path)]) == 3
-        assert "cv_report.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cv_report.json" in err
+        if isinstance(payload, dict):
+            assert "no uncertainty envelope" in err
+
+    @pytest.mark.parametrize(
+        "command, upstream, refit",
+        [
+            ("predict", "cv", "--seed"),
+            ("predict", "fit", "--seed"),
+            ("spectrogram", "fit", "--seed"),
+            ("predict", "fit", "version_1"),
+            ("spectrogram", "fit", "version_1"),
+        ],
+        ids=[
+            "predict_cv_other_seed",
+            "predict_model_other_seed",
+            "spectrogram_model_other_seed",
+            "predict_model_version_1",
+            "spectrogram_model_version_1",
+        ],
+    )
+    def test_stale_upstream_artifact_is_3(self, corpus, command, upstream, refit, capsys):
+        cfg_path = derived_config(corpus, f"out_stale_{command}_{upstream}_{refit}")
+        out = corpus / f"out_stale_{command}_{upstream}_{refit}"
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        assert main(["cv", "--config", str(cfg_path)]) == 0
+        if refit == "--seed":
+            assert main([upstream, "--config", str(cfg_path), "--seed", "5"]) == 0
+            detail = "was written under another config or seed"
+        else:  # a model saved before model files carried their provenance
+            payload = json.loads((out / "model.json").read_text())
+            del payload["provenance"]
+            payload["version"] = 1
+            (out / "model.json").write_text(json.dumps(payload))
+            detail = "model file version 1 not supported (expected 2)"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert detail in err
+        assert ("cv_report.json" if upstream == "cv" else "model") in err
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_bench_points_below_one_is_2(self, tmp_path, monkeypatch, points, capsys):
@@ -507,3 +572,22 @@ class TestConfigSchema:
         except (ConfigError, DataError):
             return
         assert isinstance(cfg, RunConfig)
+
+
+class TestScripts:
+    def test_demo_pipeline_script_runs(self, tmp_path):
+        # The child runs in tmp_path, so put the absolute source root first
+        # on PYTHONPATH, as criterion 09 does.
+        src = str(Path(dedsid.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo_pipeline.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--workdir", str(tmp_path / "demo"), "--experiments", "6"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "surviving inputs:" in proc.stdout

@@ -1,5 +1,7 @@
 import json
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dedsid import dmdc
+from dedsid.config import RunConfig
 from dedsid.dataset import apply_standardizer, fit_standardizer_pooled
 from dedsid.dmdc import (
     SnapshotSet,
@@ -26,6 +29,7 @@ from dedsid.errors import (
     NonFiniteSnapshots,
     RankDeficiencyWarning,
     SchemaMismatch,
+    StaleArtifact,
     TooShort,
     VersionMismatch,
 )
@@ -620,6 +624,23 @@ class TestModelFile:
         path.write_text(json.dumps(payload))
         with pytest.raises(VersionMismatch):
             load_model(path)
+
+    def test_provenance_checked_after_version(self, tmp_path):
+        run = RunConfig(Path("m.json"), Path("s.json"), Path("out"), seed=3, config_sha256="abc")
+        path = tmp_path / "model.json"
+        save_model(self._model(), path, run)
+        assert np.array_equal(load_model(path, run).A, A_TRUE)
+        with pytest.raises(StaleArtifact):
+            load_model(path, replace(run, seed=4))
+        payload = json.loads(path.read_text())
+        del payload["provenance"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StaleArtifact):
+            load_model(path, run)
+        payload["version"] = 1  # as written before models carried provenance
+        path.write_text(json.dumps(payload))
+        with pytest.raises(VersionMismatch):
+            load_model(path, run)
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "model.json"
