@@ -13,13 +13,10 @@ from .dataset import (
     ManifestEntry,
     StandardizationParams,
     TimeSeriesDataset,
-    apply_standardizer,
     decimate,
-    fit_standardizer,
     fit_standardizer_pooled,
     impute_off_state,
     ingest_csv,
-    invert_standardizer,
     load_datasets,
     load_manifest,
     load_schema,
@@ -65,7 +62,6 @@ __all__ = [
     "TimeSeriesDataset",
     "UncertaintyEnvelope",
     "VifSelectionReport",
-    "apply_standardizer",
     "bound_predictions",
     "build_snapshots",
     "build_spectrogram",
@@ -75,12 +71,10 @@ __all__ = [
     "demo_plant",
     "fit",
     "fit_on_datasets",
-    "fit_standardizer",
     "fit_standardizer_pooled",
     "frequency_study",
     "impute_off_state",
     "ingest_csv",
-    "invert_standardizer",
     "load_datasets",
     "load_manifest",
     "load_model",

@@ -29,8 +29,15 @@ from .config import (
     load_run_config,
 )
 from .dataset import TimeSeriesDataset, load_datasets, load_manifest, load_schema
-from .dmdc import load_model, save_model
-from .errors import ConfigError, CorruptFile, DataError, NumericError, TooFewExperiments
+from .dmdc import StateSpaceModel, load_model, save_model
+from .errors import (
+    ConfigError,
+    CorruptFile,
+    DataError,
+    NumericError,
+    StaleArtifact,
+    TooFewExperiments,
+)
 from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
     FitConfig,
@@ -245,9 +252,21 @@ def _load_envelope(run: _Run, observables: Sequence[str]) -> UncertaintyEnvelope
     return envelope
 
 
+def _load_model(run: _Run) -> StateSpaceModel:
+    """``model.json``, written under this run's provenance and for its observables."""
+    path = _upstream(run, "model.json", "fit")
+    model = load_model(path, run.cfg)
+    observables = tuple(run.names("observable"))
+    if model.observable_names != observables:
+        raise StaleArtifact(
+            str(path), f"fits observables {list(model.observable_names)}, not {list(observables)}"
+        )
+    return model
+
+
 def _predict(run: _Run) -> str:
     cfg = run.cfg
-    model = load_model(_upstream(run, "model.json", "fit"), cfg)
+    model = _load_model(run)
     names = model.observable_names
     envelope = _load_envelope(run, names)
     by_id = {ds.experiment_id: ds for ds in run.datasets}
@@ -255,19 +274,12 @@ def _predict(run: _Run) -> str:
     if exp_id not in by_id:
         raise DataError(f"experiment {exp_id!r} not in manifest")
     ds = by_id[exp_id]
-    obs = ds.matrix_for(names)
-    inputs = ds.matrix_for(model.input_names)[:-1].T
-    truth = obs[1:]
-    bounded = bound_predictions(model, envelope, obs[0], inputs, ground_truth=truth)
+    predictions, lower, upper, measured, violated = bound_predictions(model, envelope, ds)
 
     t = np.arange(1, ds.row_count)
-    violated = np.zeros_like(truth)
-    for j, name in enumerate(names):
-        for step, _, _ in bounded.violations.get(name, ()):
-            violated[step, j] = 1.0
     kinds = ("pred", "lower", "upper", "measured", "violation")
     header = ["t"] + [f"{name}_{kind}" for name in names for kind in kinds]
-    per_name = np.stack([bounded.predictions, bounded.lower, bounded.upper, truth, violated], 2)
+    per_name = np.stack([predictions, lower, upper, measured, violated], 2)
     rows = np.column_stack([t, per_name.reshape(t.size, -1)])
     _write_table(run.out / "bounded_predictions.csv", header, rows, cfg)
 
@@ -275,16 +287,16 @@ def _predict(run: _Run) -> str:
     geometry_written = all(c in ds.channel_names for c in positions)
     if geometry_written:
         header = ["t"] + positions + [f"{name}_pred" for name in names]
-        rows = np.column_stack([t, ds.matrix_for(positions)[1:], bounded.predictions])
+        rows = np.column_stack([t, ds.matrix_for(positions)[1:], predictions])
         _write_table(run.out / "geometry.csv", header, rows, cfg)
 
-    total = t.size * len(names)
-    n_violations = sum(len(v) for v in bounded.violations.values())
-    within = 1.0 - n_violations / total if total else 1.0
+    counts = violated.sum(axis=0)
+    total = violated.size
+    within = 1.0 - int(counts.sum()) / total if total else 1.0
     summary = {
         "experiment_id": exp_id,
         "steps": int(t.size),
-        "violations": {k: len(v) for k, v in bounded.violations.items()},
+        "violations": {name: int(c) for name, c in zip(names, counts)},
         "within_bounds_fraction": within,
         "geometry_written": geometry_written,
     }
@@ -299,8 +311,7 @@ def _spectrogram(run: _Run) -> str:
     observable = sg_cfg.observable or observables[0]
     if observable not in observables:
         raise DataError(f"spectrogram observable {observable!r} not in schema")
-    model_path = run.out / "model.json"
-    model = load_model(model_path, cfg) if model_path.exists() else None
+    model = _load_model(run) if (run.out / "model.json").exists() else None
     grid = (sg_cfg.rows, sg_cfg.cols)
     measured = collect_pulse_spectra(run.datasets, observable, sg_cfg.power_channel)
     sg = build_spectrogram(measured, grid=grid, cap_hz=sg_cfg.cap_hz)

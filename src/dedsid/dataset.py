@@ -200,11 +200,6 @@ def standardizer_from_matrix(values: np.ndarray, channels: Sequence[str]) -> Sta
     return StandardizationParams(tuple(channels), mean, scale)
 
 
-def fit_standardizer(ds: TimeSeriesDataset, channels: Sequence[str]) -> StandardizationParams:
-    """Fit per-channel shift/scale on one dataset (population statistics)."""
-    return standardizer_from_matrix(ds.matrix_for(channels), channels)
-
-
 def fit_standardizer_pooled(
     datasets: Sequence[TimeSeriesDataset], channels: Sequence[str]
 ) -> StandardizationParams:
@@ -218,22 +213,6 @@ def fit_standardizer_pooled(
 class EmptyDatasetsError(DataError):
     def __init__(self):
         super().__init__("at least one dataset required")
-
-
-def apply_standardizer(ds: TimeSeriesDataset, params: StandardizationParams) -> TimeSeriesDataset:
-    data = ds.data.copy()
-    for j, name in enumerate(params.channels):
-        i = ds.index_of(name)
-        data[:, i] = (data[:, i] - params.mean[j]) / params.scale[j]
-    return ds.with_data(data)
-
-
-def invert_standardizer(ds: TimeSeriesDataset, params: StandardizationParams) -> TimeSeriesDataset:
-    data = ds.data.copy()
-    for j, name in enumerate(params.channels):
-        i = ds.index_of(name)
-        data[:, i] = data[:, i] * params.scale[j] + params.mean[j]
-    return ds.with_data(data)
 
 
 def ingest_csv(

@@ -96,10 +96,8 @@ class CorruptFile(DataError):
 
 
 class StaleArtifact(DataError):
-    def __init__(self, path: str):
-        super().__init__(
-            f"{path} was written under another config or seed; rerun the stage that writes it"
-        )
+    def __init__(self, path: str, reason: str = "was written under another config or seed"):
+        super().__init__(f"{path} {reason}; rerun the stage that writes it")
 
 
 class UnsupportedWord(DataError):

@@ -21,7 +21,7 @@ from .artifacts import read_json_object, write_json
 from .dataset import ChannelSpec, TimeSeriesDataset
 from .dmdc import linear_recurrence
 from .errors import CorruptFile, DimensionMismatch, StabilityWarning, UnknownChannel
-from .gcode import parse_gcode_subset, program_to_timeseries
+from .gcode import INPUT_CHANNELS, parse_gcode_subset, program_to_timeseries
 
 STABILITY_LIMIT = 0.99
 
@@ -294,14 +294,7 @@ def unit_variance_plant(
 
 # --- bundled demo experiment set -------------------------------------------
 
-DEMO_INPUT_CHANNELS = (
-    ChannelSpec("x_mm", "mm", "input"),
-    ChannelSpec("y_mm", "mm", "input"),
-    ChannelSpec("z_mm", "mm", "input"),
-    ChannelSpec("power_w", "W", "input"),
-    ChannelSpec("scan_rate_mm_min", "mm/min", "input"),
-    ChannelSpec("heading_deg", "deg", "input"),
-    ChannelSpec("distance_mm", "mm", "input"),
+DEMO_INPUT_CHANNELS = INPUT_CHANNELS + (
     ChannelSpec("program_time_s", "s", "input"),
     ChannelSpec("infill_flag", "0/1", "input"),
     ChannelSpec("contour_flag", "0/1", "input"),
@@ -411,7 +404,8 @@ def _demo_inputs(rng: np.random.Generator, sample_rate_hz: float, experiment_id:
             gate[pos : pos + count] = 1.0
         pos += count
         on = not on
-    power_col = base.column("power_w") * gate
+    data = base.data.copy()
+    data[:, base.index_of("power_w")] *= gate
 
     y = base.column("y_mm")
     moving = base.column("scan_rate_mm_min") > 0
@@ -423,26 +417,11 @@ def _demo_inputs(rng: np.random.Generator, sample_rate_hz: float, experiment_id:
     program_time = np.arange(m) / sample_rate_hz
     shield = np.full(m, 12.0)
 
-    data = np.column_stack(
-        [
-            base.column("x_mm"),
-            base.column("y_mm"),
-            base.column("z_mm"),
-            power_col,
-            base.column("scan_rate_mm_min"),
-            base.column("heading_deg"),
-            base.column("distance_mm"),
-            program_time,
-            infill,
-            contour,
-            shield,
-        ]
-    )
     return TimeSeriesDataset(
         experiment_id=experiment_id,
         sample_rate_hz=sample_rate_hz,
         channels=DEMO_INPUT_CHANNELS,
-        data=data,
+        data=np.column_stack([data, program_time, infill, contour, shield]),
     )
 
 

@@ -11,14 +11,14 @@ side feeds the uncertainty envelope used for prediction bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import TimeSeriesDataset, decimate, fit_standardizer_pooled
 from .dmdc import StateSpaceModel, build_snapshots, fit, rollout
-from .errors import ConstantActual, DimensionMismatch, EmptySample, TooFewExperiments
+from .errors import ConstantActual, EmptySample, TooFewExperiments
 from .wasserstein import ci95_halfwidth
 
 EVAL_MODES = ("rollout", "one-step")
@@ -261,103 +261,26 @@ def run_lpocv(
     return report, envelope
 
 
-@dataclass(frozen=True)
-class BoundedPrediction:
-    observables: tuple[str, ...]
-    predictions: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    violations: Mapping[str, tuple[tuple[int, float, float], ...]] = field(default_factory=dict)
-
-
 def bound_predictions(
-    model: StateSpaceModel,
-    envelope: UncertaintyEnvelope,
-    y0: np.ndarray,
-    inputs: np.ndarray,
-    ground_truth: np.ndarray | None = None,
-) -> BoundedPrediction:
-    """Rollout with symmetric bounds at rmse + ci per observable.
+    model: StateSpaceModel, envelope: UncertaintyEnvelope, ds: TimeSeriesDataset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rollout of ``ds`` with symmetric bounds at rmse + ci per observable.
 
-    ``y0``/``inputs``/``ground_truth`` are in original units; the model's own
-    standardizers handle both directions. Violations list (step, measured,
-    violated bound) per observable when ground truth is supplied.
+    Returns ``predictions, lower, upper, measured, violated`` for rows
+    1..m-1, each (m-1) x q in ``model.observable_names`` order; the
+    predictions are ``predict_series``'s and ``violated`` marks measurements
+    strictly outside the bounds (one exactly on a bound is inside).
     """
-    y0 = np.asarray(y0, dtype=float).ravel()
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if model.input_standardizer is not None:
-        inputs = model.input_standardizer.transform_matrix(inputs.T).T
-    if model.observable_standardizer is not None:
-        y0 = model.observable_standardizer.transform_matrix(y0[None, :])[0]
-    pred = rollout(model, y0, inputs).T
-    if model.observable_standardizer is not None:
-        pred = model.observable_standardizer.invert_matrix(pred)
-
-    names = model.observable_names
-    half = np.asarray([envelope.half_width(obs) for obs in names])
-    lower = pred - half
+    predictions = predict_series(model, ds)[1:]
+    measured = ds.matrix_for(model.observable_names)[1:]
+    half = np.asarray([envelope.half_width(obs) for obs in model.observable_names])
+    lower = predictions - half
     # Anchor the width to the lower bound: upper equals lower + 2*(rmse+ci)
     # bit for bit, the strongest width identity floating point can offer
     # (re-subtracting rounds again, so upper - lower only matches to 1 ulp).
     upper = lower + 2.0 * half
-
-    violations: dict[str, tuple[tuple[int, float, float], ...]] = {}
-    if ground_truth is not None:
-        truth = np.asarray(ground_truth, dtype=float)
-        if truth.shape != pred.shape:
-            raise DimensionMismatch(
-                f"ground truth shape {truth.shape} differs from predictions {pred.shape}"
-            )
-        for j, obs in enumerate(names):
-            rows = []
-            below = truth[:, j] < lower[:, j]
-            above = truth[:, j] > upper[:, j]
-            for t in np.nonzero(below)[0]:
-                rows.append((int(t), float(truth[t, j]), float(lower[t, j])))
-            for t in np.nonzero(above)[0]:
-                rows.append((int(t), float(truth[t, j]), float(upper[t, j])))
-            violations[obs] = tuple(sorted(rows))
-    return BoundedPrediction(
-        observables=names,
-        predictions=pred,
-        lower=lower,
-        upper=upper,
-        violations=violations,
-    )
-
-
-@dataclass(frozen=True)
-class HistogramResult:
-    counts: np.ndarray
-    bin_edges: np.ndarray
-
-
-def residual_histogram(actual: np.ndarray, predicted: np.ndarray, bins: int = 50) -> HistogramResult:
-    """Histogram of actual - predicted, plot-ready."""
-    actual = np.asarray(actual, dtype=float).ravel()
-    predicted = np.asarray(predicted, dtype=float).ravel()
-    if actual.size == 0 or actual.size != predicted.size:
-        raise EmptySample("residual vectors")
-    counts, edges = np.histogram(actual - predicted, bins=bins)
-    return HistogramResult(counts=counts, bin_edges=edges)
-
-
-@dataclass(frozen=True)
-class ParityData:
-    actual: np.ndarray
-    predicted: np.ndarray
-    slope: float
-    intercept: float
-
-
-def parity_data(actual: np.ndarray, predicted: np.ndarray) -> ParityData:
-    """Paired series plus the least-squares line of predicted against actual."""
-    actual = np.asarray(actual, dtype=float).ravel()
-    predicted = np.asarray(predicted, dtype=float).ravel()
-    if actual.size == 0 or actual.size != predicted.size:
-        raise EmptySample("parity vectors")
-    slope, intercept = np.polyfit(actual, predicted, 1)
-    return ParityData(actual=actual, predicted=predicted, slope=float(slope), intercept=float(intercept))
+    violated = (measured < lower) | (measured > upper)
+    return predictions, lower, upper, measured, violated
 
 
 @dataclass(frozen=True)

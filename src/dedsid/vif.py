@@ -19,6 +19,9 @@ import numpy as np
 from .errors import EmptySurvivorSet
 
 _EPS = float(np.finfo(float).eps)
+# VIFs within this relative distance of the maximum tie. Two active columns
+# always have equal VIFs, so which one reads higher is down to rounding.
+_TIE = 1e-9
 
 
 def _rank(r: np.ndarray, n: int) -> int:
@@ -89,9 +92,11 @@ def select_features(
     ``remove_above`` marks the definitely-dependent band and is recorded with
     the report; the loop keeps removing through the in-between band as well,
     since stopping inside it would leave the termination condition
-    unsatisfiable. Ties on the maximum (typically several infinities) break
-    toward the earliest column so runs are reproducible. The matrix rank is
-    recomputed with every iteration as a cross-check on the elimination.
+    unsatisfiable. Ties on the maximum (typically several infinities, or
+    finite VIFs within a relative 1e-9 of it) break toward the earliest
+    column, so the order follows the data, not the rounding. The matrix
+    rank is recomputed with every iteration as a cross-check on the
+    elimination.
     """
     features = np.asarray(features, dtype=float)
     names = list(names)
@@ -114,7 +119,7 @@ def select_features(
             break
         if len(active) == 1:
             raise EmptySurvivorSet()
-        worst = int(np.argmax(vifs))
+        worst = int(np.argmax(vifs >= np.nanmax(vifs) * (1.0 - _TIE)))
         iterations.append(
             VifIteration(
                 iteration_index=len(iterations) + 1,

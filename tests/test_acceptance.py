@@ -53,7 +53,7 @@ from dedsid.validation import (
 from dedsid.vif import select_features
 from dedsid.wasserstein import wasserstein_1d
 
-from helpers import linear_corpus, parseval_gap
+from helpers import linear_corpus, make_dataset, parseval_gap
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -227,13 +227,16 @@ def test_05_envelope_coverage_and_width():
     envelope = UncertaintyEnvelope(rmse={"y1": 1.0}, ci95={"y1": 1e-6})
     n = 100_000
     truth = np.random.default_rng(12345).standard_normal((n, 1))
-    out = bound_predictions(
-        model, envelope, y0=np.array([0.0]), inputs=np.zeros((1, n)), ground_truth=truth
+    ds = make_dataset(
+        np.column_stack([np.concatenate([[0.0], truth[:, 0]]), np.zeros(n + 1)]),
+        names=["y1", "u1"],
+        kinds=["observable", "input"],
     )
-    coverage = 1.0 - sum(len(v) for v in out.violations.values()) / n
+    _, lower, upper, _, violated = bound_predictions(model, envelope, ds)
+    coverage = 1.0 - int(violated.sum()) / n
     half = envelope.rmse["y1"] + envelope.ci95["y1"]
-    width_exact = np.array_equal(out.upper, out.lower + 2.0 * half)
-    width_close = np.allclose(out.upper - out.lower, 2.0 * half, rtol=0.0, atol=1e-12)
+    width_exact = np.array_equal(upper, lower + 2.0 * half)
+    width_close = np.allclose(upper - lower, 2.0 * half, rtol=0.0, atol=1e-12)
     ok = 0.653 <= coverage <= 0.713 and width_exact and width_close
     _criterion(
         5,

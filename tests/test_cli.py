@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import dedsid
 from dedsid.cli import PIPELINE, main
 from dedsid.config import RunConfig, load_run_config
-from dedsid.dataset import load_datasets, load_manifest, load_schema
+from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
 from dedsid.errors import ConfigError, DataError
+from dedsid.validation import predict_series
 from helpers import mostly
 
 
@@ -143,6 +144,36 @@ class TestStages:
         assert "melt_pool_size_mm_lower" in header
         geo_header = (out / "geometry.csv").read_text().splitlines()[1].split(",")
         assert geo_header[:4] == ["t", "x_mm", "y_mm", "z_mm"]
+
+    def test_predict_artifacts_agree_with_the_rollout(self, corpus):
+        cfg_path = derived_config(corpus, "out_predict_check")
+        out = corpus / "out_predict_check"
+        for command in ("fit", "cv", "predict"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        cfg = load_run_config(cfg_path)
+        model = load_model(out / "model.json", cfg)
+        datasets, _ = load_datasets(load_manifest(cfg.manifest), load_schema(cfg.schema))
+        report = json.loads((out / "predict_report.json").read_text())
+        ds = next(d for d in datasets if d.experiment_id == report["experiment_id"])
+        for directive in cfg.imputation:
+            ds = impute_off_state(ds, directive.channel, directive.sentinel, directive.gate_channel)
+        predicted = predict_series(model, ds)[1:]
+
+        lines = (out / "bounded_predictions.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        table = np.loadtxt(lines[2:], delimiter=",", ndmin=2)
+        col = {name: table[:, j] for j, name in enumerate(header)}
+        flags = {}
+        for j, name in enumerate(model.observable_names):
+            measured = col[f"{name}_measured"]
+            outside = (measured < col[f"{name}_lower"]) | (measured > col[f"{name}_upper"])
+            assert np.array_equal(col[f"{name}_violation"], outside.astype(float))
+            assert np.array_equal(col[f"{name}_pred"], predicted[:, j])
+            flags[name] = int(outside.sum())
+        assert report["steps"] == table.shape[0]
+        assert report["violations"] == flags
+        total = table.shape[0] * len(flags)
+        assert report["within_bounds_fraction"] == 1.0 - sum(flags.values()) / total
 
     def test_spectrogram_with_and_without_model(self, corpus):
         bare = derived_config(corpus, "out_sg_bare")
@@ -475,6 +506,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert detail in err
         assert ("cv_report.json" if upstream == "cv" else "model") in err
+
+    @pytest.mark.parametrize("command", ["predict", "spectrogram"])
+    def test_model_of_other_observables_is_3(self, corpus, tmp_path, command, capsys):
+        # Same config and seed, so the provenance matches, but the schema
+        # changed between fit and this stage: the model lacks an observable.
+        schema = json.loads((corpus / "schema.json").read_text())
+        relabelled = {
+            "channels": [
+                {**c, "kind": "input"} if c["name"] == "melt_pool_size_mm" else c
+                for c in schema["channels"]
+            ]
+        }
+        payload = json.loads((corpus / "config.json").read_text())
+        payload["manifest"] = str(corpus / "manifest.json")
+        (tmp_path / "config.json").write_text(json.dumps(payload))
+        cfg_path = str(tmp_path / "config.json")
+        (tmp_path / "schema.json").write_text(json.dumps(relabelled))
+        assert main(["fit", "--config", cfg_path]) == 0
+        assert main(["cv", "--config", cfg_path]) == 0
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "model.json fits observables ['melt_pool_temp_c', 'working_distance_mm']" in err
+        assert not (tmp_path / "out" / "predict_report.json").exists()
+        assert not (tmp_path / "out" / "spectrogram.json").exists()
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_bench_points_below_one_is_2(self, tmp_path, monkeypatch, points, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dedsid import dmdc
 from dedsid.config import RunConfig
-from dedsid.dataset import apply_standardizer, fit_standardizer_pooled
+from dedsid.dataset import fit_standardizer_pooled
 from dedsid.dmdc import (
     SnapshotSet,
     StateSpaceModel,
@@ -295,16 +295,13 @@ class TestFitAgainstSvd:
 
 def copied_fit_oracle(datasets, inputs, observables, input_std, obs_std, rank):
     """The fit before pairs were read in place: standardized copies of every
-    dataset, concatenated snapshot arrays, one array segment."""
-    copies = []
-    for ds in datasets:
-        if input_std is not None:
-            ds = apply_standardizer(ds, input_std)
-        if obs_std is not None:
-            ds = apply_standardizer(ds, obs_std)
-        copies.append(ds)
-    obs = [ds.matrix_for(observables) for ds in copies]
-    inp = [ds.matrix_for(inputs) for ds in copies]
+    dataset's matrices, concatenated snapshot arrays, one array segment."""
+    obs = [ds.matrix_for(observables) for ds in datasets]
+    inp = [ds.matrix_for(inputs) for ds in datasets]
+    if obs_std is not None:
+        obs = [obs_std.transform_matrix(o) for o in obs]
+    if input_std is not None:
+        inp = [input_std.transform_matrix(u) for u in inp]
     snaps = SnapshotSet.from_arrays(
         y_cur=np.concatenate([o[:-1].T for o in obs], axis=1),
         y_next=np.concatenate([o[1:].T for o in obs], axis=1),

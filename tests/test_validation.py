@@ -5,7 +5,7 @@ from helpers import linear_corpus, make_dataset
 from dedsid.artifacts import to_plain
 from dedsid.dataset import decimate
 from dedsid.dmdc import StateSpaceModel
-from dedsid.errors import ConstantActual, DimensionMismatch, TooFewExperiments
+from dedsid.errors import ConstantActual, TooFewExperiments
 from dedsid.validation import (
     FitConfig,
     UncertaintyEnvelope,
@@ -13,10 +13,8 @@ from dedsid.validation import (
     draw_splits,
     fit_on_datasets,
     frequency_study,
-    parity_data,
     predict_series,
     r2,
-    residual_histogram,
     rmse,
     run_lpocv,
 )
@@ -37,16 +35,6 @@ class TestMetrics:
     def test_constant_actual_rejected(self):
         with pytest.raises(ConstantActual):
             r2(np.ones(5), np.zeros(5))
-
-    def test_histogram_and_parity(self):
-        rng = np.random.default_rng(0)
-        actual = rng.normal(size=300)
-        predicted = actual + rng.normal(scale=0.1, size=300)
-        hist = residual_histogram(actual, predicted, bins=20)
-        assert hist.counts.sum() == 300
-        par = parity_data(actual, predicted)
-        assert par.slope == pytest.approx(1.0, abs=0.05)
-        assert par.intercept == pytest.approx(0.0, abs=0.05)
 
 
 class TestDrawSplits:
@@ -157,40 +145,33 @@ class TestBoundPredictions:
 
     def test_hand_case_bounds_and_violations(self):
         envelope = UncertaintyEnvelope(rmse={"y1": 0.5}, ci95={"y1": 0.125})
-        truth = np.array([[0.0], [0.7], [-0.7], [0.625], [-0.625]])
-        out = bound_predictions(
-            self._zero_model(), envelope, [0.0], np.zeros((1, 5)), ground_truth=truth
+        truth = [0.0, 0.0, 0.7, -0.7, 0.625, -0.625]
+        ds = make_dataset(
+            np.column_stack([truth, np.zeros(6)]), names=["y1", "u1"], kinds=["observable", "input"]
         )
-        assert np.allclose(out.predictions, 0.0)
-        assert np.allclose(out.lower, -0.625)
-        assert np.allclose(out.upper, 0.625)
+        pred, lower, upper, measured, violated = bound_predictions(self._zero_model(), envelope, ds)
+        assert np.allclose(pred, 0.0)
+        assert np.allclose(lower, -0.625)
+        assert np.allclose(upper, 0.625)
+        assert np.array_equal(measured[:, 0], truth[1:])
         # Strictly-outside points only; landing exactly on a bound is inside.
-        assert out.violations["y1"] == ((1, 0.7, 0.625), (2, -0.7, -0.625))
+        assert violated[:, 0].tolist() == [False, True, True, False, False]
 
     def test_width_identity_is_exact_by_construction(self):
-        rng = np.random.default_rng(1)
         spec, datasets = linear_corpus(q=2, p=1, n_exp=3, steps=400, seed=27)
         model = fit_on_datasets(datasets, _fit_config(spec))
         envelope = UncertaintyEnvelope(
             rmse={"y1": 0.21, "y2": 0.043}, ci95={"y1": 0.011, "y2": 0.0021}
         )
         ds = datasets[0]
-        out = bound_predictions(
-            model,
-            envelope,
-            ds.matrix_for(spec.observable_names)[0],
-            ds.matrix_for(spec.input_names)[:-1].T,
-        )
+        pred, lower, upper, measured, violated = bound_predictions(model, envelope, ds)
         half = np.asarray([envelope.half_width(o) for o in spec.observable_names])
-        assert np.array_equal(out.upper, out.lower + 2.0 * half)
-        assert np.allclose(out.upper - out.lower, 2.0 * half, rtol=0, atol=1e-12)
-
-    def test_truth_shape_checked(self):
-        envelope = UncertaintyEnvelope(rmse={"y1": 1.0}, ci95={"y1": 0.0})
-        with pytest.raises(DimensionMismatch):
-            bound_predictions(
-                self._zero_model(), envelope, [0.0], np.zeros((1, 4)), ground_truth=np.zeros((3, 1))
-            )
+        assert np.array_equal(upper, lower + 2.0 * half)
+        assert np.allclose(upper - lower, 2.0 * half, rtol=0, atol=1e-12)
+        # The bounds sit around the one prediction path, row 0 excluded.
+        assert np.array_equal(pred, predict_series(model, ds)[1:])
+        assert np.array_equal(measured, ds.matrix_for(spec.observable_names)[1:])
+        assert violated.shape == measured.shape == (ds.row_count - 1, 2)
 
 
 class TestFrequencyStudy:

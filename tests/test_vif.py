@@ -249,6 +249,15 @@ class TestAgainstRowOracle:
         assert report.final_rank == final_rank
         assert_vifs_match(report.final_vif, final_vif)
 
+    def test_tie_within_rounding_breaks_to_earliest_column(self):
+        # After f0 leaves, f1 and f2 are the last pair above accept_below:
+        # their VIFs are equal in exact arithmetic and differ here only in
+        # the last bits (…878 against …885), which must not decide the order.
+        x = planted_set("duplicate", 20, 3, seed=138)
+        report = select_features(x, ["f0", "f1", "f2"])
+        assert [s.excluded_feature for s in report.iterations] == ["f0", "f1"]
+        assert report.surviving_features == ("f2",)
+
     def test_cutoffs_count_the_rows_not_the_rows_of_r(self):
         # A dependence at 1e-14 lies between eps * k and eps * n. The n-row
         # oracle drops it from the rank and from the pseudoinverse, so the
