@@ -24,7 +24,6 @@ from .dataset import (
 )
 from .dmdc import SnapshotSet, StateSpaceModel, build_snapshots, fit, load_model, rollout, save_model
 from .errors import ConfigError, DataError, NumericError
-from .plant import PlantSpec, demo_plant, make_demo_experiments, random_stable_plant, simulate
 from .spectral import (
     Spectrogram,
     build_spectrogram,
@@ -45,6 +44,19 @@ from .vif import VifSelectionReport, select_features
 from .wasserstein import split_shift_report, uniform_benchmark, wasserstein_1d
 
 __version__ = "0.1.0"
+
+# The synthetic plant, and the G-code parser it imports, load on first use
+# (PEP 562), so that importing the package for a pipeline stage skips both.
+_PLANT_NAMES = ("PlantSpec", "demo_plant", "make_demo_experiments", "random_stable_plant", "simulate")
+
+
+def __getattr__(name: str):
+    if name not in _PLANT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import plant
+
+    return getattr(plant, name)
+
 
 __all__ = [
     "ChannelSpec",

@@ -1,24 +1,29 @@
-"""One JSON encoding for every artifact the toolkit writes or reads back.
+"""One JSON encoding and one CSV row writer for every artifact the toolkit writes.
 
 Artifacts are dataclasses, mappings, sequences and arrays of plain values.
 ``to_plain`` turns them into JSON-ready values by walking dataclass fields
 in declaration order, so a type's fields are its file format. ``write_json``
-is the only writer: it refuses NaN and -inf, spells +inf as ``"inf"`` (an
-infinite VIF is a legitimate result), and lays the file down only once the
-whole payload has encoded, so a refused artifact leaves no partial file.
+is the only JSON writer: it refuses NaN and -inf, spells +inf as ``"inf"``
+(an infinite VIF is a legitimate result), and lays the file down only once
+the whole payload has encoded, so a refused artifact leaves no partial file.
+``write_rows`` writes every CSV table, experiment files included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import fields, is_dataclass
 from pathlib import Path, PurePath
 
 import numpy as np
 
 from .errors import CorruptFile, NonFiniteArtifact, StaleArtifact
+
+# Rows per format call of write_rows: a block of 16 columns formats into
+# about 1.5 MB of text.
+_CSV_BLOCK_ROWS = 4096
 
 
 def to_plain(obj):
@@ -58,6 +63,24 @@ def write_json(path: str | Path, obj, cfg=None) -> None:
     path.write_text(text + "\n")
 
 
+def write_rows(fh, rows: np.ndarray, fmt: str = "%.17g") -> None:
+    """Write the rows of a 2-D array to ``fh`` as comma-separated lines.
+
+    The bytes are those of ``np.savetxt(fh, rows, delimiter=",", fmt=fmt)``:
+    ``fmt`` is one format for every value or one for the whole row. Instead
+    of one ``%`` per row, each block of rows is formatted by one ``%`` over
+    a format repeated per row; an object array keeps its values' types. A
+    table of no rows writes nothing.
+    """
+    if len(rows) == 0:
+        return
+    rows = np.asarray(rows)
+    line = (fmt if fmt.count("%") > 1 else ",".join([fmt] * rows.shape[1])) + "\n"
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        part = rows[start : start + _CSV_BLOCK_ROWS]
+        fh.write((line * len(part)) % tuple(part.ravel().tolist()))
+
+
 def read_json_object(path: str | Path, cfg=None) -> dict:
     """The JSON object stored at ``path``; any failure is ``CorruptFile``.
 
@@ -80,3 +103,16 @@ def check_provenance(payload: dict, path: str | Path, cfg) -> None:
     """``StaleArtifact`` unless ``payload`` was written under ``cfg``."""
     if payload.get("provenance") != cfg.provenance():
         raise StaleArtifact(str(path))
+
+
+def check_experiments(payload: dict, path: str | Path, experiments: Sequence[str]) -> None:
+    """``StaleArtifact`` unless ``payload`` was built from exactly ``experiments``.
+
+    The writer records the ids it was built from, sorted, under
+    ``experiments``.
+    """
+    built = payload.get("experiments")
+    if built != sorted(experiments):
+        raise StaleArtifact(
+            str(path), f"was built from experiments {built}, not {sorted(experiments)}"
+        )

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dataset as dsmod
-from .artifacts import read_json_object, to_plain, write_json
+from .artifacts import check_experiments, read_json_object, to_plain, write_json, write_rows
 from .config import (
     BenchConfig,
     ImputationDirective,
@@ -61,7 +61,7 @@ def _write_table(
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_sha256={cfg.config_sha256} seed={cfg.seed}\n")
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, np.atleast_2d(rows), delimiter=",", fmt=fmt)
+        write_rows(fh, rows, fmt)
 
 
 def _write_corpus(datasets: Sequence[TimeSeriesDataset], schema, root: Path) -> None:
@@ -135,6 +135,11 @@ class _Run:
     @property
     def datasets(self) -> list[TimeSeriesDataset]:
         return self.imputed[0]
+
+    @property
+    def experiment_ids(self) -> list[str]:
+        """The sorted ids of the run's experiments, which model and envelope record."""
+        return sorted(ds.experiment_id for ds in self.datasets)
 
     @cached_property
     def screening(self) -> dict:
@@ -224,7 +229,8 @@ def _cv(run: _Run) -> str:
     report, envelope = run_lpocv(
         run.datasets, run.fit_config, p=cfg.lpocv.p, repeats=cfg.lpocv.repeats, seed=cfg.seed
     )
-    write_json(run.out / "cv_report.json", {"cv": report, "envelope": envelope}, cfg)
+    payload = {"experiments": run.experiment_ids, "cv": report, "envelope": envelope}
+    write_json(run.out / "cv_report.json", payload, cfg)
     r2 = report.aggregates["r2_test"]
     return "\n".join(
         f"{obs}: test R^2 {r2[obs].mean:.4f} +/- {r2[obs].ci95:.4f}" for obs in report.observables
@@ -233,7 +239,7 @@ def _cv(run: _Run) -> str:
 
 def _fit(run: _Run) -> str:
     model = fit_on_datasets(run.datasets, run.fit_config)
-    save_model(model, run.out / "model.json", run.cfg)
+    save_model(model, run.out / "model.json", run.cfg, run.experiment_ids)
     return (
         f"fit model: {model.state_dim} observables, {model.input_dim} inputs, "
         f"svd rank {model.svd_rank_used}"
@@ -249,13 +255,15 @@ def _load_envelope(run: _Run, observables: Sequence[str]) -> UncertaintyEnvelope
             float(envelope.half_width(name))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(str(path), f"no uncertainty envelope: {exc!r}") from None
+    check_experiments(payload, path, run.experiment_ids)
     return envelope
 
 
 def _load_model(run: _Run) -> StateSpaceModel:
-    """``model.json``, written under this run's provenance and for its observables."""
+    """``model.json``, written under this run's provenance, from its experiments
+    and for its observables."""
     path = _upstream(run, "model.json", "fit")
-    model = load_model(path, run.cfg)
+    model = load_model(path, run.cfg, run.experiment_ids)
     observables = tuple(run.names("observable"))
     if model.observable_names != observables:
         raise StaleArtifact(
@@ -326,14 +334,12 @@ def _spectrogram(run: _Run) -> str:
     }
     if model is not None:
         column = list(model.observable_names).index(observable)
-        overrides = {
-            ds.experiment_id: predict_series(model, ds, cfg.eval_mode)[:, column]
-            for ds in run.datasets
-        }
-        predicted = collect_pulse_spectra(
+        predicted = predict_series(model, run.datasets, cfg.eval_mode)
+        overrides = {ds.experiment_id: p[:, column] for ds, p in zip(run.datasets, predicted)}
+        spectra = collect_pulse_spectra(
             run.datasets, observable, sg_cfg.power_channel, values_override=overrides
         )
-        sg_model = build_spectrogram(predicted, grid=grid, cap_hz=sg_cfg.cap_hz)
+        sg_model = build_spectrogram(spectra, grid=grid, cap_hz=sg_cfg.cap_hz)
         _write_table(run.out / "spectrogram_model.csv", header, sg_model.to_csv_rows(), cfg)
         summary["model_similarity"] = compare_spectrograms(sg, sg_model)
     write_json(run.out / "spectrogram.json", summary, cfg)
@@ -403,7 +409,7 @@ def cmd_pipeline(args) -> int:
         run.out / "pipeline_report.json",
         {
             "stages": PIPELINE,
-            "experiments": sorted(ds.experiment_id for ds in run.datasets),
+            "experiments": run.experiment_ids,
             "surviving_inputs": run.fit_config.inputs,
             "test_r2": {obs: r2[obs]["mean"] for obs in cv["observables"]},
         },

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import read_json_object, write_json
+from .artifacts import read_json_object, write_json, write_rows
 from .errors import (
     AllSentinel,
     CorruptFile,
@@ -66,6 +66,9 @@ class TimeSeriesDataset:
             raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "channels", tuple(self.channels))
+        # Column of each channel name; the first wins if a name repeats.
+        columns = {c.name: i for i, c in reversed(list(enumerate(self.channels)))}
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def row_count(self) -> int:
@@ -87,10 +90,10 @@ class TimeSeriesDataset:
         return self.names_of_kind("observable")
 
     def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.channels):
-            if c.name == name:
-                return i
-        raise UnknownChannel(name)
+        try:
+            return self._columns[name]
+        except KeyError:
+            raise UnknownChannel(name) from None
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.index_of(name)]
@@ -312,7 +315,7 @@ def write_csv(ds: TimeSeriesDataset, path: str | Path, time_column: bool = False
         data = np.column_stack([t, data]) if ds.row_count else np.empty((0, len(names)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+        write_rows(fh, data)
 
 
 def impute_off_state(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import check_provenance, read_json_object, write_json
+from .artifacts import check_experiments, check_provenance, read_json_object, write_json
 from .dataset import StandardizationParams, TimeSeriesDataset
 from .errors import (
     ConfigError,
@@ -47,6 +47,9 @@ _QR_BLOCK_ROWS = 2048
 # 1e6-pair fit, against ~4k with chunks); a 16-block chunk of 24 channels is
 # ~6 MB, under glibc's 32 MB cap on its trim threshold.
 _CHUNK_ROWS = 16 * _QR_BLOCK_ROWS
+# Steps per chunk of linear_recurrence: 8 ran fastest of 4-32 on 1e6 steps
+# and on batches of 8 x 70-3,500 steps (q = 3, one BLAS thread).
+_SCAN_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -368,22 +371,27 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
         y[j] = A^(j+1) s + sum_{i<=j} A^(j-i) d[i].
 
     The sum is one matmul of every chunk's drive against the block
-    lower-triangular Toeplitz matrix of A^0 ... A^(L-1); chunk-entry states
-    are carried with A^L in a loop over the T/L chunks; the A^(j+1) s term is
+    lower-triangular Toeplitz matrix of A^0 ... A^(L-1). The chunk-entry
+    states follow s[c+1] = A^L s[c] + e[c], with e[c] the last row of chunk
+    c's sum: a recurrence of its own, T/L steps long, which this function
+    solves by calling itself, down to a single chunk. The A^(j+1) s term is
     one more matmul. Agrees with the per-step loop to rounding.
 
     Parameters
     ----------
     a : array, shape (q, q)
-    drive : array, shape (T, q)
+    drive : array, shape (T, q), or (S, T, q) for S sequences at once
         Row t is the input contribution entering step t + 1.
-    y0 : array, shape (q,)
+    y0 : array, shape (q,), or (S, q) with a batch of drives
     """
     drive = np.asarray(drive, dtype=float)
-    steps, q = drive.shape
-    # sqrt(T) chunks balance the per-chunk carry loop against the L-fold
-    # matmul work; the cap on L*q bounds the Toeplitz matrix for wide states.
-    L = max(1, min(round(steps**0.5), 64, 256 // max(q, 1)))
+    y0 = np.asarray(y0, dtype=float)
+    if drive.ndim == 2:
+        return linear_recurrence(a, drive[None], y0[None])[0]
+    batch, steps, q = drive.shape
+    # Short chunks keep the Toeplitz matmul at L q^2 flops per step; the cap
+    # on L*q bounds the Toeplitz matrix for wide states.
+    L = max(1, min(_SCAN_CHUNK, 256 // max(q, 1), steps))
 
     powers = np.empty((L + 1, q, q))
     powers[0] = np.eye(q)
@@ -395,30 +403,39 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
         have += k
     # An operator outside the unit circle may overflow its high powers
     # before the trajectory itself does; shorten the chunks to the last
-    # finite power (L = 1 is the per-step loop).
+    # finite power. The carry runs on A^L, so its powers are checked again
+    # one level down.
     bad = ~np.isfinite(powers).all(axis=(1, 2))
     if bad.any():
         L = max(1, int(np.argmax(bad)) - 1)
         powers = powers[: L + 1]
+    if L == 1:  # the per-step loop
+        out = np.empty_like(drive)
+        state, a_t = y0, powers[1].T
+        for t in range(steps):
+            state = state @ a_t + drive[:, t]
+            out[:, t] = state
+        return out
 
     chunks = -(-steps // L)
-    d = np.zeros((chunks * L, q))
-    d[:steps] = drive
+    if chunks * L == steps:
+        d = drive
+    else:
+        d = np.zeros((batch, chunks * L, q))
+        d[:, :steps] = drive
     # Row-vector form: block (i, j) of the Toeplitz matrix is (A^(j-i))^T.
     lag = np.arange(L)[None, :] - np.arange(L)[:, None]
     toeplitz = powers[np.maximum(lag, 0)].transpose(0, 1, 3, 2) * (lag >= 0)[:, :, None, None]
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(L * q, L * q)
-    y = d.reshape(chunks, L * q) @ toeplitz
+    y = d.reshape(batch, chunks, L * q) @ toeplitz
+    del d  # a padded copy is not read again; free it before the carry allocates
 
-    starts = np.empty((chunks, q))
-    state = np.asarray(y0, dtype=float)
-    a_chunk = powers[L]
-    ends = y[:, -q:]
-    for c in range(chunks):
-        starts[c] = state
-        state = a_chunk @ state + ends[c]
+    starts = np.empty((batch, chunks, q))
+    starts[:, 0] = y0
+    if chunks > 1:
+        starts[:, 1:] = linear_recurrence(powers[L], y[:, :-1, -q:], y0)
     y += starts @ powers[1:].transpose(2, 0, 1).reshape(q, L * q)
-    return y.reshape(chunks * L, q)[:steps]
+    return y.reshape(batch, chunks * L, q)[:, :steps]
 
 
 def _encode_matrix(m: np.ndarray) -> dict:
@@ -442,8 +459,11 @@ def _decode_matrix(d: dict, path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
 
 
-def save_model(model: StateSpaceModel, path: str | Path, cfg=None) -> None:
-    """Write ``model``; with a run configuration ``cfg`` it carries that run's provenance."""
+def save_model(
+    model: StateSpaceModel, path: str | Path, cfg=None, experiments: Sequence[str] | None = None
+) -> None:
+    """Write ``model``; with a run configuration ``cfg`` it carries that run's
+    provenance, and with ``experiments`` the sorted ids it was fitted on."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -456,11 +476,16 @@ def save_model(model: StateSpaceModel, path: str | Path, cfg=None) -> None:
         "input_standardizer": model.input_standardizer,
         "observable_standardizer": model.observable_standardizer,
     }
+    if experiments is not None:
+        payload["experiments"] = sorted(experiments)
     write_json(path, payload, cfg)
 
 
-def load_model(path: str | Path, cfg=None) -> StateSpaceModel:
-    """The model at ``path``; with ``cfg``, only one saved under that run's provenance."""
+def load_model(
+    path: str | Path, cfg=None, experiments: Sequence[str] | None = None
+) -> StateSpaceModel:
+    """The model at ``path``; with ``cfg``, only one saved under that run's
+    provenance, and with ``experiments``, only one fitted on exactly those."""
     path = str(path)
     payload = read_json_object(path)
     if payload.get("format") != MODEL_FORMAT:
@@ -472,7 +497,7 @@ def load_model(path: str | Path, cfg=None) -> StateSpaceModel:
     try:
         in_std = payload["input_standardizer"]
         obs_std = payload["observable_standardizer"]
-        return StateSpaceModel(
+        model = StateSpaceModel(
             A=_decode_matrix(payload["A"], path),
             B=_decode_matrix(payload["B"], path),
             observable_names=tuple(payload["observables"]),
@@ -484,3 +509,6 @@ def load_model(path: str | Path, cfg=None) -> StateSpaceModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(path, f"missing or malformed field: {exc}") from None
+    if experiments is not None:
+        check_experiments(payload, path, experiments)
+    return model

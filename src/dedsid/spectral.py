@@ -73,16 +73,16 @@ class PulseSpectrum:
 
 
 def amplitude_spectrum(values: np.ndarray) -> np.ndarray:
-    """|rfft| / n of the mean-removed signal.
+    """|rfft| / n of the mean-removed signal, along the last axis.
 
     The 1/n normalization makes bins read as amplitudes: a fixed-energy
     transient spread over a longer window yields proportionally lower bins,
     and Parseval takes the form sum of squared (two-sided) amplitudes equals
-    the mean squared signal.
+    the mean squared signal. A 2-D array holds one signal per row.
     """
     values = np.asarray(values, dtype=float)
-    centered = values - values.mean()
-    return np.abs(np.fft.rfft(centered)) / values.size
+    centered = values - values.mean(axis=-1, keepdims=True)
+    return np.abs(np.fft.rfft(centered)) / values.shape[-1]
 
 
 def pulse_spectra(
@@ -95,10 +95,11 @@ def pulse_spectra(
     Buckets are exact because segments with the same count share a frequency
     axis; mixing nearby lengths would smear bins. Segments shorter than
     MIN_SEGMENT_SAMPLES carry no usable spectrum and are skipped with a
-    warning.
+    warning. Each bucket's pulses are stacked as rows, in segment order, and
+    take one ``amplitude_spectrum`` call.
     """
     col = ds.column(observable)
-    grouped: dict[int, list[np.ndarray]] = {}
+    starts: dict[int, list[int]] = {}
     for seg in segments:
         if seg.sample_count < MIN_SEGMENT_SAMPLES:
             warnings.warn(
@@ -107,18 +108,17 @@ def pulse_spectra(
                 stacklevel=2,
             )
             continue
-        grouped.setdefault(seg.sample_count, []).append(
-            amplitude_spectrum(col[seg.start_index : seg.end_index])
-        )
+        starts.setdefault(seg.sample_count, []).append(seg.start_index)
     out = {}
-    for count, spectra in sorted(grouped.items()):
+    for count, first in sorted(starts.items()):
+        pulses = col[np.asarray(first)[:, None] + np.arange(count)]
         out[count] = PulseSpectrum(
             sample_count=count,
             length_s=count / ds.sample_rate_hz,
             sample_rate_hz=ds.sample_rate_hz,
             frequencies_hz=np.fft.rfftfreq(count, d=1.0 / ds.sample_rate_hz),
-            magnitude=np.mean(spectra, axis=0),
-            pulses_averaged=len(spectra),
+            magnitude=np.mean(amplitude_spectrum(pulses), axis=0),
+            pulses_averaged=len(first),
         )
     return out
 

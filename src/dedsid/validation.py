@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import TimeSeriesDataset, decimate, fit_standardizer_pooled
-from .dmdc import StateSpaceModel, build_snapshots, fit, rollout
+from .dataset import StandardizationParams, TimeSeriesDataset, decimate, fit_standardizer_pooled
+from .dmdc import StateSpaceModel, build_snapshots, fit, linear_recurrence
 from .errors import ConstantActual, EmptySample, TooFewExperiments
 from .wasserstein import ci95_halfwidth
 
@@ -85,39 +85,46 @@ def fit_on_datasets(datasets: Sequence[TimeSeriesDataset], config: FitConfig) ->
 
 
 def predict_series(
-    model: StateSpaceModel, ds: TimeSeriesDataset, eval_mode: str = "rollout"
-) -> np.ndarray:
-    """Model predictions aligned with the dataset rows, in original units.
+    model: StateSpaceModel, datasets: Sequence[TimeSeriesDataset], eval_mode: str = "rollout"
+) -> list[np.ndarray]:
+    """Model predictions aligned with each dataset's rows, in original units.
 
     Row 0 is the measured initial state (a rollout has nothing to predict
     there); rows 1..m-1 are predictions. ``rollout`` feeds each prediction
     back; ``one-step`` feeds the measured state at every step and exists for
     diagnosing whether errors come from the operator or from compounding.
+    All datasets share one rollout: each drive is padded to the longest and
+    one ``linear_recurrence`` call runs them as a batch.
     """
     if eval_mode not in EVAL_MODES:
         raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
-    obs = ds.matrix_for(model.observable_names)
-    inp = ds.matrix_for(model.input_names)
-    if ds.row_count < 2:
+    obs = [ds.matrix_for(model.observable_names) for ds in datasets]
+    inp = [ds.matrix_for(model.input_names) for ds in datasets]
+    if any(ds.row_count < 2 for ds in datasets):
         raise EmptySample("prediction needs at least 2 rows")
-    if model.input_standardizer is not None:
-        inp = model.input_standardizer.transform_matrix(inp)
-    obs_std = obs
-    if model.observable_standardizer is not None:
-        obs_std = model.observable_standardizer.transform_matrix(obs)
-
-    u = inp[:-1].T
+    if not datasets:
+        return []
+    # A side without a standardizer gets the identity map, which changes no value.
+    in_std = model.input_standardizer or StandardizationParams.identity(model.input_names)
+    obs_std = model.observable_standardizer or StandardizationParams.identity(
+        model.observable_names
+    )
+    steps = [len(o) - 1 for o in obs]
+    split = np.cumsum(steps)[:-1]
+    # Every dataset's steps one after another, so each transform is one call.
+    drive = in_std.transform_matrix(np.concatenate([x[:-1] for x in inp])) @ model.B.T
     if eval_mode == "rollout":
-        pred_std = rollout(model, obs_std[0], u)
+        padded = np.zeros((len(datasets), max(steps), model.state_dim))
+        for row, part in zip(padded, np.split(drive, split)):
+            row[: len(part)] = part
+        y0 = obs_std.transform_matrix(np.array([o[0] for o in obs]))
+        runs = linear_recurrence(model.A, padded, y0)
+        pred = np.concatenate([run[:n] for run, n in zip(runs, steps)])
     else:
-        pred_std = model.A @ obs_std[:-1].T + model.B @ u
-    pred = pred_std.T
-    if model.observable_standardizer is not None:
-        pred = model.observable_standardizer.invert_matrix(pred)
-    out = np.empty_like(obs)
-    out[0] = obs[0]
-    out[1:] = pred
-    return out
+        states = obs_std.transform_matrix(np.concatenate([o[:-1] for o in obs]))
+        pred = states @ model.A.T + drive
+    pred = obs_std.invert_matrix(pred)
+    return [np.concatenate([o[:1], p]) for o, p in zip(obs, np.split(pred, split))]
 
 
 @dataclass(frozen=True)
@@ -210,16 +217,13 @@ def run_lpocv(
         train = [by_id[i] for i in train_ids]
         test = [by_id[i] for i in test_ids]
         model = fit_on_datasets(train, config)
-        train_pairs = [
-            (ds.matrix_for(config.observables)[1:], predict_series(model, ds, config.eval_mode)[1:])
-            for ds in train
+        predicted = predict_series(model, train + test, config.eval_mode)
+        pairs = [
+            (ds.matrix_for(config.observables)[1:], pred[1:])
+            for ds, pred in zip(train + test, predicted)
         ]
-        test_pairs = [
-            (ds.matrix_for(config.observables)[1:], predict_series(model, ds, config.eval_mode)[1:])
-            for ds in test
-        ]
-        r2_train, rmse_train = _pooled_metrics(train_pairs, config.observables)
-        r2_test, rmse_test = _pooled_metrics(test_pairs, config.observables)
+        r2_train, rmse_train = _pooled_metrics(pairs[: len(train)], config.observables)
+        r2_test, rmse_test = _pooled_metrics(pairs[len(train) :], config.observables)
         folds.append(
             FoldResult(
                 fold_index=k,
@@ -271,7 +275,7 @@ def bound_predictions(
     predictions are ``predict_series``'s and ``violated`` marks measurements
     strictly outside the bounds (one exactly on a bound is inside).
     """
-    predictions = predict_series(model, ds)[1:]
+    predictions = predict_series(model, [ds])[0][1:]
     measured = ds.matrix_for(model.observable_names)[1:]
     half = np.asarray([envelope.half_width(obs) for obs in model.observable_names])
     lower = predictions - half

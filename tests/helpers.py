@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dedsid.dataset import ChannelSpec, TimeSeriesDataset
 from dedsid.plant import pulse_train_inputs, random_stable_plant, simulate
+from dedsid.spectral import MIN_SEGMENT_SAMPLES, PulseSpectrum
 
 _EPS = float(np.finfo(float).eps)
 
@@ -136,3 +137,33 @@ def vif_single(features: np.ndarray, index: int) -> float:
     if r_squared >= 1.0 - _EPS:
         return float("inf")
     return 1.0 / (1.0 - r_squared)
+
+
+def pulse_spectra_per_pulse(ds, observable: str, segments) -> dict:
+    """Bucket-averaged pulse spectra, one rfft per pulse.
+
+    The per-pulse oracle for ``dedsid.spectral.pulse_spectra``, which stacks
+    each bucket's pulses and transforms them in one call. Short segments are
+    skipped silently here; the kernel's warnings are tested on their own.
+    """
+    col = ds.column(observable)
+    grouped: dict[int, list[np.ndarray]] = {}
+    for seg in segments:
+        if seg.sample_count < MIN_SEGMENT_SAMPLES:
+            continue
+        values = col[seg.start_index : seg.end_index]
+        centered = values - values.mean()
+        grouped.setdefault(seg.sample_count, []).append(
+            np.abs(np.fft.rfft(centered)) / values.size
+        )
+    return {
+        count: PulseSpectrum(
+            sample_count=count,
+            length_s=count / ds.sample_rate_hz,
+            sample_rate_hz=ds.sample_rate_hz,
+            frequencies_hz=np.fft.rfftfreq(count, d=1.0 / ds.sample_rate_hz),
+            magnitude=np.mean(spectra, axis=0),
+            pulses_averaged=len(spectra),
+        )
+        for count, spectra in sorted(grouped.items())
+    }

@@ -293,9 +293,8 @@ def test_07_spectral_closure():
     cfg = FitConfig(inputs=spec.input_names, observables=spec.observable_names)
     model = fit_on_datasets(datasets, cfg)
     obs, power = spec.observable_names[0], spec.input_names[0]
-    overrides = {
-        ds.experiment_id: predict_series(model, ds, "rollout")[:, 0] for ds in datasets
-    }
+    predictions = predict_series(model, datasets, "rollout")
+    overrides = {ds.experiment_id: p[:, 0] for ds, p in zip(datasets, predictions)}
     measured = collect_pulse_spectra(datasets, obs, power)
     predicted = collect_pulse_spectra(datasets, obs, power, values_override=overrides)
     similarity = compare_spectrograms(
@@ -337,10 +336,11 @@ def test_08_throughput():
 
 
 def test_09_pipeline_determinism(tmp_path):
-    # The full CLI pipeline rerun with the same config and seed must lay down
-    # byte-identical artifacts, subprocess to subprocess. The child runs in
-    # tmp_path, so a relative PYTHONPATH would miss the package: put its
-    # absolute source root first.
+    # The full CLI pipeline, then the recording-rate study (whose batched
+    # cross-validation runs once per rate), rerun with the same config and
+    # seed must lay down byte-identical artifacts, subprocess to subprocess.
+    # The child runs in tmp_path, so a relative PYTHONPATH would miss the
+    # package: put its absolute source root first.
     src = str(Path(dedsid.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -366,9 +366,12 @@ def test_09_pipeline_determinism(tmp_path):
     run("synth", "--out", str(corpus), "--experiments", "6", "--seed", "0")
     cfg = corpus / "config.json"
     run("pipeline", "--config", str(cfg))
+    run("freq-study", "--config", str(cfg))
     first = tree(corpus / "out")
     run("pipeline", "--config", str(cfg))
+    run("freq-study", "--config", str(cfg))
     second = tree(corpus / "out")
+    assert "freq_study.json" in first and "freq_study.csv" in first
     identical = first == second
     ok = identical and len(first) > 0
     _criterion(

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import replace
@@ -6,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dedsid.artifacts import read_json_object, to_plain, write_json
+from dedsid.artifacts import (
+    _CSV_BLOCK_ROWS,
+    check_experiments,
+    read_json_object,
+    to_plain,
+    write_json,
+    write_rows,
+)
 from dedsid.config import RunConfig
 from dedsid.errors import CorruptFile, NumericError, StaleArtifact
 from dedsid.validation import Aggregate, CvReport, FoldResult
@@ -89,3 +97,62 @@ class TestReadJsonObject:
         write_json(tmp_path / "r.json", {"x": 1}, writer)
         with pytest.raises(StaleArtifact, match="r.json was written under another config or seed"):
             read_json_object(tmp_path / "r.json", RUN)
+
+
+def first_difference(rows, fmt: str = "%.17g"):
+    """``None`` if ``write_rows`` writes what numpy's per-row ``np.savetxt``
+    writes, else the first line where they part (a short failure report)."""
+    got, expected = io.StringIO(), io.StringIO()
+    write_rows(got, rows, fmt)
+    np.savetxt(expected, rows, delimiter=",", fmt=fmt)
+    if got.getvalue() == expected.getvalue():
+        return None
+    got_lines, expected_lines = got.getvalue().split("\n"), expected.getvalue().split("\n")
+    for i, (a, b) in enumerate(zip(got_lines, expected_lines)):
+        if a != b:
+            return i, a, b
+    return "line counts", len(got_lines), len(expected_lines)
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize("columns", [1, 3, 7, 16])
+    def test_float_table_byte_identical_to_savetxt(self, columns):
+        # Two full blocks and a partial one; values of every size and sign,
+        # integers, signed zeros and non-finite values.
+        rng = np.random.default_rng(columns)
+        rows = 2 * _CSV_BLOCK_ROWS + 37
+        table = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-300, 300, (rows, columns))
+        table.flat[::11] = rng.integers(-(10**6), 10**6, table.flat[::11].size)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.0**53 + 2]
+        table.flat[1::97] = np.resize(specials, table.flat[1::97].size)
+        assert first_difference(table) is None
+
+    @pytest.mark.parametrize(
+        "fmt, row",
+        [
+            ("%s,%s,%.17g,%.17g,%d", ("melt_pool_temp_c", "train_vs_test", 0.1, 1e-17, 10)),
+            ("%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g", (5, 20.0, "y", 0.97, -2e-3, 1.5, np.inf)),
+        ],
+        ids=["dist_report", "freq_study"],
+    )
+    def test_object_rows_byte_identical_to_savetxt(self, fmt, row):
+        table = np.array([row] * (_CSV_BLOCK_ROWS + 3), dtype=object)
+        assert first_difference(table, fmt) is None
+
+    def test_no_rows_write_nothing(self):
+        assert first_difference(np.empty((0, 3))) is None
+        for table, fmt in ((np.empty((0, 3)), "%.17g"), (np.array([], dtype=object), "%s,%d")):
+            out = io.StringIO()
+            write_rows(out, table, fmt)
+            assert out.getvalue() == ""
+
+
+class TestCheckExperiments:
+    def test_same_ids_in_any_order_pass(self):
+        check_experiments({"experiments": ["a", "b"]}, "m.json", ["b", "a"])
+
+    @pytest.mark.parametrize("payload", [{}, {"experiments": ["a"]}, {"experiments": ["a", "c"]}])
+    def test_other_or_missing_ids_are_stale(self, payload):
+        with pytest.raises(StaleArtifact, match="m.json was built from experiments"):
+            check_experiments(payload, "m.json", ["a", "b"])
+

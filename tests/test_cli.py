@@ -157,7 +157,7 @@ class TestStages:
         ds = next(d for d in datasets if d.experiment_id == report["experiment_id"])
         for directive in cfg.imputation:
             ds = impute_off_state(ds, directive.channel, directive.sentinel, directive.gate_channel)
-        predicted = predict_series(model, ds)[1:]
+        predicted = predict_series(model, [ds])[0][1:]
 
         lines = (out / "bounded_predictions.csv").read_text().splitlines()
         header = lines[1].split(",")
@@ -533,6 +533,34 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "predict_report.json").exists()
         assert not (tmp_path / "out" / "spectrogram.json").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "spectrogram"])
+    def test_artifacts_of_other_experiments_are_3(self, tmp_path, command, capsys):
+        # Same config and seed, so the provenance matches, but the manifest
+        # lost an experiment after fit and cv: model and envelope were built
+        # from five experiments, the run has four.
+        root = tmp_path / "corpus"
+        assert main(["synth", "--out", str(root), "--experiments", "5", "--seed", "1"]) == 0
+        cfg_path = str(root / "config.json")
+        assert main(["fit", "--config", cfg_path]) == 0
+        assert main(["cv", "--config", cfg_path]) == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["experiments"] = [
+            e for e in manifest["experiments"] if e["experiment_id"] != "exp05"
+        ]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert "model.json was built from experiments" in err
+        assert "'exp05'], not ['exp01', 'exp02', 'exp03', 'exp04']" in err
+        assert not (root / "out" / "predict_report.json").exists()
+        assert not (root / "out" / "spectrogram.json").exists()
+        if command == "predict":  # a refit model leaves the envelope stale
+            assert main(["fit", "--config", cfg_path]) == 0
+            capsys.readouterr()
+            assert main([command, "--config", cfg_path]) == 3
+            assert "cv_report.json was built from experiments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_bench_points_below_one_is_2(self, tmp_path, monkeypatch, points, capsys):
         monkeypatch.chdir(tmp_path)
@@ -629,6 +657,29 @@ class TestConfigSchema:
         except (ConfigError, DataError):
             return
         assert isinstance(cfg, RunConfig)
+
+
+class TestImports:
+    def test_pipeline_path_skips_plant_and_gcode(self):
+        # A child process, because this session has imported both already.
+        code = (
+            "import sys, dedsid.cli; "
+            "print(sorted(m for m in ('dedsid.plant', 'dedsid.gcode') if m in sys.modules)); "
+            "from dedsid import make_demo_experiments, simulate; "
+            "print(make_demo_experiments.__module__, simulate.__module__)"
+        )
+        src = str(Path(dedsid.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "dedsid.plant dedsid.plant"]
+
+    def test_unknown_package_attribute_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            dedsid.nope  # noqa: B018
 
 
 class TestScripts:

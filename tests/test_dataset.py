@@ -58,6 +58,13 @@ class TestDataset:
         with pytest.raises(UnknownChannel):
             ds.column("nope")
 
+    def test_index_of_follows_the_channel_tuple(self):
+        ds = make_dataset(np.zeros((2, 4)), names=["a", "b", "a", "c"])
+        assert [ds.index_of(n) for n in ("a", "b", "c")] == [0, 1, 3]  # first "a" wins
+        assert ds.select_channels(["c", "b"]).index_of("b") == 1
+        with pytest.raises(UnknownChannel):
+            ds.index_of("d")
+
     def test_with_column_replaces_values(self):
         ds = make_dataset([[1.0], [2.0]], names=["a"])
         out = ds.with_column("a", np.array([5.0, 6.0]))

@@ -565,7 +565,7 @@ class TestLinearRecurrence:
     def test_matches_loop_outside_unit_circle(self, q, p, steps, radius, seed):
         self._check(q, p, steps, radius, seed, 1e-10)
 
-    @pytest.mark.parametrize("steps", [0, 1, 2, 63, 64, 65, 4097])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 7, 8, 9, 63, 64, 65, 512, 513, 4097])
     def test_chunk_boundaries(self, steps):
         self._check(3, 2, steps, 0.95, steps, 1e-12)
 
@@ -590,6 +590,75 @@ class TestLinearRecurrence:
         assert finite.all() or unstable_mode_driven
         assert np.all(np.isfinite(got)[finite])
         assert np.allclose(got[finite], expected[finite], rtol=1e-15, atol=0.0)
+
+
+class TestBatchedLinearRecurrence:
+    """A leading batch axis runs several drives through one kernel call."""
+
+    def test_unequal_lengths_padded_into_one_batch(self):
+        model = random_model(3, 2, 0.97, 7)
+        rng = np.random.default_rng(8)
+        lengths = [1, 9, 250, 1003]
+        drives = [(model.B @ rng.normal(size=(2, n))).T for n in lengths]
+        y0 = rng.normal(size=(len(lengths), 3))
+        padded = np.zeros((len(lengths), max(lengths), 3))
+        for row, d in zip(padded, drives):
+            row[: len(d)] = d
+        got = linear_recurrence(model.A, padded, y0)
+        assert got.shape == padded.shape
+        for i, d in enumerate(drives):
+            expected = loop_oracle(model.A, d, y0[i])
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(got[i, : len(d)] - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_zero_and_one_step(self, steps):
+        model = random_model(2, 1, 0.9, 9)
+        rng = np.random.default_rng(10)
+        drive = rng.normal(size=(3, steps, 2))
+        y0 = rng.normal(size=(3, 2))
+        got = linear_recurrence(model.A, drive, y0)
+        assert got.shape == (3, steps, 2)
+        for i in range(3):
+            assert np.allclose(got[i], loop_oracle(model.A, drive[i], y0[i]), rtol=1e-15, atol=0)
+
+    def test_long_sequence_recurses_several_levels(self):
+        # 1e5 steps: the chunk-entry carry is itself a recurrence, solved by
+        # the kernel at every level until one chunk is left.
+        model = random_model(3, 2, 0.99, 11)
+        rng = np.random.default_rng(12)
+        drive = (model.B @ rng.normal(size=(2, 100_000))).T
+        y0 = rng.normal(size=3)
+        expected = loop_oracle(model.A, drive, y0)
+        got = linear_recurrence(model.A, np.stack([drive, -drive]), np.stack([y0, -y0]))
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got[0] - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(got[1] + expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("unstable_mode_driven", [False, True])
+    def test_overflow_first_appears_at_a_deeper_level(self, unstable_mode_driven):
+        # A^16 is finite, so the top level keeps its chunks; the carry runs on
+        # a power of A whose own powers overflow, so it must shorten its
+        # chunks one level down. Judged as in the top-level overflow test; a
+        # sequence that overflows leaves the other one in its batch finite.
+        a = np.array([[0.5, 0.1], [0.0, 1e10]])
+        assert np.isfinite(np.linalg.matrix_power(a, 16)).all()
+        drive = np.zeros((2, 5000, 2))
+        drive[:, :, 0] = 1.0
+        y0 = np.array([[1.0, 0.0], [-2.0, 0.0]])
+        if unstable_mode_driven:
+            drive[1, :, 1] = 1.0
+            y0[1, 1] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.linalg.matrix_power(a, 40)).all()
+            batch = linear_recurrence(a, drive, y0)
+            for i, got in enumerate(batch):
+                expected = loop_oracle(a, drive[i], y0[i])
+                finite = np.isfinite(expected)
+                assert finite.sum() > 4
+                assert finite.all() or (unstable_mode_driven and i == 1)
+                assert np.all(np.isfinite(got)[finite])
+                assert np.allclose(got[finite], expected[finite], rtol=1e-15, atol=0.0)
 
 
 class TestModelFile:

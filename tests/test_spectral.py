@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from helpers import linear_corpus, make_dataset, parseval_gap
+from helpers import linear_corpus, make_dataset, parseval_gap, pulse_spectra_per_pulse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -104,6 +106,42 @@ class TestPulseSpectra:
             assert spec.magnitude.size == count // 2 + 1
         total = sum(s.pulses_averaged for s in buckets.values())
         assert total == len([s for s in segs if s.sample_count >= MIN_SEGMENT_SAMPLES])
+
+    @staticmethod
+    def _assert_identical(got, expected):
+        assert list(got) == list(expected)
+        for count, spec in got.items():
+            ref = expected[count]
+            assert spec.pulses_averaged == ref.pulses_averaged
+            assert (spec.length_s, spec.sample_rate_hz) == (ref.length_s, ref.sample_rate_hz)
+            assert np.array_equal(spec.frequencies_hz, ref.frequencies_hz)
+            assert np.array_equal(spec.magnitude, ref.magnitude)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_per_pulse_oracle(self, seed):
+        ds = pulsed_dataset(seed=seed)
+        segs = segment_pulses(ds.column("power"), ds.sample_rate_hz)
+        assert max(s.pulses_averaged for s in pulse_spectra(ds, "m", segs).values()) > 1
+        self._assert_identical(pulse_spectra(ds, "m", segs), pulse_spectra_per_pulse(ds, "m", segs))
+
+    @given(
+        on=st.lists(st.booleans(), min_size=1, max_size=300),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_any_pulse_pattern_matches_per_pulse_oracle(self, on, seed):
+        rng = np.random.default_rng(seed)
+        power = np.asarray(on, dtype=float)
+        ds = make_dataset(
+            np.column_stack([power, rng.normal(size=power.size) * 10.0 ** rng.integers(-3, 4)]),
+            names=["power", "m"],
+            kinds=["input", "observable"],
+            rate=37.0,
+        )
+        segs = segment_pulses(power, ds.sample_rate_hz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SegmentSkippedWarning)
+            got = pulse_spectra(ds, "m", segs)
+        self._assert_identical(got, pulse_spectra_per_pulse(ds, "m", segs))
 
     def test_short_segments_skipped_with_warning(self):
         power = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
@@ -249,9 +287,8 @@ class TestCompare:
         cfg = FitConfig(inputs=spec.input_names, observables=spec.observable_names)
         model = fit_on_datasets(datasets, cfg)
         obs = spec.observable_names[0]
-        overrides = {
-            ds.experiment_id: predict_series(model, ds, "rollout")[:, 0] for ds in datasets
-        }
+        predictions = predict_series(model, datasets, "rollout")
+        overrides = {ds.experiment_id: p[:, 0] for ds, p in zip(datasets, predictions)}
         measured = collect_pulse_spectra(datasets, obs, spec.input_names[0])
         predicted = collect_pulse_spectra(
             datasets, obs, spec.input_names[0], values_override=overrides

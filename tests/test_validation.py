@@ -86,16 +86,58 @@ class TestFitOnDatasets:
     def test_standardized_fit_predicts_in_original_units(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
         model = fit_on_datasets(datasets, _fit_config(spec, standardize=True))
-        pred = predict_series(model, datasets[0], "rollout")
+        pred = predict_series(model, [datasets[0]], "rollout")[0]
         truth = datasets[0].matrix_for(spec.observable_names)
         assert np.allclose(pred, truth, atol=1e-6)
 
     def test_one_step_mode(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=3, steps=600, seed=23)
         model = fit_on_datasets(datasets, _fit_config(spec))
-        pred = predict_series(model, datasets[1], "one-step")
+        pred = predict_series(model, [datasets[1]], "one-step")[0]
         truth = datasets[1].matrix_for(spec.observable_names)
         assert np.allclose(pred, truth, atol=1e-6)
+
+
+def per_step_prediction(model, ds, eval_mode):
+    """One dataset at a time through the per-step loop, for ``predict_series``."""
+    measured = ds.matrix_for(model.observable_names)
+    y, u = measured, ds.matrix_for(model.input_names)
+    if model.input_standardizer is not None:
+        u = model.input_standardizer.transform_matrix(u)
+    if model.observable_standardizer is not None:
+        y = model.observable_standardizer.transform_matrix(y)
+    out = np.empty_like(y)
+    state = out[0] = y[0]
+    for t in range(len(y) - 1):
+        state = model.A @ (state if eval_mode == "rollout" else y[t]) + model.B @ u[t]
+        out[t + 1] = state
+    if model.observable_standardizer is not None:
+        out = model.observable_standardizer.invert_matrix(out)
+    out[0] = measured[0]
+    return out
+
+
+class TestPredictSeries:
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("eval_mode", ["rollout", "one-step"])
+    def test_batch_of_unequal_lengths_matches_per_step_loop(self, eval_mode, standardize):
+        spec, datasets = linear_corpus(q=2, p=2, n_exp=4, steps=600, seed=27, noise_sd=0.05)
+        model = fit_on_datasets(datasets, _fit_config(spec, standardize))
+        batch = [
+            datasets[0],
+            decimate(datasets[1], 3),
+            datasets[2].with_data(datasets[2].data[:2]),
+            datasets[3].with_data(datasets[3].data[:450]),
+        ]
+        for ds, pred in zip(batch, predict_series(model, batch, eval_mode)):
+            expected = per_step_prediction(model, ds, eval_mode)
+            assert pred.shape == expected.shape == (ds.row_count, 2)
+            assert np.array_equal(pred[0], expected[0])
+            assert np.max(np.abs(pred - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_no_datasets_no_predictions(self):
+        spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
+        assert predict_series(fit_on_datasets(datasets, _fit_config(spec)), []) == []
 
 
 class TestLpocv:
@@ -169,7 +211,7 @@ class TestBoundPredictions:
         assert np.array_equal(upper, lower + 2.0 * half)
         assert np.allclose(upper - lower, 2.0 * half, rtol=0, atol=1e-12)
         # The bounds sit around the one prediction path, row 0 excluded.
-        assert np.array_equal(pred, predict_series(model, ds)[1:])
+        assert np.array_equal(pred, predict_series(model, [ds])[0][1:])
         assert np.array_equal(measured, ds.matrix_for(spec.observable_names)[1:])
         assert violated.shape == measured.shape == (ds.row_count - 1, 2)
 
