@@ -14,7 +14,6 @@ from .dataset import (
     StandardizationParams,
     TimeSeriesDataset,
     decimate,
-    fit_standardizer_pooled,
     impute_off_state,
     ingest_csv,
     load_datasets,
@@ -36,12 +35,11 @@ from .validation import (
     FitConfig,
     UncertaintyEnvelope,
     bound_predictions,
-    fit_on_datasets,
     frequency_study,
     run_lpocv,
 )
 from .vif import VifSelectionReport, select_features
-from .wasserstein import split_shift_report, uniform_benchmark, wasserstein_1d
+from .wasserstein import split_shift_report
 
 __version__ = "0.1.0"
 
@@ -82,8 +80,6 @@ __all__ = [
     "decimate",
     "demo_plant",
     "fit",
-    "fit_on_datasets",
-    "fit_standardizer_pooled",
     "frequency_study",
     "impute_off_state",
     "ingest_csv",
@@ -102,8 +98,6 @@ __all__ = [
     "simulate",
     "split_shift_report",
     "to_plain",
-    "uniform_benchmark",
-    "wasserstein_1d",
     "write_csv",
     "write_json",
     "__version__",

@@ -29,7 +29,7 @@ from .config import (
     load_run_config,
 )
 from .dataset import TimeSeriesDataset, load_datasets, load_manifest, load_schema
-from .dmdc import StateSpaceModel, load_model, save_model
+from .dmdc import SnapshotSet, StateSpaceModel, build_snapshots, fit, load_model, save_model
 from .errors import (
     ConfigError,
     CorruptFile,
@@ -44,7 +44,6 @@ from .validation import (
     UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
-    fit_on_datasets,
     frequency_study,
     predict_series,
     run_lpocv,
@@ -171,6 +170,11 @@ class _Run:
             eval_mode=self.cfg.eval_mode,
         )
 
+    @cached_property
+    def snapshots(self) -> SnapshotSet:
+        """One pass over every experiment's rows, shared by cv's folds and the fit."""
+        return build_snapshots(self.datasets, self.fit_config.inputs, self.fit_config.observables)
+
 
 def _upstream(run: _Run, name: str, stage: str) -> Path:
     """``name`` in the output directory, which the ``stage`` stage writes."""
@@ -227,7 +231,12 @@ def _dist_report(run: _Run) -> str:
 def _cv(run: _Run) -> str:
     cfg = run.cfg
     report, envelope = run_lpocv(
-        run.datasets, run.fit_config, p=cfg.lpocv.p, repeats=cfg.lpocv.repeats, seed=cfg.seed
+        run.datasets,
+        run.fit_config,
+        p=cfg.lpocv.p,
+        repeats=cfg.lpocv.repeats,
+        seed=cfg.seed,
+        snapshots=run.snapshots,
     )
     payload = {"experiments": run.experiment_ids, "cv": report, "envelope": envelope}
     write_json(run.out / "cv_report.json", payload, cfg)
@@ -238,7 +247,8 @@ def _cv(run: _Run) -> str:
 
 
 def _fit(run: _Run) -> str:
-    model = fit_on_datasets(run.datasets, run.fit_config)
+    cfg = run.fit_config
+    model = fit(run.snapshots, cfg.svd_rank, cfg.standardize_inputs, cfg.standardize_observables)
     save_model(model, run.out / "model.json", run.cfg, run.experiment_ids)
     return (
         f"fit model: {model.state_dim} observables, {model.input_dim} inputs, "

@@ -183,14 +183,23 @@ class StandardizationParams:
 
 
 def standardizer_from_matrix(values: np.ndarray, channels: Sequence[str]) -> StandardizationParams:
-    """Population mean/std per column; constant columns get scale 1.
+    """Population mean/std per column of ``values``; see ``standardizer_from_moments``."""
+    values = np.asarray(values, dtype=float)
+    mean = values.mean(axis=0)
+    m2 = ((values - mean) ** 2).sum(axis=0)
+    return standardizer_from_moments(channels, len(values), mean, m2)
+
+
+def standardizer_from_moments(
+    channels: Sequence[str], count: float, mean: np.ndarray, m2: np.ndarray
+) -> StandardizationParams:
+    """Population mean/std from a row count, the column means and the sums
+    of squared deviations (M2); constant columns get scale 1.
 
     The unit scale keeps the transform invertible; a warning flags the
     degenerate channel because it carries no information for regression.
     """
-    values = np.asarray(values, dtype=float)
-    mean = values.mean(axis=0)
-    scale = values.std(axis=0)
+    scale = np.sqrt(m2 / count)
     constant = scale == 0.0
     if np.any(constant):
         names = [channels[i] for i in np.nonzero(constant)[0]]
@@ -203,19 +212,20 @@ def standardizer_from_matrix(values: np.ndarray, channels: Sequence[str]) -> Sta
     return StandardizationParams(tuple(channels), mean, scale)
 
 
-def fit_standardizer_pooled(
-    datasets: Sequence[TimeSeriesDataset], channels: Sequence[str]
-) -> StandardizationParams:
-    """Fit shift/scale on rows pooled across several datasets."""
-    if not datasets:
-        raise EmptyDatasetsError()
-    stacked = np.concatenate([ds.matrix_for(channels) for ds in datasets], axis=0)
-    return standardizer_from_matrix(stacked, channels)
+def pool_moments(
+    counts: np.ndarray, means: np.ndarray, m2: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Row count, column means and M2 of the union of groups of rows.
 
-
-class EmptyDatasetsError(DataError):
-    def __init__(self):
-        super().__init__("at least one dataset required")
+    Row g of ``means`` and ``m2`` holds group g's, which has ``counts[g]``
+    rows (Chan, Golub & LeVeque 1979). Means are merged as offsets from the
+    first group's, so groups sharing one constant value pool to exactly that
+    value and an M2 of exactly 0.
+    """
+    counts = np.asarray(counts, dtype=float)
+    total = float(counts.sum())
+    mean = means[0] + counts @ (means - means[0]) / total
+    return total, mean, m2.sum(axis=0) + counts @ (means - mean) ** 2
 
 
 def ingest_csv(
@@ -334,32 +344,23 @@ def impute_off_state(
     a series boundary hold the single valid side constant.
     """
     x = ds.column(channel).copy()
-    gate = ds.column(gate_channel) > 0
     is_sent = x == sentinel
-    n = x.size
-    i = 0
-    while i < n:
-        if not is_sent[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and is_sent[j]:
-            j += 1
-        gated_rows = np.nonzero(gate[i:j])[0] + i
-        if gated_rows.size:
-            left = i - 1 if i > 0 else None
-            right = j if j < n else None
-            if left is None and right is None:
-                raise AllSentinel(channel)
-            if left is None:
-                x[gated_rows] = x[right]
-            elif right is None:
-                x[gated_rows] = x[left]
-            else:
-                span = right - left
-                frac = (gated_rows - left) / span
-                x[gated_rows] = x[left] + frac * (x[right] - x[left])
-        i = j
+    rows = np.flatnonzero(is_sent & (ds.column(gate_channel) > 0))
+    if rows.size:
+        # Each rewritten row's nearest valid neighbor on either side.
+        valid = np.flatnonzero(~is_sent)
+        if valid.size == 0:
+            raise AllSentinel(channel)
+        after = np.searchsorted(valid, rows)
+        has_left, has_right = after > 0, after < valid.size
+        left = valid[np.maximum(after - 1, 0)]
+        right = valid[np.minimum(after, valid.size - 1)]
+        values = np.where(has_left, x[left], x[right])
+        both = has_left & has_right
+        lo, hi = left[both], right[both]
+        frac = (rows[both] - lo) / (hi - lo)
+        values[both] = x[lo] + frac * (x[hi] - x[lo])
+        x[rows] = values
     return ds.with_column(channel, x)
 
 

@@ -2,26 +2,32 @@
 
 The model is y[t+1] = A y[t] + B u[t] with observables treated directly as
 state (identity output map, no feedthrough): with gappy sensing there is no
-separate latent state worth estimating. A and B come from the small R factor
-of a blocked tall-skinny QR of the snapshot pairs, read straight from each
-experiment's rows, and one SVD of its leading (q+p)x(q+p) block; no
-reduced-order projection is applied unless a rank cap is requested, because
-the feature count is tiny next to the sample count and full rank keeps the
-operator interpretable per channel.
+separate latent state worth estimating. ``build_snapshots`` reads each
+experiment's rows once into a small R factor (a blocked tall-skinny QR) and
+the moments its standardizers need; ``fit`` stacks the factors of any subset
+of experiments, takes one more QR and one SVD of its leading (q+p)x(q+p)
+block. No reduced-order projection is applied unless a rank cap is
+requested, because the feature count is tiny next to the sample count and
+full rank keeps the operator interpretable per channel.
 """
 
 from __future__ import annotations
 
 import base64
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .artifacts import check_experiments, check_provenance, read_json_object, write_json
-from .dataset import StandardizationParams, TimeSeriesDataset
+from .dataset import (
+    StandardizationParams,
+    TimeSeriesDataset,
+    pool_moments,
+    standardizer_from_moments,
+)
 from .errors import (
     ConfigError,
     CorruptFile,
@@ -38,8 +44,9 @@ MODEL_FORMAT = "dedsid.model"
 MODEL_VERSION = 2
 
 _EPS = float(np.finfo(float).eps)
-# Pairs per QR step of fit: the block plus the carried R factor stays in
-# cache, and the per-call overhead is paid once per thousands of pairs.
+# Pairs per QR step of an experiment's pass: the block plus the carried R
+# factor stays in cache, and the per-call overhead is paid once per
+# thousands of pairs.
 _QR_BLOCK_ROWS = 2048
 # Pairs per gather from an experiment's rows. Gathering one QR block at a
 # time leaves only small frees between the QR calls' own copies, so glibc
@@ -54,139 +61,109 @@ _SCAN_CHUNK = 8
 
 @dataclass(frozen=True)
 class SnapshotSet:
-    """Where the snapshot pairs live: row views of each experiment, not copies.
+    """The snapshot pairs of each experiment, summarized by one pass over its rows.
 
-    Each segment is a pair of equally long row arrays ``(current, following)``;
-    for an experiment they are the views ``data[:-1]`` and ``data[1:]``, so
-    pair t is y and u at step t with y at step t + 1, and pairs never
-    straddle experiment boundaries. ``build_snapshots`` enforces one channel
-    schema, so every segment shares one column layout: ``observable_columns``
-    pick y from both arrays and ``input_columns`` pick u from ``current``.
-    ``fit`` gathers the pairs chunk by chunk and applies the optional
-    standardizers to what it gathers; the model carries them along.
+    With x_t = [y_t u_t] (observables, then inputs) and a shift c per
+    experiment, ``factors[e]`` is the upper-triangular R factor of the m - 1
+    rows [1, x_t - c, y_{t+1} - c_y] of experiment e's pairs (c_y is the
+    observable part of c; a short experiment's R ends in zero rows). The
+    intercept column makes R carry the column sums too, so R^T R gives the
+    mean and the sum of squared deviations (M2) of x over the pairs;
+    ``means`` and ``m2`` add the last row, so they cover [y u] over all m
+    rows, as the pooled standardizers need. The shift is the first row plus
+    the first chunk's mean difference from it: it keeps the digits a large
+    raw offset would cost, and it is exact for a channel that is constant in
+    the experiment. Pairs never straddle experiments, and ``fit`` reads only
+    these summaries, never the rows.
     """
 
-    segments: tuple[tuple[np.ndarray, np.ndarray], ...]
-    observable_columns: tuple[int, ...]
-    input_columns: tuple[int, ...]
+    experiment_ids: tuple[str, ...]
+    factors: np.ndarray  # (E, w, w) with w = 1 + (q + p) + q
+    shifts: np.ndarray  # (E, q + p)
+    pair_counts: np.ndarray  # (E,)
+    means: np.ndarray  # (E, q + p)
+    m2: np.ndarray  # (E, q + p)
     observable_names: tuple[str, ...]
     input_names: tuple[str, ...]
     sample_rate_hz: float
-    input_standardizer: StandardizationParams | None = None
-    observable_standardizer: StandardizationParams | None = None
-
-    def __post_init__(self):
-        for current, following in self.segments:
-            if following.shape[0] != current.shape[0]:
-                raise DimensionMismatch("following rows differ in count from current rows")
-        if len(self.observable_names) != len(self.observable_columns):
-            raise DimensionMismatch("observable name count differs from state rows")
-        if len(self.input_names) != len(self.input_columns):
-            raise DimensionMismatch("input name count differs from input rows")
-        for std, names in (
-            (self.input_standardizer, self.input_names),
-            (self.observable_standardizer, self.observable_names),
-        ):
-            if std is not None and std.channels != names:
-                raise DimensionMismatch(f"standardizer channels {std.channels} differ from {names}")
-
-    @classmethod
-    def from_arrays(
-        cls,
-        y_cur: np.ndarray,
-        y_next: np.ndarray,
-        u_cur: np.ndarray,
-        observable_names: Sequence[str],
-        input_names: Sequence[str],
-        sample_rate_hz: float,
-    ) -> "SnapshotSet":
-        """One segment of pairs given as columns: y_next[:, t] follows
-        y_cur[:, t] under u_cur[:, t]."""
-        q, n = y_cur.shape
-        if y_next.shape != (q, n):
-            raise DimensionMismatch("y_next shape differs from y_cur")
-        if u_cur.shape[1] != n:
-            raise DimensionMismatch("u_cur column count differs from y_cur")
-        return cls(
-            segments=((np.vstack([y_cur, u_cur]).T, y_next.T),),
-            observable_columns=tuple(range(q)),
-            input_columns=tuple(range(q, q + u_cur.shape[0])),
-            observable_names=tuple(observable_names),
-            input_names=tuple(input_names),
-            sample_rate_hz=sample_rate_hz,
-        )
 
     @property
     def pair_count(self) -> int:
-        return sum(current.shape[0] for current, _ in self.segments)
+        return int(self.pair_counts.sum())
 
-    def _chunks(self):
-        """Standardized ``[y u]`` rows and their ``y_next`` rows, per chunk.
+    def subset(self, ids: Sequence[str]) -> "SnapshotSet":
+        """The summaries of the experiments ``ids``, in that order."""
+        pick = [self.experiment_ids.index(i) for i in ids]
+        return replace(
+            self,
+            experiment_ids=tuple(ids),
+            factors=self.factors[pick],
+            shifts=self.shifts[pick],
+            pair_counts=self.pair_counts[pick],
+            means=self.means[pick],
+            m2=self.m2[pick],
+        )
 
-        Each chunk is one row-major gather of at most ``_CHUNK_ROWS`` pairs of
-        one segment, standardized in place with the exact ``(x - mean) /
-        scale``; a side without a standardizer gets the identity map, which
-        leaves every value unchanged.
-        """
-        state = list(self.observable_columns)
-        columns = state + list(self.input_columns)
-        q = len(state)
-        obs_std, in_std = self.observable_standardizer, self.input_standardizer
-        standardize = obs_std is not None or in_std is not None
-        if standardize:
-            obs_std = obs_std or StandardizationParams.identity(self.observable_names)
-            in_std = in_std or StandardizationParams.identity(self.input_names)
-            shift = np.concatenate([obs_std.mean, in_std.mean])
-            scale = np.concatenate([obs_std.scale, in_std.scale])
-        for current, following in self.segments:
-            for start in range(0, current.shape[0], _CHUNK_ROWS):
-                now = current[start : start + _CHUNK_ROWS].take(columns, axis=1)
-                then = following[start : start + _CHUNK_ROWS].take(state, axis=1)
-                if standardize:
-                    now -= shift
-                    now /= scale
-                    then -= shift[:q]
-                    then /= scale[:q]
-                yield now, then
 
-    def _stacked(self) -> np.ndarray:
-        """[y_cur; u_cur; y_next], (2q + p) x n, as ``fit`` sees it."""
-        k = len(self.observable_columns) + len(self.input_columns)
-        out = np.empty((k + len(self.observable_columns), self.pair_count))
-        at = 0
-        for now, then in self._chunks():
-            out[:k, at : at + len(now)] = now.T
-            out[k:, at : at + len(now)] = then.T
-            at += len(now)
-        return out
+def _summarize(
+    current: np.ndarray, following: np.ndarray, columns: Sequence[int], q: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One experiment's R factor, shift, and mean and M2 of [y u].
 
-    # On-demand standardized copies of the pairs, for tests and oracles.
-    @property
-    def y_cur(self) -> np.ndarray:
-        return self._stacked()[: len(self.observable_columns)]
-
-    @property
-    def u_cur(self) -> np.ndarray:
-        q = len(self.observable_columns)
-        return self._stacked()[q : q + len(self.input_columns)]
-
-    @property
-    def y_next(self) -> np.ndarray:
-        return self._stacked()[len(self.observable_columns) + len(self.input_columns) :]
+    ``current`` and ``following`` are equally long row arrays in one column
+    layout: ``columns`` pick x = [y u] from ``current``, their first q pick
+    y from ``following``, and the last row of ``following`` completes the
+    moments. Rows are gathered a chunk of up to ``_CHUNK_ROWS`` pairs at a
+    time and reduced into the carried R factor ``_QR_BLOCK_ROWS`` at a time
+    (a sequential tall-skinny QR, Demmel et al. 2012).
+    """
+    n, k = len(current), len(columns)
+    # A NaN or inf in the rows turns the summaries into NaN, which fit names.
+    with np.errstate(invalid="ignore"):
+        # Blocks are built transposed in `work` behind the carried R factor, so
+        # LAPACK receives column-major input.
+        work = np.empty((1 + k + q, 1 + k + q + min(n, _QR_BLOCK_ROWS)))
+        top = 0
+        for start in range(0, n, _CHUNK_ROWS):
+            now = current[start : start + _CHUNK_ROWS].take(columns, axis=1)
+            then = following[start : start + _CHUNK_ROWS].take(columns[:q], axis=1)
+            if start == 0:
+                shift = now[0] + (now - now[0]).mean(axis=0)
+            now -= shift
+            then -= shift[:q]
+            for pos in range(0, len(now), _QR_BLOCK_ROWS):
+                take = min(_QR_BLOCK_ROWS, len(now) - pos)
+                block = work[:, : top + take]
+                block[0, top:] = 1.0
+                block[1 : 1 + k, top:] = now[pos : pos + take].T
+                block[1 + k :, top:] = then[pos : pos + take].T
+                r_factor = np.linalg.qr(block.T, mode="r")
+                top = len(r_factor)
+                work[:, :top] = r_factor.T
+        factor = np.zeros((1 + k + q, 1 + k + q))
+        factor[:top] = r_factor
+        # R^T R = Z^T Z: row 0 over R[0, 0] = +-sqrt(n) gives the column means
+        # of x - c, and the rows below give the sums of squared deviations.
+        mean = shift + factor[0, 1 : 1 + k] / factor[0, 0]
+        m2 = np.einsum("ij,ij->j", factor[1:, 1 : 1 + k], factor[1:, 1 : 1 + k])
+        # The last row, in one Welford step.
+        last = following[-1].take(columns)
+        delta = last - mean
+        mean = mean + delta / (n + 1)
+        m2 = m2 + delta * (last - mean)
+    return factor, shift, mean, m2
 
 
 def build_snapshots(
     datasets: Sequence[TimeSeriesDataset],
     inputs: Sequence[str],
     observables: Sequence[str],
-    input_standardizer: StandardizationParams | None = None,
-    observable_standardizer: StandardizationParams | None = None,
 ) -> SnapshotSet:
-    """Point at the snapshot pairs of one or more experiments, copying nothing.
+    """Summarize the snapshot pairs of one or more experiments, one pass each.
 
     Each experiment with m rows contributes m - 1 pairs; experiments must
-    agree on channel schema and sample rate. The optional standardizers,
-    aligned with ``inputs`` and ``observables``, are applied by ``fit``.
+    agree on channel schema and sample rate. No experiment's rows are
+    copied whole.
     """
     if not datasets:
         raise TooShort("<none>", 0)
@@ -203,15 +180,19 @@ def build_snapshots(
     for ds in datasets:
         if ds.row_count < 2:
             raise TooShort(ds.experiment_id, ds.row_count)
+    columns = [ref.index_of(name) for name in (*observables, *inputs)]
+    parts = [_summarize(ds.data[:-1], ds.data[1:], columns, len(observables)) for ds in datasets]
+    factors, shifts, means, m2 = (np.stack(part) for part in zip(*parts))
     return SnapshotSet(
-        segments=tuple((ds.data[:-1], ds.data[1:]) for ds in datasets),
-        observable_columns=tuple(ref.index_of(name) for name in observables),
-        input_columns=tuple(ref.index_of(name) for name in inputs),
+        experiment_ids=tuple(ds.experiment_id for ds in datasets),
+        factors=factors,
+        shifts=shifts,
+        pair_counts=np.array([ds.row_count - 1 for ds in datasets]),
+        means=means,
+        m2=m2,
         observable_names=tuple(observables),
         input_names=tuple(inputs),
         sample_rate_hz=ref.sample_rate_hz,
-        input_standardizer=input_standardizer,
-        observable_standardizer=observable_standardizer,
     )
 
 
@@ -225,6 +206,9 @@ class StateSpaceModel:
     svd_rank_used: int
     input_standardizer: StandardizationParams | None = None
     observable_standardizer: StandardizationParams | None = None
+    # s[0] / s[r - 1] of the fitted snapshot matrix over the rank used; a
+    # model read from a file does not carry it.
+    condition_number: float | None = None
 
     def __post_init__(self):
         q = len(self.observable_names)
@@ -243,37 +227,49 @@ class StateSpaceModel:
         return self.B.shape[1]
 
 
-def fit(snapshots: SnapshotSet, rank: int | None = None) -> StateSpaceModel:
+def spectral_radius(a: np.ndarray) -> float:
+    """Largest eigenvalue modulus of ``a``; above 1, a rollout diverges."""
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=float)))))
+
+
+def fit(
+    snapshots: SnapshotSet,
+    rank: int | None = None,
+    standardize_inputs: bool = False,
+    standardize_observables: bool = False,
+) -> StateSpaceModel:
     """Solve y_next = [A B] [y_cur; u_cur] in the least-squares sense.
 
     Parameters
     ----------
     snapshots : SnapshotSet
-        Where the pairs live; needs at least q + p pairs to determine the
-        operator. Its standardizers are applied to the pairs and attached to
-        the model.
+        The experiments to fit on; needs at least q + p pairs in all.
     rank : int, optional
         Cap on the SVD truncation rank, at least 1. Default keeps every
         singular value above the numerical-rank cutoff (machine epsilon times
         the larger dimension of the stacked matrix, relative to the largest
         value).
+    standardize_inputs, standardize_observables : bool
+        Fit that side on (x - mean) / scale, with the population mean and
+        standard deviation of each channel over every row of the
+        experiments (Chan, Golub & LeVeque 1979 merge the experiments'
+        moments); a channel constant over them gets unit scale and a
+        ``DegenerateChannelWarning``. The standardizers ride on the model.
 
     Notes
     -----
-    With M = [y_cur; u_cur; y_next]^T = Q R, taken block by block as a
-    sequential tall-skinny QR (Demmel et al. 2012), the leading (q+p) columns
-    give Omega^T = [y_cur; u_cur]^T = Q1 R11 and the rest y_next^T = Q1 R12 +
-    Q2 R22. So Omega has the singular values of R11 = U S V^T, and the
-    minimum-norm solution y_next pinv(Omega) is [A B] = R12^T U S^-1 V^T,
-    split column-wise into the state and input blocks. Rank deficiency of
-    Omega is survivable (truncation handles it) but suspicious, so it warns
-    rather than raises.
-
-    The rows of M are read straight from each experiment's data: gathered
-    and standardized a chunk of up to ``_CHUNK_ROWS`` pairs at a time, then
-    cut into blocks of ``_QR_BLOCK_ROWS`` pairs counted over all
-    experiments, so a block may span an experiment boundary. No snapshot
-    matrix is ever stacked.
+    Per experiment, Z = [1, x - c, y_next - c_y] = Q R (see ``SnapshotSet``).
+    Standardizing is an affine map of Z's columns, Z M with M upper
+    triangular, so the standardized pairs are Q (R M); dropping the
+    intercept column leaves Q (R M)[:, 1:]. The experiments' (R M)[:, 1:]
+    stacked and reduced by one QR therefore give the R factor of the pooled
+    M = [y_cur; u_cur; y_next]^T. Its leading (q+p) columns give Omega^T =
+    [y_cur; u_cur]^T = Q1 R11 and the rest y_next^T = Q1 R12 + Q2 R22. So
+    Omega has the singular values of R11 = U S V^T, and the minimum-norm
+    solution y_next pinv(Omega) is [A B] = R12^T U S^-1 V^T, split
+    column-wise into the state and input blocks. Rank deficiency of Omega is
+    survivable (truncation handles it) but suspicious, so it warns rather
+    than raises.
     """
     if rank is not None and rank < 1:
         raise ConfigError(f"svd rank cap must be at least 1, got {rank}")
@@ -282,26 +278,33 @@ def fit(snapshots: SnapshotSet, rank: int | None = None) -> StateSpaceModel:
     n = snapshots.pair_count
     if n < k:
         raise InsufficientPairs(n, k)
-
-    # Blocks of M are built transposed in `work` behind the carried R factor,
-    # so LAPACK receives column-major input.
-    work = np.empty((k + q, k + q + min(n, _QR_BLOCK_ROWS)))
-    top = filled = done = 0
-    for now, then in snapshots._chunks():
-        pos = 0
-        while pos < len(now):
-            take = min(_QR_BLOCK_ROWS - filled, len(now) - pos)
-            at = top + filled
-            work[:k, at : at + take] = now[pos : pos + take].T
-            work[k:, at : at + take] = then[pos : pos + take].T
-            pos, filled, done = pos + take, filled + take, done + take
-            if filled == _QR_BLOCK_ROWS or done == n:
-                r_factor = np.linalg.qr(work[:, : top + filled].T, mode="r")
-                top, filled = r_factor.shape[0], 0
-                work[:, :top] = r_factor.T
-    # NaN and inf anywhere in the pairs reach R through the reflections.
-    if not np.isfinite(r_factor).all():
+    # NaN and inf in a selected channel, the last row included, reach R
+    # through the reflections or the moments through their sums.
+    if not all(np.isfinite(a).all() for a in (snapshots.factors, snapshots.means, snapshots.m2)):
         raise NonFiniteSnapshots(n)
+
+    mean, scale = np.zeros(k), np.ones(k)
+    in_std = obs_std = None
+    if standardize_inputs or standardize_observables:
+        rows, pooled_mean, pooled_m2 = pool_moments(
+            snapshots.pair_counts + 1, snapshots.means, snapshots.m2
+        )
+        if standardize_inputs:
+            in_std = standardizer_from_moments(
+                snapshots.input_names, rows, pooled_mean[q:], pooled_m2[q:]
+            )
+            mean[q:], scale[q:] = in_std.mean, in_std.scale
+        if standardize_observables:
+            obs_std = standardizer_from_moments(
+                snapshots.observable_names, rows, pooled_mean[:q], pooled_m2[:q]
+            )
+            mean[:q], scale[:q] = obs_std.mean, obs_std.scale
+    # Columns after the intercept: x, then y_next under y's map.
+    mean, scale = np.concatenate([mean, mean[:q]]), np.concatenate([scale, scale[:q]])
+    shifts = np.concatenate([snapshots.shifts, snapshots.shifts[:, :q]], axis=1)
+    stacked = snapshots.factors[:, :, 1:] / scale
+    stacked[:, 0] += snapshots.factors[:, 0, :1] * ((shifts - mean) / scale)
+    r_factor = np.linalg.qr(stacked.reshape(-1, k + q), mode="r")
 
     u, s, vt = np.linalg.svd(r_factor[:k, :k])
     if s[0] == 0.0:
@@ -331,8 +334,9 @@ def fit(snapshots: SnapshotSet, rank: int | None = None) -> StateSpaceModel:
         input_names=snapshots.input_names,
         sample_rate_hz=snapshots.sample_rate_hz,
         svd_rank_used=r,
-        input_standardizer=snapshots.input_standardizer,
-        observable_standardizer=snapshots.observable_standardizer,
+        input_standardizer=in_std,
+        observable_standardizer=obs_std,
+        condition_number=float(s[0] / s[r - 1]),
     )
 
 

@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .artifacts import read_json_object, write_json
+from .artifacts import write_json
 from .dataset import ChannelSpec, TimeSeriesDataset
-from .dmdc import linear_recurrence
-from .errors import CorruptFile, DimensionMismatch, StabilityWarning, UnknownChannel
+from .dmdc import linear_recurrence, spectral_radius
+from .errors import DimensionMismatch, StabilityWarning, UnknownChannel
 from .gcode import INPUT_CHANNELS, parse_gcode_subset, program_to_timeseries
 
 STABILITY_LIMIT = 0.99
@@ -84,27 +84,8 @@ class PlantSpec:
         return tuple(c.name for c in self.observable_channels)
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=float)))))
-
-
 def save_plant(spec: PlantSpec, path: str | Path) -> None:
     write_json(path, spec)
-
-
-def load_plant(path: str | Path) -> PlantSpec:
-    d = read_json_object(path)
-    try:
-        return PlantSpec(
-            A=d["A"],
-            B=d["B"],
-            input_channels=tuple(ChannelSpec(**c) for c in d["input_channels"]),
-            observable_channels=tuple(ChannelSpec(**c) for c in d["observable_channels"]),
-            noise_sd=d["noise_sd"],
-            dropout=DropoutSpec(**d["dropout"]) if d.get("dropout") else None,
-        )
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-        raise CorruptFile(str(path), f"missing or malformed field: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -266,29 +247,6 @@ def pulse_train_inputs(
         sample_rate_hz=sample_rate_hz,
         channels=tuple(ChannelSpec(n, "au", "input") for n in names),
         data=data,
-    )
-
-
-def unit_variance_plant(
-    spec: PlantSpec, inputs: TimeSeriesDataset, y0: np.ndarray | None = None
-) -> PlantSpec:
-    """Similarity-transform the plant so observables have unit variance.
-
-    Simulates noise-free on the given inputs, measures per-observable
-    population std s, and returns the equivalent plant (S^-1 A S, S^-1 B)
-    whose trajectory is the original scaled channel-wise by 1/s.
-    """
-    clean = simulate(replace(spec, noise_sd=np.zeros(len(spec.observable_channels)),
-                             dropout=None), inputs, y0=y0).clean_observables
-    s = clean.std(axis=0)
-    if np.any(s == 0):
-        raise DimensionMismatch("cannot normalize a constant observable")
-    s_inv = np.diag(1.0 / s)
-    return replace(
-        spec,
-        A=s_inv @ spec.A @ np.diag(s),
-        B=s_inv @ spec.B,
-        noise_sd=spec.noise_sd / s,
     )
 
 

@@ -3,8 +3,8 @@
 Fold metrics are computed on full self-fed rollouts, not one-step-ahead
 predictions: a surrogate that is only good one step ahead is useless for
 process preview. Each experiment is rolled out from its own first measured
-state, predictions are inverse-transformed, and metrics are taken in original
-units. The train side ("can the model reproduce what it saw") and the test
+state, with the standardizers folded into the operator, so predictions and
+metrics are in original units. The train side ("can the model reproduce what it saw") and the test
 side ("can it predict what it did not") are reported separately; the test
 side feeds the uncertainty envelope used for prediction bounds.
 """
@@ -16,33 +16,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import StandardizationParams, TimeSeriesDataset, decimate, fit_standardizer_pooled
-from .dmdc import StateSpaceModel, build_snapshots, fit, linear_recurrence
+from .dataset import StandardizationParams, TimeSeriesDataset, decimate, pool_moments
+from .dmdc import (
+    SnapshotSet,
+    StateSpaceModel,
+    build_snapshots,
+    fit,
+    linear_recurrence,
+    spectral_radius,
+)
 from .errors import ConstantActual, EmptySample, TooFewExperiments
 from .wasserstein import ci95_halfwidth
 
 EVAL_MODES = ("rollout", "one-step")
-
-
-def r2(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """Coefficient of determination; undefined (error) for constant actuals."""
-    actual = np.asarray(actual, dtype=float).ravel()
-    predicted = np.asarray(predicted, dtype=float).ravel()
-    if actual.size == 0 or actual.size != predicted.size:
-        raise EmptySample("metric vectors" if actual.size == 0 else "length-matched vectors")
-    sst = float(np.sum((actual - actual.mean()) ** 2))
-    if sst == 0.0:
-        raise ConstantActual()
-    ssr = float(np.sum((actual - predicted) ** 2))
-    return 1.0 - ssr / sst
-
-
-def rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
-    actual = np.asarray(actual, dtype=float).ravel()
-    predicted = np.asarray(predicted, dtype=float).ravel()
-    if actual.size == 0 or actual.size != predicted.size:
-        raise EmptySample("metric vectors" if actual.size == 0 else "length-matched vectors")
-    return float(np.sqrt(np.mean((actual - predicted) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -63,25 +49,68 @@ class FitConfig:
         object.__setattr__(self, "observables", tuple(self.observables))
 
 
-def fit_on_datasets(datasets: Sequence[TimeSeriesDataset], config: FitConfig) -> StateSpaceModel:
-    """Fit standardizers on the pooled rows (per config), then fit; the
-    standardizers are applied to the pairs as they are read and ride along."""
-    input_std = (
-        fit_standardizer_pooled(datasets, config.inputs) if config.standardize_inputs else None
+def _padded(
+    datasets: Sequence[TimeSeriesDataset], observables: Sequence[str], inputs: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each dataset's observables and inputs, centered and zero-padded to the longest.
+
+    Returns ``obs`` (S, T + 1, q), rows 0..m-1 less ``obs_center``; ``inp``
+    (S, T, p + 1), rows 0..m-2 less ``inp_center`` and then a column of
+    ones; the two centers, each channel's mean over the gathered rows; and
+    ``steps`` (S,), each dataset's m - 1 real steps. Padding is zero
+    throughout, so it adds nothing to sums over the rows.
+    """
+    steps = np.array([ds.row_count - 1 for ds in datasets])
+    if np.any(steps < 1):
+        raise EmptySample("prediction needs at least 2 rows")
+    obs_rows = [ds.matrix_for(observables) for ds in datasets]
+    inp_rows = [ds.matrix_for(inputs)[:-1] for ds in datasets]
+    obs_center = sum(o.sum(axis=0) for o in obs_rows) / (steps + 1).sum()
+    inp_center = sum(u.sum(axis=0) for u in inp_rows) / steps.sum()
+    obs = np.zeros((len(datasets), steps.max() + 1, len(observables)))
+    inp = np.zeros((len(datasets), steps.max(), len(inputs) + 1))
+    for o, u, obs_row, inp_row in zip(obs_rows, inp_rows, obs, inp):
+        obs_row[: len(o)] = o - obs_center
+        inp_row[: len(u), :-1] = u - inp_center
+        inp_row[: len(u), -1] = 1.0
+    return obs, inp, obs_center, inp_center, steps
+
+
+def _padded_predictions(
+    model: StateSpaceModel,
+    obs: np.ndarray,
+    inp: np.ndarray,
+    obs_center: np.ndarray,
+    inp_center: np.ndarray,
+    eval_mode: str,
+) -> np.ndarray:
+    """Predictions of steps 1..T of ``_padded`` arrays, less ``obs_center``.
+
+    ``rollout`` feeds each prediction back, from the measured first state;
+    ``one-step`` feeds the measured state at every step. Every sequence runs
+    in one ``linear_recurrence`` batch; a padded step's inputs, ones column
+    included, are zero, so its drive is zero, and what it predicts is not a
+    result.
+
+    The standardizers fold into the operator: with y_s = (y - mean_y) /
+    scale_y and z = y - c_y, the model y_s' = A y_s + B u_s reads z' = A' z +
+    B' (u - c_u) + e, for A' = S_y A S_y^-1, B' = S_y B S_u^-1 (S the
+    diagonal scales) and the constant e = d_y - A' d_y - B' d_u, d = mean -
+    c. Centered by the data's means, nothing cancels, and one matmul of
+    ``inp`` against [B'^T; e] makes the drive.
+    """
+    # A side without a standardizer gets the identity map, which changes no value.
+    in_std = model.input_standardizer or StandardizationParams.identity(model.input_names)
+    obs_std = model.observable_standardizer or StandardizationParams.identity(
+        model.observable_names
     )
-    obs_std = (
-        fit_standardizer_pooled(datasets, config.observables)
-        if config.standardize_observables
-        else None
-    )
-    snapshots = build_snapshots(
-        datasets,
-        config.inputs,
-        config.observables,
-        input_standardizer=input_std,
-        observable_standardizer=obs_std,
-    )
-    return fit(snapshots, rank=config.svd_rank)
+    a = model.A * obs_std.scale[:, None] / obs_std.scale
+    b = model.B * obs_std.scale[:, None] / in_std.scale
+    d_obs, d_in = obs_std.mean - obs_center, in_std.mean - inp_center
+    drive = inp @ np.vstack([b.T, d_obs - a @ d_obs - b @ d_in])
+    if eval_mode == "rollout":
+        return linear_recurrence(a, drive, obs[:, 0])
+    return obs[:, :-1] @ a.T + drive
 
 
 def predict_series(
@@ -93,38 +122,18 @@ def predict_series(
     there); rows 1..m-1 are predictions. ``rollout`` feeds each prediction
     back; ``one-step`` feeds the measured state at every step and exists for
     diagnosing whether errors come from the operator or from compounding.
-    All datasets share one rollout: each drive is padded to the longest and
-    one ``linear_recurrence`` call runs them as a batch.
     """
     if eval_mode not in EVAL_MODES:
         raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
-    obs = [ds.matrix_for(model.observable_names) for ds in datasets]
-    inp = [ds.matrix_for(model.input_names) for ds in datasets]
-    if any(ds.row_count < 2 for ds in datasets):
-        raise EmptySample("prediction needs at least 2 rows")
     if not datasets:
         return []
-    # A side without a standardizer gets the identity map, which changes no value.
-    in_std = model.input_standardizer or StandardizationParams.identity(model.input_names)
-    obs_std = model.observable_standardizer or StandardizationParams.identity(
-        model.observable_names
-    )
-    steps = [len(o) - 1 for o in obs]
-    split = np.cumsum(steps)[:-1]
-    # Every dataset's steps one after another, so each transform is one call.
-    drive = in_std.transform_matrix(np.concatenate([x[:-1] for x in inp])) @ model.B.T
-    if eval_mode == "rollout":
-        padded = np.zeros((len(datasets), max(steps), model.state_dim))
-        for row, part in zip(padded, np.split(drive, split)):
-            row[: len(part)] = part
-        y0 = obs_std.transform_matrix(np.array([o[0] for o in obs]))
-        runs = linear_recurrence(model.A, padded, y0)
-        pred = np.concatenate([run[:n] for run, n in zip(runs, steps)])
-    else:
-        states = obs_std.transform_matrix(np.concatenate([o[:-1] for o in obs]))
-        pred = states @ model.A.T + drive
-    pred = obs_std.invert_matrix(pred)
-    return [np.concatenate([o[:1], p]) for o, p in zip(obs, np.split(pred, split))]
+    padded = _padded(datasets, model.observable_names, model.input_names)
+    _, _, obs_center, _, steps = padded
+    pred = _padded_predictions(model, *padded[:4], eval_mode)
+    return [
+        np.concatenate([ds.matrix_for(model.observable_names)[:1], p[:n] + obs_center])
+        for ds, p, n in zip(datasets, pred, steps)
+    ]
 
 
 @dataclass(frozen=True)
@@ -135,6 +144,11 @@ class FoldResult:
     r2_test: Mapping[str, float]
     rmse_train: Mapping[str, float]
     rmse_test: Mapping[str, float]
+    # Numerical health of the fold's fit: the rank kept, s[0] / s[rank - 1]
+    # of the snapshot matrix, and the largest eigenvalue modulus of A.
+    svd_rank_used: int
+    condition_number: float
+    spectral_radius: float
 
 
 @dataclass(frozen=True)
@@ -183,16 +197,25 @@ def draw_splits(
     return splits
 
 
-def _pooled_metrics(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]], observables: Sequence[str]
+def _side_metrics(
+    ssr: np.ndarray,
+    counts: np.ndarray,
+    means: np.ndarray,
+    m2: np.ndarray,
+    observables: Sequence[str],
 ) -> tuple[dict, dict]:
-    actual = np.concatenate([a for a, _ in pairs], axis=0)
-    predicted = np.concatenate([p for _, p in pairs], axis=0)
-    r2_map, rmse_map = {}, {}
-    for j, obs in enumerate(observables):
-        r2_map[obs] = r2(actual[:, j], predicted[:, j])
-        rmse_map[obs] = rmse(actual[:, j], predicted[:, j])
-    return r2_map, rmse_map
+    """R^2 and RMSE per observable over a group of experiments, from each
+    experiment's residual sum of squares, target count, mean and M2."""
+    n, _, sst = pool_moments(counts, means, m2)
+    if np.any(sst == 0.0):
+        raise ConstantActual()
+    ssr = ssr.sum(axis=0)
+    r2 = 1.0 - ssr / sst
+    rmse = np.sqrt(ssr / n)
+    return (
+        {obs: float(v) for obs, v in zip(observables, r2)},
+        {obs: float(v) for obs, v in zip(observables, rmse)},
+    )
 
 
 def run_lpocv(
@@ -201,6 +224,7 @@ def run_lpocv(
     p: int = 3,
     repeats: int = 10,
     seed: int | None = None,
+    snapshots: SnapshotSet | None = None,
 ) -> tuple[CvReport, UncertaintyEnvelope]:
     """Leave-p-out cross-validation over experiments.
 
@@ -209,21 +233,43 @@ def run_lpocv(
     the test trajectory into training). Standardizers are refit on each
     repeat's training pool. Aggregates are mean and 1.96*sd/sqrt(repeats)
     over folds.
+
+    The rows are read once per call: ``snapshots`` (``build_snapshots`` of
+    ``datasets`` over the config's channels, built here when not given)
+    serves every fold's fit, and one padded copy of the observables and
+    inputs serves every fold's rollout. Metrics come from per-experiment
+    residual sums and target moments, pooled per side.
     """
-    by_id = {ds.experiment_id: ds for ds in datasets}
+    by_id = {ds.experiment_id: i for i, ds in enumerate(datasets)}
     splits = draw_splits(list(by_id), p, repeats, seed)
+    if snapshots is None:
+        snapshots = build_snapshots(datasets, config.inputs, config.observables)
+    padded = _padded(datasets, config.observables, config.inputs)
+    obs, _, _, _, steps = padded
+    targets = obs[:, 1:]
+    means = targets.sum(axis=1) / steps[:, None]
+    m2 = np.array([((t[:n] - m) ** 2).sum(axis=0) for t, m, n in zip(targets, means, steps)])
     folds = []
     for k, (train_ids, test_ids) in enumerate(splits):
+        model = fit(
+            snapshots.subset(train_ids),
+            config.svd_rank,
+            config.standardize_inputs,
+            config.standardize_observables,
+        )
+        residual = _padded_predictions(model, *padded[:4], config.eval_mode)
+        residual -= targets
+        for row, n in zip(residual, steps):
+            row[n:] = 0.0
+        ssr = np.einsum("stq,stq->sq", residual, residual)
         train = [by_id[i] for i in train_ids]
         test = [by_id[i] for i in test_ids]
-        model = fit_on_datasets(train, config)
-        predicted = predict_series(model, train + test, config.eval_mode)
-        pairs = [
-            (ds.matrix_for(config.observables)[1:], pred[1:])
-            for ds, pred in zip(train + test, predicted)
-        ]
-        r2_train, rmse_train = _pooled_metrics(pairs[: len(train)], config.observables)
-        r2_test, rmse_test = _pooled_metrics(pairs[len(train) :], config.observables)
+        r2_train, rmse_train = _side_metrics(
+            ssr[train], steps[train], means[train], m2[train], config.observables
+        )
+        r2_test, rmse_test = _side_metrics(
+            ssr[test], steps[test], means[test], m2[test], config.observables
+        )
         folds.append(
             FoldResult(
                 fold_index=k,
@@ -232,6 +278,9 @@ def run_lpocv(
                 r2_test=r2_test,
                 rmse_train=rmse_train,
                 rmse_test=rmse_test,
+                svd_rank_used=model.svd_rank_used,
+                condition_number=model.condition_number,
+                spectral_radius=spectral_radius(model.A),
             )
         )
 

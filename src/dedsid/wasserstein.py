@@ -62,25 +62,6 @@ def _uniform_w1_sorted(samples: np.ndarray) -> float:
     return _w1_sorted(samples, np.linspace(lo, hi, samples.size))
 
 
-def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Earth-mover distance between two empirical samples.
-
-    Both samples are sorted once; equal sizes then take the quantile form
-    mean |a_(i) - b_(i)|, unequal sizes the integral of |F_a - F_b| over the
-    merged support, which is the same quantity for piecewise-constant
-    empirical CDFs; sample sizes need not match.
-    """
-    return _w1_sorted(_sorted_sample(a), _sorted_sample(b))
-
-
-def uniform_benchmark(samples: np.ndarray) -> float:
-    """Distance from a sample to an equal-size even grid over its own range.
-
-    With both samples of size n this is mean |x_(i) - linspace(lo, hi, n)_i|.
-    """
-    return _uniform_w1_sorted(_sorted_sample(samples))
-
-
 @dataclass(frozen=True)
 class WassersteinResult:
     pair_label: str

@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import dataclass, replace
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
 
-from dedsid.dataset import ChannelSpec, TimeSeriesDataset
-from dedsid.plant import pulse_train_inputs, random_stable_plant, simulate
+from dedsid import dmdc
+from dedsid.artifacts import read_json_object
+from dedsid.dataset import ChannelSpec, TimeSeriesDataset, standardizer_from_matrix
+from dedsid.errors import (
+    AllSentinel,
+    ConstantActual,
+    CorruptFile,
+    DimensionMismatch,
+    EmptySample,
+    InsufficientPairs,
+    RankDeficiencyWarning,
+)
+from dedsid.plant import DropoutSpec, PlantSpec, pulse_train_inputs, random_stable_plant, simulate
 from dedsid.spectral import MIN_SEGMENT_SAMPLES, PulseSpectrum
+from dedsid.validation import FitConfig
+from dedsid.wasserstein import _sorted_sample, _uniform_w1_sorted, _w1_sorted
 
 _EPS = float(np.finfo(float).eps)
 
@@ -167,3 +184,216 @@ def pulse_spectra_per_pulse(ds, observable: str, segments) -> dict:
         )
         for count, spectra in sorted(grouped.items())
     }
+
+
+def fit_on_datasets(datasets, config: FitConfig) -> dmdc.StateSpaceModel:
+    """``dmdc.fit`` on every pair of ``datasets``, as ``config`` asks."""
+    snapshots = dmdc.build_snapshots(datasets, config.inputs, config.observables)
+    return dmdc.fit(
+        snapshots, config.svd_rank, config.standardize_inputs, config.standardize_observables
+    )
+
+
+@dataclass(frozen=True)
+class ArraySnapshots(dmdc.SnapshotSet):
+    """A snapshot set of one segment of pairs given as columns, which it keeps.
+
+    ``y_next[:, t]`` follows ``y_cur[:, t]`` under ``u_cur[:, t]``; the pair
+    arrays ride along for oracles that need the stacked snapshot matrix.
+    """
+
+    y_cur: np.ndarray = None
+    u_cur: np.ndarray = None
+    y_next: np.ndarray = None
+
+    @classmethod
+    def from_arrays(
+        cls, y_cur, y_next, u_cur, observable_names, input_names, sample_rate_hz
+    ) -> "ArraySnapshots":
+        q, n = y_cur.shape
+        if y_next.shape != (q, n) or u_cur.shape[1] != n:
+            raise DimensionMismatch("pair arrays differ in shape")
+        columns = list(range(q + u_cur.shape[0]))
+        factor, shift, mean, m2 = dmdc._summarize(
+            np.vstack([y_cur, u_cur]).T, np.vstack([y_next, u_cur]).T, columns, q
+        )
+        return cls(
+            experiment_ids=("arrays",),
+            factors=factor[None],
+            shifts=shift[None],
+            pair_counts=np.array([n]),
+            means=mean[None],
+            m2=m2[None],
+            observable_names=tuple(observable_names),
+            input_names=tuple(input_names),
+            sample_rate_hz=sample_rate_hz,
+            y_cur=y_cur,
+            u_cur=u_cur,
+            y_next=y_next,
+        )
+
+
+def fit_standardizer_pooled(datasets, channels):
+    """Shift/scale over the rows of every dataset, concatenated: the oracle
+    for the standardizers ``dmdc.fit`` merges from per-experiment moments."""
+    stacked = np.concatenate([ds.matrix_for(channels) for ds in datasets], axis=0)
+    return standardizer_from_matrix(stacked, channels)
+
+
+def row_fit_oracle(
+    datasets,
+    inputs,
+    observables,
+    standardize_inputs=False,
+    standardize_observables=False,
+    rank=None,
+):
+    """The fit as a walk over the rows, for ``dmdc.fit`` on per-experiment factors.
+
+    Standardizers come from the concatenated rows, the pairs are standardized
+    copies stacked into one snapshot matrix, and A and B come from its
+    economy SVD with ``fit``'s rank cutoff, warning and errors. Returns
+    ``A, B, rank, singular values, input standardizer, observable
+    standardizer``.
+    """
+    in_std = fit_standardizer_pooled(datasets, inputs) if standardize_inputs else None
+    obs_std = fit_standardizer_pooled(datasets, observables) if standardize_observables else None
+    obs = [ds.matrix_for(observables) for ds in datasets]
+    inp = [ds.matrix_for(inputs) for ds in datasets]
+    if obs_std is not None:
+        obs = [obs_std.transform_matrix(o) for o in obs]
+    if in_std is not None:
+        inp = [in_std.transform_matrix(u) for u in inp]
+    omega = np.concatenate([np.hstack([o[:-1], u[:-1]]) for o, u in zip(obs, inp)]).T
+    y_next = np.concatenate([o[1:] for o in obs]).T
+    q, (k, n) = len(observables), omega.shape
+    if n < k:
+        raise InsufficientPairs(n, k)
+    eta, s, zeta_t = np.linalg.svd(omega, full_matrices=False)
+    numerical_rank = int(np.count_nonzero(s > _EPS * max(k, n) * s[0])) if s[0] else 0
+    r = numerical_rank if rank is None else min(rank, numerical_rank)
+    if r < 1:
+        raise InsufficientPairs(n, k)
+    if numerical_rank < k:
+        warnings.warn(
+            f"snapshot matrix rank {numerical_rank} < {k}; "
+            "solution is minimum-norm on a deficient span",
+            RankDeficiencyWarning,
+        )
+    proj = (y_next @ zeta_t[:r].T) / s[:r]
+    return proj @ eta[:q, :r].T, proj @ eta[q:, :r].T, r, s, in_std, obs_std
+
+
+def r2(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """Coefficient of determination over one vector; undefined (error) for
+    constant actuals. The row oracle for LPOCV's metrics from sums."""
+    actual = np.asarray(actual, dtype=float).ravel()
+    predicted = np.asarray(predicted, dtype=float).ravel()
+    if actual.size == 0 or actual.size != predicted.size:
+        raise EmptySample("metric vectors" if actual.size == 0 else "length-matched vectors")
+    sst = float(np.sum((actual - actual.mean()) ** 2))
+    if sst == 0.0:
+        raise ConstantActual()
+    ssr = float(np.sum((actual - predicted) ** 2))
+    return 1.0 - ssr / sst
+
+
+def rmse(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """Root mean squared error over one vector, the RMSE oracle beside ``r2``."""
+    actual = np.asarray(actual, dtype=float).ravel()
+    predicted = np.asarray(predicted, dtype=float).ravel()
+    if actual.size == 0 or actual.size != predicted.size:
+        raise EmptySample("metric vectors" if actual.size == 0 else "length-matched vectors")
+    return float(np.sqrt(np.mean((actual - predicted) ** 2)))
+
+
+def impute_off_state_loop(ds, channel, sentinel, gate_channel):
+    """Sentinel runs bridged one run at a time, walking every sample: the
+    oracle for ``dedsid.dataset.impute_off_state``."""
+    x = ds.column(channel).copy()
+    gate = ds.column(gate_channel) > 0
+    is_sent = x == sentinel
+    n = x.size
+    i = 0
+    while i < n:
+        if not is_sent[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and is_sent[j]:
+            j += 1
+        gated_rows = np.nonzero(gate[i:j])[0] + i
+        if gated_rows.size:
+            left = i - 1 if i > 0 else None
+            right = j if j < n else None
+            if left is None and right is None:
+                raise AllSentinel(channel)
+            if left is None:
+                x[gated_rows] = x[right]
+            elif right is None:
+                x[gated_rows] = x[left]
+            else:
+                span = right - left
+                frac = (gated_rows - left) / span
+                x[gated_rows] = x[left] + frac * (x[right] - x[left])
+        i = j
+    return ds.with_column(channel, x)
+
+
+def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
+    """Earth-mover distance between two empirical samples.
+
+    Both samples are sorted once; equal sizes then take the quantile form
+    mean |a_(i) - b_(i)|, unequal sizes the integral of |F_a - F_b| over the
+    merged support, which is the same quantity for piecewise-constant
+    empirical CDFs; sample sizes need not match. Calls the kernel that
+    ``dedsid.wasserstein.split_distances`` uses.
+    """
+    return _w1_sorted(_sorted_sample(a), _sorted_sample(b))
+
+
+def uniform_benchmark(samples: np.ndarray) -> float:
+    """Distance from a sample to an equal-size even grid over its own range.
+
+    With both samples of size n this is mean |x_(i) - linspace(lo, hi, n)_i|.
+    """
+    return _uniform_w1_sorted(_sorted_sample(samples))
+
+
+def load_plant(path: str | Path) -> PlantSpec:
+    """The plant that ``dedsid.plant.save_plant`` wrote to ``path``."""
+    d = read_json_object(path)
+    try:
+        return PlantSpec(
+            A=d["A"],
+            B=d["B"],
+            input_channels=tuple(ChannelSpec(**c) for c in d["input_channels"]),
+            observable_channels=tuple(ChannelSpec(**c) for c in d["observable_channels"]),
+            noise_sd=d["noise_sd"],
+            dropout=DropoutSpec(**d["dropout"]) if d.get("dropout") else None,
+        )
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise CorruptFile(str(path), f"missing or malformed field: {exc!r}") from None
+
+
+def unit_variance_plant(
+    spec: PlantSpec, inputs: TimeSeriesDataset, y0: np.ndarray | None = None
+) -> PlantSpec:
+    """Similarity-transform the plant so observables have unit variance.
+
+    Simulates noise-free on the given inputs, measures per-observable
+    population std s, and returns the equivalent plant (S^-1 A S, S^-1 B)
+    whose trajectory is the original scaled channel-wise by 1/s.
+    """
+    clean = simulate(replace(spec, noise_sd=np.zeros(len(spec.observable_channels)),
+                             dropout=None), inputs, y0=y0).clean_observables
+    s = clean.std(axis=0)
+    if np.any(s == 0):
+        raise DimensionMismatch("cannot normalize a constant observable")
+    s_inv = np.diag(1.0 / s)
+    return replace(
+        spec,
+        A=s_inv @ spec.A @ np.diag(s),
+        B=s_inv @ spec.B,
+        noise_sd=spec.noise_sd / s,
+    )

@@ -32,7 +32,6 @@ from dedsid.plant import (
     pulse_train_inputs,
     random_stable_plant,
     simulate,
-    unit_variance_plant,
 )
 from dedsid.spectral import (
     amplitude_spectrum,
@@ -45,15 +44,20 @@ from dedsid.validation import (
     FitConfig,
     UncertaintyEnvelope,
     bound_predictions,
-    fit_on_datasets,
     frequency_study,
     predict_series,
     run_lpocv,
 )
 from dedsid.vif import select_features
-from dedsid.wasserstein import wasserstein_1d
 
-from helpers import linear_corpus, make_dataset, parseval_gap
+from helpers import (
+    fit_on_datasets,
+    linear_corpus,
+    make_dataset,
+    parseval_gap,
+    unit_variance_plant,
+    wasserstein_1d,
+)
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -251,6 +251,17 @@ class TestPipeline:
         stages = json.loads(piped["pipeline_report.json"])["stages"]
         assert stages == list(PIPELINE)
 
+    def test_fit_alone_writes_the_pipeline_model(self, corpus):
+        # The pipeline's fit reuses the snapshot summaries its cv built; a fit
+        # run alone builds its own, to the same bytes.
+        cfg_path = derived_config(corpus, "out_fit_alone")
+        out = corpus / "out_fit_alone"
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        alone = (out / "model.json").read_bytes()
+        out.rename(corpus / "out_fit_alone_first")
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert (out / "model.json").read_bytes() == alone
+
     def test_seed_override_changes_provenance(self, corpus):
         cfg_path = derived_config(corpus, "out_seed")
         assert main(["cv", "--config", str(cfg_path)]) == 0

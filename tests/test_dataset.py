@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import make_dataset, mostly
+from helpers import impute_off_state_loop, make_dataset, mostly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,15 +14,16 @@ from dedsid.dataset import (
     ManifestEntry,
     TimeSeriesDataset,
     decimate,
-    fit_standardizer_pooled,
     impute_off_state,
     ingest_csv,
     load_datasets,
     load_manifest,
     load_schema,
+    pool_moments,
     save_manifest,
     save_schema,
     standardizer_from_matrix,
+    standardizer_from_moments,
     write_csv,
     zero_variance_channels,
 )
@@ -178,12 +179,29 @@ class TestStandardizer:
 
     def test_pooled_matches_concatenation(self):
         rng = np.random.default_rng(2)
-        a = make_dataset(rng.normal(size=(30, 2)), names=["a", "b"])
-        b = make_dataset(rng.normal(2.0, 3.0, size=(70, 2)), names=["a", "b"])
-        pooled = fit_standardizer_pooled([a, b], ["a", "b"])
-        direct = standardizer_from_matrix(np.vstack([a.data, b.data]), ["a", "b"])
-        assert np.allclose(pooled.mean, direct.mean)
-        assert np.allclose(pooled.scale, direct.scale)
+        groups = [rng.normal(size=(30, 2)), rng.normal(2.0, 3.0, size=(70, 2)), np.ones((1, 2))]
+        count, mean, m2 = pool_moments(
+            [len(g) for g in groups],
+            np.array([g.mean(axis=0) for g in groups]),
+            np.array([((g - g.mean(axis=0)) ** 2).sum(axis=0) for g in groups]),
+        )
+        pooled = standardizer_from_moments(["a", "b"], count, mean, m2)
+        direct = standardizer_from_matrix(np.vstack(groups), ["a", "b"])
+        assert count == 101
+        assert np.allclose(pooled.mean, direct.mean, rtol=1e-14, atol=0)
+        assert np.allclose(pooled.scale, direct.scale, rtol=1e-14, atol=0)
+
+    def test_pooled_constant_is_exact(self):
+        # np.mean of 0.1 over 2,000 rows misses 0.1; merged groups do not.
+        groups = [np.full((n, 1), 0.1) for n in (700, 1300)]
+        _, mean, m2 = pool_moments(
+            [700, 1300], np.full((2, 1), 0.1), np.zeros((2, 1))
+        )
+        assert mean[0] == 0.1 and m2[0] == 0.0
+        assert np.vstack(groups).std() > 0.0
+        with pytest.warns(DegenerateChannelWarning):
+            params = standardizer_from_moments(["c"], 2000, mean, m2)
+        assert params.scale[0] == 1.0
 
     def test_params_dict_round_trip(self):
         from dedsid.dataset import StandardizationParams
@@ -238,6 +256,27 @@ class TestImpute:
         once = impute_off_state(ds, "wd", -1.0, "power")
         twice = impute_off_state(once, "wd", -1.0, "power")
         assert np.array_equal(once.column("wd"), twice.column("wd"))
+
+    @given(
+        pattern=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_loop_oracle(self, pattern, seed):
+        # Random sentinel and gate patterns: runs at either end, gate-off runs,
+        # and series with no valid sample at all.
+        sentinel, gate = (np.array(column) for column in zip(*pattern))
+        wd = np.random.default_rng(seed).uniform(1.0, 2.0, size=len(pattern))
+        wd[sentinel] = -1.0
+        ds = self._ds(wd, gate.astype(float))
+        try:
+            expected = impute_off_state_loop(ds, "wd", -1.0, "power").column("wd")
+        except AllSentinel:
+            with pytest.raises(AllSentinel):
+                impute_off_state(ds, "wd", -1.0, "power")
+            return
+        out = impute_off_state(ds, "wd", -1.0, "power").column("wd")
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out[sentinel & ~gate], wd[sentinel & ~gate])
 
 
 class TestDecimate:

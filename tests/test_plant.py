@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import make_dataset
+from helpers import load_plant, make_dataset, unit_variance_plant
 
 from dedsid.dataset import ChannelSpec
 from dedsid.errors import CorruptFile, StabilityWarning
@@ -12,7 +12,6 @@ from dedsid.plant import (
     demo_plant,
     gaussian_inputs,
     generic_channels,
-    load_plant,
     make_demo_experiments,
     pulse_train_inputs,
     random_stable_plant,
@@ -20,7 +19,6 @@ from dedsid.plant import (
     serpentine_gcode,
     simulate,
     spectral_radius,
-    unit_variance_plant,
 )
 
 

@@ -2,7 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import linear_corpus, make_dataset, parseval_gap, pulse_spectra_per_pulse
+from helpers import (
+    fit_on_datasets,
+    linear_corpus,
+    make_dataset,
+    parseval_gap,
+    pulse_spectra_per_pulse,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,7 +23,7 @@ from dedsid.spectral import (
     pulse_spectra,
     segment_pulses,
 )
-from dedsid.validation import FitConfig, fit_on_datasets, predict_series
+from dedsid.validation import FitConfig, predict_series
 
 
 class TestSegmentation:

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from helpers import linear_corpus, make_dataset
+from helpers import fit_on_datasets, linear_corpus, make_dataset, r2, rmse
 
 from dedsid.artifacts import to_plain
 from dedsid.dataset import decimate
@@ -11,11 +13,8 @@ from dedsid.validation import (
     UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
-    fit_on_datasets,
     frequency_study,
     predict_series,
-    r2,
-    rmse,
     run_lpocv,
 )
 
@@ -172,6 +171,49 @@ class TestLpocv:
         back = UncertaintyEnvelope(**to_plain(env))
         assert back.rmse == env.rmse and back.ci95 == env.ci95
         assert back.half_width("y1") == 0.625
+
+
+class TestLpocvAgainstRows:
+    """Fold metrics from per-experiment sums against the rows they summarize."""
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    @pytest.mark.parametrize("eval_mode", ["rollout", "one-step"])
+    def test_fold_metrics_match_row_oracle(self, eval_mode, standardize):
+        spec, datasets = linear_corpus(q=2, p=2, n_exp=6, steps=500, seed=30, noise_sd=0.05)
+        # Unequal lengths, so the padding shows if it leaks into a sum.
+        datasets = [ds.with_data(ds.data[: 200 + 60 * i]) for i, ds in enumerate(datasets)]
+        config = replace(_fit_config(spec, standardize), eval_mode=eval_mode)
+        report, _ = run_lpocv(datasets, config, p=2, repeats=4, seed=3)
+        by_id = {ds.experiment_id: ds for ds in datasets}
+        splits = draw_splits(list(by_id), 2, 4, 3)
+        for fold, (train_ids, test_ids) in zip(report.folds, splits):
+            model = fit_on_datasets([by_id[i] for i in train_ids], config)
+            assert fold.svd_rank_used == model.svd_rank_used == 4
+            assert fold.condition_number == model.condition_number >= 1.0
+            assert fold.spectral_radius == np.max(np.abs(np.linalg.eigvals(model.A)))
+            for ids, r2_map, rmse_map in (
+                (train_ids, fold.r2_train, fold.rmse_train),
+                (test_ids, fold.r2_test, fold.rmse_test),
+            ):
+                side = [by_id[i] for i in ids]
+                actual = np.concatenate([ds.matrix_for(spec.observable_names)[1:] for ds in side])
+                predicted = np.concatenate(
+                    [per_step_prediction(model, ds, eval_mode)[1:] for ds in side]
+                )
+                for j, obs in enumerate(spec.observable_names):
+                    assert r2_map[obs] == pytest.approx(r2(actual[:, j], predicted[:, j]), rel=1e-9)
+                    assert rmse_map[obs] == pytest.approx(
+                        rmse(actual[:, j], predicted[:, j]), rel=1e-9
+                    )
+
+    @pytest.mark.filterwarnings("ignore::dedsid.errors.DegenerateChannelWarning")
+    @pytest.mark.filterwarnings("ignore::dedsid.errors.RankDeficiencyWarning")
+    def test_constant_actual_side_rejected(self):
+        spec, datasets = linear_corpus(q=2, p=2, n_exp=4, steps=300, seed=31)
+        name = spec.observable_names[0]
+        flat = [ds.with_column(name, np.full(ds.row_count, 2.0)) for ds in datasets]
+        with pytest.raises(ConstantActual):
+            run_lpocv(flat, _fit_config(spec), p=1, repeats=1, seed=0)
 
 
 class TestBoundPredictions:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
-from helpers import make_dataset
+from helpers import make_dataset, uniform_benchmark, wasserstein_1d
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,8 +15,6 @@ from dedsid.wasserstein import (
     ci95_halfwidth,
     split_distances,
     split_shift_report,
-    uniform_benchmark,
-    wasserstein_1d,
 )
 
 finite_arrays = st.lists(
