@@ -48,12 +48,9 @@ _EPS = float(np.finfo(float).eps)
 # factor stays in cache, and the per-call overhead is paid once per
 # thousands of pairs.
 _QR_BLOCK_ROWS = 2048
-# Pairs per gather from an experiment's rows. Gathering one QR block at a
-# time leaves only small frees between the QR calls' own copies, so glibc
-# trims and re-faults the heap around every call (46k-86k minor faults per
-# 1e6-pair fit, against ~4k with chunks); a 16-block chunk of 24 channels is
-# ~6 MB, under glibc's 32 MB cap on its trim threshold.
-_CHUNK_ROWS = 16 * _QR_BLOCK_ROWS
+# Rows whose mean sets an experiment's shift: enough to find the level of a
+# channel, few enough that their copy stays small next to the record.
+_SHIFT_ROWS = 16 * _QR_BLOCK_ROWS
 # Steps per chunk of linear_recurrence: 8 ran fastest of 4-32 on 1e6 steps
 # and on batches of 8 x 70-3,500 steps (q = 3, one BLAS thread).
 _SCAN_CHUNK = 8
@@ -71,10 +68,10 @@ class SnapshotSet:
     mean and the sum of squared deviations (M2) of x over the pairs;
     ``means`` and ``m2`` add the last row, so they cover [y u] over all m
     rows, as the pooled standardizers need. The shift is the first row plus
-    the first chunk's mean difference from it: it keeps the digits a large
-    raw offset would cost, and it is exact for a channel that is constant in
-    the experiment. Pairs never straddle experiments, and ``fit`` reads only
-    these summaries, never the rows.
+    the mean difference from it of the first ``_SHIFT_ROWS`` rows: it keeps
+    the digits a large raw offset would cost, and it is exact for a channel
+    that is constant in the experiment. Pairs never straddle experiments,
+    and ``fit`` reads only these summaries, never the rows.
     """
 
     experiment_ids: tuple[str, ...]
@@ -113,33 +110,33 @@ def _summarize(
     ``current`` and ``following`` are equally long row arrays in one column
     layout: ``columns`` pick x = [y u] from ``current``, their first q pick
     y from ``following``, and the last row of ``following`` completes the
-    moments. Rows are gathered a chunk of up to ``_CHUNK_ROWS`` pairs at a
-    time and reduced into the carried R factor ``_QR_BLOCK_ROWS`` at a time
-    (a sequential tall-skinny QR, Demmel et al. 2012).
+    moments. Each block of ``_QR_BLOCK_ROWS`` pairs is shifted and written
+    straight from the rows into the work array, then reduced into the
+    carried R factor (a sequential tall-skinny QR, Demmel et al. 2012); only
+    the first ``_SHIFT_ROWS`` rows are copied, once, for the shift.
     """
     n, k = len(current), len(columns)
     # A NaN or inf in the rows turns the summaries into NaN, which fit names.
     with np.errstate(invalid="ignore"):
+        first = current[:_SHIFT_ROWS].take(columns, axis=1)
+        x0 = first[0].copy()
+        first -= x0
+        shift = x0 + first.mean(axis=0)
+        del first
         # Blocks are built transposed in `work` behind the carried R factor, so
         # LAPACK receives column-major input.
         work = np.empty((1 + k + q, 1 + k + q + min(n, _QR_BLOCK_ROWS)))
         top = 0
-        for start in range(0, n, _CHUNK_ROWS):
-            now = current[start : start + _CHUNK_ROWS].take(columns, axis=1)
-            then = following[start : start + _CHUNK_ROWS].take(columns[:q], axis=1)
-            if start == 0:
-                shift = now[0] + (now - now[0]).mean(axis=0)
-            now -= shift
-            then -= shift[:q]
-            for pos in range(0, len(now), _QR_BLOCK_ROWS):
-                take = min(_QR_BLOCK_ROWS, len(now) - pos)
-                block = work[:, : top + take]
-                block[0, top:] = 1.0
-                block[1 : 1 + k, top:] = now[pos : pos + take].T
-                block[1 + k :, top:] = then[pos : pos + take].T
-                r_factor = np.linalg.qr(block.T, mode="r")
-                top = len(r_factor)
-                work[:, :top] = r_factor.T
+        for pos in range(0, n, _QR_BLOCK_ROWS):
+            take = min(_QR_BLOCK_ROWS, n - pos)
+            block = work[:, : top + take]
+            block[0, top:] = 1.0
+            now, then = current[pos : pos + take].T, following[pos : pos + take].T
+            np.subtract(now[columns], shift[:, None], out=block[1 : 1 + k, top:])
+            np.subtract(then[columns[:q]], shift[:q, None], out=block[1 + k :, top:])
+            r_factor = np.linalg.qr(block.T, mode="r")
+            top = len(r_factor)
+            work[:, :top] = r_factor.T
         factor = np.zeros((1 + k + q, 1 + k + q))
         factor[:top] = r_factor
         # R^T R = Z^T Z: row 0 over R[0, 0] = +-sqrt(n) gives the column means

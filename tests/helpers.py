@@ -284,6 +284,45 @@ def row_fit_oracle(
     return proj @ eta[:q, :r].T, proj @ eta[q:, :r].T, r, s, in_std, obs_std
 
 
+def summarize_chunked(current, following, columns, q):
+    """``dmdc._summarize`` as a gather of 32,768-row chunks: the bit-identity
+    oracle for the pass that writes each QR block straight from the rows.
+
+    Each chunk's selected columns are copied, shifted in place, and copied
+    again transposed into the QR block; the shift comes from the first chunk.
+    """
+    n, k = len(current), len(columns)
+    block_rows, chunk_rows = 2048, 32768
+    with np.errstate(invalid="ignore"):
+        work = np.empty((1 + k + q, 1 + k + q + min(n, block_rows)))
+        top = 0
+        for start in range(0, n, chunk_rows):
+            now = current[start : start + chunk_rows].take(columns, axis=1)
+            then = following[start : start + chunk_rows].take(columns[:q], axis=1)
+            if start == 0:
+                shift = now[0] + (now - now[0]).mean(axis=0)
+            now -= shift
+            then -= shift[:q]
+            for pos in range(0, len(now), block_rows):
+                take = min(block_rows, len(now) - pos)
+                block = work[:, : top + take]
+                block[0, top:] = 1.0
+                block[1 : 1 + k, top:] = now[pos : pos + take].T
+                block[1 + k :, top:] = then[pos : pos + take].T
+                r_factor = np.linalg.qr(block.T, mode="r")
+                top = len(r_factor)
+                work[:, :top] = r_factor.T
+        factor = np.zeros((1 + k + q, 1 + k + q))
+        factor[:top] = r_factor
+        mean = shift + factor[0, 1 : 1 + k] / factor[0, 0]
+        m2 = np.einsum("ij,ij->j", factor[1:, 1 : 1 + k], factor[1:, 1 : 1 + k])
+        last = following[-1].take(columns)
+        delta = last - mean
+        mean = mean + delta / (n + 1)
+        m2 = m2 + delta * (last - mean)
+    return factor, shift, mean, m2
+
+
 def r2(actual: np.ndarray, predicted: np.ndarray) -> float:
     """Coefficient of determination over one vector; undefined (error) for
     constant actuals. The row oracle for LPOCV's metrics from sums."""

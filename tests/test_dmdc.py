@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ArraySnapshots, make_dataset, row_fit_oracle
+from helpers import ArraySnapshots, make_dataset, row_fit_oracle, summarize_chunked
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -325,7 +326,7 @@ def random_corpus(q, p, lengths, seed, duplicate_input=False):
     return datasets, names[q : q + p], names[:q]
 
 
-CHUNK = dmdc._CHUNK_ROWS
+SHIFT_ROWS = dmdc._SHIFT_ROWS
 
 
 # A and B from per-experiment factors agree with the row oracle to this
@@ -344,7 +345,7 @@ class TestFitFromDatasets:
         q=st.integers(1, 4),
         p=st.integers(1, 5),
         lengths=st.lists(
-            st.sampled_from([2, 2047, 2048, 2049, 2050, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2]),
+            st.sampled_from([2, 2047, 2048, 2049, 2050, SHIFT_ROWS - 1, SHIFT_ROWS, SHIFT_ROWS + 1, SHIFT_ROWS + 2]),
             min_size=1,
             max_size=4,
         ),
@@ -464,17 +465,17 @@ class TestFitFromDatasets:
     @pytest.mark.parametrize("role", ["observable", "input"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_selected_channel_in_second_chunk(self, role, value):
-        datasets, inputs, observables = random_corpus(2, 3, [50, CHUNK + 100], seed=8)
+        datasets, inputs, observables = random_corpus(2, 3, [50, SHIFT_ROWS + 100], seed=8)
         name = observables[1] if role == "observable" else inputs[2]
         bad = datasets[1].data.copy()
-        bad[CHUNK + 10, datasets[1].index_of(name)] = value
+        bad[SHIFT_ROWS + 10, datasets[1].index_of(name)] = value
         datasets[1] = datasets[1].with_data(bad)
         snaps = build_snapshots(datasets, inputs, observables)
         with pytest.raises(NonFiniteSnapshots):
             fit(snaps)
 
     def test_nan_in_unselected_channel_ignored(self):
-        datasets, inputs, observables = random_corpus(2, 3, [50, CHUNK + 100], seed=9)
+        datasets, inputs, observables = random_corpus(2, 3, [50, SHIFT_ROWS + 100], seed=9)
         clean = fit(build_snapshots(datasets, inputs, observables))
         spoiled = []
         for ds in datasets:
@@ -521,6 +522,56 @@ class TestBuildSnapshots:
         a = self._ds(np.ones((1, 2)))
         with pytest.raises(TooShort):
             build_snapshots([a], ["u"], ["y"])
+
+
+class TestSummarize:
+    """The pass that writes each QR block from the rows, against the chunked
+    gather it replaced."""
+
+    @given(
+        q=st.integers(1, 4),
+        p=st.integers(0, 5),
+        rows=st.sampled_from([2, 2047, 2048, 2049, 2050, 32767, 32768, 32769, 32770]),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        spoil=st.sampled_from([None, "middle", "last"]),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_bit_identical_to_chunked_oracle(self, q, p, rows, layout, spoil, value, seed):
+        rng = np.random.default_rng(seed)
+        width = q + p + 1
+        data = rng.normal(loc=rng.normal(scale=1e3, size=width), size=(3 * rows, width))
+        data = data[::3] if layout == "strided" else data[:rows]
+        if layout == "F":
+            data = np.asfortranarray(data)
+        columns = list(rng.permutation(width)[: q + p])
+        if spoil is not None:
+            # A middle row of a middle QR block, or the last row, which only
+            # the moments read.
+            middle = rows // 2 // BLOCK * BLOCK + BLOCK // 2
+            row = rows - 1 if spoil == "last" else min(middle, rows - 1)
+            data[row, columns[rng.integers(q + p)]] = value
+        got = dmdc._summarize(data[:-1], data[1:], columns, q)
+        want = summarize_chunked(data[:-1], data[1:], columns, q)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_peak_memory_independent_of_length(self):
+        # No experiment's rows are copied whole: the pass copies the shift
+        # window once and works block by block, so its peak does not grow
+        # with m. The rows are C-ordered, as ingest and simulate make them
+        # (`take` copies a non-contiguous window once more).
+        peaks = []
+        for rows in (100_000, 400_000):
+            datasets, inputs, observables = random_corpus(3, 20, [rows], seed=14)
+            datasets = [ds.with_data(np.ascontiguousarray(ds.data)) for ds in datasets]
+            tracemalloc.start()
+            build_snapshots(datasets, inputs, observables)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            del datasets
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+        assert max(peaks) < 10 * 2**20
 
 
 class TestRollout:
