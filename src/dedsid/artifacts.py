@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import fields, is_dataclass
 from pathlib import Path, PurePath
 
@@ -45,15 +45,15 @@ def to_plain(obj):
     return obj
 
 
-def write_json(path: str | Path, obj, cfg=None) -> None:
+def write_json(path: str | Path, obj, provenance: dict | None = None) -> None:
     """Write ``obj`` as indented JSON with a trailing newline.
 
-    With a run configuration ``cfg`` the object gains a leading
-    ``provenance`` block: the config hash and the effective seed.
+    With a ``provenance`` record (the run's config hash, seed and input
+    digests) the object gains it as a leading ``provenance`` block.
     """
     payload = to_plain(obj)
-    if cfg is not None:
-        payload = {"provenance": cfg.provenance(), **payload}
+    if provenance is not None:
+        payload = {"provenance": provenance, **payload}
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError:
@@ -81,11 +81,11 @@ def write_rows(fh, rows: np.ndarray, fmt: str = "%.17g") -> None:
         fh.write((line * len(part)) % tuple(part.ravel().tolist()))
 
 
-def read_json_object(path: str | Path, cfg=None) -> dict:
+def read_json_object(path: str | Path, provenance: dict | None = None) -> dict:
     """The JSON object stored at ``path``; any failure is ``CorruptFile``.
 
-    With a run configuration ``cfg`` the object must also carry the
-    ``provenance`` block that ``write_json`` lays down for ``cfg``.
+    With a ``provenance`` record the object must also carry it, as
+    ``write_json`` lays it down.
     """
     try:
         with open(path) as fh:
@@ -94,25 +94,23 @@ def read_json_object(path: str | Path, cfg=None) -> dict:
         raise CorruptFile(str(path), str(exc)) from None
     if not isinstance(payload, dict):
         raise CorruptFile(str(path), "not a JSON object")
-    if cfg is not None:
-        check_provenance(payload, path, cfg)
+    if provenance is not None:
+        check_provenance(payload, path, provenance)
     return payload
 
 
-def check_provenance(payload: dict, path: str | Path, cfg) -> None:
-    """``StaleArtifact`` unless ``payload`` was written under ``cfg``."""
-    if payload.get("provenance") != cfg.provenance():
-        raise StaleArtifact(str(path))
+def check_provenance(payload: dict, path: str | Path, provenance: dict) -> None:
+    """``StaleArtifact`` unless ``payload`` carries ``provenance``.
 
-
-def check_experiments(payload: dict, path: str | Path, experiments: Sequence[str]) -> None:
-    """``StaleArtifact`` unless ``payload`` was built from exactly ``experiments``.
-
-    The writer records the ids it was built from, sorted, under
-    ``experiments``.
+    When both records digest their inputs, the message names the inputs
+    whose digests differ.
     """
-    built = payload.get("experiments")
-    if built != sorted(experiments):
-        raise StaleArtifact(
-            str(path), f"was built from experiments {built}, not {sorted(experiments)}"
-        )
+    found = payload.get("provenance")
+    if found == provenance:
+        return
+    old = found.get("inputs") if isinstance(found, dict) else None
+    new = provenance.get("inputs")
+    if isinstance(old, dict) and isinstance(new, dict) and old != new:
+        differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+        raise StaleArtifact(str(path), f"was built from other inputs ({', '.join(differ)} differ)")
+    raise StaleArtifact(str(path))

@@ -2,15 +2,16 @@
 
 Every subcommand takes --config (a JSON run configuration) except synth,
 which creates one. Artifacts land in the configured output directory and
-carry the config hash and seed, so identical (config, seed) pairs produce
-byte-identical numeric outputs. Each stage is defined once in ``STAGES``,
-shared by its subcommand and ``pipeline``. Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numeric failure.
+carry the config hash, the seed and the sha256 of each input file, so equal
+(config, seed, inputs) produce byte-identical numeric outputs. Each stage is
+defined once in ``STAGES``, shared by its subcommand and ``pipeline``. Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from dataclasses import replace
 from functools import cached_property
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dataset as dsmod
-from .artifacts import check_experiments, read_json_object, to_plain, write_json, write_rows
+from .artifacts import read_json_object, to_plain, write_json, write_rows
 from .config import (
     BenchConfig,
     ImputationDirective,
@@ -96,10 +97,29 @@ class _Run:
         self.reduced_corpus = reduced_corpus
 
     @cached_property
+    def manifest(self) -> dsmod.ExperimentManifest:
+        return load_manifest(self.cfg.manifest)
+
+    @cached_property
+    def provenance(self) -> dict:
+        """What each JSON artifact carries and each stage checks upstream ones
+        against: the config hash, the seed and the sha256 of every input file."""
+        paths = {"schema": self.cfg.schema, "manifest": self.cfg.manifest}
+        for entry in self.manifest.entries:
+            if entry.experiment_id in paths:
+                raise DataError(f"experiment id {entry.experiment_id!r} is reserved")
+            paths[entry.experiment_id] = self.manifest.resolved_path(entry)
+        try:
+            inputs = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+        except OSError as exc:
+            raise CorruptFile(str(exc.filename), exc.strerror) from None
+        return {**self.cfg.provenance(), "inputs": inputs}
+
+    @cached_property
     def ingested(self) -> tuple[list[TimeSeriesDataset], dict]:
         """The datasets as read and the ingest report, whose retained schema they share."""
         schema = load_schema(self.cfg.schema)
-        datasets, reports = load_datasets(load_manifest(self.cfg.manifest), schema)
+        datasets, reports = load_datasets(self.manifest, schema)
         # A channel that failed ingestion anywhere is dropped everywhere so
         # experiments keep a common schema.
         dropped = sorted({name for r in reports for name in r.excluded_all_nan})
@@ -134,11 +154,6 @@ class _Run:
     @property
     def datasets(self) -> list[TimeSeriesDataset]:
         return self.imputed[0]
-
-    @property
-    def experiment_ids(self) -> list[str]:
-        """The sorted ids of the run's experiments, which model and envelope record."""
-        return sorted(ds.experiment_id for ds in self.datasets)
 
     @cached_property
     def screening(self) -> dict:
@@ -186,19 +201,19 @@ def _upstream(run: _Run, name: str, stage: str) -> Path:
 
 def _ingest(run: _Run) -> str:
     datasets, report = run.ingested
-    write_json(run.out / "ingest_report.json", report, run.cfg)
+    write_json(run.out / "ingest_report.json", report, run.provenance)
     return f"ingested {len(datasets)} experiments"
 
 
 def _impute(run: _Run) -> str:
     counts = run.imputed[1]
-    write_json(run.out / "impute_report.json", {"channels": counts}, run.cfg)
+    write_json(run.out / "impute_report.json", {"channels": counts}, run.provenance)
     filled = sum(c["sentinels_before"] - c["sentinels_after"] for c in counts.values())
     return f"imputed {filled} sentinel samples"
 
 
 def _select_features(run: _Run) -> str:
-    write_json(run.out / "vif_report.json", run.screening, run.cfg)
+    write_json(run.out / "vif_report.json", run.screening, run.provenance)
     survivors = list(run.fit_config.inputs)
     if run.reduced_corpus:
         keep = survivors + run.names("observable")
@@ -218,7 +233,7 @@ def _dist_report(run: _Run) -> str:
         [([by_id[i] for i in tr], [by_id[i] for i in te]) for tr, te in id_splits],
         run.names("observable"),
     )
-    write_json(run.out / "dist_report.json", {"results": results}, cfg)
+    write_json(run.out / "dist_report.json", {"results": results}, run.provenance)
     table = [
         (r.channel, r.pair_label, r.mean_distance, r.ci95_halfwidth, r.repeats) for r in results
     ]
@@ -238,8 +253,8 @@ def _cv(run: _Run) -> str:
         seed=cfg.seed,
         snapshots=run.snapshots,
     )
-    payload = {"experiments": run.experiment_ids, "cv": report, "envelope": envelope}
-    write_json(run.out / "cv_report.json", payload, cfg)
+    payload = {"cv": report, "envelope": envelope}
+    write_json(run.out / "cv_report.json", payload, run.provenance)
     r2 = report.aggregates["r2_test"]
     return "\n".join(
         f"{obs}: test R^2 {r2[obs].mean:.4f} +/- {r2[obs].ci95:.4f}" for obs in report.observables
@@ -249,7 +264,7 @@ def _cv(run: _Run) -> str:
 def _fit(run: _Run) -> str:
     cfg = run.fit_config
     model = fit(run.snapshots, cfg.svd_rank, cfg.standardize_inputs, cfg.standardize_observables)
-    save_model(model, run.out / "model.json", run.cfg, run.experiment_ids)
+    save_model(model, run.out / "model.json", run.provenance)
     return (
         f"fit model: {model.state_dim} observables, {model.input_dim} inputs, "
         f"svd rank {model.svd_rank_used}"
@@ -258,22 +273,20 @@ def _fit(run: _Run) -> str:
 
 def _load_envelope(run: _Run, observables: Sequence[str]) -> UncertaintyEnvelope:
     path = _upstream(run, "cv_report.json", "cv")
-    payload = read_json_object(path, run.cfg)
+    payload = read_json_object(path, run.provenance)
     try:
         envelope = UncertaintyEnvelope(**payload["envelope"])
         for name in observables:  # every bound needs a numeric half-width
             float(envelope.half_width(name))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(str(path), f"no uncertainty envelope: {exc!r}") from None
-    check_experiments(payload, path, run.experiment_ids)
     return envelope
 
 
 def _load_model(run: _Run) -> StateSpaceModel:
-    """``model.json``, written under this run's provenance, from its experiments
-    and for its observables."""
+    """``model.json``, written under this run's provenance and for its observables."""
     path = _upstream(run, "model.json", "fit")
-    model = load_model(path, run.cfg, run.experiment_ids)
+    model = load_model(path, run.provenance)
     observables = tuple(run.names("observable"))
     if model.observable_names != observables:
         raise StaleArtifact(
@@ -318,7 +331,7 @@ def _predict(run: _Run) -> str:
         "within_bounds_fraction": within,
         "geometry_written": geometry_written,
     }
-    write_json(run.out / "predict_report.json", summary, cfg)
+    write_json(run.out / "predict_report.json", summary, run.provenance)
     return f"bounded predictions for {exp_id}: {within:.3f} within bounds"
 
 
@@ -352,7 +365,7 @@ def _spectrogram(run: _Run) -> str:
         sg_model = build_spectrogram(spectra, grid=grid, cap_hz=sg_cfg.cap_hz)
         _write_table(run.out / "spectrogram_model.csv", header, sg_model.to_csv_rows(), cfg)
         summary["model_similarity"] = compare_spectrograms(sg, sg_model)
-    write_json(run.out / "spectrogram.json", summary, cfg)
+    write_json(run.out / "spectrogram.json", summary, run.provenance)
     if model is None:
         return "wrote measured spectrogram (no model file present)"
     return f"spectrogram similarity (measured vs model): {summary['model_similarity']:.4f}"
@@ -368,7 +381,7 @@ def _freq_study(run: _Run) -> str:
         repeats=cfg.lpocv.repeats,
         seed=cfg.seed,
     )
-    write_json(run.out / "freq_study.json", {"rows": rows}, cfg)
+    write_json(run.out / "freq_study.json", {"rows": rows}, run.provenance)
     table = []
     for row in rows:
         for obs in run.names("observable"):
@@ -413,17 +426,17 @@ def cmd_pipeline(args) -> int:
         raise TooFewExperiments(available, p)
     for name in PIPELINE:
         STAGES[name][1](run)
-    cv = read_json_object(run.out / "cv_report.json", run.cfg)["cv"]
+    cv = read_json_object(run.out / "cv_report.json", run.provenance)["cv"]
     r2 = cv["aggregates"]["r2_test"]
     write_json(
         run.out / "pipeline_report.json",
         {
             "stages": PIPELINE,
-            "experiments": run.experiment_ids,
+            "experiments": sorted(ds.experiment_id for ds in run.datasets),
             "surviving_inputs": run.fit_config.inputs,
             "test_r2": {obs: r2[obs]["mean"] for obs in cv["observables"]},
         },
-        run.cfg,
+        run.provenance,
     )
     print(f"pipeline complete: {', '.join(PIPELINE)}")
     return 0
@@ -475,7 +488,7 @@ def cmd_bench(args) -> int:
         bench_cfg = replace(bench_cfg, points=args.points)
     report = throughput_benchmark(bench_cfg, seed=cfg.seed if cfg else (args.seed or 0))
     out_dir = cfg.output_dir if cfg else Path(".")
-    write_json(out_dir / "bench_report.json", report, cfg)
+    write_json(out_dir / "bench_report.json", report, cfg.provenance() if cfg else None)
     print(
         f"fit {report.fit_us_per_point:.3f} us/pt (target {report.fit_target_us}), "
         f"rollout {report.rollout_us_per_point:.3f} us/pt (target {report.rollout_target_us})"

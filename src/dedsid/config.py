@@ -24,6 +24,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .artifacts import to_plain
 from .errors import ConfigError
+from .validation import EVAL_MODES
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError(f"spectrogram rows and cols must be at least 1, got {sg.rows}x{sg.cols}")
     if sg.cap_hz <= 0:
         raise ConfigError(f"spectrogram cap_hz must be finite and positive, got {sg.cap_hz}")
-    if cfg.eval_mode not in ("rollout", "one-step"):
+    if cfg.eval_mode not in EVAL_MODES:
         raise ConfigError(f"unknown eval_mode {cfg.eval_mode!r}")
     if any(f < 1 for f in cfg.decimation_factors):
         raise ConfigError("decimation factors must be positive integers")

@@ -315,17 +315,11 @@ def _check_time_column(times: np.ndarray, sample_rate_hz: float) -> None:
         raise NonUniformTimestamps(row, dt, float(diffs[bad[0]]))
 
 
-def write_csv(ds: TimeSeriesDataset, path: str | Path, time_column: bool = False) -> None:
-    """Write a dataset as plain CSV, optionally with a leading time column."""
-    names = list(ds.channel_names)
-    data = ds.data
-    if time_column:
-        t = np.arange(ds.row_count) / ds.sample_rate_hz
-        names = [TIME_COLUMN] + names
-        data = np.column_stack([t, data]) if ds.row_count else np.empty((0, len(names)))
+def write_csv(ds: TimeSeriesDataset, path: str | Path) -> None:
+    """Write a dataset as plain CSV: a header of channel names, then its rows."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
-        write_rows(fh, data)
+        fh.write(",".join(ds.channel_names) + "\n")
+        write_rows(fh, ds.data)
 
 
 def impute_off_state(

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import check_experiments, check_provenance, read_json_object, write_json
+from .artifacts import check_provenance, read_json_object, write_json
 from .dataset import (
     StandardizationParams,
     TimeSeriesDataset,
@@ -460,11 +460,8 @@ def _decode_matrix(d: dict, path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
 
 
-def save_model(
-    model: StateSpaceModel, path: str | Path, cfg=None, experiments: Sequence[str] | None = None
-) -> None:
-    """Write ``model``; with a run configuration ``cfg`` it carries that run's
-    provenance, and with ``experiments`` the sorted ids it was fitted on."""
+def save_model(model: StateSpaceModel, path: str | Path, provenance: dict | None = None) -> None:
+    """Write ``model``, with the ``provenance`` record of its run if given."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -477,24 +474,20 @@ def save_model(
         "input_standardizer": model.input_standardizer,
         "observable_standardizer": model.observable_standardizer,
     }
-    if experiments is not None:
-        payload["experiments"] = sorted(experiments)
-    write_json(path, payload, cfg)
+    write_json(path, payload, provenance)
 
 
-def load_model(
-    path: str | Path, cfg=None, experiments: Sequence[str] | None = None
-) -> StateSpaceModel:
-    """The model at ``path``; with ``cfg``, only one saved under that run's
-    provenance, and with ``experiments``, only one fitted on exactly those."""
+def load_model(path: str | Path, provenance: dict | None = None) -> StateSpaceModel:
+    """The model at ``path``; with a ``provenance`` record, only one saved
+    under it."""
     path = str(path)
     payload = read_json_object(path)
     if payload.get("format") != MODEL_FORMAT:
         raise CorruptFile(path, "not a model file")
     if payload.get("version") != MODEL_VERSION:
         raise VersionMismatch(payload.get("version"), MODEL_VERSION)
-    if cfg is not None:  # after the version, so a version-1 file reads as one
-        check_provenance(payload, path, cfg)
+    if provenance is not None:  # after the version, so a version-1 file reads as one
+        check_provenance(payload, path, provenance)
     try:
         in_std = payload["input_standardizer"]
         obs_std = payload["observable_standardizer"]
@@ -510,6 +503,4 @@ def load_model(
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(path, f"missing or malformed field: {exc}") from None
-    if experiments is not None:
-        check_experiments(payload, path, experiments)
     return model

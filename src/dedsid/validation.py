@@ -221,8 +221,8 @@ def _side_metrics(
 def run_lpocv(
     datasets: Sequence[TimeSeriesDataset],
     config: FitConfig,
-    p: int = 3,
-    repeats: int = 10,
+    p: int,
+    repeats: int,
     seed: int | None = None,
     snapshots: SnapshotSet | None = None,
 ) -> tuple[CvReport, UncertaintyEnvelope]:
@@ -348,8 +348,8 @@ def frequency_study(
     datasets: Sequence[TimeSeriesDataset],
     config: FitConfig,
     factors: Sequence[int],
-    p: int = 3,
-    repeats: int = 10,
+    p: int,
+    repeats: int,
     seed: int | None = None,
 ) -> list[FrequencyStudyRow]:
     """Rerun cross-validation at progressively slower recording rates.

@@ -1,21 +1,17 @@
 import io
 import json
 import math
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dedsid.artifacts import (
     _CSV_BLOCK_ROWS,
-    check_experiments,
     read_json_object,
     to_plain,
     write_json,
     write_rows,
 )
-from dedsid.config import RunConfig
 from dedsid.errors import CorruptFile, NumericError, StaleArtifact
 from dedsid.validation import Aggregate, CvReport, FoldResult
 
@@ -33,7 +29,7 @@ def cv_report(r2: float) -> CvReport:
     )
 
 
-RUN = RunConfig(Path("manifest.json"), Path("schema.json"), Path("out"), seed=3, config_sha256="abc")
+RUN = {"config_sha256": "abc", "seed": 3, "inputs": {"schema": "5c", "manifest": "3a", "e1": "9f"}}
 
 
 class TestToPlain:
@@ -55,7 +51,7 @@ class TestWriteJson:
     def test_provenance_leads_and_file_ends_with_newline(self, tmp_path):
         path = tmp_path / "sub" / "a.json"
         write_json(path, {"x": 1}, RUN)
-        expected = {"provenance": {"config_sha256": "abc", "seed": 3}, "x": 1}
+        expected = {"provenance": RUN, "x": 1}
         assert path.read_text() == json.dumps(expected, indent=2) + "\n"
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "minus_inf"])
@@ -90,12 +86,25 @@ class TestReadJsonObject:
 
     @pytest.mark.parametrize(
         "writer",
-        [None, replace(RUN, seed=4), replace(RUN, config_sha256="abd")],
-        ids=["no_provenance", "other_seed", "other_config"],
+        [
+            None,
+            {**RUN, "seed": 4},
+            {**RUN, "config_sha256": "abd"},
+            {"config_sha256": "abc", "seed": 3},
+        ],
+        ids=["no_provenance", "other_seed", "other_config", "no_inputs"],
     )
     def test_other_provenance_is_stale(self, tmp_path, writer):
         write_json(tmp_path / "r.json", {"x": 1}, writer)
         with pytest.raises(StaleArtifact, match="r.json was written under another config or seed"):
+            read_json_object(tmp_path / "r.json", RUN)
+
+    def test_other_inputs_are_named(self, tmp_path):
+        writer = {**RUN, "inputs": {"schema": "5c", "manifest": "3b", "e1": "0a", "e2": "77"}}
+        write_json(tmp_path / "r.json", {"x": 1}, writer)
+        with pytest.raises(
+            StaleArtifact, match=r"r.json was built from other inputs \(e1, e2, manifest differ\)"
+        ):
             read_json_object(tmp_path / "r.json", RUN)
 
 
@@ -145,14 +154,3 @@ class TestWriteRows:
             out = io.StringIO()
             write_rows(out, table, fmt)
             assert out.getvalue() == ""
-
-
-class TestCheckExperiments:
-    def test_same_ids_in_any_order_pass(self):
-        check_experiments({"experiments": ["a", "b"]}, "m.json", ["b", "a"])
-
-    @pytest.mark.parametrize("payload", [{}, {"experiments": ["a"]}, {"experiments": ["a", "c"]}])
-    def test_other_or_missing_ids_are_stale(self, payload):
-        with pytest.raises(StaleArtifact, match="m.json was built from experiments"):
-            check_experiments(payload, "m.json", ["a", "b"])
-

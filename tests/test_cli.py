@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dedsid
-from dedsid.cli import PIPELINE, main
+from dedsid.cli import PIPELINE, _Run, main
 from dedsid.config import RunConfig, load_run_config
 from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
@@ -24,6 +26,22 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     assert main(["synth", "--out", str(root), "--experiments", "6", "--seed", "0"]) == 0
     return root
+
+
+@pytest.fixture(scope="session")
+def fitted_corpus(tmp_path_factory):
+    """A 5-experiment corpus (seed 1) whose out/ holds fit's and cv's artifacts."""
+    root = tmp_path_factory.mktemp("fitted")
+    assert main(["synth", "--out", str(root), "--experiments", "5", "--seed", "1"]) == 0
+    for command in ("fit", "cv"):
+        assert main([command, "--config", str(root / "config.json")]) == 0
+    return root
+
+
+@pytest.fixture
+def fitted(fitted_corpus, tmp_path):
+    """A private copy of ``fitted_corpus``, free to edit."""
+    return shutil.copytree(fitted_corpus, tmp_path / "corpus")
 
 
 def derived_config(corpus, out_name, **overrides):
@@ -151,7 +169,7 @@ class TestStages:
         for command in ("fit", "cv", "predict"):
             assert main([command, "--config", str(cfg_path)]) == 0
         cfg = load_run_config(cfg_path)
-        model = load_model(out / "model.json", cfg)
+        model = load_model(out / "model.json", _Run(cfg).provenance)
         datasets, _ = load_datasets(load_manifest(cfg.manifest), load_schema(cfg.schema))
         report = json.loads((out / "predict_report.json").read_text())
         ds = next(d for d in datasets if d.experiment_id == report["experiment_id"])
@@ -275,10 +293,14 @@ class TestPipeline:
 
     def test_provenance_consistent_across_artifacts(self, corpus):
         out = corpus / "out_pipe"
-        hashes = set()
-        for name in ["ingest_report.json", "cv_report.json", "pipeline_report.json"]:
-            payload = json.loads((out / name).read_text())
-            hashes.add(payload["provenance"]["config_sha256"])
+        blocks = [json.loads(p.read_text())["provenance"] for p in sorted(out.glob("*.json"))]
+        assert len(blocks) == 9
+        assert all(block == blocks[0] for block in blocks)
+        files = {"schema": "schema.json", "manifest": "manifest.json"}
+        files.update({f"exp{i:02d}": f"exp{i:02d}.csv" for i in range(1, 7)})
+        sha = {k: hashlib.sha256((corpus / f).read_bytes()).hexdigest() for k, f in files.items()}
+        assert blocks[0]["inputs"] == sha
+        hashes = {blocks[0]["config_sha256"]}
         first_line = (out / "bounded_predictions.csv").read_text().splitlines()[0]
         hashes.add(first_line.split("config_sha256=")[1].split()[0])
         assert len(hashes) == 1
@@ -472,7 +494,7 @@ class TestExitCodes:
         except ValueError:
             payload = None
         if isinstance(payload, dict):  # the run's provenance, so the envelope itself is read
-            provenance = load_run_config(cfg_path).provenance()
+            provenance = _Run(load_run_config(cfg_path)).provenance
             text = json.dumps({"provenance": provenance, **payload})
         (corpus / "out_bad_envelope" / "cv_report.json").write_text(text)
         assert main(["predict", "--config", str(cfg_path)]) == 3
@@ -520,8 +542,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["predict", "spectrogram"])
     def test_model_of_other_observables_is_3(self, corpus, tmp_path, command, capsys):
-        # Same config and seed, so the provenance matches, but the schema
-        # changed between fit and this stage: the model lacks an observable.
+        # Same config and seed, but the schema changed between fit and this
+        # stage: the model lacks an observable, and the schema's digest differs.
         schema = json.loads((corpus / "schema.json").read_text())
         relabelled = {
             "channels": [
@@ -540,20 +562,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([command, "--config", cfg_path]) == 3
         err = capsys.readouterr().err
-        assert "model.json fits observables ['melt_pool_temp_c', 'working_distance_mm']" in err
+        assert "model.json was built from other inputs (schema differ)" in err
         assert not (tmp_path / "out" / "predict_report.json").exists()
         assert not (tmp_path / "out" / "spectrogram.json").exists()
 
     @pytest.mark.parametrize("command", ["predict", "spectrogram"])
-    def test_artifacts_of_other_experiments_are_3(self, tmp_path, command, capsys):
-        # Same config and seed, so the provenance matches, but the manifest
-        # lost an experiment after fit and cv: model and envelope were built
-        # from five experiments, the run has four.
-        root = tmp_path / "corpus"
-        assert main(["synth", "--out", str(root), "--experiments", "5", "--seed", "1"]) == 0
+    def test_artifacts_of_other_experiments_are_3(self, fitted, command, capsys):
+        # Same config and seed, but the manifest lost an experiment after fit
+        # and cv: model and envelope were built from five experiments, the run
+        # has four.
+        root = fitted
         cfg_path = str(root / "config.json")
-        assert main(["fit", "--config", cfg_path]) == 0
-        assert main(["cv", "--config", cfg_path]) == 0
         manifest = json.loads((root / "manifest.json").read_text())
         manifest["experiments"] = [
             e for e in manifest["experiments"] if e["experiment_id"] != "exp05"
@@ -562,15 +581,67 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([command, "--config", cfg_path]) == 3
         err = capsys.readouterr().err
-        assert "model.json was built from experiments" in err
-        assert "'exp05'], not ['exp01', 'exp02', 'exp03', 'exp04']" in err
+        assert "model.json was built from other inputs (exp05, manifest differ)" in err
         assert not (root / "out" / "predict_report.json").exists()
         assert not (root / "out" / "spectrogram.json").exists()
         if command == "predict":  # a refit model leaves the envelope stale
             assert main(["fit", "--config", cfg_path]) == 0
             capsys.readouterr()
             assert main([command, "--config", cfg_path]) == 3
-            assert "cv_report.json was built from experiments" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "cv_report.json was built from other inputs (exp05, manifest differ)" in err
+
+    @pytest.mark.parametrize("command", ["predict", "spectrogram"])
+    def test_edited_experiment_file_is_3_until_restored(self, fitted, command, capsys):
+        # Same config, seed, ids and manifest; one experiment's readings
+        # changed after fit and cv.
+        cfg_path = str(fitted / "config.json")
+        path = fitted / "exp03.csv"
+        original = path.read_bytes()
+        header = original.decode().splitlines()[0]
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data[:, header.split(",").index("melt_pool_temp_c")] *= 1.5
+        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path]) == 3
+        assert "model.json was built from other inputs (exp03 differ)" in capsys.readouterr().err
+        assert not (fitted / "out" / "predict_report.json").exists()
+        assert not (fitted / "out" / "spectrogram.json").exists()
+        path.write_bytes(original)
+        assert main([command, "--config", cfg_path]) == 0
+
+    def test_changed_sample_rate_is_3(self, fitted, capsys):
+        manifest = json.loads((fitted / "manifest.json").read_text())
+        manifest["experiments"][1]["sample_rate_hz"] = 50.0
+        (fitted / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(fitted / "config.json")]) == 3
+        err = capsys.readouterr().err
+        assert "model.json was built from other inputs (manifest differ)" in err
+        assert not (fitted / "out" / "predict_report.json").exists()
+
+    @pytest.mark.parametrize("reserved", ["schema", "manifest"])
+    def test_reserved_experiment_id_is_3(self, fitted, reserved, capsys):
+        # The id would key the same digest slot as the schema or manifest.
+        manifest = json.loads((fitted / "manifest.json").read_text())
+        manifest["experiments"][0]["experiment_id"] = reserved
+        (fitted / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(fitted / "config.json")]) == 3
+        assert f"experiment id {reserved!r} is reserved" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "spectrogram"])
+    def test_model_with_a_renamed_observable_is_3(self, fitted, command, capsys):
+        # A hand-edited model file: provenance intact, one observable renamed.
+        path = fitted / "out" / "model.json"
+        payload = json.loads(path.read_text())
+        payload["observables"][0] = "melt_pool_area_mm2"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main([command, "--config", str(fitted / "config.json")]) == 3
+        assert "model.json fits observables ['melt_pool_area_mm2'," in capsys.readouterr().err
+        assert not (fitted / "out" / "predict_report.json").exists()
+        assert not (fitted / "out" / "spectrogram.json").exists()
 
     @pytest.mark.parametrize("points", ["0", "-5"])
     def test_bench_points_below_one_is_2(self, tmp_path, monkeypatch, points, capsys):

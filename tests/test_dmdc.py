@@ -1,8 +1,6 @@
 import json
 import tracemalloc
 import warnings
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dedsid import dmdc
-from dedsid.config import RunConfig
 from dedsid.dmdc import (
     StateSpaceModel,
     build_snapshots,
@@ -815,12 +812,14 @@ class TestModelFile:
             load_model(path)
 
     def test_provenance_checked_after_version(self, tmp_path):
-        run = RunConfig(Path("m.json"), Path("s.json"), Path("out"), seed=3, config_sha256="abc")
+        run = {"config_sha256": "abc", "seed": 3, "inputs": {"schema": "5c", "e1": "9f"}}
         path = tmp_path / "model.json"
         save_model(self._model(), path, run)
         assert np.array_equal(load_model(path, run).A, A_TRUE)
         with pytest.raises(StaleArtifact):
-            load_model(path, replace(run, seed=4))
+            load_model(path, {**run, "seed": 4})
+        with pytest.raises(StaleArtifact, match=r"built from other inputs \(e1 differ\)"):
+            load_model(path, {**run, "inputs": {"schema": "5c", "e1": "0a"}})
         payload = json.loads(path.read_text())
         del payload["provenance"]
         path.write_text(json.dumps(payload))
