@@ -13,8 +13,9 @@ import sys
 
 import numpy as np
 
+from dedsid.config import FitConfig, LpocvConfig, RunConfig
 from dedsid.plant import PlantSpec, generic_channels, pulse_train_inputs, simulate
-from dedsid.validation import FitConfig, frequency_study
+from dedsid.validation import frequency_study
 
 
 def main() -> int:
@@ -22,9 +23,11 @@ def main() -> int:
     ap.add_argument("--experiments", type=int, default=10)
     ap.add_argument("--steps", type=int, default=3000)
     ap.add_argument("--seed", type=int, default=100)
-    ap.add_argument("--factors", type=int, nargs="+", default=[1, 2, 5, 10, 25, 50])
-    ap.add_argument("--holdout", type=int, default=3, help="experiments held out per repeat")
-    ap.add_argument("--repeats", type=int, default=10)
+    ap.add_argument("--factors", type=int, nargs="+", default=RunConfig.decimation_factors)
+    ap.add_argument(
+        "--holdout", type=int, default=LpocvConfig.p, help="experiments held out per repeat"
+    )
+    ap.add_argument("--repeats", type=int, default=LpocvConfig.repeats)
     args = ap.parse_args()
 
     spec = PlantSpec(

@@ -6,99 +6,60 @@ distribution-shift reporting, and spectral validation, plus a synthetic
 plant for end-to-end exercises.
 """
 
-from .artifacts import to_plain, write_json
-from .dataset import (
-    ChannelSpec,
-    ExperimentManifest,
-    ManifestEntry,
-    StandardizationParams,
-    TimeSeriesDataset,
-    decimate,
-    impute_off_state,
-    ingest_csv,
-    load_datasets,
-    load_manifest,
-    load_schema,
-    write_csv,
-)
-from .dmdc import SnapshotSet, StateSpaceModel, build_snapshots, fit, load_model, rollout, save_model
-from .errors import ConfigError, DataError, NumericError
-from .spectral import (
-    Spectrogram,
-    build_spectrogram,
-    collect_pulse_spectra,
-    compare_spectrograms,
-    pulse_spectra,
-    segment_pulses,
-)
-from .validation import (
-    FitConfig,
-    UncertaintyEnvelope,
-    bound_predictions,
-    frequency_study,
-    run_lpocv,
-)
-from .vif import VifSelectionReport, select_features
-from .wasserstein import split_shift_report
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The synthetic plant, and the G-code parser it imports, load on first use
-# (PEP 562), so that importing the package for a pipeline stage skips both.
-_PLANT_NAMES = ("PlantSpec", "demo_plant", "make_demo_experiments", "random_stable_plant", "simulate")
+# Each public name and the module that defines it. A module loads on first
+# use of one of its names (PEP 562), so that importing one module, say
+# ``dedsid.config`` or ``dedsid.cli``, loads only what that module imports.
+_EXPORTS = {
+    "artifacts": ("to_plain", "write_json"),
+    "config": ("FitConfig",),
+    "dataset": (
+        "ChannelSpec",
+        "ExperimentManifest",
+        "ManifestEntry",
+        "StandardizationParams",
+        "TimeSeriesDataset",
+        "decimate",
+        "impute_off_state",
+        "ingest_csv",
+        "load_datasets",
+        "load_manifest",
+        "load_schema",
+        "write_csv",
+    ),
+    "dmdc": (
+        "SnapshotSet",
+        "StateSpaceModel",
+        "build_snapshots",
+        "fit",
+        "load_model",
+        "rollout",
+        "save_model",
+    ),
+    "errors": ("ConfigError", "DataError", "NumericError"),
+    "plant": ("PlantSpec", "demo_plant", "make_demo_experiments", "random_stable_plant", "simulate"),
+    "spectral": (
+        "Spectrogram",
+        "build_spectrogram",
+        "collect_pulse_spectra",
+        "compare_spectrograms",
+        "pulse_spectra",
+        "segment_pulses",
+    ),
+    "validation": ("UncertaintyEnvelope", "bound_predictions", "frequency_study", "run_lpocv"),
+    "vif": ("VifSelectionReport", "select_features"),
+    "wasserstein": ("split_shift_report",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name not in _PLANT_NAMES:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import plant
-
-    return getattr(plant, name)
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
 
 
-__all__ = [
-    "ChannelSpec",
-    "ConfigError",
-    "DataError",
-    "ExperimentManifest",
-    "FitConfig",
-    "ManifestEntry",
-    "NumericError",
-    "PlantSpec",
-    "SnapshotSet",
-    "Spectrogram",
-    "StandardizationParams",
-    "StateSpaceModel",
-    "TimeSeriesDataset",
-    "UncertaintyEnvelope",
-    "VifSelectionReport",
-    "bound_predictions",
-    "build_snapshots",
-    "build_spectrogram",
-    "collect_pulse_spectra",
-    "compare_spectrograms",
-    "decimate",
-    "demo_plant",
-    "fit",
-    "frequency_study",
-    "impute_off_state",
-    "ingest_csv",
-    "load_datasets",
-    "load_manifest",
-    "load_model",
-    "load_schema",
-    "make_demo_experiments",
-    "pulse_spectra",
-    "random_stable_plant",
-    "rollout",
-    "run_lpocv",
-    "save_model",
-    "segment_pulses",
-    "select_features",
-    "simulate",
-    "split_shift_report",
-    "to_plain",
-    "write_csv",
-    "write_json",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,7 +22,7 @@ import numpy as np
 from . import dataset as dsmod
 from .artifacts import read_json_object, to_plain, write_json, write_rows
 from .config import (
-    BenchConfig,
+    FitConfig,
     ImputationDirective,
     RunConfig,
     default_config_payload,
@@ -41,7 +40,6 @@ from .errors import (
 )
 from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
-    FitConfig,
     UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
@@ -83,17 +81,14 @@ def _write_corpus(datasets: Sequence[TimeSeriesDataset], schema, root: Path) -> 
 class _Run:
     """One configured run: each input the stages share is computed at most once.
 
-    ``experiment`` is predict's ``--experiment``. ``reduced_corpus`` makes
-    select-features also write the screened corpus under ``reduced/``; the
-    pipeline's later stages screen in memory and do without it.
+    ``reduced_corpus`` makes select-features also write the screened corpus
+    under ``reduced/``; the pipeline's later stages screen in memory and do
+    without it.
     """
 
-    def __init__(
-        self, cfg: RunConfig, experiment: str | None = None, reduced_corpus: bool = True
-    ):
+    def __init__(self, cfg: RunConfig, reduced_corpus: bool = True):
         self.cfg = cfg
         self.out = cfg.output_dir
-        self.experiment = experiment
         self.reduced_corpus = reduced_corpus
 
     @cached_property
@@ -301,7 +296,7 @@ def _predict(run: _Run) -> str:
     names = model.observable_names
     envelope = _load_envelope(run, names)
     by_id = {ds.experiment_id: ds for ds in run.datasets}
-    exp_id = run.experiment or cfg.predict_experiment or run.datasets[0].experiment_id
+    exp_id = cfg.predict_experiment or run.datasets[0].experiment_id
     if exp_id not in by_id:
         raise DataError(f"experiment {exp_id!r} not in manifest")
     ds = by_id[exp_id]
@@ -414,7 +409,7 @@ PIPELINE = (
 
 
 def cmd_stage(args) -> int:
-    run = _Run(load_run_config(args.config, args.seed), getattr(args, "experiment", None))
+    run = _Run(load_run_config(args.config, args.seed))
     print(STAGES[args.command][1](run))
     return 0
 
@@ -442,15 +437,19 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _given(**options) -> dict:
+    """The options a command line set; the others keep the library's defaults."""
+    return {name: value for name, value in options.items() if value is not None}
+
+
 def cmd_synth(args) -> int:
     from .plant import make_demo_experiments, save_plant
 
     out = Path(args.out)
     spec, datasets = make_demo_experiments(
-        n_experiments=args.experiments,
-        seed=args.seed,
-        sample_rate_hz=args.rate,
-        dropout_probability=args.dropout,
+        args.experiments,
+        args.seed,
+        **_given(sample_rate_hz=args.rate, dropout_probability=args.dropout),
     )
     save_plant(spec, out / "plant.json")
     _write_corpus(datasets, datasets[0].channels, out)
@@ -460,7 +459,7 @@ def cmd_synth(args) -> int:
             ImputationDirective(
                 channel=spec.dropout.channel,
                 sentinel=spec.dropout.sentinel,
-                gate_channel=spec.dropout.gate_channel or "power_w",
+                gate_channel=spec.dropout.gate_channel,
             )
         )
     payload = default_config_payload(
@@ -481,12 +480,9 @@ def cmd_bench(args) -> int:
     from .bench import throughput_benchmark
 
     cfg = load_run_config(args.config, args.seed) if args.config else None
-    bench_cfg = cfg.bench if cfg else BenchConfig()
-    if args.points is not None:
-        if args.points < 1:
-            raise ConfigError(f"--points must be at least 1, got {args.points}")
-        bench_cfg = replace(bench_cfg, points=args.points)
-    report = throughput_benchmark(bench_cfg, seed=cfg.seed if cfg else (args.seed or 0))
+    if args.points is not None and args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
+    report = throughput_benchmark(**_given(points=args.points, seed=cfg.seed if cfg else args.seed))
     out_dir = cfg.output_dir if cfg else Path(".")
     write_json(out_dir / "bench_report.json", report, cfg.provenance() if cfg else None)
     print(
@@ -507,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--experiments", type=int, default=7)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--rate", type=float, default=100.0)
-    synth.add_argument("--dropout", type=float, default=0.05)
+    synth.add_argument("--rate", type=float, help="sample rate in Hz")
+    synth.add_argument("--dropout", type=float, help="sensor dropout probability")
     synth.set_defaults(func=cmd_synth)
 
     def with_config(name: str, help_text: str, func):
@@ -519,9 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name, (help_text, _) in STAGES.items():
-        stage = with_config(name, help_text, cmd_stage)
-        if name == "predict":
-            stage.add_argument("--experiment", default=None)
+        with_config(name, help_text, cmd_stage)
     with_config("pipeline", f"run {', '.join(PIPELINE)} in order", cmd_pipeline)
 
     bench = sub.add_parser("bench", help="throughput benchmark")

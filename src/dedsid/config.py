@@ -1,6 +1,8 @@
 """Run configuration: one JSON file drives every subcommand.
 
-The dataclasses below are the schema. Each config key is a field, and a
+The dataclasses below are the schema, and the one declaration of every run
+setting's default: library functions that take one of these settings as a
+parameter default to the field here. Each config key is a field, and a
 missing key takes the field default. ``load_run_config`` checks every value
 against its field type and rejects unknown keys, so a bad config ends in
 ``ConfigError`` naming the key. Paths resolve relative to the config file's
@@ -24,7 +26,24 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .artifacts import to_plain
 from .errors import ConfigError
-from .validation import EVAL_MODES
+
+EVAL_MODES = ("rollout", "one-step")
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """What to fit on and how, shared by every cross-validation consumer."""
+
+    inputs: tuple[str, ...]
+    observables: tuple[str, ...]
+    standardize_inputs: bool = True
+    standardize_observables: bool = True
+    svd_rank: int | None = None
+    eval_mode: str = "rollout"
+
+    def __post_init__(self):
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "observables", tuple(self.observables))
 
 
 @dataclass(frozen=True)
@@ -56,15 +75,6 @@ class SpectrogramConfig:
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    points: int = 1_000_000
-    q: int = 3
-    p: int = 21
-    fit_target_us: float = 25.0
-    rollout_target_us: float = 150.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     manifest: Path
     schema: Path
@@ -75,11 +85,10 @@ class RunConfig:
     imputation: tuple[ImputationDirective, ...] = ()
     decimation_factors: tuple[int, ...] = (1, 2, 5, 10, 25, 50)
     spectrogram: SpectrogramConfig = field(default_factory=SpectrogramConfig)
-    bench: BenchConfig = field(default_factory=BenchConfig)
-    standardize_inputs: bool = True
-    standardize_observables: bool = True
-    svd_rank: int | None = None
-    eval_mode: str = "rollout"
+    standardize_inputs: bool = FitConfig.standardize_inputs
+    standardize_observables: bool = FitConfig.standardize_observables
+    svd_rank: int | None = FitConfig.svd_rank
+    eval_mode: str = FitConfig.eval_mode
     predict_experiment: str | None = None
     position_channels: tuple[str, ...] = ("x_mm", "y_mm", "z_mm")
     # Stamped by load_run_config from the payload, never read from it.
@@ -161,9 +170,6 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError("lpocv p and repeats must be positive")
     if cfg.svd_rank is not None and cfg.svd_rank < 1:
         raise ConfigError(f"svd_rank must be at least 1, got {cfg.svd_rank}")
-    b = cfg.bench
-    if min(b.points, b.q, b.p) < 1:
-        raise ConfigError(f"bench points, q and p must be at least 1, got {b.points}, {b.q}, {b.p}")
     sg = cfg.spectrogram
     if sg.rows < 1 or sg.cols < 1:
         raise ConfigError(f"spectrogram rows and cols must be at least 1, got {sg.rows}x{sg.cols}")
@@ -196,8 +202,7 @@ def default_config_payload(
     spectrogram_observable: str | None = None,
 ) -> dict:
     """Template payload written by the synth command, pipeline-ready: every
-    key at its field default apart from the values passed in. The bench
-    section configures ``dedsid bench`` alone and stays out."""
+    key at its field default apart from the values passed in."""
     payload = to_plain(
         RunConfig(
             manifest=Path(manifest),
@@ -209,5 +214,5 @@ def default_config_payload(
             predict_experiment=predict_experiment,
         )
     )
-    del payload["bench"], payload["config_sha256"]
+    del payload["config_sha256"]
     return payload

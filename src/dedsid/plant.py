@@ -266,7 +266,7 @@ DEMO_OBSERVABLE_CHANNELS = (
 )
 
 
-def demo_plant(dropout_probability: float = 0.05) -> PlantSpec:
+def demo_plant(dropout_probability: float) -> PlantSpec:
     """Hand-tuned plant over the demo channels.
 
     Decoy features (flags, program time, shield gas) get zero columns in B so

@@ -10,11 +10,12 @@ fingerprint on its own rollouts has captured more than pointwise accuracy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import SpectrogramConfig
 from .dataset import TimeSeriesDataset
 from .errors import (
     GridMismatch,
@@ -156,13 +157,15 @@ def collect_pulse_spectra(
     """Segment every dataset on its power channel and merge the buckets.
 
     ``values_override`` substitutes a replacement series per experiment id
-    (e.g. model predictions) while keeping the measured pulse segmentation.
+    (e.g. model predictions) while keeping the measured pulse segmentation;
+    it is read as a one-column dataset, so no other column is copied.
     """
     maps = []
     for ds in datasets:
         segs = segment_pulses(ds.column(power_channel), ds.sample_rate_hz)
         if values_override is not None and ds.experiment_id in values_override:
-            ds = ds.with_column(observable, values_override[ds.experiment_id])
+            values = np.reshape(values_override[ds.experiment_id], (-1, 1))
+            ds = replace(ds, channels=(ds.channels[ds.index_of(observable)],), data=values)
         maps.append(pulse_spectra(ds, observable, segs))
     return merge_spectra(maps)
 
@@ -183,8 +186,8 @@ class Spectrogram:
 
 def build_spectrogram(
     spectra: Mapping[int, PulseSpectrum],
-    grid: tuple[int, int] = (100, 100),
-    cap_hz: float = 1.0,
+    grid: tuple[int, int] = (SpectrogramConfig.rows, SpectrogramConfig.cols),
+    cap_hz: float = SpectrogramConfig.cap_hz,
 ) -> Spectrogram:
     """Bilinearly interpolate ragged per-length spectra onto a uniform grid.
 

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import EVAL_MODES, FitConfig
 from .dataset import StandardizationParams, TimeSeriesDataset, decimate, pool_moments
 from .dmdc import (
     SnapshotSet,
@@ -27,26 +28,6 @@ from .dmdc import (
 )
 from .errors import ConstantActual, EmptySample, TooFewExperiments
 from .wasserstein import ci95_halfwidth
-
-EVAL_MODES = ("rollout", "one-step")
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """What to fit on and how, shared by every cross-validation consumer."""
-
-    inputs: tuple[str, ...]
-    observables: tuple[str, ...]
-    standardize_inputs: bool = True
-    standardize_observables: bool = True
-    svd_rank: int | None = None
-    eval_mode: str = "rollout"
-
-    def __post_init__(self):
-        if self.eval_mode not in EVAL_MODES:
-            raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "observables", tuple(self.observables))
 
 
 def _padded(
@@ -87,10 +68,10 @@ def _padded_predictions(
     """Predictions of steps 1..T of ``_padded`` arrays, less ``obs_center``.
 
     ``rollout`` feeds each prediction back, from the measured first state;
-    ``one-step`` feeds the measured state at every step. Every sequence runs
-    in one ``linear_recurrence`` batch; a padded step's inputs, ones column
-    included, are zero, so its drive is zero, and what it predicts is not a
-    result.
+    ``one-step`` feeds the measured state at every step; any other mode is
+    a ``ValueError``. Every sequence runs in one ``linear_recurrence``
+    batch; a padded step's inputs, ones column included, are zero, so its
+    drive is zero, and what it predicts is not a result.
 
     The standardizers fold into the operator: with y_s = (y - mean_y) /
     scale_y and z = y - c_y, the model y_s' = A y_s + B u_s reads z' = A' z +
@@ -110,11 +91,15 @@ def _padded_predictions(
     drive = inp @ np.vstack([b.T, d_obs - a @ d_obs - b @ d_in])
     if eval_mode == "rollout":
         return linear_recurrence(a, drive, obs[:, 0])
-    return obs[:, :-1] @ a.T + drive
+    if eval_mode == "one-step":
+        return obs[:, :-1] @ a.T + drive
+    raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}")
 
 
 def predict_series(
-    model: StateSpaceModel, datasets: Sequence[TimeSeriesDataset], eval_mode: str = "rollout"
+    model: StateSpaceModel,
+    datasets: Sequence[TimeSeriesDataset],
+    eval_mode: str = FitConfig.eval_mode,
 ) -> list[np.ndarray]:
     """Model predictions aligned with each dataset's rows, in original units.
 
@@ -123,8 +108,6 @@ def predict_series(
     back; ``one-step`` feeds the measured state at every step and exists for
     diagnosing whether errors come from the operator or from compounding.
     """
-    if eval_mode not in EVAL_MODES:
-        raise ValueError(f"eval_mode must be one of {EVAL_MODES}")
     if not datasets:
         return []
     padded = _padded(datasets, model.observable_names, model.input_names)

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import VifConfig
 from .errors import EmptySurvivorSet
 
 _EPS = float(np.finfo(float).eps)
@@ -83,8 +84,8 @@ class VifSelectionReport:
 def select_features(
     features: np.ndarray,
     names: Sequence[str],
-    remove_above: float = 10.0,
-    accept_below: float = 5.0,
+    remove_above: float = VifConfig.remove_above,
+    accept_below: float = VifConfig.accept_below,
 ) -> VifSelectionReport:
     """Iteratively drop the highest-VIF feature until all scores sit below
     ``accept_below``.

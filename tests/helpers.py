@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from dedsid import dmdc
 from dedsid.artifacts import read_json_object
+from dedsid.config import FitConfig
 from dedsid.dataset import ChannelSpec, TimeSeriesDataset, standardizer_from_matrix
 from dedsid.errors import (
     AllSentinel,
@@ -23,7 +24,6 @@ from dedsid.errors import (
 )
 from dedsid.plant import DropoutSpec, PlantSpec, pulse_train_inputs, random_stable_plant, simulate
 from dedsid.spectral import MIN_SEGMENT_SAMPLES, PulseSpectrum
-from dedsid.validation import FitConfig
 from dedsid.wasserstein import _sorted_sample, _uniform_w1_sorted, _w1_sorted
 
 _EPS = float(np.finfo(float).eps)

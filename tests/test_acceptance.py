@@ -21,7 +21,7 @@ import numpy as np
 import dedsid
 from dedsid.artifacts import to_plain
 from dedsid.bench import throughput_benchmark
-from dedsid.config import BenchConfig
+from dedsid.config import FitConfig
 from dedsid.dataset import impute_off_state
 from dedsid.dmdc import StateSpaceModel, build_snapshots, fit
 from dedsid.plant import (
@@ -41,7 +41,6 @@ from dedsid.spectral import (
     segment_pulses,
 )
 from dedsid.validation import (
-    FitConfig,
     UncertaintyEnvelope,
     bound_predictions,
     frequency_study,
@@ -328,7 +327,7 @@ def test_07_spectral_closure():
 
 
 def test_08_throughput():
-    report = throughput_benchmark(BenchConfig(points=1_000_000, q=3, p=21), seed=0)
+    report = throughput_benchmark(points=1_000_000, seed=0)
     ok = report.fit_us_per_point <= 25.0 and report.rollout_us_per_point <= 150.0
     _criterion(
         8,

@@ -44,6 +44,14 @@ def fitted(fitted_corpus, tmp_path):
     return shutil.copytree(fitted_corpus, tmp_path / "corpus")
 
 
+@pytest.fixture(scope="module")
+def piped(corpus):
+    """The config of one ``pipeline`` run over ``corpus``, and its output directory."""
+    cfg_path = derived_config(corpus, "out_pipe")
+    assert main(["pipeline", "--config", str(cfg_path)]) == 0
+    return cfg_path, corpus / "out_pipe"
+
+
 def derived_config(corpus, out_name, **overrides):
     payload = json.loads((corpus / "config.json").read_text())
     payload["output_dir"] = out_name
@@ -136,7 +144,7 @@ class TestStages:
         assert len(lines) == 11
 
     def test_fit_cv_predict_chain(self, corpus):
-        cfg_path = derived_config(corpus, "out_chain")
+        cfg_path = derived_config(corpus, "out_chain", predict_experiment="exp02")
         out = corpus / "out_chain"
         assert main(["fit", "--config", str(cfg_path)]) == 0
         model = load_model(out / "model.json")
@@ -152,7 +160,7 @@ class TestStages:
             "working_distance_mm",
         }
 
-        assert main(["predict", "--config", str(cfg_path), "--experiment", "exp02"]) == 0
+        assert main(["predict", "--config", str(cfg_path)]) == 0
         report = json.loads((out / "predict_report.json").read_text())
         assert report["experiment_id"] == "exp02"
         assert 0.0 <= report["within_bounds_fraction"] <= 1.0
@@ -193,6 +201,25 @@ class TestStages:
         total = table.shape[0] * len(flags)
         assert report["within_bounds_fraction"] == 1.0 - sum(flags.values()) / total
 
+    def test_predicted_experiment_is_in_the_provenance(self, fitted):
+        # The experiment predict bounds is the config key predict_experiment,
+        # so another experiment's predictions carry another config hash.
+        def stamps(out):
+            report = json.loads((out / "predict_report.json").read_text())
+            first_line = (out / "bounded_predictions.csv").read_text().splitlines()[0]
+            return report["experiment_id"], report["provenance"]["config_sha256"], first_line
+
+        assert main(["predict", "--config", str(fitted / "config.json")]) == 0
+        cfg_path = derived_config(fitted, "out_exp02", predict_experiment="exp02")
+        for command in ("fit", "cv", "predict"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        default_id, default_sha, default_line = stamps(fitted / "out")
+        other_id, other_sha, other_line = stamps(fitted / "out_exp02")
+        assert (default_id, other_id) == ("exp01", "exp02")
+        assert default_sha != other_sha
+        assert default_line == f"# config_sha256={default_sha} seed=1"
+        assert other_line == f"# config_sha256={other_sha} seed=1"
+
     def test_spectrogram_with_and_without_model(self, corpus):
         bare = derived_config(corpus, "out_sg_bare")
         assert main(["spectrogram", "--config", str(bare)]) == 0
@@ -228,10 +255,8 @@ class TestStages:
 
 
 class TestPipeline:
-    def test_all_artifacts_and_determinism(self, corpus):
-        cfg_path = derived_config(corpus, "out_pipe")
-        out = corpus / "out_pipe"
-        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+    def test_all_artifacts_and_determinism(self, piped):
+        cfg_path, out = piped
         expected = {
             "ingest_report.json",
             "impute_report.json",
@@ -291,8 +316,8 @@ class TestPipeline:
         assert base["provenance"]["config_sha256"] != other["provenance"]["config_sha256"]
         assert base["cv"]["folds"] != other["cv"]["folds"]
 
-    def test_provenance_consistent_across_artifacts(self, corpus):
-        out = corpus / "out_pipe"
+    def test_provenance_consistent_across_artifacts(self, corpus, piped):
+        out = piped[1]
         blocks = [json.loads(p.read_text())["provenance"] for p in sorted(out.glob("*.json"))]
         assert len(blocks) == 9
         assert all(block == blocks[0] for block in blocks)
@@ -321,7 +346,7 @@ class TestExitCodes:
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert f"svd_rank must be at least 1, got {rank}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section", ["lpocv", "vif", "spectrogram", "bench"])
+    @pytest.mark.parametrize("section", ["lpocv", "vif", "spectrogram"])
     @pytest.mark.parametrize("value", [None, [], 3])
     def test_non_object_section_is_2(self, corpus, section, value, capsys):
         cfg_path = derived_config(corpus, f"out_{section}_{value}", **{section: value})
@@ -653,9 +678,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("key", ["points", "q", "p"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_bench_size_below_one_is_2(self, corpus, key, value, capsys):
+        # The benchmark's sizes are no config keys: the plant's q and p are
+        # ``dedsid.bench`` constants and the size is ``--points``.
         cfg_path = derived_config(corpus, f"out_bench_{key}_{value}", bench={key: value})
         assert main(["bench", "--config", str(cfg_path)]) == 2
-        assert "bench points, q and p must be at least 1" in capsys.readouterr().err
+        assert "unknown config key 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"points": 1000000, "q": 3, "p": 21, "fit_target_us": 25.0, "rollout_target_us": 150.0},
+            None,
+            [],
+            3,
+        ],
+        ids=["former_defaults", "None", "value1", "3"],
+    )
+    @pytest.mark.parametrize("command", ["bench", "cv"])
+    def test_bench_section_is_2(self, corpus, command, value, capsys):
+        # The section older configs could carry, well-formed or not.
+        cfg_path = derived_config(corpus, "out_bench_section", bench=value)
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "unknown config key 'bench'" in capsys.readouterr().err
+        assert not (corpus / "out_bench_section").exists()
+
+    def test_predict_experiment_flag_is_an_argparse_error(self, fitted, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--config", str(fitted / "config.json"), "--experiment", "exp02"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --experiment exp02" in capsys.readouterr().err
+        assert not (fitted / "out" / "predict_report.json").exists()
 
     def test_predict_before_fit_is_3(self, corpus):
         cfg_path = derived_config(corpus, "out_nofit")
@@ -715,9 +767,6 @@ CONFIG_PAYLOADS = st.fixed_dictionaries(
         "spectrogram": section(
             rows=INTS, cols=INTS, cap_hz=FLOATS, observable=st.none() | TEXT, power_channel=TEXT
         ),
-        "bench": section(
-            points=INTS, q=INTS, p=INTS, fit_target_us=FLOATS, rollout_target_us=FLOATS
-        ),
         "standardize_inputs": mostly(st.booleans()),
         "standardize_observables": mostly(st.booleans()),
         "svd_rank": mostly(st.none() | INTS),
@@ -742,14 +791,9 @@ class TestConfigSchema:
 
 
 class TestImports:
-    def test_pipeline_path_skips_plant_and_gcode(self):
-        # A child process, because this session has imported both already.
-        code = (
-            "import sys, dedsid.cli; "
-            "print(sorted(m for m in ('dedsid.plant', 'dedsid.gcode') if m in sys.modules)); "
-            "from dedsid import make_demo_experiments, simulate; "
-            "print(make_demo_experiments.__module__, simulate.__module__)"
-        )
+    # Child processes, because this session has imported every module already.
+    @staticmethod
+    def child_lines(code: str) -> list[str]:
         src = str(Path(dedsid.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -757,27 +801,29 @@ class TestImports:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "dedsid.plant dedsid.plant"]
+        return proc.stdout.splitlines()
+
+    def test_pipeline_path_skips_plant_and_gcode(self):
+        code = (
+            "import sys, dedsid.cli; "
+            "print(sorted(m for m in ('dedsid.plant', 'dedsid.gcode') if m in sys.modules)); "
+            "from dedsid import make_demo_experiments, simulate; "
+            "print(make_demo_experiments.__module__, simulate.__module__)"
+        )
+        assert self.child_lines(code) == ["[]", "dedsid.plant dedsid.plant"]
+
+    def test_config_loads_no_pipeline_module(self):
+        # config.py declares the defaults the pipeline modules import, so it
+        # must not import them in turn.
+        code = (
+            "import sys, dedsid.config; "
+            "print(sorted(m for m in ('dedsid.validation', 'dedsid.dmdc') if m in sys.modules)); "
+            "from dedsid import FitConfig, run_lpocv; "
+            "print(FitConfig.__module__, run_lpocv.__module__)"
+        )
+        assert self.child_lines(code) == ["[]", "dedsid.config dedsid.validation"]
 
     def test_unknown_package_attribute_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             dedsid.nope  # noqa: B018
 
-
-class TestScripts:
-    def test_demo_pipeline_script_runs(self, tmp_path):
-        # The child runs in tmp_path, so put the absolute source root first
-        # on PYTHONPATH, as criterion 09 does.
-        src = str(Path(dedsid.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo_pipeline.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--workdir", str(tmp_path / "demo"), "--experiments", "6"],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "surviving inputs:" in proc.stdout

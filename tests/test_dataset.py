@@ -286,6 +286,12 @@ class TestDecimate:
         assert out.sample_rate_hz == 20.0
         assert np.array_equal(out.data.ravel(), [0.0, 5.0])
 
+    def test_shares_memory_with_its_source(self):
+        ds = make_dataset(np.arange(20.0).reshape(10, 2), rate=100.0, names=["a", "b"])
+        out = decimate(ds, 3)
+        assert np.shares_memory(out.data, ds.data)
+        assert np.array_equal(out.data, ds.data[::3])
+
     def test_composition(self):
         ds = make_dataset(np.arange(60.0), rate=60.0)
         a = decimate(decimate(ds, 2), 3)

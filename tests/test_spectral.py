@@ -12,6 +12,7 @@ from helpers import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dedsid.config import FitConfig
 from dedsid.errors import GridMismatch, InsufficientPulseLengthDiversity, SegmentSkippedWarning
 from dedsid.spectral import (
     MIN_SEGMENT_SAMPLES,
@@ -23,7 +24,7 @@ from dedsid.spectral import (
     pulse_spectra,
     segment_pulses,
 )
-from dedsid.validation import FitConfig, predict_series
+from dedsid.validation import predict_series
 
 
 class TestSegmentation:
@@ -303,3 +304,16 @@ class TestCompare:
         sg_m = build_spectrogram(measured, cap_hz=50.0)
         sg_p = build_spectrogram(predicted, cap_hz=50.0)
         assert compare_spectrograms(sg_m, sg_p) > 0.99
+
+    def test_values_override_copies_no_dataset(self, monkeypatch):
+        ds = pulsed_dataset(seed=5)
+        override = np.cos(np.arange(ds.row_count) / 7.0)
+        expected = pulse_spectra(
+            ds.with_column("m", override), "m", segment_pulses(ds.column("power"), 100.0)
+        )
+        monkeypatch.setattr(type(ds), "with_column", None)
+        got = collect_pulse_spectra([ds], "m", "power", values_override={ds.experiment_id: override})
+        assert got.keys() == expected.keys()
+        for count, spectrum in expected.items():
+            assert np.array_equal(got[count].magnitude, spectrum.magnitude)
+            assert got[count].pulses_averaged == spectrum.pulses_averaged

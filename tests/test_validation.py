@@ -5,11 +5,11 @@ import pytest
 from helpers import fit_on_datasets, linear_corpus, make_dataset, r2, rmse
 
 from dedsid.artifacts import to_plain
+from dedsid.config import FitConfig
 from dedsid.dataset import decimate
 from dedsid.dmdc import StateSpaceModel
 from dedsid.errors import ConstantActual, TooFewExperiments
 from dedsid.validation import (
-    FitConfig,
     UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
@@ -133,6 +133,15 @@ class TestPredictSeries:
             assert pred.shape == expected.shape == (ds.row_count, 2)
             assert np.array_equal(pred[0], expected[0])
             assert np.max(np.abs(pred - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_unknown_eval_mode_is_a_value_error(self):
+        spec, datasets = linear_corpus(q=2, p=2, n_exp=4, steps=300, seed=22)
+        config = replace(_fit_config(spec), eval_mode="sideways")
+        model = fit_on_datasets(datasets, _fit_config(spec))
+        with pytest.raises(ValueError, match="eval_mode must be one of"):
+            predict_series(model, datasets, "sideways")
+        with pytest.raises(ValueError, match="eval_mode must be one of"):
+            run_lpocv(datasets, config, p=1, repeats=1, seed=0)
 
     def test_no_datasets_no_predictions(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
