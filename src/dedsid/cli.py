@@ -79,17 +79,11 @@ def _write_corpus(datasets: Sequence[TimeSeriesDataset], schema, root: Path) -> 
 
 
 class _Run:
-    """One configured run: each input the stages share is computed at most once.
+    """One configured run: each input the stages share is computed at most once."""
 
-    ``reduced_corpus`` makes select-features also write the screened corpus
-    under ``reduced/``; the pipeline's later stages screen in memory and do
-    without it.
-    """
-
-    def __init__(self, cfg: RunConfig, reduced_corpus: bool = True):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.out = cfg.output_dir
-        self.reduced_corpus = reduced_corpus
 
     @cached_property
     def manifest(self) -> dsmod.ExperimentManifest:
@@ -209,15 +203,8 @@ def _impute(run: _Run) -> str:
 
 def _select_features(run: _Run) -> str:
     write_json(run.out / "vif_report.json", run.screening, run.provenance)
-    survivors = list(run.fit_config.inputs)
-    if run.reduced_corpus:
-        keep = survivors + run.names("observable")
-        _write_corpus(
-            [ds.select_channels(keep) for ds in run.datasets],
-            [c for c in run.ingested[1]["retained_schema"] if c.name in keep],
-            run.out / "reduced",
-        )
-    return f"{len(survivors)} of {len(run.names('input'))} input features survive"
+    survivors = len(run.fit_config.inputs)
+    return f"{survivors} of {len(run.names('input'))} input features survive"
 
 
 def _dist_report(run: _Run) -> str:
@@ -415,7 +402,7 @@ def cmd_stage(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    run = _Run(load_run_config(args.config, args.seed), reduced_corpus=False)
+    run = _Run(load_run_config(args.config, args.seed))
     available, p = len(run.ingested[0]), run.cfg.lpocv.p
     if available <= p:  # draw_splits would refuse too, but only after files are written
         raise TooFewExperiments(available, p)
@@ -445,6 +432,12 @@ def _given(**options) -> dict:
 def cmd_synth(args) -> int:
     from .plant import make_demo_experiments, save_plant
 
+    if args.experiments < 1:
+        raise ConfigError(f"--experiments must be at least 1, got {args.experiments}")
+    if args.rate is not None and not 0 < args.rate < np.inf:
+        raise ConfigError(f"--rate must be a finite number of Hz above 0, got {args.rate}")
+    if args.dropout is not None and not 0 <= args.dropout <= 1:
+        raise ConfigError(f"--dropout must lie in [0, 1], got {args.dropout}")
     out = Path(args.out)
     spec, datasets = make_demo_experiments(
         args.experiments,
@@ -476,22 +469,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .bench import throughput_benchmark
-
-    cfg = load_run_config(args.config, args.seed) if args.config else None
-    if args.points is not None and args.points < 1:
-        raise ConfigError(f"--points must be at least 1, got {args.points}")
-    report = throughput_benchmark(**_given(points=args.points, seed=cfg.seed if cfg else args.seed))
-    out_dir = cfg.output_dir if cfg else Path(".")
-    write_json(out_dir / "bench_report.json", report, cfg.provenance() if cfg else None)
-    print(
-        f"fit {report.fit_us_per_point:.3f} us/pt (target {report.fit_target_us}), "
-        f"rollout {report.rollout_us_per_point:.3f} us/pt (target {report.rollout_target_us})"
-    )
-    return 0 if report.fit_within_target and report.rollout_within_target else 4
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dedsid",
@@ -517,12 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, _) in STAGES.items():
         with_config(name, help_text, cmd_stage)
     with_config("pipeline", f"run {', '.join(PIPELINE)} in order", cmd_pipeline)
-
-    bench = sub.add_parser("bench", help="throughput benchmark")
-    bench.add_argument("--config", default=None)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--points", type=int, default=None)
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -9,7 +9,6 @@ command-line pipeline.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,63 +192,6 @@ def gaussian_inputs(
     )
 
 
-def pulse_train_inputs(
-    names: Sequence[str],
-    steps: int,
-    sample_rate_hz: float,
-    seed: int | None = None,
-    grid_s: float = 0.05,
-    aux_grid_s: float = 0.1,
-    level_range: tuple[float, float] = (0.5, 1.5),
-    aux_scale: float = 1.0,
-    on_blocks: Sequence[int] = (1, 2, 3, 4, 6),
-    off_blocks: Sequence[int] = (1, 2, 3),
-    lead_s: float = 1.0,
-    tail_s: float = 1.5,
-    experiment_id: str = "pulses",
-) -> TimeSeriesDataset:
-    """Pulsed first channel plus block-constant auxiliary channels.
-
-    The first name is treated as the pulsed power-like channel: runs of
-    ``on_blocks``/``off_blocks`` grid units with a random level per pulse.
-    Remaining channels hold a random level per ``aux_grid_s`` block. All
-    channels are zero during the lead-in and tail so simulated experiments
-    start and end at rest.
-    """
-    rng = np.random.default_rng(seed)
-    block = max(1, int(round(grid_s * sample_rate_hz)))
-    aux_block = max(1, int(round(aux_grid_s * sample_rate_hz)))
-    lead = int(round(lead_s * sample_rate_hz))
-    tail = int(round(tail_s * sample_rate_hz))
-    active = max(0, steps - lead - tail)
-
-    power = np.zeros(steps)
-    pos = lead
-    end_active = lead + active
-    on = False
-    while pos < end_active:
-        count = int(rng.choice(on_blocks if on else off_blocks)) * block
-        count = min(count, end_active - pos)
-        if on:
-            power[pos : pos + count] = rng.uniform(*level_range)
-        pos += count
-        on = not on
-
-    data = np.zeros((steps, len(names)))
-    data[:, 0] = power
-    for j in range(1, len(names)):
-        n_blocks = math.ceil(active / aux_block) if active else 0
-        levels = rng.normal(0.0, aux_scale, size=n_blocks)
-        col = np.repeat(levels, aux_block)[:active]
-        data[lead:end_active, j] = col
-    return TimeSeriesDataset(
-        experiment_id=experiment_id,
-        sample_rate_hz=sample_rate_hz,
-        channels=tuple(ChannelSpec(n, "au", "input") for n in names),
-        data=data,
-    )
-
-
 # --- bundled demo experiment set -------------------------------------------
 
 DEMO_INPUT_CHANNELS = INPUT_CHANNELS + (
@@ -351,9 +293,10 @@ def _demo_inputs(rng: np.random.Generator, sample_rate_hz: float, experiment_id:
     m = base.row_count
 
     # Pulse-modulate the commanded power on a fixed grid so pulse lengths
-    # bucket cleanly for the spectral stage.
+    # bucket cleanly for the spectral stage. At 10 Hz and below the grid
+    # rounds to zero samples, and a zero-length block would never advance.
     gate = np.zeros(m)
-    block = int(round(0.05 * sample_rate_hz))
+    block = max(1, int(round(0.05 * sample_rate_hz)))
     pos = 0
     on = True
     while pos < m:

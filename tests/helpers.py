@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -22,7 +25,7 @@ from dedsid.errors import (
     InsufficientPairs,
     RankDeficiencyWarning,
 )
-from dedsid.plant import DropoutSpec, PlantSpec, pulse_train_inputs, random_stable_plant, simulate
+from dedsid.plant import DropoutSpec, PlantSpec, gaussian_inputs, random_stable_plant, simulate
 from dedsid.spectral import MIN_SEGMENT_SAMPLES, PulseSpectrum
 from dedsid.wasserstein import _sorted_sample, _uniform_w1_sorted, _w1_sorted
 
@@ -62,6 +65,63 @@ def make_dataset(
     channels = tuple(ChannelSpec(n, "au", kd) for n, kd in zip(names, kinds))
     return TimeSeriesDataset(
         experiment_id=experiment_id, sample_rate_hz=rate, channels=channels, data=data
+    )
+
+
+def pulse_train_inputs(
+    names: Sequence[str],
+    steps: int,
+    sample_rate_hz: float,
+    seed: int | None = None,
+    grid_s: float = 0.05,
+    aux_grid_s: float = 0.1,
+    level_range: tuple[float, float] = (0.5, 1.5),
+    aux_scale: float = 1.0,
+    on_blocks: Sequence[int] = (1, 2, 3, 4, 6),
+    off_blocks: Sequence[int] = (1, 2, 3),
+    lead_s: float = 1.0,
+    tail_s: float = 1.5,
+    experiment_id: str = "pulses",
+) -> TimeSeriesDataset:
+    """Pulsed first channel plus block-constant auxiliary channels.
+
+    The first name is treated as the pulsed power-like channel: runs of
+    ``on_blocks``/``off_blocks`` grid units with a random level per pulse.
+    Remaining channels hold a random level per ``aux_grid_s`` block. All
+    channels are zero during the lead-in and tail so simulated experiments
+    start and end at rest.
+    """
+    rng = np.random.default_rng(seed)
+    block = max(1, int(round(grid_s * sample_rate_hz)))
+    aux_block = max(1, int(round(aux_grid_s * sample_rate_hz)))
+    lead = int(round(lead_s * sample_rate_hz))
+    tail = int(round(tail_s * sample_rate_hz))
+    active = max(0, steps - lead - tail)
+
+    power = np.zeros(steps)
+    pos = lead
+    end_active = lead + active
+    on = False
+    while pos < end_active:
+        count = int(rng.choice(on_blocks if on else off_blocks)) * block
+        count = min(count, end_active - pos)
+        if on:
+            power[pos : pos + count] = rng.uniform(*level_range)
+        pos += count
+        on = not on
+
+    data = np.zeros((steps, len(names)))
+    data[:, 0] = power
+    for j in range(1, len(names)):
+        n_blocks = math.ceil(active / aux_block) if active else 0
+        levels = rng.normal(0.0, aux_scale, size=n_blocks)
+        col = np.repeat(levels, aux_block)[:active]
+        data[lead:end_active, j] = col
+    return TimeSeriesDataset(
+        experiment_id=experiment_id,
+        sample_rate_hz=sample_rate_hz,
+        channels=tuple(ChannelSpec(n, "au", "input") for n in names),
+        data=data,
     )
 
 
@@ -436,3 +496,28 @@ def unit_variance_plant(
         B=s_inv @ spec.B,
         noise_sd=spec.noise_sd / s,
     )
+
+
+def throughput_us_per_point(points: int, seed: int = 0) -> tuple[float, float]:
+    """Wall-clock microseconds per point of one fit (snapshot set-up included)
+    and of one self-fed rollout over ``points`` samples.
+
+    The plant is a seeded random stable one with 3 observables, 21 inputs and
+    spectral radius 0.9, driven by white-noise inputs.
+    """
+    spec = random_stable_plant(3, 21, seed=seed, radius=0.9)
+    inputs = gaussian_inputs(list(spec.input_names), points, 100.0, seed=seed + 1)
+    ds = simulate(spec, inputs, seed=seed + 2).dataset
+
+    t0 = time.perf_counter()
+    model = dmdc.fit(
+        dmdc.build_snapshots([ds], list(spec.input_names), list(spec.observable_names))
+    )
+    fit_s = time.perf_counter() - t0
+
+    y0 = ds.matrix_for(spec.observable_names)[0]
+    u = ds.matrix_for(spec.input_names)[:-1].T
+    t0 = time.perf_counter()
+    dmdc.rollout(model, y0, u)
+    rollout_s = time.perf_counter() - t0
+    return fit_s / points * 1e6, rollout_s / u.shape[1] * 1e6

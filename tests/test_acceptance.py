@@ -20,7 +20,6 @@ import numpy as np
 
 import dedsid
 from dedsid.artifacts import to_plain
-from dedsid.bench import throughput_benchmark
 from dedsid.config import FitConfig
 from dedsid.dataset import impute_off_state
 from dedsid.dmdc import StateSpaceModel, build_snapshots, fit
@@ -29,7 +28,6 @@ from dedsid.plant import (
     gaussian_inputs,
     generic_channels,
     make_demo_experiments,
-    pulse_train_inputs,
     random_stable_plant,
     simulate,
 )
@@ -54,6 +52,8 @@ from helpers import (
     linear_corpus,
     make_dataset,
     parseval_gap,
+    pulse_train_inputs,
+    throughput_us_per_point,
     unit_variance_plant,
     wasserstein_1d,
 )
@@ -327,14 +327,14 @@ def test_07_spectral_closure():
 
 
 def test_08_throughput():
-    report = throughput_benchmark(points=1_000_000, seed=0)
-    ok = report.fit_us_per_point <= 25.0 and report.rollout_us_per_point <= 150.0
+    fit_us, rollout_us = throughput_us_per_point(1_000_000, seed=0)
+    ok = fit_us <= 25.0 and rollout_us <= 150.0
     _criterion(
         8,
         "fit and rollout throughput",
         ok,
-        f"fit {report.fit_us_per_point:.2f} us/pt (cap 25), "
-        f"rollout {report.rollout_us_per_point:.2f} us/pt (cap 150) at 1e6 points",
+        f"fit {fit_us:.2f} us/pt (cap 25), rollout {rollout_us:.2f} us/pt (cap 150) "
+        "at 1e6 points",
     )
 
 

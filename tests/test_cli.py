@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dedsid
-from dedsid.cli import PIPELINE, _Run, main
+from dedsid.cli import PIPELINE, _Run, build_parser, main
 from dedsid.config import RunConfig, load_run_config
 from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
@@ -81,7 +83,18 @@ def one_experiment_config(corpus, root: Path, csv_name: str) -> Path:
 
 
 def read_tree(root: Path) -> dict:
-    return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+    """Every file under ``root``, subdirectories included, keyed by relative path."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def child_env() -> dict:
+    """This environment, with the imported ``dedsid`` first on a child's PYTHONPATH."""
+    src = str(Path(dedsid.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestSynth:
@@ -101,6 +114,20 @@ class TestSynth:
         for name in ["exp01.csv", "exp06.csv", "plant.json", "schema.json"]:
             assert (again / name).read_bytes() == (corpus / name).read_bytes()
 
+    def test_rate_of_10_hz_or_less_finishes(self, tmp_path):
+        # At 10 Hz the 0.05 s pulse grid rounds to zero samples, and a grid
+        # of zero samples never advances through the recording.
+        command = ["synth", "--out", str(tmp_path), "--experiments", "2", "--rate", "10"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "dedsid.cli", *command],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "exp02.csv").exists()
+
 
 class TestStages:
     def test_ingest_report(self, corpus):
@@ -111,7 +138,7 @@ class TestStages:
         assert payload["dropped_channels"] == []
         assert "config_sha256" in payload["provenance"]
 
-    def test_select_features_reduced_corpus_round_trips(self, corpus):
+    def test_select_features_writes_only_its_report(self, corpus):
         cfg_path = derived_config(corpus, "out_vif")
         assert main(["select-features", "--config", str(cfg_path)]) == 0
         out = corpus / "out_vif"
@@ -123,14 +150,8 @@ class TestStages:
         # A complement flag pair is planted; one of the two must fall first.
         first_out = payload["iterations"][0]["excluded_feature"]
         assert first_out in ("infill_flag", "contour_flag")
-
-        reduced = out / "reduced"
-        schema = load_schema(reduced / "schema.json")
-        datasets, _ = load_datasets(load_manifest(reduced / "manifest.json"), schema)
-        assert len(datasets) == 6
-        names = set(datasets[0].channel_names)
-        assert set(survivors) <= names
-        assert "infill_flag" not in names
+        assert "infill_flag" not in survivors
+        assert sorted(read_tree(out)) == ["vif_report.json"]
 
     def test_dist_report(self, corpus):
         cfg_path = derived_config(corpus, "out_dist")
@@ -245,13 +266,6 @@ class TestStages:
         payload = json.loads((corpus / "out_freq" / "freq_study.json").read_text())
         assert [row["factor"] for row in payload["rows"]] == [1, 2]
         assert payload["rows"][1]["sample_rate_hz"] == 50.0
-
-    def test_bench_writes_report(self, corpus, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--points", "5000"]) == 0
-        payload = json.loads((tmp_path / "bench_report.json").read_text())
-        assert payload["points"] == 5000
-        assert payload["fit_us_per_point"] > 0
 
 
 class TestPipeline:
@@ -668,21 +682,33 @@ class TestExitCodes:
         assert not (fitted / "out" / "predict_report.json").exists()
         assert not (fitted / "out" / "spectrogram.json").exists()
 
-    @pytest.mark.parametrize("points", ["0", "-5"])
-    def test_bench_points_below_one_is_2(self, tmp_path, monkeypatch, points, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--points", points]) == 2
-        assert f"--points must be at least 1, got {points}" in capsys.readouterr().err
-        assert not (tmp_path / "bench_report.json").exists()
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--experiments", "0"),
+            ("--experiments", "-2"),
+            ("--rate", "0"),
+            ("--rate", "-5"),
+            ("--rate", "nan"),
+            ("--rate", "inf"),
+            ("--dropout", "2"),
+            ("--dropout", "-0.5"),
+            ("--dropout", "nan"),
+        ],
+    )
+    def test_bad_synth_flag_is_2(self, tmp_path, flag, value, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), flag, value]) == 2
+        assert f"configuration error: {flag} must" in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["points", "q", "p"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_bench_size_below_one_is_2(self, corpus, key, value, capsys):
-        # The benchmark's sizes are no config keys: the plant's q and p are
-        # ``dedsid.bench`` constants and the size is ``--points``.
-        cfg_path = derived_config(corpus, f"out_bench_{key}_{value}", bench={key: value})
-        assert main(["bench", "--config", str(cfg_path)]) == 2
-        assert "unknown config key 'bench'" in capsys.readouterr().err
+    def test_bench_is_an_argparse_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--points", "5000"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "value",
@@ -694,7 +720,7 @@ class TestExitCodes:
         ],
         ids=["former_defaults", "None", "value1", "3"],
     )
-    @pytest.mark.parametrize("command", ["bench", "cv"])
+    @pytest.mark.parametrize("command", ["pipeline", "cv"])
     def test_bench_section_is_2(self, corpus, command, value, capsys):
         # The section older configs could carry, well-formed or not.
         cfg_path = derived_config(corpus, "out_bench_section", bench=value)
@@ -794,11 +820,8 @@ class TestImports:
     # Child processes, because this session has imported every module already.
     @staticmethod
     def child_lines(code: str) -> list[str]:
-        src = str(Path(dedsid.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
@@ -827,3 +850,12 @@ class TestImports:
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             dedsid.nope  # noqa: B018
 
+
+class TestReadme:
+    def test_cli_table_lists_every_subcommand(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(documented) == sorted(sub.choices)

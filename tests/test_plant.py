@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import load_plant, make_dataset, unit_variance_plant
+from helpers import load_plant, make_dataset, pulse_train_inputs, unit_variance_plant
 
 from dedsid.dataset import ChannelSpec
 from dedsid.errors import CorruptFile, StabilityWarning
@@ -13,7 +13,6 @@ from dedsid.plant import (
     gaussian_inputs,
     generic_channels,
     make_demo_experiments,
-    pulse_train_inputs,
     random_stable_plant,
     save_plant,
     serpentine_gcode,
