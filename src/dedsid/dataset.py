@@ -99,8 +99,17 @@ class TimeSeriesDataset:
         return self.data[:, self.index_of(name)]
 
     def matrix_for(self, names: Sequence[str]) -> np.ndarray:
-        """Rows-by-len(names) view of the selected channels, in given order."""
+        """Rows-by-len(names) block of the selected channels, in given order.
+
+        Names on a contiguous ascending run of columns give a read-only view
+        of ``data``, so no reader copies a whole record; any other order is
+        a copy.
+        """
         idx = [self.index_of(n) for n in names]
+        if idx and idx == list(range(idx[0], idx[0] + len(idx))):
+            block = self.data[:, idx[0] : idx[0] + len(idx)]
+            block.flags.writeable = False
+            return block
         return self.data[:, idx]
 
     def with_data(self, data: np.ndarray) -> "TimeSeriesDataset":
@@ -335,27 +344,30 @@ def impute_off_state(
     run of sentinel samples is bridged between its nearest valid neighbors,
     but only rows where ``gate_channel`` > 0 are rewritten; sentinel readings
     with the gate off are genuine off states and stay untouched. Runs touching
-    a series boundary hold the single valid side constant.
+    a series boundary hold the single valid side constant. With no row to
+    rewrite, ``ds`` itself comes back.
     """
-    x = ds.column(channel).copy()
+    x = ds.column(channel)
     is_sent = x == sentinel
     rows = np.flatnonzero(is_sent & (ds.column(gate_channel) > 0))
-    if rows.size:
-        # Each rewritten row's nearest valid neighbor on either side.
-        valid = np.flatnonzero(~is_sent)
-        if valid.size == 0:
-            raise AllSentinel(channel)
-        after = np.searchsorted(valid, rows)
-        has_left, has_right = after > 0, after < valid.size
-        left = valid[np.maximum(after - 1, 0)]
-        right = valid[np.minimum(after, valid.size - 1)]
-        values = np.where(has_left, x[left], x[right])
-        both = has_left & has_right
-        lo, hi = left[both], right[both]
-        frac = (rows[both] - lo) / (hi - lo)
-        values[both] = x[lo] + frac * (x[hi] - x[lo])
-        x[rows] = values
-    return ds.with_column(channel, x)
+    if rows.size == 0:
+        return ds
+    # Each rewritten row's nearest valid neighbor on either side.
+    valid = np.flatnonzero(~is_sent)
+    if valid.size == 0:
+        raise AllSentinel(channel)
+    after = np.searchsorted(valid, rows)
+    has_left, has_right = after > 0, after < valid.size
+    left = valid[np.maximum(after - 1, 0)]
+    right = valid[np.minimum(after, valid.size - 1)]
+    values = np.where(has_left, x[left], x[right])
+    both = has_left & has_right
+    lo, hi = left[both], right[both]
+    frac = (rows[both] - lo) / (hi - lo)
+    values[both] = x[lo] + frac * (x[hi] - x[lo])
+    data = ds.data.copy()
+    data[rows, ds.index_of(channel)] = values
+    return ds.with_data(data)
 
 
 def decimate(ds: TimeSeriesDataset, factor: int) -> TimeSeriesDataset:

@@ -124,12 +124,16 @@ def simulate(
         clean[0] = y0
         clean[1:] = linear_recurrence(spec.A, u[:-1] @ spec.B.T, y0)
 
+    # The record is written once: the inputs, then the observables, noised in place.
     rng = np.random.default_rng(seed)
-    observed = clean.copy()
-    if np.any(spec.noise_sd > 0):
-        observed = observed + rng.normal(0.0, spec.noise_sd, size=(m, q))
     channels = inputs.channels + spec.observable_channels
-    data = np.column_stack([inputs.data, observed]) if m else np.empty((0, len(channels)))
+    data = np.empty((m, len(channels)))
+    k = len(inputs.channels)
+    data[:, :k] = inputs.data
+    observed = data[:, k:]
+    observed[:] = clean
+    if np.any(spec.noise_sd > 0):
+        observed += rng.normal(0.0, spec.noise_sd, size=(m, q))
     if spec.dropout is not None:
         d = spec.dropout
         col = [c.name for c in channels].index(d.channel)

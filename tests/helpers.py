@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,7 +26,14 @@ from dedsid.errors import (
     InsufficientPairs,
     RankDeficiencyWarning,
 )
-from dedsid.plant import DropoutSpec, PlantSpec, gaussian_inputs, random_stable_plant, simulate
+from dedsid.plant import (
+    DropoutSpec,
+    PlantSpec,
+    SimulationResult,
+    gaussian_inputs,
+    random_stable_plant,
+    simulate,
+)
 from dedsid.spectral import MIN_SEGMENT_SAMPLES, PulseSpectrum
 from dedsid.wasserstein import _sorted_sample, _uniform_w1_sorted, _w1_sorted
 
@@ -496,6 +504,54 @@ def unit_variance_plant(
         B=s_inv @ spec.B,
         noise_sd=spec.noise_sd / s,
     )
+
+
+def simulate_stacking(
+    spec: PlantSpec,
+    inputs: TimeSeriesDataset,
+    y0: np.ndarray | None = None,
+    seed: int | None = None,
+) -> SimulationResult:
+    """``dedsid.plant.simulate`` as it was before it wrote the record in
+    place: the observables copied, noised into a new array and stacked
+    beside the inputs, and the inputs read through a fancy-index copy. The
+    oracle for the bytes ``simulate`` writes."""
+    u = inputs.data[:, [inputs.index_of(n) for n in spec.input_names]]
+    m = u.shape[0]
+    q = len(spec.observable_channels)
+    y0 = np.zeros(q) if y0 is None else np.asarray(y0, dtype=float).ravel()
+    clean = np.empty((m, q))
+    if m:
+        clean[0] = y0
+        clean[1:] = dmdc.linear_recurrence(spec.A, u[:-1] @ spec.B.T, y0)
+
+    rng = np.random.default_rng(seed)
+    observed = clean.copy()
+    if np.any(spec.noise_sd > 0):
+        observed = observed + rng.normal(0.0, spec.noise_sd, size=(m, q))
+    channels = inputs.channels + spec.observable_channels
+    data = np.column_stack([inputs.data, observed]) if m else np.empty((0, len(channels)))
+    if spec.dropout is not None:
+        d = spec.dropout
+        col = [c.name for c in channels].index(d.channel)
+        hit = rng.random(m) < d.probability
+        if d.gate_channel is not None:
+            gate_col = [c.name for c in channels].index(d.gate_channel)
+            hit &= data[:, gate_col] > 0
+        data[hit, col] = d.sentinel
+    ds = replace(inputs, channels=channels, data=data)
+    return SimulationResult(dataset=ds, clean_observables=clean)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, as tracemalloc counts them
+    (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def throughput_us_per_point(points: int, seed: int = 0) -> tuple[float, float]:

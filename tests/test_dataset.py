@@ -54,6 +54,40 @@ class TestDataset:
         assert np.array_equal(ds.column("y"), [2.0, 4.0])
         assert np.array_equal(ds.matrix_for(["y", "u"]), [[2.0, 1.0], [4.0, 3.0]])
 
+    @given(
+        width=st.integers(1, 6),
+        rows=st.integers(0, 4),
+        pick=st.sampled_from(["empty", "run", "reversed", "any"]),
+        data=st.data(),
+    )
+    def test_matrix_for_views_exactly_the_ascending_runs(self, width, rows, pick, data):
+        # Empty, single, contiguous, reversed, gapped and repeated name lists:
+        # values always match the fancy-index oracle; a contiguous ascending
+        # run, and only that, is a read-only view of the record.
+        if pick == "any":
+            idx = data.draw(st.lists(st.integers(0, width - 1), max_size=2 * width))
+        elif pick == "empty":
+            idx = []
+        else:
+            start = data.draw(st.integers(0, width - 1))
+            idx = list(range(start, data.draw(st.integers(start + 1, width))))
+            idx = idx[::-1] if pick == "reversed" else idx
+        ds = make_dataset(np.arange(rows * width, dtype=float).reshape(rows, width))
+        before = ds.data.copy()
+        block = ds.matrix_for([f"c{i}" for i in idx])
+        assert block.shape == (rows, len(idx))
+        assert np.array_equal(block, ds.data[:, idx])
+        run = len(idx) > 0 and all(b - a == 1 for a, b in zip(idx, idx[1:]))
+        assert np.shares_memory(block, ds.data) == (run and block.size > 0)
+        assert block.flags.writeable != run
+        if run:
+            with pytest.raises(ValueError):
+                block[...] = -1.0
+        else:
+            block[...] = -1.0
+        assert np.array_equal(ds.data, before)
+        assert ds.data.flags.writeable
+
     def test_unknown_channel(self):
         ds = make_dataset([[1.0]], names=["a"])
         with pytest.raises(UnknownChannel):
@@ -233,6 +267,15 @@ class TestImpute:
         power = [1.0, 0.0, 0.0, 1.0]
         out = impute_off_state(self._ds(wd, power), "wd", -1.0, "power")
         assert np.array_equal(out.column("wd"), wd)
+
+    @pytest.mark.parametrize(
+        "wd, power",
+        [([5.0, 6.0, 7.0], [1.0, 1.0, 1.0]), ([5.0, -1.0, -1.0, 9.0], [1.0, 0.0, 0.0, 1.0])],
+    )
+    def test_nothing_live_returns_the_dataset(self, wd, power):
+        # No sentinel, or none with the gate live: no row to rewrite, no copy.
+        ds = self._ds(wd, power)
+        assert impute_off_state(ds, "wd", -1.0, "power") is ds
 
     def test_boundary_run_held_constant(self):
         wd = [-1.0, -1.0, 4.0, -1.0]

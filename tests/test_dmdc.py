@@ -1,10 +1,15 @@
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from helpers import ArraySnapshots, make_dataset, row_fit_oracle, summarize_chunked
+from helpers import (
+    ArraySnapshots,
+    make_dataset,
+    row_fit_oracle,
+    summarize_chunked,
+    traced_peak,
+)
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -30,6 +35,7 @@ from dedsid.errors import (
     TooShort,
     VersionMismatch,
 )
+from dedsid.plant import gaussian_inputs, random_stable_plant, simulate
 
 A_TRUE = np.array([[0.5, 0.1], [0.0, 0.8]])
 B_TRUE = np.array([[1.0], [0.5]])
@@ -562,10 +568,7 @@ class TestSummarize:
         for rows in (100_000, 400_000):
             datasets, inputs, observables = random_corpus(3, 20, [rows], seed=14)
             datasets = [ds.with_data(np.ascontiguousarray(ds.data)) for ds in datasets]
-            tracemalloc.start()
-            build_snapshots(datasets, inputs, observables)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            peaks.append(traced_peak(lambda: build_snapshots(datasets, inputs, observables)))
             del datasets
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
         assert max(peaks) < 10 * 2**20
@@ -598,6 +601,26 @@ class TestRollout:
         )
         out = rollout(model, y[0], u.T)
         assert np.allclose(out.T, y[1:], atol=1e-12)
+
+    def test_peak_memory_below_one_input_copy(self):
+        # The channel blocks are views of the record, so the rollout
+        # allocates its (q, T) results and scan, never a copy of the inputs.
+        spec = random_stable_plant(3, 21, seed=5, radius=0.9)
+        inputs = gaussian_inputs(list(spec.input_names), 200_000, 100.0, seed=6)
+        ds = simulate(spec, inputs, seed=7).dataset
+        model = StateSpaceModel(
+            A=spec.A,
+            B=spec.B,
+            observable_names=spec.observable_names,
+            input_names=spec.input_names,
+            sample_rate_hz=100.0,
+            svd_rank_used=24,
+        )
+        obs, inp = spec.observable_names, spec.input_names
+        peak = traced_peak(
+            lambda: rollout(model, ds.matrix_for(obs)[0], ds.matrix_for(inp)[:-1].T)
+        )
+        assert peak < len(inp) * (ds.row_count - 1) * 8
 
     def test_superposition(self):
         rng = np.random.default_rng(9)

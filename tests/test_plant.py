@@ -1,8 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import load_plant, make_dataset, pulse_train_inputs, unit_variance_plant
+from helpers import (
+    load_plant,
+    make_dataset,
+    pulse_train_inputs,
+    simulate_stacking,
+    traced_peak,
+    unit_variance_plant,
+)
 
 from dedsid.dataset import ChannelSpec
 from dedsid.errors import CorruptFile, StabilityWarning
@@ -81,6 +89,45 @@ class TestSimulate:
         inputs = gaussian_inputs(["u1"], 10, 100.0, seed=4)
         result = simulate(spec, inputs, y0=[2.0, -1.0], seed=0)
         assert np.array_equal(result.clean_observables[0], [2.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "spec, m",
+        [
+            (tiny_plant(), 300),
+            (tiny_plant(0.3), 300),
+            (tiny_plant(0.3, DropoutSpec("y2", 0.2, -1.0, gate_channel="u1")), 300),
+            (tiny_plant(0.3, DropoutSpec("y2", 0.2, -1.0, gate_channel="u1")), 1),
+            (tiny_plant(0.3, DropoutSpec("y2", 0.2, -1.0, gate_channel="u1")), 0),
+            (tiny_plant(0.0, DropoutSpec("y1", 0.2, -1.0)), 300),
+            (
+                replace(
+                    random_stable_plant(3, 21, seed=1, noise_sd=0.2),
+                    dropout=DropoutSpec("y3", 0.1, -1.0, gate_channel="u4"),
+                ),
+                5000,
+            ),
+        ],
+    )
+    def test_bytes_match_the_stacking_oracle(self, spec, m):
+        # Noise and dropout come from one generator in the same order as when
+        # the record was stacked from copies. "extra" is an input the plant
+        # does not read, carried into the record all the same.
+        inputs = gaussian_inputs([*spec.input_names, "extra"], m, 100.0, seed=3)
+        y0 = np.linspace(-0.5, 0.5, len(spec.observable_names))
+        got = simulate(spec, inputs, y0=y0, seed=9)
+        want = simulate_stacking(spec, inputs, y0=y0, seed=9)
+        assert got.dataset.channels == want.dataset.channels
+        assert got.dataset.data.tobytes() == want.dataset.data.tobytes()
+        assert got.clean_observables.tobytes() == want.clean_observables.tobytes()
+
+    def test_peak_memory_below_1_4_records(self):
+        # The record is allocated once and noised in place; beside it live
+        # only (m, q) arrays: the trajectory, its drive, the noise draw.
+        spec = random_stable_plant(3, 21, seed=5, radius=0.9, noise_sd=0.1)
+        spec = replace(spec, dropout=DropoutSpec("y2", 0.05, -1.0, gate_channel="u1"))
+        inputs = gaussian_inputs(list(spec.input_names), 200_000, 100.0, seed=6)
+        record_bytes = 200_000 * (21 + 3) * 8
+        assert traced_peak(lambda: simulate(spec, inputs, seed=7)) < 1.4 * record_bytes
 
 
 class TestDropout:
