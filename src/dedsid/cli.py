@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -52,12 +53,18 @@ from .wasserstein import split_shift_report
 
 
 def _write_table(
-    path: Path, header: Sequence[str], rows: np.ndarray, cfg: RunConfig, fmt: str = "%.17g"
+    run: _Run, name: str, header: Sequence[str], rows: np.ndarray, fmt: str = "%.17g"
 ) -> None:
-    """A CSV artifact: its provenance comment, the header row, then ``rows`` in ``fmt``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_sha256={cfg.config_sha256} seed={cfg.seed}\n")
+    """The CSV artifact ``name``: one comment line with the run's provenance
+    (the input digests as compact JSON), the header row, then ``rows`` in ``fmt``."""
+    provenance = run.provenance
+    inputs = json.dumps(provenance["inputs"], separators=(",", ":"))
+    run.out.mkdir(parents=True, exist_ok=True)
+    with open(run.out / name, "w", newline="") as fh:
+        fh.write(
+            f"# config_sha256={provenance['config_sha256']} seed={provenance['seed']} "
+            f"inputs={inputs}\n"
+        )
         fh.write(",".join(header) + "\n")
         write_rows(fh, rows, fmt)
 
@@ -221,7 +228,7 @@ def _dist_report(run: _Run) -> str:
     ]
     header = "channel,pair,mean_distance,ci95_halfwidth,repeats".split(",")
     fmt = "%s,%s,%.17g,%.17g,%d"
-    _write_table(run.out / "dist_report.csv", header, np.array(table, dtype=object), cfg, fmt)
+    _write_table(run, "dist_report.csv", header, np.array(table, dtype=object), fmt)
     return f"wrote {len(results)} distance summaries"
 
 
@@ -287,21 +294,23 @@ def _predict(run: _Run) -> str:
     if exp_id not in by_id:
         raise DataError(f"experiment {exp_id!r} not in manifest")
     ds = by_id[exp_id]
-    predictions, lower, upper, measured, violated = bound_predictions(model, envelope, ds)
+    predictions, lower, upper, measured, violated = bound_predictions(
+        model, envelope, ds, cfg.eval_mode
+    )
 
     t = np.arange(1, ds.row_count)
     kinds = ("pred", "lower", "upper", "measured", "violation")
     header = ["t"] + [f"{name}_{kind}" for name in names for kind in kinds]
     per_name = np.stack([predictions, lower, upper, measured, violated], 2)
     rows = np.column_stack([t, per_name.reshape(t.size, -1)])
-    _write_table(run.out / "bounded_predictions.csv", header, rows, cfg)
+    _write_table(run, "bounded_predictions.csv", header, rows)
 
     positions = list(cfg.position_channels)
     geometry_written = all(c in ds.channel_names for c in positions)
     if geometry_written:
         header = ["t"] + positions + [f"{name}_pred" for name in names]
         rows = np.column_stack([t, ds.matrix_for(positions)[1:], predictions])
-        _write_table(run.out / "geometry.csv", header, rows, cfg)
+        _write_table(run, "geometry.csv", header, rows)
 
     counts = violated.sum(axis=0)
     total = violated.size
@@ -326,10 +335,12 @@ def _spectrogram(run: _Run) -> str:
         raise DataError(f"spectrogram observable {observable!r} not in schema")
     model = _load_model(run) if (run.out / "model.json").exists() else None
     grid = (sg_cfg.rows, sg_cfg.cols)
-    measured = collect_pulse_spectra(run.datasets, observable, sg_cfg.power_channel)
+    measured = collect_pulse_spectra(
+        run.datasets, sg_cfg.power_channel, [ds.column(observable) for ds in run.datasets]
+    )
     sg = build_spectrogram(measured, grid=grid, cap_hz=sg_cfg.cap_hz)
     header = ["pulse_length_s", "frequency_hz", "intensity"]
-    _write_table(run.out / "spectrogram.csv", header, sg.to_csv_rows(), cfg)
+    _write_table(run, "spectrogram.csv", header, sg.to_csv_rows())
     summary = {
         "observable": observable,
         "grid": list(grid),
@@ -340,12 +351,11 @@ def _spectrogram(run: _Run) -> str:
     if model is not None:
         column = list(model.observable_names).index(observable)
         predicted = predict_series(model, run.datasets, cfg.eval_mode)
-        overrides = {ds.experiment_id: p[:, column] for ds, p in zip(run.datasets, predicted)}
         spectra = collect_pulse_spectra(
-            run.datasets, observable, sg_cfg.power_channel, values_override=overrides
+            run.datasets, sg_cfg.power_channel, [p[:, column] for p in predicted]
         )
         sg_model = build_spectrogram(spectra, grid=grid, cap_hz=sg_cfg.cap_hz)
-        _write_table(run.out / "spectrogram_model.csv", header, sg_model.to_csv_rows(), cfg)
+        _write_table(run, "spectrogram_model.csv", header, sg_model.to_csv_rows())
         summary["model_similarity"] = compare_spectrograms(sg, sg_model)
     write_json(run.out / "spectrogram.json", summary, run.provenance)
     if model is None:
@@ -373,7 +383,7 @@ def _freq_study(run: _Run) -> str:
             )
     header = "factor,sample_rate_hz,observable,r2_mean,r2_ci95,rmse_mean,rmse_ci95".split(",")
     fmt = "%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g"
-    _write_table(run.out / "freq_study.csv", header, np.array(table, dtype=object), cfg, fmt)
+    _write_table(run, "freq_study.csv", header, np.array(table, dtype=object), fmt)
     return f"frequency study over factors {list(cfg.decimation_factors)} complete"
 
 

@@ -125,7 +125,7 @@ class TimeSeriesDataset:
         return replace(
             self,
             channels=tuple(self.channels[i] for i in idx),
-            data=self.data[:, idx].copy(),
+            data=np.take(self.data, idx, axis=1),
         )
 
 

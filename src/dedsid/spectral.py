@@ -10,7 +10,7 @@ fingerprint on its own rollouts has captured more than pointwise accuracy.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -26,39 +26,12 @@ from .errors import (
 MIN_SEGMENT_SAMPLES = 4
 
 
-@dataclass(frozen=True)
-class PulseSegment:
-    """Maximal run of commanded power > 0; end_index is exclusive."""
-
-    start_index: int
-    end_index: int
-    length_s: float
-    power_level: float
-
-    @property
-    def sample_count(self) -> int:
-        return self.end_index - self.start_index
-
-
-def segment_pulses(power: np.ndarray, sample_rate_hz: float) -> list[PulseSegment]:
-    """Find maximal runs of positive commanded power."""
-    power = np.asarray(power, dtype=float).ravel()
-    on = power > 0
-    if not on.any():
-        return []
-    padded = np.concatenate([[False], on, [False]])
-    edges = np.diff(padded.astype(int))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
-    return [
-        PulseSegment(
-            start_index=int(s),
-            end_index=int(e),
-            length_s=(int(e) - int(s)) / sample_rate_hz,
-            power_level=float(power[s:e].mean()),
-        )
-        for s, e in zip(starts, ends)
-    ]
+def segment_pulses(power: np.ndarray) -> np.ndarray:
+    """The maximal runs of positive commanded power, as ``(n, 2)`` rows of
+    ``[start, end)`` sample indices in time order."""
+    on = np.asarray(power, dtype=float).ravel() > 0
+    # Each change of the on-mask, padded off at both ends, starts or ends a run.
+    return np.flatnonzero(np.diff(on, prepend=False, append=False)).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -87,87 +60,56 @@ def amplitude_spectrum(values: np.ndarray) -> np.ndarray:
 
 
 def pulse_spectra(
-    ds: TimeSeriesDataset,
-    observable: str,
-    segments: Sequence[PulseSegment],
+    series: Sequence[np.ndarray], segments: Sequence[np.ndarray], sample_rate_hz: float
 ) -> dict[int, PulseSpectrum]:
-    """Bucket segments by exact sample count and average their spectra.
+    """Pool the pulses of every series by exact sample count and average their spectra.
 
-    Buckets are exact because segments with the same count share a frequency
-    axis; mixing nearby lengths would smear bins. Segments shorter than
-    MIN_SEGMENT_SAMPLES carry no usable spectrum and are skipped with a
-    warning. Each bucket's pulses are stacked as rows, in segment order, and
-    take one ``amplitude_spectrum`` call.
+    ``segments[i]`` holds the ``[start, end)`` rows of ``series[i]``'s
+    pulses. Buckets are exact because pulses with the same count share a
+    frequency axis; mixing nearby lengths would smear bins. Pulses shorter
+    than MIN_SEGMENT_SAMPLES carry no usable spectrum; they are skipped and
+    counted in one warning. Each bucket's pulses are stacked as rows, series
+    by series in time order, and take one ``amplitude_spectrum`` call.
     """
-    col = ds.column(observable)
-    starts: dict[int, list[int]] = {}
-    for seg in segments:
-        if seg.sample_count < MIN_SEGMENT_SAMPLES:
-            warnings.warn(
-                f"pulse at {seg.start_index} has {seg.sample_count} samples; skipped",
-                SegmentSkippedWarning,
-                stacklevel=2,
-            )
-            continue
-        starts.setdefault(seg.sample_count, []).append(seg.start_index)
+    values = np.concatenate(series)
+    offsets = np.cumsum([0, *map(len, series)])
+    rows = np.concatenate([seg + off for seg, off in zip(segments, offsets)])
+    counts = rows[:, 1] - rows[:, 0]
+    short = int(np.count_nonzero(counts < MIN_SEGMENT_SAMPLES))
+    if short:
+        warnings.warn(
+            f"{short} of {len(counts)} pulses have fewer than {MIN_SEGMENT_SAMPLES} "
+            "samples; skipped",
+            SegmentSkippedWarning,
+            stacklevel=2,
+        )
     out = {}
-    for count, first in sorted(starts.items()):
-        pulses = col[np.asarray(first)[:, None] + np.arange(count)]
+    for count in np.unique(counts[counts >= MIN_SEGMENT_SAMPLES]).tolist():
+        starts = rows[counts == count, 0]
+        pulses = values[starts[:, None] + np.arange(count)]
         out[count] = PulseSpectrum(
             sample_count=count,
-            length_s=count / ds.sample_rate_hz,
-            sample_rate_hz=ds.sample_rate_hz,
-            frequencies_hz=np.fft.rfftfreq(count, d=1.0 / ds.sample_rate_hz),
+            length_s=count / sample_rate_hz,
+            sample_rate_hz=sample_rate_hz,
+            frequencies_hz=np.fft.rfftfreq(count, d=1.0 / sample_rate_hz),
             magnitude=np.mean(amplitude_spectrum(pulses), axis=0),
-            pulses_averaged=len(first),
+            pulses_averaged=len(starts),
         )
     return out
 
 
-def merge_spectra(maps: Sequence[Mapping[int, PulseSpectrum]]) -> dict[int, PulseSpectrum]:
-    """Combine per-experiment buckets, weighting by pulses averaged."""
-    merged: dict[int, PulseSpectrum] = {}
-    for m in maps:
-        for count, spec in m.items():
-            if count not in merged:
-                merged[count] = spec
-                continue
-            prev = merged[count]
-            total = prev.pulses_averaged + spec.pulses_averaged
-            magnitude = (
-                prev.magnitude * prev.pulses_averaged + spec.magnitude * spec.pulses_averaged
-            ) / total
-            merged[count] = PulseSpectrum(
-                sample_count=count,
-                length_s=prev.length_s,
-                sample_rate_hz=prev.sample_rate_hz,
-                frequencies_hz=prev.frequencies_hz,
-                magnitude=magnitude,
-                pulses_averaged=total,
-            )
-    return dict(sorted(merged.items()))
-
-
 def collect_pulse_spectra(
     datasets: Sequence[TimeSeriesDataset],
-    observable: str,
     power_channel: str,
-    values_override: Mapping[str, np.ndarray] | None = None,
+    series: Sequence[np.ndarray],
 ) -> dict[int, PulseSpectrum]:
-    """Segment every dataset on its power channel and merge the buckets.
-
-    ``values_override`` substitutes a replacement series per experiment id
-    (e.g. model predictions) while keeping the measured pulse segmentation;
-    it is read as a one-column dataset, so no other column is copied.
-    """
-    maps = []
-    for ds in datasets:
-        segs = segment_pulses(ds.column(power_channel), ds.sample_rate_hz)
-        if values_override is not None and ds.experiment_id in values_override:
-            values = np.reshape(values_override[ds.experiment_id], (-1, 1))
-            ds = replace(ds, channels=(ds.channels[ds.index_of(observable)],), data=values)
-        maps.append(pulse_spectra(ds, observable, segs))
-    return merge_spectra(maps)
+    """The pulse spectra of ``series``, one array per dataset (a measured
+    column or a model's predictions), cut where each dataset's power channel
+    is on."""
+    if not datasets:
+        return {}
+    segments = [segment_pulses(ds.column(power_channel)) for ds in datasets]
+    return pulse_spectra(series, segments, datasets[0].sample_rate_hz)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,12 @@ from .errors import ConstantActual, EmptySample, TooFewExperiments
 from .wasserstein import ci95_halfwidth
 
 
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """Each column's sum, pairwise down the column whatever the block's
+    memory layout (``block.sum(axis=0)`` adds a row-major block row by row)."""
+    return np.array([column.sum() for column in block.T])
+
+
 def _padded(
     datasets: Sequence[TimeSeriesDataset], observables: Sequence[str], inputs: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -46,8 +52,8 @@ def _padded(
         raise EmptySample("prediction needs at least 2 rows")
     obs_rows = [ds.matrix_for(observables) for ds in datasets]
     inp_rows = [ds.matrix_for(inputs)[:-1] for ds in datasets]
-    obs_center = sum(o.sum(axis=0) for o in obs_rows) / (steps + 1).sum()
-    inp_center = sum(u.sum(axis=0) for u in inp_rows) / steps.sum()
+    obs_center = sum(map(_column_sums, obs_rows)) / (steps + 1).sum()
+    inp_center = sum(map(_column_sums, inp_rows)) / steps.sum()
     obs = np.zeros((len(datasets), steps.max() + 1, len(observables)))
     inp = np.zeros((len(datasets), steps.max(), len(inputs) + 1))
     for o, u, obs_row, inp_row in zip(obs_rows, inp_rows, obs, inp):
@@ -298,16 +304,17 @@ def run_lpocv(
 
 
 def bound_predictions(
-    model: StateSpaceModel, envelope: UncertaintyEnvelope, ds: TimeSeriesDataset
+    model: StateSpaceModel, envelope: UncertaintyEnvelope, ds: TimeSeriesDataset, eval_mode: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rollout of ``ds`` with symmetric bounds at rmse + ci per observable.
+    """The predictions of ``ds`` with symmetric bounds at rmse + ci per observable.
 
     Returns ``predictions, lower, upper, measured, violated`` for rows
     1..m-1, each (m-1) x q in ``model.observable_names`` order; the
-    predictions are ``predict_series``'s and ``violated`` marks measurements
+    predictions are ``predict_series``'s in ``eval_mode``, the mode whose
+    test errors the envelope holds, and ``violated`` marks measurements
     strictly outside the bounds (one exactly on a bound is inside).
     """
-    predictions = predict_series(model, [ds])[0][1:]
+    predictions = predict_series(model, [ds], eval_mode)[0][1:]
     measured = ds.matrix_for(model.observable_names)[1:]
     half = np.asarray([envelope.half_width(obs) for obs in model.observable_names])
     lower = predictions - half

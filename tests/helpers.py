@@ -224,29 +224,30 @@ def vif_single(features: np.ndarray, index: int) -> float:
     return 1.0 / (1.0 - r_squared)
 
 
-def pulse_spectra_per_pulse(ds, observable: str, segments) -> dict:
-    """Bucket-averaged pulse spectra, one rfft per pulse.
+def pulse_spectra_per_pulse(series, segments, sample_rate_hz: float) -> dict:
+    """Bucket-averaged pulse spectra pooled over every series, one rfft per pulse.
 
-    The per-pulse oracle for ``dedsid.spectral.pulse_spectra``, which stacks
-    each bucket's pulses and transforms them in one call. Short segments are
-    skipped silently here; the kernel's warnings are tested on their own.
+    The per-pulse oracle for ``dedsid.spectral.pulse_spectra``, which pools
+    the series and transforms each bucket's pulses in one call. Pulses are
+    taken series by series in time order; short ones are skipped silently
+    here, and the kernel's warning is tested on its own.
     """
-    col = ds.column(observable)
     grouped: dict[int, list[np.ndarray]] = {}
-    for seg in segments:
-        if seg.sample_count < MIN_SEGMENT_SAMPLES:
-            continue
-        values = col[seg.start_index : seg.end_index]
-        centered = values - values.mean()
-        grouped.setdefault(seg.sample_count, []).append(
-            np.abs(np.fft.rfft(centered)) / values.size
-        )
+    for values, rows in zip(series, segments):
+        for start, end in rows:
+            if end - start < MIN_SEGMENT_SAMPLES:
+                continue
+            pulse = values[start:end]
+            centered = pulse - pulse.mean()
+            grouped.setdefault(int(end - start), []).append(
+                np.abs(np.fft.rfft(centered)) / pulse.size
+            )
     return {
         count: PulseSpectrum(
             sample_count=count,
-            length_s=count / ds.sample_rate_hz,
-            sample_rate_hz=ds.sample_rate_hz,
-            frequencies_hz=np.fft.rfftfreq(count, d=1.0 / ds.sample_rate_hz),
+            length_s=count / sample_rate_hz,
+            sample_rate_hz=sample_rate_hz,
+            frequencies_hz=np.fft.rfftfreq(count, d=1.0 / sample_rate_hz),
             magnitude=np.mean(spectra, axis=0),
             pulses_averaged=len(spectra),
         )

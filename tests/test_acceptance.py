@@ -235,7 +235,7 @@ def test_05_envelope_coverage_and_width():
         names=["y1", "u1"],
         kinds=["observable", "input"],
     )
-    _, lower, upper, _, violated = bound_predictions(model, envelope, ds)
+    _, lower, upper, _, violated = bound_predictions(model, envelope, ds, "rollout")
     coverage = 1.0 - int(violated.sum()) / n
     half = envelope.rmse["y1"] + envelope.ci95["y1"]
     width_exact = np.array_equal(upper, lower + 2.0 * half)
@@ -297,9 +297,8 @@ def test_07_spectral_closure():
     model = fit_on_datasets(datasets, cfg)
     obs, power = spec.observable_names[0], spec.input_names[0]
     predictions = predict_series(model, datasets, "rollout")
-    overrides = {ds.experiment_id: p[:, 0] for ds, p in zip(datasets, predictions)}
-    measured = collect_pulse_spectra(datasets, obs, power)
-    predicted = collect_pulse_spectra(datasets, obs, power, values_override=overrides)
+    measured = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
+    predicted = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
     similarity = compare_spectrograms(
         build_spectrogram(measured, cap_hz=60.0), build_spectrogram(predicted, cap_hz=60.0)
     )
@@ -307,10 +306,10 @@ def test_07_spectral_closure():
     worst_gap, segments = 0.0, 0
     for ds in datasets:
         col = ds.column(obs)
-        for seg in segment_pulses(ds.column(power), ds.sample_rate_hz):
-            if seg.sample_count < 4:
+        for start, end in segment_pulses(ds.column(power)):
+            if end - start < 4:
                 continue
-            vals = col[seg.start_index : seg.end_index]
+            vals = col[start:end]
             worst_gap = max(worst_gap, parseval_gap(vals, amplitude_spectrum(vals)))
             segments += 1
 

@@ -227,19 +227,37 @@ class TestStages:
         # so another experiment's predictions carry another config hash.
         def stamps(out):
             report = json.loads((out / "predict_report.json").read_text())
+            provenance = report["provenance"]
             first_line = (out / "bounded_predictions.csv").read_text().splitlines()[0]
-            return report["experiment_id"], report["provenance"]["config_sha256"], first_line
+            inputs = json.dumps(provenance["inputs"], separators=(",", ":"))
+            return report["experiment_id"], provenance["config_sha256"], first_line, inputs
 
         assert main(["predict", "--config", str(fitted / "config.json")]) == 0
         cfg_path = derived_config(fitted, "out_exp02", predict_experiment="exp02")
         for command in ("fit", "cv", "predict"):
             assert main([command, "--config", str(cfg_path)]) == 0
-        default_id, default_sha, default_line = stamps(fitted / "out")
-        other_id, other_sha, other_line = stamps(fitted / "out_exp02")
+        default_id, default_sha, default_line, inputs = stamps(fitted / "out")
+        other_id, other_sha, other_line, other_inputs = stamps(fitted / "out_exp02")
         assert (default_id, other_id) == ("exp01", "exp02")
         assert default_sha != other_sha
-        assert default_line == f"# config_sha256={default_sha} seed=1"
-        assert other_line == f"# config_sha256={other_sha} seed=1"
+        assert other_inputs == inputs
+        assert default_line == f"# config_sha256={default_sha} seed=1 inputs={inputs}"
+        assert other_line == f"# config_sha256={other_sha} seed=1 inputs={inputs}"
+
+    def test_predict_bounds_the_configured_eval_mode(self, fitted):
+        cfg_path = derived_config(fitted, "out_one_step", eval_mode="one-step")
+        for command in ("fit", "cv", "predict"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        run = _Run(load_run_config(cfg_path))
+        model = load_model(run.out / "model.json", run.provenance)
+        ds = next(d for d in run.datasets if d.experiment_id == "exp01")
+        expected = predict_series(model, [ds], "one-step")[0][1:]
+        lines = (run.out / "bounded_predictions.csv").read_text().splitlines()
+        table = np.loadtxt(lines[2:], delimiter=",", ndmin=2)
+        col = dict(zip(lines[1].split(","), table.T))
+        for j, name in enumerate(model.observable_names):
+            assert np.array_equal(col[f"{name}_pred"], expected[:, j])
+        assert not np.array_equal(expected, predict_series(model, [ds], "rollout")[0][1:])
 
     def test_spectrogram_with_and_without_model(self, corpus):
         bare = derived_config(corpus, "out_sg_bare")
@@ -329,6 +347,20 @@ class TestPipeline:
         assert other["provenance"]["seed"] == 5
         assert base["provenance"]["config_sha256"] != other["provenance"]["config_sha256"]
         assert base["cv"]["folds"] != other["cv"]["folds"]
+
+    def test_every_csv_names_its_inputs(self, corpus):
+        cfg_path = derived_config(corpus, "out_digests", decimation_factors=[1, 2])
+        for command in ("pipeline", "freq-study"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        out = corpus / "out_digests"
+        provenance = json.loads((out / "ingest_report.json").read_text())["provenance"]
+        tables = sorted(out.glob("*.csv"))
+        assert len(tables) == 6
+        for path in tables:
+            first_line = path.read_text().splitlines()[0]
+            stamp, inputs = first_line.split(" inputs=")
+            assert stamp == f"# config_sha256={provenance['config_sha256']} seed=0"
+            assert json.loads(inputs) == provenance["inputs"]
 
     def test_provenance_consistent_across_artifacts(self, corpus, piped):
         out = piped[1]

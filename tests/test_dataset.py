@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import impute_off_state_loop, make_dataset, mostly
+from helpers import impute_off_state_loop, make_dataset, mostly, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +111,18 @@ class TestDataset:
         out = ds.select_channels(["c", "a"])
         assert out.channel_names == ("c", "a")
         assert np.array_equal(out.data, [[2.0, 0.0], [5.0, 3.0]])
+
+    def test_select_channels_copies_once(self):
+        data = np.random.default_rng(5).normal(size=(200_000, 16))
+        ds = make_dataset(data, names=[f"c{i}" for i in range(16)])
+        idx = [15, *range(1, 15)]
+        names = [f"c{i}" for i in idx]
+        result_bytes = data[:, idx].nbytes
+        assert traced_peak(lambda: ds.select_channels(names)) <= 1.1 * result_bytes
+        out = ds.select_channels(names)
+        assert out.data.flags.c_contiguous
+        assert np.array_equal(out.data, data[:, idx])
+        assert not np.shares_memory(out.data, data)
 
 
 class TestIngest:

@@ -20,7 +20,6 @@ from dedsid.spectral import (
     build_spectrogram,
     collect_pulse_spectra,
     compare_spectrograms,
-    merge_spectra,
     pulse_spectra,
     segment_pulses,
 )
@@ -29,36 +28,34 @@ from dedsid.validation import predict_series
 
 class TestSegmentation:
     def test_hand_case(self):
-        segs = segment_pulses(np.array([0.0, 1.0, 1.0, 0.0, 2.0, 0.0]), 100.0)
-        assert [(s.start_index, s.end_index) for s in segs] == [(1, 3), (4, 5)]
-        assert segs[0].length_s == pytest.approx(0.02)
-        assert segs[0].power_level == pytest.approx(1.0)
-        assert segs[1].power_level == pytest.approx(2.0)
+        segs = segment_pulses(np.array([0.0, 1.0, 1.0, 0.0, 2.0, 0.0]))
+        assert segs.tolist() == [[1, 3], [4, 5]]
+        assert segs.dtype.kind == "i"
 
     def test_all_on_and_all_off(self):
-        assert segment_pulses(np.zeros(5), 100.0) == []
-        segs = segment_pulses(np.full(5, 3.0), 100.0)
-        assert [(s.start_index, s.end_index) for s in segs] == [(0, 5)]
+        assert segment_pulses(np.zeros(5)).shape == (0, 2)
+        assert segment_pulses(np.full(5, 3.0)).tolist() == [[0, 5]]
 
     def test_boundaries_at_both_ends(self):
-        segs = segment_pulses(np.array([1.0, 0.0, 1.0]), 10.0)
-        assert [(s.start_index, s.end_index) for s in segs] == [(0, 1), (2, 3)]
+        assert segment_pulses(np.array([1.0, 0.0, 1.0])).tolist() == [[0, 1], [2, 3]]
 
     @given(
         st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0]), min_size=1, max_size=60).map(np.asarray)
     )
     def test_partition_property(self, power):
-        segs = segment_pulses(power, 100.0)
+        segs = segment_pulses(power)
+        assert segs.shape == (len(segs), 2)
         covered = np.zeros(power.size, dtype=bool)
-        for s in segs:
+        for start, end in segs:
             # Maximal runs: strictly positive inside, non-positive neighbors.
-            assert np.all(power[s.start_index : s.end_index] > 0)
-            if s.start_index > 0:
-                assert power[s.start_index - 1] == 0
-            if s.end_index < power.size:
-                assert power[s.end_index] == 0
-            assert not covered[s.start_index : s.end_index].any()
-            covered[s.start_index : s.end_index] = True
+            assert start < end
+            assert np.all(power[start:end] > 0)
+            if start > 0:
+                assert power[start - 1] == 0
+            if end < power.size:
+                assert power[end] == 0
+            assert not covered[start:end].any()
+            covered[start:end] = True
         assert np.array_equal(covered, power > 0)
 
 
@@ -101,18 +98,23 @@ def pulsed_dataset(seed=0, steps=3000, rate=100.0):
     )
 
 
+def measured_spectra(datasets):
+    """``collect_pulse_spectra`` of each dataset's ``m`` column, cut at ``power``."""
+    return collect_pulse_spectra(datasets, "power", [ds.column("m") for ds in datasets])
+
+
 class TestPulseSpectra:
     def test_buckets_by_exact_count(self):
         ds = pulsed_dataset(seed=1)
-        segs = segment_pulses(ds.column("power"), ds.sample_rate_hz)
-        buckets = pulse_spectra(ds, "m", segs)
+        segs = segment_pulses(ds.column("power"))
+        buckets = pulse_spectra([ds.column("m")], [segs], ds.sample_rate_hz)
         for count, spec in buckets.items():
             assert spec.sample_count == count
             assert spec.length_s == pytest.approx(count / 100.0)
             assert spec.frequencies_hz.size == count // 2 + 1
             assert spec.magnitude.size == count // 2 + 1
         total = sum(s.pulses_averaged for s in buckets.values())
-        assert total == len([s for s in segs if s.sample_count >= MIN_SEGMENT_SAMPLES])
+        assert total == np.count_nonzero(np.diff(segs, axis=1) >= MIN_SEGMENT_SAMPLES)
 
     @staticmethod
     def _assert_identical(got, expected):
@@ -126,41 +128,46 @@ class TestPulseSpectra:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_identical_to_per_pulse_oracle(self, seed):
-        ds = pulsed_dataset(seed=seed)
-        segs = segment_pulses(ds.column("power"), ds.sample_rate_hz)
-        assert max(s.pulses_averaged for s in pulse_spectra(ds, "m", segs).values()) > 1
-        self._assert_identical(pulse_spectra(ds, "m", segs), pulse_spectra_per_pulse(ds, "m", segs))
+        datasets = [pulsed_dataset(seed=s) for s in (seed, seed + 10, seed + 20)]
+        series = [ds.column("m") for ds in datasets]
+        segments = [segment_pulses(ds.column("power")) for ds in datasets]
+        got = pulse_spectra(series, segments, 100.0)
+        alone = [pulse_spectra([v], [s], 100.0) for v, s in zip(series, segments)]
+        assert any(sum(count in a for a in alone) > 1 for count in got)  # buckets pool series
+        self._assert_identical(got, pulse_spectra_per_pulse(series, segments, 100.0))
 
     @given(
-        on=st.lists(st.booleans(), min_size=1, max_size=300),
+        on=st.lists(st.lists(st.booleans(), min_size=1, max_size=300), min_size=1, max_size=3),
         seed=st.integers(0, 2**31 - 1),
     )
     def test_any_pulse_pattern_matches_per_pulse_oracle(self, on, seed):
         rng = np.random.default_rng(seed)
-        power = np.asarray(on, dtype=float)
-        ds = make_dataset(
-            np.column_stack([power, rng.normal(size=power.size) * 10.0 ** rng.integers(-3, 4)]),
-            names=["power", "m"],
-            kinds=["input", "observable"],
-            rate=37.0,
-        )
-        segs = segment_pulses(power, ds.sample_rate_hz)
+        series = [rng.normal(size=len(o)) * 10.0 ** rng.integers(-3, 4) for o in on]
+        segments = [segment_pulses(np.asarray(o, dtype=float)) for o in on]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SegmentSkippedWarning)
-            got = pulse_spectra(ds, "m", segs)
-        self._assert_identical(got, pulse_spectra_per_pulse(ds, "m", segs))
+            got = pulse_spectra(series, segments, 37.0)
+        self._assert_identical(got, pulse_spectra_per_pulse(series, segments, 37.0))
 
     def test_short_segments_skipped_with_warning(self):
-        power = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
-        ds = make_dataset(
-            np.column_stack([power, np.arange(10.0)]),
-            names=["power", "m"],
-            kinds=["input", "observable"],
-        )
-        segs = segment_pulses(power, 100.0)
-        with pytest.warns(SegmentSkippedWarning):
-            buckets = pulse_spectra(ds, "m", segs)
+        power = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+        datasets = [
+            make_dataset(
+                np.column_stack([power, np.arange(11.0) * k]),
+                names=["power", "m"],
+                kinds=["input", "observable"],
+            )
+            for k in (1.0, 2.0)
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            buckets = measured_spectra(datasets)
+        assert [str(w.message) for w in caught] == [
+            "4 of 6 pulses have fewer than 4 samples; skipped"
+        ]
+        assert caught[0].category is SegmentSkippedWarning
         assert list(buckets) == [5]
+        assert buckets[5].pulses_averaged == 2
 
     def test_averaging_over_equal_lengths(self):
         power = np.zeros(40)
@@ -169,12 +176,7 @@ class TestPulseSpectra:
         values = np.zeros(40)
         values[5:10] = [1.0, 2.0, 3.0, 2.0, 1.0]
         values[20:25] = [2.0, 4.0, 6.0, 4.0, 2.0]
-        ds = make_dataset(
-            np.column_stack([power, values]),
-            names=["power", "m"],
-            kinds=["input", "observable"],
-        )
-        buckets = pulse_spectra(ds, "m", segment_pulses(power, 100.0))
+        buckets = pulse_spectra([values], [segment_pulses(power)], 100.0)
         spec = buckets[5]
         assert spec.pulses_averaged == 2
         a = amplitude_spectrum(values[5:10])
@@ -182,24 +184,28 @@ class TestPulseSpectra:
         assert np.allclose(spec.magnitude, (a + b) / 2.0)
 
     def test_merge_weights_by_pulse_count(self):
+        # Pooling two experiments averages each bucket over all its pulses:
+        # each experiment's own average, weighted by its pulse count.
         ds1 = pulsed_dataset(seed=2)
         ds2 = pulsed_dataset(seed=3)
-        merged = collect_pulse_spectra([ds1, ds2], "m", "power")
-        segs1 = pulse_spectra(ds1, "m", segment_pulses(ds1.column("power"), 100.0))
-        segs2 = pulse_spectra(ds2, "m", segment_pulses(ds2.column("power"), 100.0))
+        merged = measured_spectra([ds1, ds2])
+        segs1, segs2 = measured_spectra([ds1]), measured_spectra([ds2])
         shared = set(segs1) & set(segs2)
         assert shared
-        count = next(iter(shared))
-        w1, w2 = segs1[count].pulses_averaged, segs2[count].pulses_averaged
-        expected = (segs1[count].magnitude * w1 + segs2[count].magnitude * w2) / (w1 + w2)
-        assert np.allclose(merged[count].magnitude, expected)
-        assert merged[count].pulses_averaged == w1 + w2
+        assert set(merged) == set(segs1) | set(segs2)
+        for count in shared:
+            w1, w2 = segs1[count].pulses_averaged, segs2[count].pulses_averaged
+            expected = (segs1[count].magnitude * w1 + segs2[count].magnitude * w2) / (w1 + w2)
+            assert np.allclose(merged[count].magnitude, expected, rtol=1e-14, atol=0)
+            assert merged[count].pulses_averaged == w1 + w2
+
+    def test_no_datasets_no_buckets(self):
+        assert collect_pulse_spectra([], "power", []) == {}
 
 
 class TestSpectrogram:
     def _buckets(self, seed=4):
-        ds = pulsed_dataset(seed=seed)
-        return collect_pulse_spectra([ds], "m", "power")
+        return measured_spectra([pulsed_dataset(seed=seed)])
 
     def test_grid_shape_and_normalization(self):
         sg = build_spectrogram(self._buckets(), grid=(32, 48), cap_hz=10.0)
@@ -221,8 +227,7 @@ class TestSpectrogram:
         assert sg.frequency_axis_hz[-1] == 1.0
 
     def test_needs_two_buckets(self):
-        ds = pulsed_dataset(seed=5)
-        buckets = collect_pulse_spectra([ds], "m", "power")
+        buckets = measured_spectra([pulsed_dataset(seed=5)])
         only_one = {k: v for k, v in list(buckets.items())[:1]}
         with pytest.raises(InsufficientPulseLengthDiversity):
             build_spectrogram(only_one)
@@ -262,20 +267,19 @@ class TestSpectrogram:
 class TestCompare:
     def test_self_similarity_is_one(self):
         ds = pulsed_dataset(seed=6)
-        sg = build_spectrogram(collect_pulse_spectra([ds], "m", "power"), cap_hz=20.0)
+        sg = build_spectrogram(measured_spectra([ds]), cap_hz=20.0)
         assert compare_spectrograms(sg, sg) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_invariant(self):
         from dataclasses import replace
 
         ds = pulsed_dataset(seed=7)
-        sg = build_spectrogram(collect_pulse_spectra([ds], "m", "power"), cap_hz=20.0)
+        sg = build_spectrogram(measured_spectra([ds]), cap_hz=20.0)
         scaled = replace(sg, intensity=sg.intensity * 0.37)
         assert compare_spectrograms(sg, scaled) == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_mismatch_rejected(self):
-        ds = pulsed_dataset(seed=8)
-        buckets = collect_pulse_spectra([ds], "m", "power")
+        buckets = measured_spectra([pulsed_dataset(seed=8)])
         a = build_spectrogram(buckets, grid=(10, 10), cap_hz=20.0)
         b = build_spectrogram(buckets, grid=(10, 11), cap_hz=20.0)
         with pytest.raises(GridMismatch):
@@ -285,35 +289,32 @@ class TestCompare:
         from dataclasses import replace
 
         ds = pulsed_dataset(seed=9)
-        sg = build_spectrogram(collect_pulse_spectra([ds], "m", "power"), cap_hz=20.0)
+        sg = build_spectrogram(measured_spectra([ds]), cap_hz=20.0)
         zero = replace(sg, intensity=np.zeros_like(sg.intensity))
         assert compare_spectrograms(sg, zero) == 0.0
 
-    def test_values_override_keeps_measured_segmentation(self):
+    def test_model_series_keeps_measured_segmentation(self):
         spec, datasets = linear_corpus(q=1, p=1, n_exp=3, steps=2500, seed=30)
         cfg = FitConfig(inputs=spec.input_names, observables=spec.observable_names)
         model = fit_on_datasets(datasets, cfg)
-        obs = spec.observable_names[0]
+        obs, power = spec.observable_names[0], spec.input_names[0]
         predictions = predict_series(model, datasets, "rollout")
-        overrides = {ds.experiment_id: p[:, 0] for ds, p in zip(datasets, predictions)}
-        measured = collect_pulse_spectra(datasets, obs, spec.input_names[0])
-        predicted = collect_pulse_spectra(
-            datasets, obs, spec.input_names[0], values_override=overrides
-        )
+        measured = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
+        predicted = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
         assert set(measured) == set(predicted)
+        for count, spectrum in measured.items():
+            assert predicted[count].pulses_averaged == spectrum.pulses_averaged
         sg_m = build_spectrogram(measured, cap_hz=50.0)
         sg_p = build_spectrogram(predicted, cap_hz=50.0)
         assert compare_spectrograms(sg_m, sg_p) > 0.99
 
-    def test_values_override_copies_no_dataset(self, monkeypatch):
+    def test_series_cut_at_the_power_channel(self):
+        # The series is transformed, not any column of the dataset, and it is
+        # cut where the dataset's power channel is on.
         ds = pulsed_dataset(seed=5)
-        override = np.cos(np.arange(ds.row_count) / 7.0)
-        expected = pulse_spectra(
-            ds.with_column("m", override), "m", segment_pulses(ds.column("power"), 100.0)
+        series = np.cos(np.arange(ds.row_count) / 7.0)
+        segments = [segment_pulses(ds.column("power"))]
+        got = collect_pulse_spectra([ds], "power", [series])
+        TestPulseSpectra._assert_identical(
+            got, pulse_spectra_per_pulse([series], segments, ds.sample_rate_hz)
         )
-        monkeypatch.setattr(type(ds), "with_column", None)
-        got = collect_pulse_spectra([ds], "m", "power", values_override={ds.experiment_id: override})
-        assert got.keys() == expected.keys()
-        for count, spectrum in expected.items():
-            assert np.array_equal(got[count].magnitude, spectrum.magnitude)
-            assert got[count].pulses_averaged == spectrum.pulses_averaged

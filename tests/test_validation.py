@@ -5,7 +5,7 @@ import pytest
 from helpers import fit_on_datasets, linear_corpus, make_dataset, r2, rmse
 
 from dedsid.artifacts import to_plain
-from dedsid.config import FitConfig
+from dedsid.config import EVAL_MODES, FitConfig
 from dedsid.dataset import decimate
 from dedsid.dmdc import StateSpaceModel
 from dedsid.errors import ConstantActual, TooFewExperiments
@@ -148,6 +148,31 @@ class TestPredictSeries:
         assert predict_series(fit_on_datasets(datasets, _fit_config(spec)), []) == []
 
 
+class TestColumnOrder:
+    @pytest.mark.parametrize("eval_mode", EVAL_MODES)
+    def test_results_independent_of_column_order(self, eval_mode):
+        # The same channels in two column orders: observables a contiguous run
+        # (blocks are views) and observables split by an input (blocks are
+        # copies). Offset observables make any change of summation order show.
+        spec, datasets = linear_corpus(q=3, p=2, n_exp=5, steps=3000, seed=31, noise_sd=0.05)
+        offset = np.r_[0.0, 0.0, np.full(3, 1500.0)]
+        datasets = [ds.with_data(ds.data + offset) for ds in datasets]
+        names = [c.name for c in datasets[0].channels]
+        assert names == [*spec.input_names, *spec.observable_names]
+        order = [names[2], names[0], names[3], names[4], names[1]]
+        shuffled = [ds.select_channels(order) for ds in datasets]
+        assert not np.shares_memory(shuffled[0].matrix_for(spec.observable_names), shuffled[0].data)
+        assert np.shares_memory(datasets[0].matrix_for(spec.observable_names), datasets[0].data)
+        config = replace(_fit_config(spec), eval_mode=eval_mode)
+        model = fit_on_datasets(datasets, config)
+        for a, b in zip(
+            predict_series(model, datasets, eval_mode), predict_series(model, shuffled, eval_mode)
+        ):
+            assert np.array_equal(a, b)
+        got = [to_plain(run_lpocv(d, config, p=2, repeats=3, seed=4)) for d in (datasets, shuffled)]
+        assert got[0] == got[1]
+
+
 class TestLpocv:
     def test_noise_free_scores_near_perfect(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=6, steps=900, seed=24)
@@ -242,7 +267,9 @@ class TestBoundPredictions:
         ds = make_dataset(
             np.column_stack([truth, np.zeros(6)]), names=["y1", "u1"], kinds=["observable", "input"]
         )
-        pred, lower, upper, measured, violated = bound_predictions(self._zero_model(), envelope, ds)
+        pred, lower, upper, measured, violated = bound_predictions(
+            self._zero_model(), envelope, ds, "rollout"
+        )
         assert np.allclose(pred, 0.0)
         assert np.allclose(lower, -0.625)
         assert np.allclose(upper, 0.625)
@@ -257,7 +284,7 @@ class TestBoundPredictions:
             rmse={"y1": 0.21, "y2": 0.043}, ci95={"y1": 0.011, "y2": 0.0021}
         )
         ds = datasets[0]
-        pred, lower, upper, measured, violated = bound_predictions(model, envelope, ds)
+        pred, lower, upper, measured, violated = bound_predictions(model, envelope, ds, "rollout")
         half = np.asarray([envelope.half_width(o) for o in spec.observable_names])
         assert np.array_equal(upper, lower + 2.0 * half)
         assert np.allclose(upper - lower, 2.0 * half, rtol=0, atol=1e-12)
@@ -265,6 +292,17 @@ class TestBoundPredictions:
         assert np.array_equal(pred, predict_series(model, [ds])[0][1:])
         assert np.array_equal(measured, ds.matrix_for(spec.observable_names)[1:])
         assert violated.shape == measured.shape == (ds.row_count - 1, 2)
+
+    def test_predictions_follow_eval_mode(self):
+        spec, datasets = linear_corpus(q=2, p=1, n_exp=3, steps=400, seed=27, noise_sd=0.05)
+        model = fit_on_datasets(datasets, _fit_config(spec))
+        envelope = UncertaintyEnvelope(rmse={"y1": 0.2, "y2": 0.04}, ci95={"y1": 0.0, "y2": 0.0})
+        ds = datasets[1]
+        by_mode = {}
+        for mode in EVAL_MODES:
+            by_mode[mode] = bound_predictions(model, envelope, ds, mode)[0]
+            assert np.array_equal(by_mode[mode], predict_series(model, [ds], mode)[0][1:])
+        assert not np.array_equal(by_mode["rollout"], by_mode["one-step"])
 
 
 class TestFrequencyStudy:
