@@ -49,7 +49,9 @@ _EXPORTS = {
         "pulse_spectra",
         "segment_pulses",
     ),
-    "validation": ("UncertaintyEnvelope", "bound_predictions", "frequency_study", "run_lpocv"),
+    "validation": (
+        "UncertaintyEnvelope", "bound_predictions", "draw_splits", "frequency_study", "run_lpocv"
+    ),
     "vif": ("VifSelectionReport", "select_features"),
     "wasserstein": ("split_shift_report",),
 }

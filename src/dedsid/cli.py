@@ -31,14 +31,7 @@ from .config import (
 )
 from .dataset import TimeSeriesDataset, load_datasets, load_manifest, load_schema
 from .dmdc import SnapshotSet, StateSpaceModel, build_snapshots, fit, load_model, save_model
-from .errors import (
-    ConfigError,
-    CorruptFile,
-    DataError,
-    NumericError,
-    StaleArtifact,
-    TooFewExperiments,
-)
+from .errors import ConfigError, CorruptFile, DataError, NumericError, StaleArtifact
 from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
     UncertaintyEnvelope,
@@ -182,6 +175,13 @@ class _Run:
         )
 
     @cached_property
+    def splits(self) -> np.ndarray:
+        """The (repeats, experiments) masks of each split's test experiments:
+        one draw that dist-report, cv and freq-study all score."""
+        lpocv = self.cfg.lpocv
+        return draw_splits(len(self.ingested[0]), lpocv.p, lpocv.repeats, self.cfg.seed)
+
+    @cached_property
     def snapshots(self) -> SnapshotSet:
         """One pass over every experiment's rows, shared by cv's folds and the fit."""
         return build_snapshots(self.datasets, self.fit_config.inputs, self.fit_config.observables)
@@ -215,13 +215,7 @@ def _select_features(run: _Run) -> str:
 
 
 def _dist_report(run: _Run) -> str:
-    cfg = run.cfg
-    by_id = {ds.experiment_id: ds for ds in run.datasets}
-    id_splits = draw_splits(list(by_id), cfg.lpocv.p, cfg.lpocv.repeats, cfg.seed)
-    results = split_shift_report(
-        [([by_id[i] for i in tr], [by_id[i] for i in te]) for tr, te in id_splits],
-        run.names("observable"),
-    )
+    results = split_shift_report(run.datasets, run.splits, run.names("observable"))
     write_json(run.out / "dist_report.json", {"results": results}, run.provenance)
     table = [
         (r.channel, r.pair_label, r.mean_distance, r.ci95_halfwidth, r.repeats) for r in results
@@ -233,15 +227,7 @@ def _dist_report(run: _Run) -> str:
 
 
 def _cv(run: _Run) -> str:
-    cfg = run.cfg
-    report, envelope = run_lpocv(
-        run.datasets,
-        run.fit_config,
-        p=cfg.lpocv.p,
-        repeats=cfg.lpocv.repeats,
-        seed=cfg.seed,
-        snapshots=run.snapshots,
-    )
+    report, envelope = run_lpocv(run.datasets, run.fit_config, run.splits, run.snapshots)
     payload = {"cv": report, "envelope": envelope}
     write_json(run.out / "cv_report.json", payload, run.provenance)
     r2 = report.aggregates["r2_test"]
@@ -365,14 +351,7 @@ def _spectrogram(run: _Run) -> str:
 
 def _freq_study(run: _Run) -> str:
     cfg = run.cfg
-    rows = frequency_study(
-        run.datasets,
-        run.fit_config,
-        factors=cfg.decimation_factors,
-        p=cfg.lpocv.p,
-        repeats=cfg.lpocv.repeats,
-        seed=cfg.seed,
-    )
+    rows = frequency_study(run.datasets, run.fit_config, cfg.decimation_factors, run.splits)
     write_json(run.out / "freq_study.json", {"rows": rows}, run.provenance)
     table = []
     for row in rows:
@@ -413,9 +392,7 @@ def cmd_stage(args) -> int:
 
 def cmd_pipeline(args) -> int:
     run = _Run(load_run_config(args.config, args.seed))
-    available, p = len(run.ingested[0]), run.cfg.lpocv.p
-    if available <= p:  # draw_splits would refuse too, but only after files are written
-        raise TooFewExperiments(available, p)
+    run.splits  # too few experiments for lpocv.p stop the run before any file is written
     for name in PIPELINE:
         STAGES[name][1](run)
     cv = read_json_object(run.out / "cv_report.json", run.provenance)["cv"]

@@ -20,6 +20,7 @@ from .dataset import TimeSeriesDataset
 from .errors import (
     GridMismatch,
     InsufficientPulseLengthDiversity,
+    SchemaMismatch,
     SegmentSkippedWarning,
 )
 
@@ -105,11 +106,18 @@ def collect_pulse_spectra(
 ) -> dict[int, PulseSpectrum]:
     """The pulse spectra of ``series``, one array per dataset (a measured
     column or a model's predictions), cut where each dataset's power channel
-    is on."""
+    is on. Pulses pool by sample count, so every dataset must share one
+    sample rate; a dataset at another rate is ``SchemaMismatch``."""
     if not datasets:
         return {}
+    ref = datasets[0]
+    for ds in datasets[1:]:
+        if ds.sample_rate_hz != ref.sample_rate_hz:
+            raise SchemaMismatch(
+                f"{ds.experiment_id!r} sample rate differs from {ref.experiment_id!r}"
+            )
     segments = [segment_pulses(ds.column(power_channel)) for ds in datasets]
-    return pulse_spectra(series, segments, datasets[0].sample_rate_hz)
+    return pulse_spectra(series, segments, ref.sample_rate_hz)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .dmdc import (
     linear_recurrence,
     spectral_radius,
 )
-from .errors import ConstantActual, EmptySample, TooFewExperiments
+from .errors import ConstantActual, DimensionMismatch, EmptySample, TooFewExperiments
 from .wasserstein import ci95_halfwidth
 
 
@@ -150,7 +150,6 @@ class Aggregate:
 class CvReport:
     p: int
     repeats: int
-    seed: int | None
     eval_mode: str
     observables: tuple[str, ...]
     folds: tuple[FoldResult, ...]
@@ -168,21 +167,15 @@ class UncertaintyEnvelope:
         return self.rmse[observable] + self.ci95[observable]
 
 
-def draw_splits(
-    ids: Sequence[str], p: int, repeats: int, seed: int | None = None
-) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """(train_ids, test_ids) per repeat; p test experiments drawn uniformly
-    without replacement, freshly per repeat."""
-    ids = list(ids)
-    if len(ids) <= p:
-        raise TooFewExperiments(len(ids), p)
+def draw_splits(experiments: int, p: int, repeats: int, seed: int | None = None) -> np.ndarray:
+    """A (repeats, experiments) boolean array; each row marks one split's p
+    test experiments, drawn uniformly without replacement, freshly per repeat."""
+    if experiments <= p:
+        raise TooFewExperiments(experiments, p)
     rng = np.random.default_rng(seed)
-    splits = []
-    for _ in range(repeats):
-        test_idx = rng.choice(len(ids), size=p, replace=False)
-        test = tuple(ids[i] for i in sorted(test_idx))
-        train = tuple(i for i in ids if i not in test)
-        splits.append((train, test))
+    splits = np.zeros((repeats, experiments), dtype=bool)
+    for test in splits:
+        test[rng.choice(experiments, size=p, replace=False)] = True
     return splits
 
 
@@ -210,18 +203,17 @@ def _side_metrics(
 def run_lpocv(
     datasets: Sequence[TimeSeriesDataset],
     config: FitConfig,
-    p: int,
-    repeats: int,
-    seed: int | None = None,
+    splits: np.ndarray,
     snapshots: SnapshotSet | None = None,
 ) -> tuple[CvReport, UncertaintyEnvelope]:
     """Leave-p-out cross-validation over experiments.
 
-    Each repeat holds out p whole experiments (never individual rows; rows
-    within an experiment are serially dependent, so splitting them would leak
-    the test trajectory into training). Standardizers are refit on each
-    repeat's training pool. Aggregates are mean and 1.96*sd/sqrt(repeats)
-    over folds.
+    Each row of ``splits``, a (repeats, experiments) boolean array from
+    ``draw_splits``, marks the whole experiments one fold holds out (never
+    individual rows; rows within an experiment are serially dependent, so
+    splitting them would leak the test trajectory into training).
+    Standardizers are refit on each fold's training pool. Aggregates are
+    mean and 1.96*sd/sqrt(repeats) over folds.
 
     The rows are read once per call: ``snapshots`` (``build_snapshots`` of
     ``datasets`` over the config's channels, built here when not given)
@@ -229,8 +221,12 @@ def run_lpocv(
     inputs serves every fold's rollout. Metrics come from per-experiment
     residual sums and target moments, pooled per side.
     """
-    by_id = {ds.experiment_id: i for i, ds in enumerate(datasets)}
-    splits = draw_splits(list(by_id), p, repeats, seed)
+    splits = np.asarray(splits, dtype=bool)
+    if splits.ndim != 2 or splits.shape[1] != len(datasets):
+        raise DimensionMismatch(f"splits of shape {splits.shape} for {len(datasets)} experiments")
+    if not splits.size:
+        raise EmptySample("splits")
+    ids = [ds.experiment_id for ds in datasets]
     if snapshots is None:
         snapshots = build_snapshots(datasets, config.inputs, config.observables)
     padded = _padded(datasets, config.observables, config.inputs)
@@ -239,9 +235,10 @@ def run_lpocv(
     means = targets.sum(axis=1) / steps[:, None]
     m2 = np.array([((t[:n] - m) ** 2).sum(axis=0) for t, m, n in zip(targets, means, steps)])
     folds = []
-    for k, (train_ids, test_ids) in enumerate(splits):
+    for k, test in enumerate(splits):
+        train = ~test
         model = fit(
-            snapshots.subset(train_ids),
+            snapshots.subset([i for i, t in zip(ids, train) if t]),
             config.svd_rank,
             config.standardize_inputs,
             config.standardize_observables,
@@ -251,8 +248,6 @@ def run_lpocv(
         for row, n in zip(residual, steps):
             row[n:] = 0.0
         ssr = np.einsum("stq,stq->sq", residual, residual)
-        train = [by_id[i] for i in train_ids]
-        test = [by_id[i] for i in test_ids]
         r2_train, rmse_train = _side_metrics(
             ssr[train], steps[train], means[train], m2[train], config.observables
         )
@@ -262,7 +257,7 @@ def run_lpocv(
         folds.append(
             FoldResult(
                 fold_index=k,
-                test_ids=test_ids,
+                test_ids=tuple(i for i, t in zip(ids, test) if t),
                 r2_train=r2_train,
                 r2_test=r2_test,
                 rmse_train=rmse_train,
@@ -288,9 +283,8 @@ def run_lpocv(
         aggregates[metric] = per_obs
 
     report = CvReport(
-        p=p,
-        repeats=repeats,
-        seed=seed,
+        p=int(splits[0].sum()),
+        repeats=len(splits),
         eval_mode=config.eval_mode,
         observables=config.observables,
         folds=tuple(folds),
@@ -338,20 +332,17 @@ def frequency_study(
     datasets: Sequence[TimeSeriesDataset],
     config: FitConfig,
     factors: Sequence[int],
-    p: int,
-    repeats: int,
-    seed: int | None = None,
+    splits: np.ndarray,
 ) -> list[FrequencyStudyRow]:
     """Rerun cross-validation at progressively slower recording rates.
 
     Decimation drops samples outright (no anti-alias filter), exactly as a
-    slower sensor would. The same seed is reused per factor so every rate
-    sees the same sequence of train/test splits.
+    slower sensor would. Every rate is scored on the same ``splits``.
     """
     rows = []
     for factor in factors:
         slowed = [decimate(ds, factor) for ds in datasets]
-        report, _ = run_lpocv(slowed, config, p=p, repeats=repeats, seed=seed)
+        report, _ = run_lpocv(slowed, config, splits)
         rows.append(
             FrequencyStudyRow(
                 factor=int(factor),

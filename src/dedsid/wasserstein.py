@@ -6,12 +6,14 @@ evenly spaced grid over the channel's own range, i.e. "uniform noise with the
 same bounds", so a small test-to-train distance relative to the uniform
 distances reads as "splits share structure".
 
-Every distance goes through one kernel on sorted samples, so each pooled
-sample is sorted once per split and channel. Two samples of equal size n
-(always the case against the uniform grid) pair their order statistics,
-W1 = mean |x_(i) - y_(i)|, which is exactly the CDF integral for n points
-each. Unequal sizes merge the two sorted runs with a stable argsort and
-integrate |F_a - F_b| from running counts, with no further sort or search.
+Each channel is sorted once, over every experiment, with a stable argsort
+that keeps each value's experiment. A split is a boolean mask over the
+experiments, and train and test partition the corpus, so each side's sorted
+sample is the global order compressed by the mask. Test-to-train is the
+integral of |F_test - F_train| over the gaps of the global order, with both
+CDFs from one cumsum of the mask; a gap inside a tie is 0, so the order
+within a tie does not matter. Against the uniform grid, both samples have n
+points and W1 = mean |x_(i) - g_i|.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstantChannel, EmptySample
+from .errors import ConstantChannel, DimensionMismatch, EmptySample
 from .dataset import TimeSeriesDataset
 
 PAIR_TRAIN_UNIFORM = "train_to_uniform"
@@ -30,36 +32,28 @@ PAIR_TEST_TRAIN = "test_to_train"
 PAIR_LABELS = (PAIR_TRAIN_UNIFORM, PAIR_TEST_UNIFORM, PAIR_TEST_TRAIN)
 
 
-def _sorted_sample(values) -> np.ndarray:
-    values = np.sort(np.asarray(values, dtype=float).ravel())
-    if values.size == 0:
+def _w1_partition(values: np.ndarray, in_a: np.ndarray) -> float:
+    """W1 between the two parts of the ascending ``values`` that ``in_a``
+    marks as a and leaves as b: the integral of |F_a - F_b|, each CDF from a
+    running count of its part over the gaps between consecutive values."""
+    n_a = np.count_nonzero(in_a)
+    n_b = in_a.size - n_a
+    if n_a == 0 or n_b == 0:
         raise EmptySample()
-    return values
+    count_a = np.cumsum(in_a[:-1])
+    count_b = np.arange(1, values.size) - count_a
+    return float(np.sum(np.abs(count_a / n_a - count_b / n_b) * np.diff(values)))
 
 
-def _w1_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """W1 between two non-empty, ascending samples.
-
-    Equal sizes pair order statistics: mean |a_(i) - b_(i)|. Otherwise the
-    integral of |F_a - F_b| over the merged support: a stable argsort of the
-    two sorted runs merges them, and a running count of a's elements gives
-    both CDFs on each gap between consecutive merged values.
-    """
-    if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
-    merged = np.concatenate([a, b])
-    order = np.argsort(merged, kind="stable")
-    deltas = np.diff(merged[order])
-    count_a = np.cumsum(order[:-1] < a.size)
-    count_b = np.arange(1, merged.size) - count_a
-    return float(np.sum(np.abs(count_a / a.size - count_b / b.size) * deltas))
-
-
-def _uniform_w1_sorted(samples: np.ndarray) -> float:
-    lo, hi = float(samples[0]), float(samples[-1])
+def _uniform_w1(values: np.ndarray) -> float:
+    """W1 between the ascending ``values`` and an equal-size even grid over
+    their range: mean |x_(i) - g_i|."""
+    if not values.size:
+        raise EmptySample()
+    lo, hi = float(values[0]), float(values[-1])
     if lo == hi:
         raise ConstantChannel(f"range [{lo}, {hi}] is degenerate")
-    return _w1_sorted(samples, np.linspace(lo, hi, samples.size))
+    return float(np.mean(np.abs(values - np.linspace(lo, hi, values.size))))
 
 
 @dataclass(frozen=True)
@@ -81,55 +75,40 @@ def ci95_halfwidth(values: np.ndarray) -> float:
     return float(1.96 * values.std(ddof=1) / np.sqrt(n))
 
 
-def split_distances(
-    train: Sequence[TimeSeriesDataset],
-    test: Sequence[TimeSeriesDataset],
-    channels: Sequence[str],
-) -> dict[str, dict[str, float]]:
-    """Per-channel {pair_label: distance} for one train/test split.
-
-    Channel samples are pooled across the datasets on each side and sorted
-    once; all three distances read the same two sorted samples. Distances
-    are taken on raw (unstandardized) values so they stay in physical units.
-    """
-    if not train or not test:
-        raise EmptySample("train or test split")
-    out: dict[str, dict[str, float]] = {}
-    for ch in channels:
-        tr = _sorted_sample(np.concatenate([ds.column(ch) for ds in train]))
-        te = _sorted_sample(np.concatenate([ds.column(ch) for ds in test]))
-        out[ch] = {
-            PAIR_TRAIN_UNIFORM: _uniform_w1_sorted(tr),
-            PAIR_TEST_UNIFORM: _uniform_w1_sorted(te),
-            PAIR_TEST_TRAIN: _w1_sorted(te, tr),
-        }
-    return out
-
-
 def split_shift_report(
-    splits: Sequence[tuple[Sequence[TimeSeriesDataset], Sequence[TimeSeriesDataset]]],
-    channels: Sequence[str],
+    datasets: Sequence[TimeSeriesDataset], splits: np.ndarray, channels: Sequence[str]
 ) -> list[WassersteinResult]:
-    """Aggregate split distances over resampled splits (one per repeat).
+    """Aggregate the distances of resampled splits of ``datasets``.
 
-    Returns three results per channel (train/uniform, test/uniform,
-    test/train) with the mean distance and a 1.96*sd/sqrt(repeats) half-width.
+    ``splits`` is a (repeats, experiments) boolean array; each row marks one
+    split's test experiments, the rest are its training side. Returns three
+    results per channel (train/uniform, test/uniform, test/train) with the
+    mean distance and a 1.96*sd/sqrt(repeats) half-width. Distances are taken
+    on raw (unstandardized) values so they stay in physical units.
     """
-    if not splits:
+    splits = np.asarray(splits, dtype=bool)
+    if splits.ndim != 2 or splits.shape[1] != len(datasets):
+        raise DimensionMismatch(f"splits of shape {splits.shape} for {len(datasets)} experiments")
+    if not splits.size:
         raise EmptySample("splits")
-    per_repeat = [split_distances(train, test, channels) for train, test in splits]
-    repeats = len(per_repeat)
+    experiment = np.repeat(np.arange(len(datasets)), [ds.row_count for ds in datasets])
     results = []
     for ch in channels:
-        for label in PAIR_LABELS:
-            vals = np.asarray([rep[ch][label] for rep in per_repeat])
+        values = np.concatenate([ds.column(ch) for ds in datasets])
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        per_split = [
+            (_uniform_w1(values[~m]), _uniform_w1(values[m]), _w1_partition(values, m))
+            for m in splits[:, experiment[order]]
+        ]
+        for label, vals in zip(PAIR_LABELS, np.array(per_split).T):
             results.append(
                 WassersteinResult(
                     pair_label=label,
                     channel=ch,
                     mean_distance=float(vals.mean()),
                     ci95_halfwidth=ci95_halfwidth(vals),
-                    repeats=repeats,
+                    repeats=len(splits),
                     distances=tuple(float(v) for v in vals),
                 )
             )

@@ -35,7 +35,7 @@ from dedsid.plant import (
     simulate,
 )
 from dedsid.spectral import MIN_SEGMENT_SAMPLES, PulseSpectrum
-from dedsid.wasserstein import _sorted_sample, _uniform_w1_sorted, _w1_sorted
+from dedsid.wasserstein import _uniform_w1, _w1_partition
 
 _EPS = float(np.finfo(float).eps)
 
@@ -449,23 +449,24 @@ def impute_off_state_loop(ds, channel, sentinel, gate_channel):
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Earth-mover distance between two empirical samples.
+    """Earth-mover distance between two empirical samples of any sizes.
 
-    Both samples are sorted once; equal sizes then take the quantile form
-    mean |a_(i) - b_(i)|, unequal sizes the integral of |F_a - F_b| over the
-    merged support, which is the same quantity for piecewise-constant
-    empirical CDFs; sample sizes need not match. Calls the kernel that
-    ``dedsid.wasserstein.split_distances`` uses.
+    The two samples are pooled and sorted once, stably, and the pooled order
+    goes to the kernel ``dedsid.wasserstein.split_shift_report`` scores each
+    split with: the integral of |F_a - F_b| from a running count of a's
+    values over the gaps of the pooled order.
     """
-    return _w1_sorted(_sorted_sample(a), _sorted_sample(b))
+    a = np.asarray(a, dtype=float).ravel()
+    values = np.concatenate([a, np.asarray(b, dtype=float).ravel()])
+    order = np.argsort(values, kind="stable")
+    return _w1_partition(values[order], order < a.size)
 
 
 def uniform_benchmark(samples: np.ndarray) -> float:
-    """Distance from a sample to an equal-size even grid over its own range.
-
-    With both samples of size n this is mean |x_(i) - linspace(lo, hi, n)_i|.
-    """
-    return _uniform_w1_sorted(_sorted_sample(samples))
+    """Distance from a sample to an equal-size even grid over its own range:
+    mean |x_(i) - linspace(lo, hi, n)_i|, by the kernel that
+    ``dedsid.wasserstein.split_shift_report`` uses."""
+    return _uniform_w1(np.sort(np.asarray(samples, dtype=float).ravel()))
 
 
 def load_plant(path: str | Path) -> PlantSpec:

@@ -41,6 +41,7 @@ from dedsid.spectral import (
 from dedsid.validation import (
     UncertaintyEnvelope,
     bound_predictions,
+    draw_splits,
     frequency_study,
     predict_series,
     run_lpocv,
@@ -113,7 +114,7 @@ def test_02_noise_floor_consistency():
             simulate(plant, inputs, seed=int(rng.integers(0, 2**31 - 1)), experiment_id=exp).dataset
         )
     cfg = FitConfig(inputs=plant.input_names, observables=plant.observable_names)
-    report, envelope = run_lpocv(datasets, cfg, p=3, repeats=10, seed=0)
+    report, envelope = run_lpocv(datasets, cfg, draw_splits(len(datasets), 3, 10, 0))
     elapsed = time.perf_counter() - t0
 
     lo, hi = 0.85 * NOISE_SD, 1.15 * NOISE_SD
@@ -271,7 +272,8 @@ def test_06_recording_rate_knee():
         )
         datasets.append(simulate(spec, inputs, experiment_id=exp).dataset)
     cfg = FitConfig(inputs=spec.input_names, observables=spec.observable_names)
-    rows = frequency_study(datasets, cfg, factors=(1, 2, 5, 10, 25, 50), p=3, repeats=10, seed=0)
+    splits = draw_splits(len(datasets), 3, 10, 0)
+    rows = frequency_study(datasets, cfg, factors=(1, 2, 5, 10, 25, 50), splits=splits)
     elapsed = time.perf_counter() - t0
 
     r2 = [row.r2_test["y1"].mean for row in rows]
@@ -397,12 +399,9 @@ def test_10_imputation_recovers_gated_dropout():
         inputs=("x_mm", "y_mm", "z_mm", "power_w", "scan_rate_mm_min", "heading_deg", "contour_flag"),
         observables=tuple(spec.observable_names),
     )
-    r2_raw = run_lpocv(raw, cfg, p=3, repeats=10, seed=0)[0].aggregates["r2_test"][
-        "working_distance_mm"
-    ].mean
-    r2_imputed = run_lpocv(imputed, cfg, p=3, repeats=10, seed=0)[0].aggregates["r2_test"][
-        "working_distance_mm"
-    ].mean
+    splits = draw_splits(len(raw), 3, 10, 0)
+    r2_raw = run_lpocv(raw, cfg, splits)[0].aggregates["r2_test"]["working_distance_mm"].mean
+    r2_imputed = run_lpocv(imputed, cfg, splits)[0].aggregates["r2_test"]["working_distance_mm"].mean
     ok = sentinel_frac > 0.0 and r2_imputed > r2_raw
     _criterion(
         10,

@@ -21,7 +21,6 @@ def cv_report(r2: float) -> CvReport:
     return CvReport(
         p=1,
         repeats=1,
-        seed=0,
         eval_mode="rollout",
         observables=("y",),
         folds=(fold,),
@@ -36,7 +35,7 @@ class TestToPlain:
     def test_dataclass_fields_in_order_with_lists_for_tuples_and_arrays(self):
         plain = to_plain({"report": cv_report(0.5), "m": np.eye(2)})
         assert list(plain["report"]) == [
-            "p", "repeats", "seed", "eval_mode", "observables", "folds", "aggregates"
+            "p", "repeats", "eval_mode", "observables", "folds", "aggregates"
         ]
         assert plain["report"]["folds"][0]["test_ids"] == ["e1"]
         assert plain["report"]["aggregates"]["r2_test"]["y"] == {"mean": 0.5, "ci95": 0.0}

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -376,6 +377,23 @@ class TestPipeline:
         hashes.add(first_line.split("config_sha256=")[1].split()[0])
         assert len(hashes) == 1
 
+    def test_dist_report_scores_the_cv_folds(self, piped):
+        # dist-report and cv read one draw of splits: the k-th test-to-train
+        # distance is that of fold k's test experiments against the rest.
+        cfg_path, out = piped
+        datasets = _Run(load_run_config(cfg_path)).datasets
+        folds = json.loads((out / "cv_report.json").read_text())["cv"]["folds"]
+        results = json.loads((out / "dist_report.json").read_text())["results"]
+        shifts = [r for r in results if r["pair_label"] == "test_to_train"]
+        assert len(shifts) == 3
+        for result in shifts:
+            assert len(result["distances"]) == len(folds) == 10
+            column = {ds.experiment_id: ds.column(result["channel"]) for ds in datasets}
+            for fold, got in zip(folds, result["distances"]):
+                test = np.concatenate([column[i] for i in fold["test_ids"]])
+                train = np.concatenate([v for i, v in column.items() if i not in fold["test_ids"]])
+                assert got == pytest.approx(scipy.stats.wasserstein_distance(test, train), rel=1e-9)
+
 
 class TestExitCodes:
     def test_missing_config_is_2(self, tmp_path, capsys):
@@ -465,6 +483,25 @@ class TestExitCodes:
     def test_too_few_experiments_is_2(self, corpus):
         cfg_path = derived_config(corpus, "out_toofew", lpocv={"p": 6, "repeats": 2})
         assert main(["cv", "--config", str(cfg_path)]) == 2
+
+    def test_mixed_sample_rates_spectrogram_is_3(self, corpus, tmp_path, capsys):
+        # Pulse spectra pool by sample count, which is one length only at one rate.
+        fast = tmp_path / "fast"
+        assert main(["synth", "--out", str(fast), "--experiments", "2", "--rate", "200"]) == 0
+        entries = []
+        for root, tag in ((corpus, "slow"), (fast, "fast")):
+            for entry in json.loads((root / "manifest.json").read_text())["experiments"]:
+                entry["experiment_id"] = f"{tag}_{entry['experiment_id']}"
+                entry["path"] = str(root / entry["path"])
+                entries.append(entry)
+        (tmp_path / "manifest.json").write_text(json.dumps({"experiments": entries}))
+        payload = json.loads((corpus / "config.json").read_text())
+        payload.update(manifest="manifest.json", schema=str(corpus / "schema.json"))
+        (tmp_path / "config.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["spectrogram", "--config", str(tmp_path / "config.json")]) == 3
+        assert "'fast_exp01' sample rate differs from 'slow_exp01'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_refuses_too_few_experiments_before_writing(self, corpus):
         cfg_path = derived_config(corpus, "out_toofew_pipe", lpocv={"p": 6, "repeats": 2})
@@ -884,6 +921,18 @@ class TestImports:
 
 
 class TestReadme:
+    def test_library_example_runs(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["report"].repeats == 10
+        assert [f.test_ids for f in namespace["report"].folds] == [
+            tuple(f"exp{i + 1:02d}" for i in np.flatnonzero(test)) for test in namespace["splits"]
+        ]
+        assert all(len(r.distances) == 10 for r in namespace["shift"])
+
     def test_cli_table_lists_every_subcommand(self):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

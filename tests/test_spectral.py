@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dedsid.config import FitConfig
-from dedsid.errors import GridMismatch, InsufficientPulseLengthDiversity, SegmentSkippedWarning
+from dedsid.errors import (
+    GridMismatch,
+    InsufficientPulseLengthDiversity,
+    SchemaMismatch,
+    SegmentSkippedWarning,
+)
 from dedsid.spectral import (
     MIN_SEGMENT_SAMPLES,
     amplitude_spectrum,
@@ -201,6 +207,13 @@ class TestPulseSpectra:
 
     def test_no_datasets_no_buckets(self):
         assert collect_pulse_spectra([], "power", []) == {}
+
+    def test_mixed_sample_rates_refused(self):
+        # Pulses pool by sample count, which names one length only at one rate.
+        datasets = [pulsed_dataset(seed=1), pulsed_dataset(seed=2, rate=200.0)]
+        datasets[1] = replace(datasets[1], experiment_id="fast")
+        with pytest.raises(SchemaMismatch, match="'fast' sample rate differs from 't'"):
+            collect_pulse_spectra(datasets, "power", [ds.column("m") for ds in datasets])
 
 
 class TestSpectrogram:

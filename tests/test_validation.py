@@ -8,7 +8,7 @@ from dedsid.artifacts import to_plain
 from dedsid.config import EVAL_MODES, FitConfig
 from dedsid.dataset import decimate
 from dedsid.dmdc import StateSpaceModel
-from dedsid.errors import ConstantActual, TooFewExperiments
+from dedsid.errors import ConstantActual, DimensionMismatch, EmptySample, TooFewExperiments
 from dedsid.validation import (
     UncertaintyEnvelope,
     bound_predictions,
@@ -38,32 +38,32 @@ class TestMetrics:
 
 class TestDrawSplits:
     def test_shapes_and_disjointness(self):
-        ids = [f"e{i}" for i in range(8)]
-        splits = draw_splits(ids, p=3, repeats=10, seed=0)
-        assert len(splits) == 10
-        for train, test in splits:
-            assert len(test) == 3
-            assert len(train) == 5
-            assert set(train).isdisjoint(test)
-            assert set(train) | set(test) == set(ids)
-            assert list(train) == [i for i in ids if i in set(train)]
+        splits = draw_splits(8, p=3, repeats=10, seed=0)
+        assert splits.shape == (10, 8)
+        assert splits.dtype == bool
+        assert np.all(splits.sum(axis=1) == 3)
 
     def test_seeded_determinism(self):
-        ids = [f"e{i}" for i in range(6)]
-        a = draw_splits(ids, 2, 5, seed=3)
-        b = draw_splits(ids, 2, 5, seed=3)
-        c = draw_splits(ids, 2, 5, seed=4)
-        assert a == b
-        assert a != c
+        a = draw_splits(6, 2, 5, seed=3)
+        b = draw_splits(6, 2, 5, seed=3)
+        c = draw_splits(6, 2, 5, seed=4)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_fresh_draw_each_repeat(self):
-        ids = [f"e{i}" for i in range(10)]
-        splits = draw_splits(ids, 3, 12, seed=1)
-        assert len({test for _, test in splits}) > 1
+        splits = draw_splits(10, 3, 12, seed=1)
+        assert len({tuple(test) for test in splits}) > 1
+
+    def test_one_choice_per_repeat(self):
+        # Each row marks what one rng.choice of p experiments picks, so a
+        # seed names the same splits it named as lists of ids.
+        rng = np.random.default_rng(9)
+        for test in draw_splits(7, 3, 6, seed=9):
+            assert np.flatnonzero(test).tolist() == sorted(rng.choice(7, size=3, replace=False))
 
     def test_too_few_experiments(self):
         with pytest.raises(TooFewExperiments):
-            draw_splits(["a", "b"], p=2, repeats=1, seed=0)
+            draw_splits(2, p=2, repeats=1, seed=0)
 
 
 def _fit_config(spec, standardize=True):
@@ -141,7 +141,7 @@ class TestPredictSeries:
         with pytest.raises(ValueError, match="eval_mode must be one of"):
             predict_series(model, datasets, "sideways")
         with pytest.raises(ValueError, match="eval_mode must be one of"):
-            run_lpocv(datasets, config, p=1, repeats=1, seed=0)
+            run_lpocv(datasets, config, draw_splits(len(datasets), 1, 1, 0))
 
     def test_no_datasets_no_predictions(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
@@ -169,21 +169,23 @@ class TestColumnOrder:
             predict_series(model, datasets, eval_mode), predict_series(model, shuffled, eval_mode)
         ):
             assert np.array_equal(a, b)
-        got = [to_plain(run_lpocv(d, config, p=2, repeats=3, seed=4)) for d in (datasets, shuffled)]
+        splits = draw_splits(len(datasets), 2, 3, 4)
+        got = [to_plain(run_lpocv(d, config, splits)) for d in (datasets, shuffled)]
         assert got[0] == got[1]
 
 
 class TestLpocv:
     def test_noise_free_scores_near_perfect(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=6, steps=900, seed=24)
-        report, envelope = run_lpocv(datasets, _fit_config(spec), p=2, repeats=6, seed=0)
+        splits = draw_splits(len(datasets), 2, 6, 0)
+        report, envelope = run_lpocv(datasets, _fit_config(spec), splits)
         for obs in spec.observable_names:
             assert report.aggregates["r2_test"][obs].mean > 0.999
             assert envelope.rmse[obs] < 1e-4
 
     def test_train_tends_to_beat_test_under_noise(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=8, steps=700, seed=25, noise_sd=0.05)
-        report, _ = run_lpocv(datasets, _fit_config(spec), p=3, repeats=10, seed=1)
+        report, _ = run_lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 3, 10, 1))
         wins = 0
         total = 0
         for fold in report.folds:
@@ -195,10 +197,17 @@ class TestLpocv:
 
     def test_deterministic_given_seed(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=500, seed=26, noise_sd=0.1)
-        a, env_a = run_lpocv(datasets, _fit_config(spec), p=2, repeats=4, seed=7)
-        b, env_b = run_lpocv(datasets, _fit_config(spec), p=2, repeats=4, seed=7)
+        a, env_a = run_lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 2, 4, 7))
+        b, env_b = run_lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 2, 4, 7))
         assert to_plain(a) == to_plain(b)
         assert to_plain(env_a) == to_plain(env_b)
+
+    def test_splits_must_mark_each_experiment(self):
+        spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=300, seed=26)
+        with pytest.raises(DimensionMismatch):
+            run_lpocv(datasets, _fit_config(spec), draw_splits(3, 1, 2, 0))
+        with pytest.raises(EmptySample):
+            run_lpocv(datasets, _fit_config(spec), np.zeros((0, 4), dtype=bool))
 
     def test_envelope_from_dict_round_trip(self):
         env = UncertaintyEnvelope(rmse={"y1": 0.5}, ci95={"y1": 0.125})
@@ -217,19 +226,20 @@ class TestLpocvAgainstRows:
         # Unequal lengths, so the padding shows if it leaks into a sum.
         datasets = [ds.with_data(ds.data[: 200 + 60 * i]) for i, ds in enumerate(datasets)]
         config = replace(_fit_config(spec, standardize), eval_mode=eval_mode)
-        report, _ = run_lpocv(datasets, config, p=2, repeats=4, seed=3)
-        by_id = {ds.experiment_id: ds for ds in datasets}
-        splits = draw_splits(list(by_id), 2, 4, 3)
-        for fold, (train_ids, test_ids) in zip(report.folds, splits):
-            model = fit_on_datasets([by_id[i] for i in train_ids], config)
+        splits = draw_splits(len(datasets), 2, 4, 3)
+        report, _ = run_lpocv(datasets, config, splits)
+        for fold, test in zip(report.folds, splits):
+            tested = [ds for ds, t in zip(datasets, test) if t]
+            train = [ds for ds, t in zip(datasets, test) if not t]
+            assert fold.test_ids == tuple(ds.experiment_id for ds in tested)
+            model = fit_on_datasets(train, config)
             assert fold.svd_rank_used == model.svd_rank_used == 4
             assert fold.condition_number == model.condition_number >= 1.0
             assert fold.spectral_radius == np.max(np.abs(np.linalg.eigvals(model.A)))
-            for ids, r2_map, rmse_map in (
-                (train_ids, fold.r2_train, fold.rmse_train),
-                (test_ids, fold.r2_test, fold.rmse_test),
+            for side, r2_map, rmse_map in (
+                (train, fold.r2_train, fold.rmse_train),
+                (tested, fold.r2_test, fold.rmse_test),
             ):
-                side = [by_id[i] for i in ids]
                 actual = np.concatenate([ds.matrix_for(spec.observable_names)[1:] for ds in side])
                 predicted = np.concatenate(
                     [per_step_prediction(model, ds, eval_mode)[1:] for ds in side]
@@ -247,7 +257,7 @@ class TestLpocvAgainstRows:
         name = spec.observable_names[0]
         flat = [ds.with_column(name, np.full(ds.row_count, 2.0)) for ds in datasets]
         with pytest.raises(ConstantActual):
-            run_lpocv(flat, _fit_config(spec), p=1, repeats=1, seed=0)
+            run_lpocv(flat, _fit_config(spec), draw_splits(len(flat), 1, 1, 0))
 
 
 class TestBoundPredictions:
@@ -309,8 +319,9 @@ class TestFrequencyStudy:
     def test_factor_one_matches_direct_run(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=600, seed=28, noise_sd=0.02)
         cfg = _fit_config(spec)
-        rows = frequency_study(datasets, cfg, factors=[1, 3], p=2, repeats=3, seed=5)
-        direct, _ = run_lpocv(datasets, cfg, p=2, repeats=3, seed=5)
+        splits = draw_splits(len(datasets), 2, 3, 5)
+        rows = frequency_study(datasets, cfg, factors=[1, 3], splits=splits)
+        direct, _ = run_lpocv(datasets, cfg, splits)
         assert rows[0].factor == 1
         assert rows[0].sample_rate_hz == 100.0
         for obs in spec.observable_names:
@@ -320,6 +331,7 @@ class TestFrequencyStudy:
 
     def test_decimated_rate_recorded(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=600, seed=29)
-        rows = frequency_study(datasets, _fit_config(spec), factors=[2], p=1, repeats=2, seed=0)
+        splits = draw_splits(len(datasets), 1, 2, 0)
+        rows = frequency_study(datasets, _fit_config(spec), factors=[2], splits=splits)
         assert rows[0].sample_rate_hz == 50.0
         assert decimate(datasets[0], 2).row_count == 300

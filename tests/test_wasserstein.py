@@ -7,13 +7,13 @@ from helpers import make_dataset, uniform_benchmark, wasserstein_1d
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dedsid.errors import ConstantChannel, EmptySample
+from dedsid.errors import ConstantChannel, DimensionMismatch, EmptySample
 from dedsid.wasserstein import (
+    PAIR_LABELS,
     PAIR_TEST_TRAIN,
     PAIR_TEST_UNIFORM,
     PAIR_TRAIN_UNIFORM,
     ci95_halfwidth,
-    split_distances,
     split_shift_report,
 )
 
@@ -38,6 +38,23 @@ oracle_arrays = st.one_of(
         st.floats(min_value=-50, max_value=50, allow_nan=False),
     ),
 )
+# Columns for a corpus of 1-5 experiments; the second branch gives every
+# experiment one length, so a mask that marks half of them splits the pooled
+# sample into two sides of equal size.
+corpus_columns = st.one_of(
+    st.lists(tied_arrays | finite_arrays, min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3).map(float), min_size=n, max_size=n)
+            .map(np.asarray)
+            | st.lists(
+                st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=n, max_size=n
+            ).map(np.asarray),
+            min_size=2,
+            max_size=4,
+        )
+    ),
+)
 
 
 def triple_sort_oracle(a, b):
@@ -55,6 +72,19 @@ def triple_sort_oracle(a, b):
 
 def uniform_oracle(x):
     return triple_sort_oracle(x, np.linspace(x.min(), x.max(), x.size))
+
+
+def split_oracle(columns, test):
+    """One split's (train/uniform, test/uniform, test/train) distances by the
+    triple-sort oracle, or the error class the split must raise."""
+    train = np.concatenate([c for c, t in zip(columns, test) if not t] or [np.empty(0)])
+    tested = np.concatenate([c for c, t in zip(columns, test) if t] or [np.empty(0)])
+    for side in (train, tested):
+        if side.size == 0:
+            return EmptySample
+        if side.min() == side.max():
+            return ConstantChannel
+    return uniform_oracle(train), uniform_oracle(tested), triple_sort_oracle(tested, train)
 
 
 def assert_matches_oracle(got, ref):
@@ -139,24 +169,48 @@ class TestAgainstTripleSortOracle:
         else:
             assert_matches_oracle(uniform_benchmark(x), uniform_oracle(x))
 
-    @given(
-        st.lists(tied_arrays | finite_arrays, min_size=2, max_size=5),
-        st.integers(min_value=1, max_value=4),
-    )
-    def test_split_distances(self, columns, n_test):
-        n_test = min(n_test, len(columns) - 1)
-        corpus = [make_dataset(c, names=["m"], experiment_id=f"e{i}") for i, c in enumerate(columns)]
-        train, test = corpus[n_test:], corpus[:n_test]
-        tr = np.concatenate(columns[n_test:])
-        te = np.concatenate(columns[:n_test])
-        if tr.min() == tr.max() or te.min() == te.max():
-            with pytest.raises(ConstantChannel):
-                split_distances(train, test, ["m"])
+    @given(corpus_columns, st.data())
+    def test_split_shift_report(self, columns, data):
+        width = len(columns)
+        splits = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(st.booleans(), min_size=width, max_size=width),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+        )
+        corpus = [make_dataset(c, names=["m"]) for c in columns]
+        expected = [split_oracle(columns, test) for test in splits]
+        error = next((e for e in expected if isinstance(e, type)), None)
+        if error is not None:
+            with pytest.raises(error):
+                split_shift_report(corpus, splits, ["m"])
             return
-        got = split_distances(train, test, ["m"])["m"]
-        assert_matches_oracle(got[PAIR_TRAIN_UNIFORM], uniform_oracle(tr))
-        assert_matches_oracle(got[PAIR_TEST_UNIFORM], uniform_oracle(te))
-        assert_matches_oracle(got[PAIR_TEST_TRAIN], triple_sort_oracle(te, tr))
+        results = split_shift_report(corpus, splits, ["m"])
+        assert [r.pair_label for r in results] == list(PAIR_LABELS)
+        for result, refs in zip(results, zip(*expected)):
+            assert result.repeats == len(splits)
+            for got, ref in zip(result.distances, refs):
+                assert_matches_oracle(got, ref)
+
+    def test_sides_of_equal_size(self):
+        rng = np.random.default_rng(5)
+        columns = [rng.normal(i, 1.0, size=50) for i in range(4)]
+        corpus = [make_dataset(c, names=["m"]) for c in columns]
+        splits = np.array([[True, False, True, False], [False, True, True, False]])
+        results = {r.pair_label: r for r in split_shift_report(corpus, splits, ["m"])}
+        for k, test in enumerate(splits):
+            tested = np.concatenate([c for c, t in zip(columns, test) if t])
+            train = np.concatenate([c for c, t in zip(columns, test) if not t])
+            assert tested.size == train.size == 100
+            assert_matches_oracle(
+                results[PAIR_TEST_TRAIN].distances[k], triple_sort_oracle(tested, train)
+            )
+            assert results[PAIR_TEST_TRAIN].distances[k] == pytest.approx(
+                scipy.stats.wasserstein_distance(tested, train), rel=1e-12
+            )
 
 
 class TestUniformBenchmark:
@@ -206,8 +260,8 @@ class TestSplitShiftReport:
 
     def test_three_pairs_per_channel(self):
         corpus = self._corpus(0)
-        splits = [(corpus[:3], corpus[3:]), (corpus[1:], corpus[:1])]
-        results = split_shift_report(splits, ["m1", "m2"])
+        splits = np.array([[False, False, False, True], [True, False, False, False]])
+        results = split_shift_report(corpus, splits, ["m1", "m2"])
         labels = {(r.channel, r.pair_label) for r in results}
         assert labels == {
             (ch, pair)
@@ -219,8 +273,8 @@ class TestSplitShiftReport:
 
     def test_identical_splits_give_zero_ci(self):
         corpus = self._corpus(1)
-        splits = [(corpus[:2], corpus[2:]), (corpus[:2], corpus[2:])]
-        results = split_shift_report(splits, ["m1"])
+        splits = np.array([[False, False, True, True], [False, False, True, True]])
+        results = split_shift_report(corpus, splits, ["m1"])
         for r in results:
             assert r.ci95_halfwidth == pytest.approx(0.0, abs=1e-12)
 
@@ -228,5 +282,13 @@ class TestSplitShiftReport:
         rng = np.random.default_rng(2)
         train = [make_dataset(rng.normal(0, 1, size=(200, 1)), names=["m"]) for _ in range(3)]
         test = [make_dataset(rng.normal(5, 1, size=(200, 1)), names=["m"]) for _ in range(2)]
-        results = {r.pair_label: r for r in split_shift_report([(train, test)], ["m"])}
+        splits = np.array([[False, False, False, True, True]])
+        results = {r.pair_label: r for r in split_shift_report(train + test, splits, ["m"])}
         assert results[PAIR_TEST_TRAIN].mean_distance > 3.0
+
+    def test_splits_must_mark_each_experiment(self):
+        corpus = self._corpus(3)
+        with pytest.raises(DimensionMismatch):
+            split_shift_report(corpus, np.array([[False, True, False]]), ["m1"])
+        with pytest.raises(EmptySample):
+            split_shift_report(corpus, np.zeros((0, 4), dtype=bool), ["m1"])
