@@ -52,7 +52,7 @@ _EXPORTS = {
     "validation": (
         "UncertaintyEnvelope", "bound_predictions", "draw_splits", "frequency_study", "run_lpocv"
     ),
-    "vif": ("VifSelectionReport", "select_features"),
+    "vif": ("VifSelectionReport", "screen_inputs", "select_features"),
     "wasserstein": ("split_shift_report",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

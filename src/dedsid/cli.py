@@ -41,7 +41,7 @@ from .validation import (
     predict_series,
     run_lpocv,
 )
-from .vif import select_features
+from .vif import screen_inputs
 from .wasserstein import split_shift_report
 
 
@@ -145,22 +145,15 @@ class _Run:
         return self.imputed[0]
 
     @cached_property
+    def snapshots(self) -> SnapshotSet:
+        """One pass over the rows of every retained channel: screening reads
+        it whole, and cv's folds and the fit its surviving inputs."""
+        return build_snapshots(self.datasets, self.names("input"), self.names("observable"))
+
+    @cached_property
     def screening(self) -> dict:
-        """The VIF report: zero-variance prefilter, then collinearity
-        elimination on the pooled inputs."""
-        names = self.names("input")
-        pooled = np.concatenate([ds.matrix_for(names) for ds in self.datasets], axis=0)
-        constant = dsmod.zero_variance_channels(pooled, names)
-        keep = [j for j, n in enumerate(names) if n not in constant]
-        candidates = [names[j] for j in keep]
-        pooled = pooled[:, keep]
-        params = dsmod.standardizer_from_matrix(pooled, candidates)
-        report = select_features(
-            params.transform_matrix(pooled),
-            candidates,
-            remove_above=self.cfg.vif.remove_above,
-            accept_below=self.cfg.vif.accept_below,
-        )
+        """The VIF report (constant inputs, then VIF elimination) of the snapshots."""
+        constant, report = screen_inputs(self.snapshots, self.cfg.vif)
         return {"constant_channels_excluded": constant, **to_plain(report)}
 
     @cached_property
@@ -180,11 +173,6 @@ class _Run:
         one draw that dist-report, cv and freq-study all score."""
         lpocv = self.cfg.lpocv
         return draw_splits(len(self.ingested[0]), lpocv.p, lpocv.repeats, self.cfg.seed)
-
-    @cached_property
-    def snapshots(self) -> SnapshotSet:
-        """One pass over every experiment's rows, shared by cv's folds and the fit."""
-        return build_snapshots(self.datasets, self.fit_config.inputs, self.fit_config.observables)
 
 
 def _upstream(run: _Run, name: str, stage: str) -> Path:
@@ -227,7 +215,8 @@ def _dist_report(run: _Run) -> str:
 
 
 def _cv(run: _Run) -> str:
-    report, envelope = run_lpocv(run.datasets, run.fit_config, run.splits, run.snapshots)
+    snapshots = run.snapshots.select_inputs(run.fit_config.inputs)
+    report, envelope = run_lpocv(run.datasets, run.fit_config, run.splits, snapshots)
     payload = {"cv": report, "envelope": envelope}
     write_json(run.out / "cv_report.json", payload, run.provenance)
     r2 = report.aggregates["r2_test"]
@@ -238,7 +227,8 @@ def _cv(run: _Run) -> str:
 
 def _fit(run: _Run) -> str:
     cfg = run.fit_config
-    model = fit(run.snapshots, cfg.svd_rank, cfg.standardize_inputs, cfg.standardize_observables)
+    snapshots = run.snapshots.select_inputs(cfg.inputs)
+    model = fit(snapshots, cfg.svd_rank, cfg.standardize_inputs, cfg.standardize_observables)
     save_model(model, run.out / "model.json", run.provenance)
     return (
         f"fit model: {model.state_dim} observables, {model.input_dim} inputs, "

@@ -178,25 +178,10 @@ class StandardizationParams:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "channels", tuple(self.channels))
 
-    def transform_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Standardize columns aligned with ``channels``."""
-        return (np.asarray(values, dtype=float) - self.mean) / self.scale
-
-    def invert_matrix(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=float) * self.scale + self.mean
-
     @classmethod
     def identity(cls, channels: Sequence[str]) -> "StandardizationParams":
         n = len(channels)
         return cls(tuple(channels), np.zeros(n), np.ones(n))
-
-
-def standardizer_from_matrix(values: np.ndarray, channels: Sequence[str]) -> StandardizationParams:
-    """Population mean/std per column of ``values``; see ``standardizer_from_moments``."""
-    values = np.asarray(values, dtype=float)
-    mean = values.mean(axis=0)
-    m2 = ((values - mean) ** 2).sum(axis=0)
-    return standardizer_from_moments(channels, len(values), mean, m2)
 
 
 def standardizer_from_moments(
@@ -382,14 +367,6 @@ def decimate(ds: TimeSeriesDataset, factor: int) -> TimeSeriesDataset:
         raise ValueError("decimation factor must be a positive integer")
     factor = int(factor)
     return replace(ds, data=ds.data[::factor], sample_rate_hz=ds.sample_rate_hz / factor)
-
-
-def zero_variance_channels(values: np.ndarray, names: Sequence[str]) -> list[str]:
-    """Names of the columns of ``values`` (pooled samples) that are exactly constant."""
-    if len(values) == 0:
-        return []
-    constant = np.all(values == values[0], axis=0)
-    return [name for name, c in zip(names, constant) if c]
 
 
 def load_schema(path: str | Path) -> tuple[ChannelSpec, ...]:

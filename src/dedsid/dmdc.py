@@ -63,23 +63,21 @@ class SnapshotSet:
     With x_t = [y_t u_t] (observables, then inputs) and a shift c per
     experiment, ``factors[e]`` is the upper-triangular R factor of the m - 1
     rows [1, x_t - c, y_{t+1} - c_y] of experiment e's pairs (c_y is the
-    observable part of c; a short experiment's R ends in zero rows). The
-    intercept column makes R carry the column sums too, so R^T R gives the
-    mean and the sum of squared deviations (M2) of x over the pairs;
-    ``means`` and ``m2`` add the last row, so they cover [y u] over all m
-    rows, as the pooled standardizers need. The shift is the first row plus
-    the mean difference from it of the first ``_SHIFT_ROWS`` rows: it keeps
-    the digits a large raw offset would cost, and it is exact for a channel
-    that is constant in the experiment. Pairs never straddle experiments,
-    and ``fit`` reads only these summaries, never the rows.
+    observable part of c; a short experiment's R ends in zero rows), and
+    ``last_rows[e]`` is its row m - 1 of [y u]. The intercept column makes
+    R^T R carry the pairs' sums too, so with the last row they give the
+    moments of [y u] over all m rows. The shift is the first row plus the
+    mean difference from it of the first ``_SHIFT_ROWS`` rows: it keeps the
+    digits a large raw offset would cost, and it is exact for a channel
+    constant in the experiment, whose M2 is then exactly 0. Pairs never
+    straddle experiments; ``fit`` and the VIF screen read only these.
     """
 
     experiment_ids: tuple[str, ...]
-    factors: np.ndarray  # (E, w, w) with w = 1 + (q + p) + q
+    factors: np.ndarray  # (E, w, w) with w = 1 + (q + p) + q; fewer columns once narrowed
     shifts: np.ndarray  # (E, q + p)
     pair_counts: np.ndarray  # (E,)
-    means: np.ndarray  # (E, q + p)
-    m2: np.ndarray  # (E, q + p)
+    last_rows: np.ndarray  # (E, q + p)
     observable_names: tuple[str, ...]
     input_names: tuple[str, ...]
     sample_rate_hz: float
@@ -87,6 +85,25 @@ class SnapshotSet:
     @property
     def pair_count(self) -> int:
         return int(self.pair_counts.sum())
+
+    def pooled_moments(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """Row count, mean and M2 of [y u] over every row of every experiment:
+        R gives each experiment's over its pairs (row 0 over R[0, 0] = +-sqrt(n)
+        the means of x - c, the rows below the M2), and its last row joins in
+        one Welford step."""
+        x = self.factors[:, :, 1 : 1 + self.shifts.shape[1]]
+        mean = self.shifts + x[:, 0] / self.factors[:, :1, 0]
+        m2 = np.einsum("eij,eij->ej", x[:, 1:], x[:, 1:])
+        rows = self.pair_counts + 1
+        delta = self.last_rows - mean
+        mean += delta / rows[:, None]
+        m2 += delta * (self.last_rows - mean)
+        return pool_moments(rows, mean, m2)
+
+    def require_finite(self) -> None:
+        """``NonFiniteSnapshots`` if a NaN or infinity reached R or the last rows."""
+        if not (np.isfinite(self.factors).all() and np.isfinite(self.last_rows).all()):
+            raise NonFiniteSnapshots(self.pair_count)
 
     def subset(self, ids: Sequence[str]) -> "SnapshotSet":
         """The summaries of the experiments ``ids``, in that order."""
@@ -97,26 +114,49 @@ class SnapshotSet:
             factors=self.factors[pick],
             shifts=self.shifts[pick],
             pair_counts=self.pair_counts[pick],
-            means=self.means[pick],
-            m2=self.m2[pick],
+            last_rows=self.last_rows[pick],
         )
+
+    def select_inputs(self, names: Sequence[str]) -> "SnapshotSet":
+        """The observables and the inputs ``names``: R's columns, sliced."""
+        q, p = len(self.observable_names), len(self.input_names)
+        keep = [*range(q), *(q + self.input_names.index(name) for name in names)]
+        columns = [0, *(1 + j for j in keep), *range(1 + q + p, 1 + q + p + q)]
+        return replace(
+            self,
+            factors=self.factors[:, :, columns],
+            shifts=self.shifts[:, keep],
+            last_rows=self.last_rows[:, keep],
+            input_names=tuple(names),
+        )
+
+
+def standardized_stack(
+    factors: np.ndarray, shifts: np.ndarray, mean: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """R factors of rows [1, z - c], c each experiment's row of ``shifts``,
+    mapped to factors of rows [1, (z - mean) / scale] and stacked. The map
+    is affine (see ``fit``); only row 0 of R has an intercept entry."""
+    stacked = factors / np.append(1.0, scale)
+    stacked[:, 0, 1:] += factors[:, 0, :1] * ((shifts - mean) / scale)
+    return stacked.reshape(-1, factors.shape[2])
 
 
 def _summarize(
     current: np.ndarray, following: np.ndarray, columns: Sequence[int], q: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One experiment's R factor, shift, and mean and M2 of [y u].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One experiment's R factor, shift, and last row of [y u].
 
     ``current`` and ``following`` are equally long row arrays in one column
     layout: ``columns`` pick x = [y u] from ``current``, their first q pick
-    y from ``following``, and the last row of ``following`` completes the
-    moments. Each block of ``_QR_BLOCK_ROWS`` pairs is shifted and written
-    straight from the rows into the work array, then reduced into the
-    carried R factor (a sequential tall-skinny QR, Demmel et al. 2012); only
-    the first ``_SHIFT_ROWS`` rows are copied, once, for the shift.
+    y from ``following``, whose last row is the experiment's last. Each
+    block of ``_QR_BLOCK_ROWS`` pairs is shifted and written straight from
+    the rows into the work array, then reduced into the carried R factor (a
+    sequential tall-skinny QR, Demmel et al. 2012); only the first
+    ``_SHIFT_ROWS`` rows are copied, once, for the shift.
     """
     n, k = len(current), len(columns)
-    # A NaN or inf in the rows turns the summaries into NaN, which fit names.
+    # A NaN or inf in the rows turns R into NaN, which require_finite names.
     with np.errstate(invalid="ignore"):
         first = current[:_SHIFT_ROWS].take(columns, axis=1)
         x0 = first[0].copy()
@@ -137,18 +177,9 @@ def _summarize(
             r_factor = np.linalg.qr(block.T, mode="r")
             top = len(r_factor)
             work[:, :top] = r_factor.T
-        factor = np.zeros((1 + k + q, 1 + k + q))
-        factor[:top] = r_factor
-        # R^T R = Z^T Z: row 0 over R[0, 0] = +-sqrt(n) gives the column means
-        # of x - c, and the rows below give the sums of squared deviations.
-        mean = shift + factor[0, 1 : 1 + k] / factor[0, 0]
-        m2 = np.einsum("ij,ij->j", factor[1:, 1 : 1 + k], factor[1:, 1 : 1 + k])
-        # The last row, in one Welford step.
-        last = following[-1].take(columns)
-        delta = last - mean
-        mean = mean + delta / (n + 1)
-        m2 = m2 + delta * (last - mean)
-    return factor, shift, mean, m2
+    factor = np.zeros((1 + k + q, 1 + k + q))
+    factor[:top] = r_factor
+    return factor, shift, following[-1].take(columns)
 
 
 def build_snapshots(
@@ -179,14 +210,13 @@ def build_snapshots(
             raise TooShort(ds.experiment_id, ds.row_count)
     columns = [ref.index_of(name) for name in (*observables, *inputs)]
     parts = [_summarize(ds.data[:-1], ds.data[1:], columns, len(observables)) for ds in datasets]
-    factors, shifts, means, m2 = (np.stack(part) for part in zip(*parts))
+    factors, shifts, last_rows = (np.stack(part) for part in zip(*parts))
     return SnapshotSet(
         experiment_ids=tuple(ds.experiment_id for ds in datasets),
         factors=factors,
         shifts=shifts,
         pair_counts=np.array([ds.row_count - 1 for ds in datasets]),
-        means=means,
-        m2=m2,
+        last_rows=last_rows,
         observable_names=tuple(observables),
         input_names=tuple(inputs),
         sample_rate_hz=ref.sample_rate_hz,
@@ -275,39 +305,26 @@ def fit(
     n = snapshots.pair_count
     if n < k:
         raise InsufficientPairs(n, k)
-    # NaN and inf in a selected channel, the last row included, reach R
-    # through the reflections or the moments through their sums.
-    if not all(np.isfinite(a).all() for a in (snapshots.factors, snapshots.means, snapshots.m2)):
-        raise NonFiniteSnapshots(n)
+    snapshots.require_finite()
 
     mean, scale = np.zeros(k), np.ones(k)
     in_std = obs_std = None
     if standardize_inputs or standardize_observables:
-        rows, pooled_mean, pooled_m2 = pool_moments(
-            snapshots.pair_counts + 1, snapshots.means, snapshots.m2
-        )
+        rows, mu, m2 = snapshots.pooled_moments()
         if standardize_inputs:
-            in_std = standardizer_from_moments(
-                snapshots.input_names, rows, pooled_mean[q:], pooled_m2[q:]
-            )
+            in_std = standardizer_from_moments(snapshots.input_names, rows, mu[q:], m2[q:])
             mean[q:], scale[q:] = in_std.mean, in_std.scale
         if standardize_observables:
-            obs_std = standardizer_from_moments(
-                snapshots.observable_names, rows, pooled_mean[:q], pooled_m2[:q]
-            )
+            obs_std = standardizer_from_moments(snapshots.observable_names, rows, mu[:q], m2[:q])
             mean[:q], scale[:q] = obs_std.mean, obs_std.scale
     # Columns after the intercept: x, then y_next under y's map.
     mean, scale = np.concatenate([mean, mean[:q]]), np.concatenate([scale, scale[:q]])
     shifts = np.concatenate([snapshots.shifts, snapshots.shifts[:, :q]], axis=1)
-    stacked = snapshots.factors[:, :, 1:] / scale
-    stacked[:, 0] += snapshots.factors[:, 0, :1] * ((shifts - mean) / scale)
-    r_factor = np.linalg.qr(stacked.reshape(-1, k + q), mode="r")
+    stacked = standardized_stack(snapshots.factors, shifts, mean, scale)[:, 1:]
+    r_factor = np.linalg.qr(stacked, mode="r")
 
     u, s, vt = np.linalg.svd(r_factor[:k, :k])
-    if s[0] == 0.0:
-        numerical_rank = 0
-    else:
-        numerical_rank = int(np.count_nonzero(s > _EPS * max(k, n) * s[0]))
+    numerical_rank = int(np.count_nonzero(s > _EPS * max(k, n) * s[0]))
     r = numerical_rank if rank is None else min(int(rank), numerical_rank)
     if r < 1:
         raise InsufficientPairs(n, k)

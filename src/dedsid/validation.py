@@ -204,7 +204,7 @@ def run_lpocv(
     datasets: Sequence[TimeSeriesDataset],
     config: FitConfig,
     splits: np.ndarray,
-    snapshots: SnapshotSet | None = None,
+    snapshots: SnapshotSet,
 ) -> tuple[CvReport, UncertaintyEnvelope]:
     """Leave-p-out cross-validation over experiments.
 
@@ -215,11 +215,10 @@ def run_lpocv(
     Standardizers are refit on each fold's training pool. Aggregates are
     mean and 1.96*sd/sqrt(repeats) over folds.
 
-    The rows are read once per call: ``snapshots`` (``build_snapshots`` of
-    ``datasets`` over the config's channels, built here when not given)
-    serves every fold's fit, and one padded copy of the observables and
-    inputs serves every fold's rollout. Metrics come from per-experiment
-    residual sums and target moments, pooled per side.
+    ``snapshots``, ``build_snapshots`` of ``datasets`` over the config's
+    channels, serves every fold's fit; one padded copy of the observables
+    and inputs serves every fold's rollout. Metrics come from
+    per-experiment residual sums and target moments, pooled per side.
     """
     splits = np.asarray(splits, dtype=bool)
     if splits.ndim != 2 or splits.shape[1] != len(datasets):
@@ -227,8 +226,6 @@ def run_lpocv(
     if not splits.size:
         raise EmptySample("splits")
     ids = [ds.experiment_id for ds in datasets]
-    if snapshots is None:
-        snapshots = build_snapshots(datasets, config.inputs, config.observables)
     padded = _padded(datasets, config.observables, config.inputs)
     obs, _, _, _, steps = padded
     targets = obs[:, 1:]
@@ -268,19 +265,12 @@ def run_lpocv(
             )
         )
 
-    metric_of = {
-        "r2_train": lambda f: f.r2_train,
-        "r2_test": lambda f: f.r2_test,
-        "rmse_train": lambda f: f.rmse_train,
-        "rmse_test": lambda f: f.rmse_test,
-    }
     aggregates = {}
-    for metric, getter in metric_of.items():
-        per_obs = {}
+    for metric in ("r2_train", "r2_test", "rmse_train", "rmse_test"):
+        aggregates[metric] = {}
         for obs in config.observables:
-            vals = np.asarray([getter(f)[obs] for f in folds])
-            per_obs[obs] = Aggregate(mean=float(vals.mean()), ci95=ci95_halfwidth(vals))
-        aggregates[metric] = per_obs
+            vals = np.asarray([getattr(f, metric)[obs] for f in folds])
+            aggregates[metric][obs] = Aggregate(mean=float(vals.mean()), ci95=ci95_halfwidth(vals))
 
     report = CvReport(
         p=int(splits[0].sum()),
@@ -342,7 +332,8 @@ def frequency_study(
     rows = []
     for factor in factors:
         slowed = [decimate(ds, factor) for ds in datasets]
-        report, _ = run_lpocv(slowed, config, splits)
+        snapshots = build_snapshots(slowed, config.inputs, config.observables)
+        report, _ = run_lpocv(slowed, config, splits, snapshots)
         rows.append(
             FrequencyStudyRow(
                 factor=int(factor),

@@ -5,8 +5,8 @@ feature on all the others. Exactly dependent features come out infinite;
 independent ones sit near 1. Selection removes the worst offender one at a
 time because VIFs are joint properties: eliminating one feature changes
 everyone else's score, so batch removal over-prunes. Every regression and
-rank is read off one R factor of the feature matrix, so after that one QR
-no step touches the rows.
+rank is read off one k x k R factor, which ``screen_inputs`` takes from the
+snapshot summaries, so no step touches the rows.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import VifConfig
+from .dmdc import SnapshotSet, standardized_stack
 from .errors import EmptySurvivorSet
 
 _EPS = float(np.finfo(float).eps)
@@ -32,22 +33,20 @@ def _rank(r: np.ndarray, n: int) -> int:
     return int(np.count_nonzero(s > _EPS * max(n, r.shape[1]) * s[:1]))
 
 
-def _all_vifs(r: np.ndarray, colsum: np.ndarray, n: int) -> np.ndarray:
-    """VIF of every column of the ``n``-row matrix Z = QR from ``r``.
+def _all_vifs(r: np.ndarray, n: int) -> np.ndarray:
+    """VIF of every column of the centered ``n``-row matrix Z = QR from ``r``.
 
     The columns of ``r`` have the inner products of Z's, so each regression
-    of one column on the others is k rows long; the total sum of squares
-    comes from the column sums. The solve is the pseudoinverse (lstsq, with
-    Z's own cutoff), never inv(R): an exactly dependent set gives +inf.
+    of one column on the others is k rows long, and a column's total sum of
+    squares is its own inner product. The solve is the pseudoinverse
+    (lstsq, with Z's own cutoff), never inv(R): an exactly dependent set
+    gives +inf, and a lone column regresses on nothing and scores 1.
     """
     k = r.shape[1]
-    if k == 1:
-        # A lone feature regresses on nothing; define its VIF as the floor.
-        return np.asarray([1.0])
     out = np.full(k, np.inf)
     for j in range(k):
         y = r[:, j]
-        sst = float(y @ y) - float(colsum[j]) ** 2 / max(n, 1)
+        sst = float(y @ y)
         if sst <= 0.0:
             continue
         others = np.delete(r, j, axis=1)
@@ -82,7 +81,8 @@ class VifSelectionReport:
 
 
 def select_features(
-    features: np.ndarray,
+    factor: np.ndarray,
+    rows: int,
     names: Sequence[str],
     remove_above: float = VifConfig.remove_above,
     accept_below: float = VifConfig.accept_below,
@@ -90,31 +90,29 @@ def select_features(
     """Iteratively drop the highest-VIF feature until all scores sit below
     ``accept_below``.
 
-    ``remove_above`` marks the definitely-dependent band and is recorded with
-    the report; the loop keeps removing through the in-between band as well,
-    since stopping inside it would leave the termination condition
-    unsatisfiable. Ties on the maximum (typically several infinities, or
-    finite VIFs within a relative 1e-9 of it) break toward the earliest
-    column, so the order follows the data, not the rounding. The matrix
-    rank is recomputed with every iteration as a cross-check on the
-    elimination.
+    ``factor`` is an R factor (R^T R = Z^T Z) of the ``rows`` x k matrix Z
+    of centered features, one column per name. ``remove_above`` marks the
+    definitely-dependent band and is recorded with the report; the loop
+    keeps removing through the in-between band as well, since stopping
+    inside it would leave the termination condition unsatisfiable. Ties on
+    the maximum (typically several infinities, or finite VIFs within a
+    relative 1e-9 of it) break toward the earliest column, so the order
+    follows the data, not the rounding. The matrix rank is recomputed with
+    every iteration as a cross-check on the elimination.
     """
-    features = np.asarray(features, dtype=float)
+    r = np.asarray(factor, dtype=float)
     names = list(names)
-    if features.ndim != 2 or features.shape[1] != len(names):
-        raise ValueError("feature matrix and name list disagree")
+    if r.ndim != 2 or r.shape[1] != len(names):
+        raise ValueError("factor and name list disagree")
     if len(names) == 0:
         raise EmptySurvivorSet()
 
-    n = features.shape[0]
-    r = np.linalg.qr(features, mode="r")
-    colsum = features.sum(axis=0)
     active = list(range(len(names)))
     iterations: list[VifIteration] = []
     while True:
         current = r[:, active]
-        vifs = _all_vifs(current, colsum[active], n)
-        rank = _rank(current, n)
+        vifs = _all_vifs(current, rows)
+        rank = _rank(current, rows)
         vif_map = {names[g]: float(vifs[j]) for j, g in enumerate(active)}
         if np.nanmax(vifs) < accept_below:
             break
@@ -140,3 +138,29 @@ def select_features(
         remove_above=float(remove_above),
         accept_below=float(accept_below),
     )
+
+
+def screen_inputs(
+    snapshots: SnapshotSet, config: VifConfig
+) -> tuple[list[str], VifSelectionReport]:
+    """The constant inputs of ``snapshots``, and ``select_features`` on the others.
+
+    Both read the summaries of every row, never the rows. An input is
+    constant when its pooled M2 is exactly 0, which ``SnapshotSet`` makes
+    exact. The others' standardized factor columns and last rows are reduced
+    by one QR behind the intercept, which centers them exactly even where a
+    column's offset dwarfs its spread.
+    """
+    snapshots.require_finite()
+    rows, mean, m2 = snapshots.pooled_moments()
+    q = len(snapshots.observable_names)
+    keep = [j for j in range(q, len(m2)) if m2[j] != 0.0]
+    names = [snapshots.input_names[j - q] for j in keep]
+    mean, scale = mean[keep], np.sqrt(m2[keep] / rows)
+    factors = snapshots.factors[:, :, [0, *(1 + j for j in keep)]]
+    stacked = standardized_stack(factors, snapshots.shifts[:, keep], mean, scale)
+    last = (snapshots.last_rows[:, keep] - mean) / scale
+    stacked = np.vstack([stacked, np.column_stack([np.ones(len(last)), last])])
+    factor = np.linalg.qr(stacked, mode="r")[1:, 1:]
+    report = select_features(factor, rows, names, config.remove_above, config.accept_below)
+    return [name for name in snapshots.input_names if name not in names], report

@@ -15,8 +15,13 @@ from hypothesis import strategies as st
 
 from dedsid import dmdc
 from dedsid.artifacts import read_json_object
-from dedsid.config import FitConfig
-from dedsid.dataset import ChannelSpec, TimeSeriesDataset, standardizer_from_matrix
+from dedsid.config import FitConfig, VifConfig
+from dedsid.dataset import (
+    ChannelSpec,
+    StandardizationParams,
+    TimeSeriesDataset,
+    standardizer_from_moments,
+)
 from dedsid.errors import (
     AllSentinel,
     ConstantActual,
@@ -35,6 +40,8 @@ from dedsid.plant import (
     simulate,
 )
 from dedsid.spectral import MIN_SEGMENT_SAMPLES, PulseSpectrum
+from dedsid.validation import run_lpocv
+from dedsid.vif import select_features
 from dedsid.wasserstein import _uniform_w1, _w1_partition
 
 _EPS = float(np.finfo(float).eps)
@@ -224,6 +231,34 @@ def vif_single(features: np.ndarray, index: int) -> float:
     return 1.0 / (1.0 - r_squared)
 
 
+def select_on_rows(features, names, **thresholds):
+    """``dedsid.vif.select_features`` on an n x k feature matrix: its columns
+    centered, as the factor API expects, then reduced by one n-row QR."""
+    features = np.asarray(features, dtype=float)
+    centered = features - features.mean(axis=0)
+    return select_features(np.linalg.qr(centered, mode="r"), len(features), names, **thresholds)
+
+
+def pooled_screen(datasets, inputs, config=VifConfig()):
+    """The screen as a walk over the rows, for ``dedsid.vif.screen_inputs``.
+
+    Every experiment's inputs are concatenated; a column equal to its first
+    value in every row is constant; the others are standardized over the
+    rows and reduced by one n-row QR. Returns the constant names and the
+    ``select_features`` report.
+    """
+    pooled = np.concatenate([ds.matrix_for(inputs) for ds in datasets])
+    is_constant = np.all(pooled == pooled[:1], axis=0)
+    constant = [name for name, c in zip(inputs, is_constant) if c]
+    candidates = [name for name, c in zip(inputs, is_constant) if not c]
+    values = pooled[:, ~is_constant]
+    z = standardize(standardizer_from_matrix(values, candidates), values)
+    report = select_on_rows(
+        z, candidates, remove_above=config.remove_above, accept_below=config.accept_below
+    )
+    return constant, report
+
+
 def pulse_spectra_per_pulse(series, segments, sample_rate_hz: float) -> dict:
     """Bucket-averaged pulse spectra pooled over every series, one rfft per pulse.
 
@@ -255,6 +290,12 @@ def pulse_spectra_per_pulse(series, segments, sample_rate_hz: float) -> dict:
     }
 
 
+def lpocv(datasets, config: FitConfig, splits):
+    """``run_lpocv`` on the snapshots of ``datasets`` over ``config``'s channels."""
+    snapshots = dmdc.build_snapshots(datasets, config.inputs, config.observables)
+    return run_lpocv(datasets, config, splits, snapshots)
+
+
 def fit_on_datasets(datasets, config: FitConfig) -> dmdc.StateSpaceModel:
     """``dmdc.fit`` on every pair of ``datasets``, as ``config`` asks."""
     snapshots = dmdc.build_snapshots(datasets, config.inputs, config.observables)
@@ -283,7 +324,7 @@ class ArraySnapshots(dmdc.SnapshotSet):
         if y_next.shape != (q, n) or u_cur.shape[1] != n:
             raise DimensionMismatch("pair arrays differ in shape")
         columns = list(range(q + u_cur.shape[0]))
-        factor, shift, mean, m2 = dmdc._summarize(
+        factor, shift, last = dmdc._summarize(
             np.vstack([y_cur, u_cur]).T, np.vstack([y_next, u_cur]).T, columns, q
         )
         return cls(
@@ -291,8 +332,7 @@ class ArraySnapshots(dmdc.SnapshotSet):
             factors=factor[None],
             shifts=shift[None],
             pair_counts=np.array([n]),
-            means=mean[None],
-            m2=m2[None],
+            last_rows=last[None],
             observable_names=tuple(observable_names),
             input_names=tuple(input_names),
             sample_rate_hz=sample_rate_hz,
@@ -300,6 +340,25 @@ class ArraySnapshots(dmdc.SnapshotSet):
             u_cur=u_cur,
             y_next=y_next,
         )
+
+
+def standardizer_from_matrix(values: np.ndarray, channels) -> StandardizationParams:
+    """Population mean/std per column of ``values``, taken over the rows:
+    the oracle for the standardizers merged from moments."""
+    values = np.asarray(values, dtype=float)
+    mean = values.mean(axis=0)
+    m2 = ((values - mean) ** 2).sum(axis=0)
+    return standardizer_from_moments(channels, len(values), mean, m2)
+
+
+def standardize(params: StandardizationParams, values: np.ndarray) -> np.ndarray:
+    """(x - mean) / scale of columns aligned with ``params.channels``."""
+    return (np.asarray(values, dtype=float) - params.mean) / params.scale
+
+
+def unstandardize(params: StandardizationParams, values: np.ndarray) -> np.ndarray:
+    """The inverse of ``standardize``."""
+    return np.asarray(values, dtype=float) * params.scale + params.mean
 
 
 def fit_standardizer_pooled(datasets, channels):
@@ -330,9 +389,9 @@ def row_fit_oracle(
     obs = [ds.matrix_for(observables) for ds in datasets]
     inp = [ds.matrix_for(inputs) for ds in datasets]
     if obs_std is not None:
-        obs = [obs_std.transform_matrix(o) for o in obs]
+        obs = [standardize(obs_std, o) for o in obs]
     if in_std is not None:
-        inp = [in_std.transform_matrix(u) for u in inp]
+        inp = [standardize(in_std, u) for u in inp]
     omega = np.concatenate([np.hstack([o[:-1], u[:-1]]) for o, u in zip(obs, inp)]).T
     y_next = np.concatenate([o[1:] for o in obs]).T
     q, (k, n) = len(observables), omega.shape
@@ -383,13 +442,7 @@ def summarize_chunked(current, following, columns, q):
                 work[:, :top] = r_factor.T
         factor = np.zeros((1 + k + q, 1 + k + q))
         factor[:top] = r_factor
-        mean = shift + factor[0, 1 : 1 + k] / factor[0, 0]
-        m2 = np.einsum("ij,ij->j", factor[1:, 1 : 1 + k], factor[1:, 1 : 1 + k])
-        last = following[-1].take(columns)
-        delta = last - mean
-        mean = mean + delta / (n + 1)
-        m2 = m2 + delta * (last - mean)
-    return factor, shift, mean, m2
+    return factor, shift, following[-1].take(columns)
 
 
 def r2(actual: np.ndarray, predicted: np.ndarray) -> float:

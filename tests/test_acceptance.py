@@ -44,16 +44,16 @@ from dedsid.validation import (
     draw_splits,
     frequency_study,
     predict_series,
-    run_lpocv,
 )
-from dedsid.vif import select_features
 
 from helpers import (
     fit_on_datasets,
     linear_corpus,
+    lpocv,
     make_dataset,
     parseval_gap,
     pulse_train_inputs,
+    select_on_rows,
     throughput_us_per_point,
     unit_variance_plant,
     wasserstein_1d,
@@ -114,7 +114,7 @@ def test_02_noise_floor_consistency():
             simulate(plant, inputs, seed=int(rng.integers(0, 2**31 - 1)), experiment_id=exp).dataset
         )
     cfg = FitConfig(inputs=plant.input_names, observables=plant.observable_names)
-    report, envelope = run_lpocv(datasets, cfg, draw_splits(len(datasets), 3, 10, 0))
+    report, envelope = lpocv(datasets, cfg, draw_splits(len(datasets), 3, 10, 0))
     elapsed = time.perf_counter() - t0
 
     lo, hi = 0.85 * NOISE_SD, 1.15 * NOISE_SD
@@ -149,8 +149,8 @@ def test_03_collinearity_screening_with_planted_dependencies():
     names = ("flag_a", "flag_b", "n0", "n1", "n2", "n3", "n4", "n5", "mix_ab", "mix_cd")
     x = (raw - raw.mean(axis=0)) / raw.std(axis=0)
 
-    report = select_features(x, names)
-    again = select_features(x, names)
+    report = select_on_rows(x, names)
+    again = select_on_rows(x, names)
     removed = [it.excluded_feature for it in report.iterations]
     ok = (
         report.surviving_features == ("flag_b", "n1", "n3", "n4", "n5", "mix_ab", "mix_cd")
@@ -400,8 +400,8 @@ def test_10_imputation_recovers_gated_dropout():
         observables=tuple(spec.observable_names),
     )
     splits = draw_splits(len(raw), 3, 10, 0)
-    r2_raw = run_lpocv(raw, cfg, splits)[0].aggregates["r2_test"]["working_distance_mm"].mean
-    r2_imputed = run_lpocv(imputed, cfg, splits)[0].aggregates["r2_test"]["working_distance_mm"].mean
+    r2_raw = lpocv(raw, cfg, splits)[0].aggregates["r2_test"]["working_distance_mm"].mean
+    r2_imputed = lpocv(imputed, cfg, splits)[0].aggregates["r2_test"]["working_distance_mm"].mean
     ok = sentinel_frac > 0.0 and r2_imputed > r2_raw
     _criterion(
         10,

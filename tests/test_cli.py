@@ -530,6 +530,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error: cannot read" in err and detail in err
 
+    @pytest.mark.parametrize("channel", ["power_w", "melt_pool_temp_c"], ids=["input", "observable"])
+    def test_infinite_field_stops_screening_with_4(self, corpus, tmp_path, channel, capfd):
+        # Ingest takes an inf; screening reads every retained channel's
+        # summaries, so it names the fault instead of handing LAPACK a NaN.
+        lines = (corpus / "exp01.csv").read_text().splitlines()
+        column = lines[0].split(",").index(channel)
+        fields = lines[5].split(",")
+        fields[column] = "inf"
+        lines[5] = ",".join(fields)
+        (tmp_path / "exp01.csv").write_text("\n".join(lines) + "\n")
+        cfg = one_experiment_config(corpus, tmp_path, "exp01.csv")
+        capfd.readouterr()
+        assert main(["select-features", "--config", str(cfg)]) == 4
+        out, err = capfd.readouterr()
+        assert "numeric failure: NaN or infinity among" in err
+        assert "DLASCL" not in out + err and "RuntimeWarning" not in err
+
+    def test_one_row_experiment_stops_screening_with_3(self, corpus, tmp_path, capsys):
+        lines = (corpus / "exp01.csv").read_text().splitlines()
+        (tmp_path / "exp01.csv").write_text("\n".join(lines[:2]) + "\n")
+        cfg = one_experiment_config(corpus, tmp_path, "exp01.csv")
+        assert main(["select-features", "--config", str(cfg)]) == 3
+        assert "experiment 'exp01' has 1 rows; at least 2 required" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value, detail",
         [

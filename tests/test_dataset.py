@@ -3,7 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import impute_off_state_loop, make_dataset, mostly, traced_peak
+from helpers import (
+    impute_off_state_loop,
+    make_dataset,
+    mostly,
+    standardize,
+    standardizer_from_matrix,
+    traced_peak,
+    unstandardize,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +30,11 @@ from dedsid.dataset import (
     pool_moments,
     save_manifest,
     save_schema,
-    standardizer_from_matrix,
     standardizer_from_moments,
     write_csv,
-    zero_variance_channels,
 )
+from dedsid.config import VifConfig
+from dedsid.dmdc import build_snapshots
 from dedsid.errors import (
     AllSentinel,
     CorruptFile,
@@ -37,6 +45,7 @@ from dedsid.errors import (
     NonUniformTimestamps,
     UnknownChannel,
 )
+from dedsid.vif import screen_inputs
 
 SCHEMA = (
     ChannelSpec("u", "au", "input"),
@@ -206,7 +215,7 @@ class TestStandardizer:
     def test_transform_centers_and_scales(self):
         rng = np.random.default_rng(0)
         values = rng.normal(3.0, 2.5, size=(400, 2))
-        out = standardizer_from_matrix(values, ["a", "b"]).transform_matrix(values)
+        out = standardize(standardizer_from_matrix(values, ["a", "b"]), values)
         assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(out.std(axis=0), 1.0, atol=1e-12)
 
@@ -214,7 +223,7 @@ class TestStandardizer:
         rng = np.random.default_rng(1)
         values = rng.normal(size=(50, 3))
         params = standardizer_from_matrix(values, ["a", "b", "c"])
-        back = params.invert_matrix(params.transform_matrix(values))
+        back = unstandardize(params, standardize(params, values))
         assert np.allclose(back, values, atol=1e-12)
 
     def test_constant_channel_scale_one_with_warning(self):
@@ -367,15 +376,30 @@ class TestDecimate:
 
 
 class TestZeroVariance:
+    """Constant inputs as the VIF screen finds them: pooled M2 exactly 0."""
+
+    @staticmethod
+    def constant_inputs(*columns):
+        datasets = [
+            make_dataset(
+                np.column_stack([c, np.arange(len(c)), np.sin(np.arange(len(c)))]),
+                names=["c", "v", "y"],
+                kinds=["input", "input", "observable"],
+                experiment_id=f"e{i}",
+            )
+            for i, c in enumerate(columns)
+        ]
+        return screen_inputs(build_snapshots(datasets, ["c", "v"], ["y"]), VifConfig())[0]
+
     def test_detects_globally_constant_channel(self):
-        a = make_dataset(np.column_stack([np.full(5, 2.0), np.arange(5.0)]), names=["c", "v"])
-        b = make_dataset(np.column_stack([np.full(7, 2.0), np.arange(7.0)]), names=["c", "v"])
-        assert zero_variance_channels(np.concatenate([a.data, b.data]), ["c", "v"]) == ["c"]
+        assert self.constant_inputs(np.full(5, 2.0), np.full(7, 2.0)) == ["c"]
 
     def test_per_experiment_constant_but_varying_across_is_kept(self):
-        a = make_dataset(np.full((5, 1), 1.0), names=["c"])
-        b = make_dataset(np.full((5, 1), 2.0), names=["c"])
-        assert zero_variance_channels(np.concatenate([a.data, b.data]), ["c"]) == []
+        assert self.constant_inputs(np.full(5, 1.0), np.full(5, 2.0)) == []
+
+    def test_any_variation_is_kept(self):
+        # Exact, as equality over the rows would be: no tolerance on M2.
+        assert self.constant_inputs(np.full(5, 2.0), np.r_[np.full(6, 2.0), 2.0 + 2.0**-40]) == []
 
 
 MANIFEST_ENTRIES = st.fixed_dictionaries(

@@ -490,6 +490,28 @@ class TestFitFromDatasets:
         assert np.array_equal(model.B, clean.B)
 
 
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_narrowed_inputs_fit_as_a_pass_over_them(self, standardize):
+        # select_inputs slices R's columns and keeps its rows; the fit's
+        # stack-QR reduces them to what a pass over those inputs gives.
+        datasets, inputs, observables = random_corpus(3, 6, [40, 2100, 300], seed=17)
+        survivors = inputs[::-2]
+        narrowed = build_snapshots(datasets, inputs, observables).select_inputs(survivors)
+        direct = build_snapshots(datasets, survivors, observables)
+        assert narrowed.input_names == direct.input_names
+        for got, want in (
+            (narrowed, direct),
+            (narrowed.subset(["e2", "e0"]), direct.subset(["e2", "e0"])),
+        ):
+            a = fit(got, None, standardize, standardize)
+            b = fit(want, None, standardize, standardize)
+            assert np.allclose(a.A, b.A, rtol=1e-10, atol=1e-12)
+            assert np.allclose(a.B, b.B, rtol=1e-10, atol=1e-12)
+            assert a.svd_rank_used == b.svd_rank_used
+            moments = zip(got.pooled_moments()[1:], want.pooled_moments()[1:])
+            assert all(np.allclose(g, w, rtol=1e-12, atol=0) for g, w in moments)
+
+
 class TestBuildSnapshots:
     def _ds(self, data, eid="e0", rate=100.0):
         return make_dataset(
@@ -512,7 +534,7 @@ class TestBuildSnapshots:
         rows = np.column_stack([np.ones(4), 10 + t - c_y, t - c_u, 11 + t - c_y])
         factor = snaps.factors[0]
         assert np.allclose(factor.T @ factor, rows.T @ rows, rtol=0, atol=1e-12)
-        assert np.allclose(snaps.means[0], [12.0, 2.0], rtol=0, atol=1e-12)
+        assert np.allclose(snaps.pooled_moments()[1], [12.0, 2.0], rtol=0, atol=1e-12)
 
     def test_rate_mismatch_rejected(self):
         rng = np.random.default_rng(7)

@@ -2,7 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import fit_on_datasets, linear_corpus, make_dataset, r2, rmse
+from helpers import (
+    fit_on_datasets,
+    linear_corpus,
+    lpocv,
+    make_dataset,
+    r2,
+    rmse,
+    standardize,
+    unstandardize,
+)
 
 from dedsid.artifacts import to_plain
 from dedsid.config import EVAL_MODES, FitConfig
@@ -15,7 +24,6 @@ from dedsid.validation import (
     draw_splits,
     frequency_study,
     predict_series,
-    run_lpocv,
 )
 
 
@@ -102,16 +110,16 @@ def per_step_prediction(model, ds, eval_mode):
     measured = ds.matrix_for(model.observable_names)
     y, u = measured, ds.matrix_for(model.input_names)
     if model.input_standardizer is not None:
-        u = model.input_standardizer.transform_matrix(u)
+        u = standardize(model.input_standardizer, u)
     if model.observable_standardizer is not None:
-        y = model.observable_standardizer.transform_matrix(y)
+        y = standardize(model.observable_standardizer, y)
     out = np.empty_like(y)
     state = out[0] = y[0]
     for t in range(len(y) - 1):
         state = model.A @ (state if eval_mode == "rollout" else y[t]) + model.B @ u[t]
         out[t + 1] = state
     if model.observable_standardizer is not None:
-        out = model.observable_standardizer.invert_matrix(out)
+        out = unstandardize(model.observable_standardizer, out)
     out[0] = measured[0]
     return out
 
@@ -141,7 +149,7 @@ class TestPredictSeries:
         with pytest.raises(ValueError, match="eval_mode must be one of"):
             predict_series(model, datasets, "sideways")
         with pytest.raises(ValueError, match="eval_mode must be one of"):
-            run_lpocv(datasets, config, draw_splits(len(datasets), 1, 1, 0))
+            lpocv(datasets, config, draw_splits(len(datasets), 1, 1, 0))
 
     def test_no_datasets_no_predictions(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
@@ -170,7 +178,7 @@ class TestColumnOrder:
         ):
             assert np.array_equal(a, b)
         splits = draw_splits(len(datasets), 2, 3, 4)
-        got = [to_plain(run_lpocv(d, config, splits)) for d in (datasets, shuffled)]
+        got = [to_plain(lpocv(d, config, splits)) for d in (datasets, shuffled)]
         assert got[0] == got[1]
 
 
@@ -178,14 +186,14 @@ class TestLpocv:
     def test_noise_free_scores_near_perfect(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=6, steps=900, seed=24)
         splits = draw_splits(len(datasets), 2, 6, 0)
-        report, envelope = run_lpocv(datasets, _fit_config(spec), splits)
+        report, envelope = lpocv(datasets, _fit_config(spec), splits)
         for obs in spec.observable_names:
             assert report.aggregates["r2_test"][obs].mean > 0.999
             assert envelope.rmse[obs] < 1e-4
 
     def test_train_tends_to_beat_test_under_noise(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=8, steps=700, seed=25, noise_sd=0.05)
-        report, _ = run_lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 3, 10, 1))
+        report, _ = lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 3, 10, 1))
         wins = 0
         total = 0
         for fold in report.folds:
@@ -197,17 +205,17 @@ class TestLpocv:
 
     def test_deterministic_given_seed(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=500, seed=26, noise_sd=0.1)
-        a, env_a = run_lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 2, 4, 7))
-        b, env_b = run_lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 2, 4, 7))
+        a, env_a = lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 2, 4, 7))
+        b, env_b = lpocv(datasets, _fit_config(spec), draw_splits(len(datasets), 2, 4, 7))
         assert to_plain(a) == to_plain(b)
         assert to_plain(env_a) == to_plain(env_b)
 
     def test_splits_must_mark_each_experiment(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=300, seed=26)
         with pytest.raises(DimensionMismatch):
-            run_lpocv(datasets, _fit_config(spec), draw_splits(3, 1, 2, 0))
+            lpocv(datasets, _fit_config(spec), draw_splits(3, 1, 2, 0))
         with pytest.raises(EmptySample):
-            run_lpocv(datasets, _fit_config(spec), np.zeros((0, 4), dtype=bool))
+            lpocv(datasets, _fit_config(spec), np.zeros((0, 4), dtype=bool))
 
     def test_envelope_from_dict_round_trip(self):
         env = UncertaintyEnvelope(rmse={"y1": 0.5}, ci95={"y1": 0.125})
@@ -227,7 +235,7 @@ class TestLpocvAgainstRows:
         datasets = [ds.with_data(ds.data[: 200 + 60 * i]) for i, ds in enumerate(datasets)]
         config = replace(_fit_config(spec, standardize), eval_mode=eval_mode)
         splits = draw_splits(len(datasets), 2, 4, 3)
-        report, _ = run_lpocv(datasets, config, splits)
+        report, _ = lpocv(datasets, config, splits)
         for fold, test in zip(report.folds, splits):
             tested = [ds for ds, t in zip(datasets, test) if t]
             train = [ds for ds, t in zip(datasets, test) if not t]
@@ -257,7 +265,7 @@ class TestLpocvAgainstRows:
         name = spec.observable_names[0]
         flat = [ds.with_column(name, np.full(ds.row_count, 2.0)) for ds in datasets]
         with pytest.raises(ConstantActual):
-            run_lpocv(flat, _fit_config(spec), draw_splits(len(flat), 1, 1, 0))
+            lpocv(flat, _fit_config(spec), draw_splits(len(flat), 1, 1, 0))
 
 
 class TestBoundPredictions:
@@ -321,7 +329,7 @@ class TestFrequencyStudy:
         cfg = _fit_config(spec)
         splits = draw_splits(len(datasets), 2, 3, 5)
         rows = frequency_study(datasets, cfg, factors=[1, 3], splits=splits)
-        direct, _ = run_lpocv(datasets, cfg, splits)
+        direct, _ = lpocv(datasets, cfg, splits)
         assert rows[0].factor == 1
         assert rows[0].sample_rate_hz == 100.0
         for obs in spec.observable_names:

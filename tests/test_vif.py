@@ -4,9 +4,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dedsid.artifacts import to_plain
+from dedsid.config import VifConfig
+from dedsid.dmdc import build_snapshots
 from dedsid.errors import EmptySurvivorSet
-from dedsid.vif import select_features
-from helpers import matrix_rank, vif_single
+from dedsid.vif import screen_inputs
+from helpers import (
+    make_dataset,
+    matrix_rank,
+    pooled_screen,
+    select_on_rows,
+    traced_peak,
+    vif_single,
+)
 
 # Hand-worked instance (columns already zero-mean):
 #   x1 = [ 1, -1,  1, -1]
@@ -90,7 +99,7 @@ class TestMatrixRank:
 
 class TestSelectFeatures:
     def test_hand_instance_trace(self):
-        report = select_features(HAND_X, ["x1", "x2", "x3"])
+        report = select_on_rows(HAND_X, ["x1", "x2", "x3"])
         assert len(report.iterations) == 1
         step = report.iterations[0]
         assert step.iteration_index == 1
@@ -106,13 +115,13 @@ class TestSelectFeatures:
     def test_tie_breaks_to_earliest_column(self):
         base = random_standardized(200, 3, seed=5)
         x = np.column_stack([base[:, 0], base[:, 0], base[:, 1], base[:, 2]])
-        report = select_features(x, ["dup_a", "dup_b", "v1", "v2"])
+        report = select_on_rows(x, ["dup_a", "dup_b", "v1", "v2"])
         assert report.iterations[0].excluded_feature == "dup_a"
         assert "dup_b" in report.surviving_features
 
     def test_no_iterations_when_clean(self):
         x = random_standardized(500, 4, seed=6)
-        report = select_features(x, ["a", "b", "c", "d"])
+        report = select_on_rows(x, ["a", "b", "c", "d"])
         assert report.iterations == ()
         assert report.surviving_features == ("a", "b", "c", "d")
         assert report.final_rank == 4
@@ -121,21 +130,21 @@ class TestSelectFeatures:
         x = random_standardized(300, 6, seed=8)
         x[:, 4] = x[:, 0] - x[:, 1]
         names = [f"f{j}" for j in range(6)]
-        a = select_features(x, names)
-        b = select_features(x, names)
+        a = select_on_rows(x, names)
+        b = select_on_rows(x, names)
         assert to_plain(a) == to_plain(b)
 
     def test_single_surviving_feature_allowed(self):
         base = random_standardized(100, 1, seed=9)
         x = np.column_stack([base[:, 0], base[:, 0]])
-        report = select_features(x, ["a", "b"])
+        report = select_on_rows(x, ["a", "b"])
         assert report.surviving_features == ("b",)
         assert report.final_vif["b"] == 1.0
 
     def test_report_serializes_infinities(self):
         base = random_standardized(100, 2, seed=10)
         x = np.column_stack([base[:, 0], base[:, 0], base[:, 1]])
-        report = select_features(x, ["a", "b", "c"])
+        report = select_on_rows(x, ["a", "b", "c"])
         payload = to_plain(report)
         assert payload["iterations"][0]["vif_values"]["a"] == "inf"
 
@@ -236,10 +245,10 @@ class TestAgainstRowOracle:
             steps, final_vif, survivors, final_rank = oracle_selection(x, names)
         except EmptySurvivorSet:
             with pytest.raises(EmptySurvivorSet):
-                select_features(x, names)
+                select_on_rows(x, names)
             return
         assume(not rounding_tie([vifs for _, _, vifs in steps]))
-        report = select_features(x, names)
+        report = select_on_rows(x, names)
         assert [(s.excluded_feature, s.matrix_rank) for s in report.iterations] == [
             (name, rank) for name, rank, _ in steps
         ]
@@ -254,7 +263,7 @@ class TestAgainstRowOracle:
         # their VIFs are equal in exact arithmetic and differ here only in
         # the last bits (…878 against …885), which must not decide the order.
         x = planted_set("duplicate", 20, 3, seed=138)
-        report = select_features(x, ["f0", "f1", "f2"])
+        report = select_on_rows(x, ["f0", "f1", "f2"])
         assert [s.excluded_feature for s in report.iterations] == ["f0", "f1"]
         assert report.surviving_features == ("f2",)
 
@@ -266,25 +275,151 @@ class TestAgainstRowOracle:
         x = rng.normal(size=(1000, 3))
         x[:, 2] = x[:, 0] + 1e-14 * rng.normal(size=1000)
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        step = select_features(x, ["a", "b", "c"]).iterations[0]
+        step = select_on_rows(x, ["a", "b", "c"]).iterations[0]
         assert step.matrix_rank == matrix_rank(x) == 2
         assert step.vif_values["b"] == pytest.approx(vif_single(x, 1), rel=1e-9)
 
     def test_uncentered_column_keeps_the_centered_total(self):
-        # sst is taken about the mean, as in the oracle, also for a column
-        # the caller did not center.
+        # A raw input sits off zero; the screen centers it on its pooled
+        # mean, so each sst is taken about the mean, as in the oracle on the
+        # centered columns.
         x = HAND_X + np.array([0.0, 0.0, 1.5])
-        got = select_features(x, ["x1", "x2", "x3"], accept_below=np.inf).final_vif
-        assert_vifs_match(got, {f"x{j + 1}": vif_single(x, j) for j in range(3)})
+        names = ["x1", "x2", "x3"]
+        ds = make_dataset(
+            np.column_stack([x, np.arange(4.0)]),
+            names=[*names, "y"],
+            kinds=["input"] * 3 + ["observable"],
+        )
+        snapshots = build_snapshots([ds], names, ["y"])
+        _, report = screen_inputs(snapshots, VifConfig(accept_below=np.inf))
+        centered = x - x.mean(axis=0)
+        assert_vifs_match(report.final_vif, {n: vif_single(centered, j) for j, n in enumerate(names)})
 
     @pytest.mark.parametrize("plant", PLANTS)
     def test_planted_structure_lands_on_its_side_of_the_cutoff(self, plant):
         x = planted_set(plant, 200, 6, seed=12)
         k = x.shape[1]
-        report = select_features(x, [f"f{j}" for j in range(k)])
+        report = select_on_rows(x, [f"f{j}" for j in range(k)])
         first = report.iterations[0].vif_values if report.iterations else report.final_vif
         values = np.array(list(first.values()))
         expected = {"duplicate": 2, "combination": 3, "near_inf": 3, "zero": 1, "wide": k}
         assert np.isinf(values).sum() == expected.get(plant, 0)
         if plant == "near_finite":
             assert 1e9 < values.max() < 1e11
+
+
+COLUMN_KINDS = ("free", "duplicate", "flag", "complement", "constant", "constant_per_experiment")
+
+
+@st.composite
+def screen_corpora(draw):
+    """1-5 experiments whose inputs plant exact duplicates, complementary
+    flags and constants (one value everywhere, or one per experiment), each
+    column scaled by 1e-3 to 1e3 and offset; one free observable."""
+    # From 20 rows, the rounding-level singular values of exact
+    # dependencies stay well under the rank cutoff in either route.
+    lengths = draw(
+        st.lists(st.integers(2, 60), min_size=1, max_size=5).filter(lambda ls: sum(ls) >= 20)
+    )
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=2, max_size=7))
+    powers = draw(st.lists(st.integers(-3, 3), min_size=len(kinds), max_size=len(kinds)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(lengths)
+    experiment = np.repeat(np.arange(len(lengths)), lengths)
+    columns, flag = [], None
+    for kind, power in zip(kinds, powers):
+        if kind == "duplicate" and columns:
+            columns.append(columns[int(rng.integers(len(columns)))].copy())
+            continue
+        if kind == "complement" and flag is not None:
+            column = 1.0 - flag
+        elif kind in ("flag", "complement"):
+            column = flag = (rng.random(n) < 0.5).astype(float)
+        elif kind == "constant":
+            column = np.full(n, rng.normal())
+        elif kind == "constant_per_experiment":
+            column = rng.normal(size=len(lengths))[experiment]
+        else:
+            column = rng.normal(size=n)
+        columns.append(column * 10.0**power + rng.uniform(-5, 5) * 10.0**power)
+    names = [f"u{j}" for j in range(len(columns))]
+    data = np.column_stack([*columns, rng.normal(size=n)])
+    datasets = [
+        make_dataset(
+            rows,
+            names=[*names, "y"],
+            kinds=["input"] * len(names) + ["observable"],
+            experiment_id=f"e{e}",
+        )
+        for e, rows in enumerate(np.split(data, np.cumsum(lengths)[:-1]))
+    ]
+    return datasets, names
+
+
+class TestScreenInputs:
+    """The screen from snapshot summaries against the pooled walk over the rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(screen_corpora())
+    def test_same_screen_as_pooled_rows(self, corpus):
+        datasets, names = corpus
+        snapshots = build_snapshots(datasets, names, ["y"])
+        try:
+            constant, oracle = pooled_screen(datasets, names)
+        except EmptySurvivorSet:
+            with pytest.raises(EmptySurvivorSet):
+                screen_inputs(snapshots, VifConfig())
+            return
+        assume(not rounding_tie([s.vif_values for s in oracle.iterations]))
+        got_constant, report = screen_inputs(snapshots, VifConfig())
+        assert got_constant == constant
+        assert [(s.excluded_feature, s.matrix_rank) for s in report.iterations] == [
+            (s.excluded_feature, s.matrix_rank) for s in oracle.iterations
+        ]
+        for step, expected in zip(report.iterations, oracle.iterations):
+            assert_vifs_match(step.vif_values, expected.vif_values)
+        assert report.surviving_features == oracle.surviving_features
+        assert report.final_rank == oracle.final_rank
+        assert_vifs_match(report.final_vif, oracle.final_vif)
+
+    def test_offset_constants_center_exactly(self):
+        # a and b are each one value per experiment, so centered they are
+        # collinear: rank 3 of 4. Centering on a pooled mean leaves rounding
+        # of the size of b's offset over its spread (about 500), which lifts
+        # the rank to 4; the QR behind the intercept does not.
+        rng = np.random.default_rng(0)
+        names = ["a", "b", "f0", "f1"]
+        datasets = [
+            make_dataset(
+                np.column_stack([np.full(m, a), np.full(m, b), rng.normal(size=(m, 3))]),
+                names=[*names, "y"],
+                kinds=["input"] * 4 + ["observable"],
+                experiment_id=f"e{e}",
+            )
+            for e, (m, a, b) in enumerate(
+                [(39, -41.1371051, -459.452654), (58, -24.4769302, -460.342118)]
+            )
+        ]
+        _, report = screen_inputs(build_snapshots(datasets, names, ["y"]), VifConfig())
+        _, oracle = pooled_screen(datasets, names)
+        assert [(s.excluded_feature, s.matrix_rank) for s in report.iterations] == [("a", 3)]
+        assert [(s.excluded_feature, s.matrix_rank) for s in oracle.iterations] == [("a", 3)]
+
+    def test_peak_memory_is_a_sliver_of_the_corpus(self):
+        # The screen reads the snapshot summaries: a few k x k factors, not
+        # a pooled or standardized copy of the rows.
+        rng = np.random.default_rng(21)
+        inputs, observables = [f"u{j}" for j in range(21)], ["y0", "y1", "y2"]
+        datasets = [
+            make_dataset(
+                rng.normal(size=(25_000, 24)),
+                names=inputs + observables,
+                kinds=["input"] * 21 + ["observable"] * 3,
+                experiment_id=f"e{e}",
+            )
+            for e in range(8)
+        ]
+        snapshots = build_snapshots(datasets, inputs, observables)
+        corpus_bytes = sum(ds.data.nbytes for ds in datasets)
+        peak = traced_peak(lambda: screen_inputs(snapshots, VifConfig()))
+        assert peak <= 0.05 * corpus_bytes
