@@ -146,8 +146,8 @@ class _Run:
 
     @cached_property
     def snapshots(self) -> SnapshotSet:
-        """One pass over the rows of every retained channel: screening reads
-        it whole, and cv's folds and the fit its surviving inputs."""
+        """The run's one pass over the rows of every retained channel, which
+        screening reads whole."""
         return build_snapshots(self.datasets, self.names("input"), self.names("observable"))
 
     @cached_property
@@ -166,6 +166,11 @@ class _Run:
             svd_rank=self.cfg.svd_rank,
             eval_mode=self.cfg.eval_mode,
         )
+
+    @cached_property
+    def fit_snapshots(self) -> SnapshotSet:
+        """``snapshots`` narrowed to the surviving inputs: cv, fit and freq-study's factor 1."""
+        return self.snapshots.select_inputs(self.fit_config.inputs)
 
     @cached_property
     def splits(self) -> np.ndarray:
@@ -215,8 +220,7 @@ def _dist_report(run: _Run) -> str:
 
 
 def _cv(run: _Run) -> str:
-    snapshots = run.snapshots.select_inputs(run.fit_config.inputs)
-    report, envelope = run_lpocv(run.datasets, run.fit_config, run.splits, snapshots)
+    report, envelope = run_lpocv(run.datasets, run.fit_config, run.splits, run.fit_snapshots)
     payload = {"cv": report, "envelope": envelope}
     write_json(run.out / "cv_report.json", payload, run.provenance)
     r2 = report.aggregates["r2_test"]
@@ -227,8 +231,9 @@ def _cv(run: _Run) -> str:
 
 def _fit(run: _Run) -> str:
     cfg = run.fit_config
-    snapshots = run.snapshots.select_inputs(cfg.inputs)
-    model = fit(snapshots, cfg.svd_rank, cfg.standardize_inputs, cfg.standardize_observables)
+    model = fit(
+        run.fit_snapshots, cfg.svd_rank, cfg.standardize_inputs, cfg.standardize_observables
+    )
     save_model(model, run.out / "model.json", run.provenance)
     return (
         f"fit model: {model.state_dim} observables, {model.input_dim} inputs, "
@@ -340,8 +345,8 @@ def _spectrogram(run: _Run) -> str:
 
 
 def _freq_study(run: _Run) -> str:
-    cfg = run.cfg
-    rows = frequency_study(run.datasets, run.fit_config, cfg.decimation_factors, run.splits)
+    factors = run.cfg.decimation_factors
+    rows = frequency_study(run.datasets, run.fit_config, factors, run.splits, run.fit_snapshots)
     write_json(run.out / "freq_study.json", {"rows": rows}, run.provenance)
     table = []
     for row in rows:
@@ -353,7 +358,7 @@ def _freq_study(run: _Run) -> str:
     header = "factor,sample_rate_hz,observable,r2_mean,r2_ci95,rmse_mean,rmse_ci95".split(",")
     fmt = "%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g"
     _write_table(run, "freq_study.csv", header, np.array(table, dtype=object), fmt)
-    return f"frequency study over factors {list(cfg.decimation_factors)} complete"
+    return f"frequency study over factors {list(factors)} complete"
 
 
 # Each stage: its help text and the function that writes its artifacts and

@@ -78,17 +78,6 @@ class TimeSeriesDataset:
     def channel_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.channels)
 
-    def names_of_kind(self, kind: str) -> tuple[str, ...]:
-        return tuple(c.name for c in self.channels if c.kind == kind)
-
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        return self.names_of_kind("input")
-
-    @property
-    def observable_names(self) -> tuple[str, ...]:
-        return self.names_of_kind("observable")
-
     def index_of(self, name: str) -> int:
         try:
             return self._columns[name]

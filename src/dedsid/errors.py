@@ -165,6 +165,11 @@ class GridMismatch(NumericError):
         super().__init__(detail)
 
 
+class AllFoldsDiverged(NumericError):
+    def __init__(self, folds: int):
+        super().__init__(f"the rollouts of all {folds} cross-validation folds diverged")
+
+
 class NonFiniteArtifact(NumericError):
     def __init__(self, path: str):
         super().__init__(f"refusing to write NaN or -inf into {path}")

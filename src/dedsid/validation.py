@@ -26,7 +26,13 @@ from .dmdc import (
     linear_recurrence,
     spectral_radius,
 )
-from .errors import ConstantActual, DimensionMismatch, EmptySample, TooFewExperiments
+from .errors import (
+    AllFoldsDiverged,
+    ConstantActual,
+    DimensionMismatch,
+    EmptySample,
+    TooFewExperiments,
+)
 from .wasserstein import ci95_halfwidth
 
 
@@ -129,10 +135,13 @@ def predict_series(
 class FoldResult:
     fold_index: int
     test_ids: tuple[str, ...]
-    r2_train: Mapping[str, float]
-    r2_test: Mapping[str, float]
-    rmse_train: Mapping[str, float]
-    rmse_test: Mapping[str, float]
+    # A diverged fold's rollout overflowed somewhere: its non-finite metrics
+    # are None, and the aggregates leave the fold out.
+    diverged: bool
+    r2_train: Mapping[str, float | None]
+    r2_test: Mapping[str, float | None]
+    rmse_train: Mapping[str, float | None]
+    rmse_test: Mapping[str, float | None]
     # Numerical health of the fold's fit: the rank kept, s[0] / s[rank - 1]
     # of the snapshot matrix, and the largest eigenvalue modulus of A.
     svd_rank_used: int
@@ -153,6 +162,7 @@ class CvReport:
     eval_mode: str
     observables: tuple[str, ...]
     folds: tuple[FoldResult, ...]
+    finite_folds: int
     aggregates: Mapping[str, Mapping[str, Aggregate]]
 
 
@@ -212,8 +222,10 @@ def run_lpocv(
     ``draw_splits``, marks the whole experiments one fold holds out (never
     individual rows; rows within an experiment are serially dependent, so
     splitting them would leak the test trajectory into training).
-    Standardizers are refit on each fold's training pool. Aggregates are
-    mean and 1.96*sd/sqrt(repeats) over folds.
+    Standardizers are refit on each fold's training pool. A fold whose
+    rollout overflows anywhere is flagged ``diverged``; aggregates are mean
+    and 1.96*sd/sqrt(n) over the n finite folds, and with none left the run
+    is ``AllFoldsDiverged``.
 
     ``snapshots``, ``build_snapshots`` of ``datasets`` over the config's
     channels, serves every fold's fit; one padded copy of the observables
@@ -240,21 +252,28 @@ def run_lpocv(
             config.standardize_inputs,
             config.standardize_observables,
         )
-        residual = _padded_predictions(model, *padded[:4], config.eval_mode)
-        residual -= targets
-        for row, n in zip(residual, steps):
-            row[n:] = 0.0
-        ssr = np.einsum("stq,stq->sq", residual, residual)
-        r2_train, rmse_train = _side_metrics(
-            ssr[train], steps[train], means[train], m2[train], config.observables
-        )
-        r2_test, rmse_test = _side_metrics(
-            ssr[test], steps[test], means[test], m2[test], config.observables
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = _padded_predictions(model, *padded[:4], config.eval_mode)
+            residual -= targets
+            for row, n in zip(residual, steps):
+                row[n:] = 0.0
+            ssr = np.einsum("stq,stq->sq", residual, residual)
+            metrics = [
+                metric
+                for side in (train, test)
+                for metric in _side_metrics(
+                    ssr[side], steps[side], means[side], m2[side], config.observables
+                )
+            ]
+        diverged = not all(np.isfinite(v) for metric in metrics for v in metric.values())
+        if diverged:
+            metrics = [{k: v if np.isfinite(v) else None for k, v in m.items()} for m in metrics]
+        r2_train, rmse_train, r2_test, rmse_test = metrics
         folds.append(
             FoldResult(
                 fold_index=k,
                 test_ids=tuple(i for i, t in zip(ids, test) if t),
+                diverged=diverged,
                 r2_train=r2_train,
                 r2_test=r2_test,
                 rmse_train=rmse_train,
@@ -265,11 +284,14 @@ def run_lpocv(
             )
         )
 
+    finite = [f for f in folds if not f.diverged]
+    if not finite:
+        raise AllFoldsDiverged(len(folds))
     aggregates = {}
     for metric in ("r2_train", "r2_test", "rmse_train", "rmse_test"):
         aggregates[metric] = {}
         for obs in config.observables:
-            vals = np.asarray([getattr(f, metric)[obs] for f in folds])
+            vals = np.asarray([getattr(f, metric)[obs] for f in finite])
             aggregates[metric][obs] = Aggregate(mean=float(vals.mean()), ci95=ci95_halfwidth(vals))
 
     report = CvReport(
@@ -278,6 +300,7 @@ def run_lpocv(
         eval_mode=config.eval_mode,
         observables=config.observables,
         folds=tuple(folds),
+        finite_folds=len(finite),
         aggregates=aggregates,
     )
     envelope = UncertaintyEnvelope(
@@ -323,17 +346,21 @@ def frequency_study(
     config: FitConfig,
     factors: Sequence[int],
     splits: np.ndarray,
+    snapshots: SnapshotSet,
 ) -> list[FrequencyStudyRow]:
     """Rerun cross-validation at progressively slower recording rates.
 
     Decimation drops samples outright (no anti-alias filter), exactly as a
     slower sensor would. Every rate is scored on the same ``splits``.
+    Factor 1 is scored on ``snapshots``, the pass ``run_lpocv`` takes for
+    ``datasets``; only the decimated rates build a pass of their own.
     """
     rows = []
+    channels = config.inputs, config.observables
     for factor in factors:
         slowed = [decimate(ds, factor) for ds in datasets]
-        snapshots = build_snapshots(slowed, config.inputs, config.observables)
-        report, _ = run_lpocv(slowed, config, splits, snapshots)
+        rate_pass = snapshots if factor == 1 else build_snapshots(slowed, *channels)
+        report, _ = run_lpocv(slowed, config, splits, rate_pass)
         rows.append(
             FrequencyStudyRow(
                 factor=int(factor),

@@ -6,14 +6,15 @@ evenly spaced grid over the channel's own range, i.e. "uniform noise with the
 same bounds", so a small test-to-train distance relative to the uniform
 distances reads as "splits share structure".
 
-Each channel is sorted once, over every experiment, with a stable argsort
-that keeps each value's experiment. A split is a boolean mask over the
+Each channel is sorted once, over every experiment, and the same argsort
+gives each sorted value's experiment. A split is a boolean mask over the
 experiments, and train and test partition the corpus, so each side's sorted
 sample is the global order compressed by the mask. Test-to-train is the
 integral of |F_test - F_train| over the gaps of the global order, with both
-CDFs from one cumsum of the mask; a gap inside a tie is 0, so the order
-within a tie does not matter. Against the uniform grid, both samples have n
-points and W1 = mean |x_(i) - g_i|.
+CDFs from one cumsum of the mask. Tied values are equal and a gap inside a
+tie is 0, so the order within a tie changes no distance, and the sort need
+not be stable. Against the uniform grid, both samples have n points and
+W1 = mean |x_(i) - g_i|.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def split_shift_report(
     results = []
     for ch in channels:
         values = np.concatenate([ds.column(ch) for ds in datasets])
-        order = np.argsort(values, kind="stable")
+        order = np.argsort(values)
         values = values[order]
         per_split = [
             (_uniform_w1(values[~m]), _uniform_w1(values[m]), _w1_partition(values, m))

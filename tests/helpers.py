@@ -171,6 +171,32 @@ def linear_corpus(
     return spec, datasets
 
 
+def diverging_corpus(long_scale: float, seed: int = 0) -> list[TimeSeriesDataset]:
+    """Three 120-row experiments of an explosive channel (y' = 1.05 y + u)
+    and one 20,000-row experiment ``long`` of a stable one (y' = 0.5 y + u),
+    whose inputs and first state have scale ``long_scale``.
+
+    A fit that the short experiments dominate has a spectral radius near
+    1.05, and its rollout of ``long`` overflows. At ``long_scale`` 50 the
+    long experiment dominates every fit it is in, so only the folds that
+    hold it out diverge; at 0.01 the short ones dominate every fit, and
+    every fold diverges.
+    """
+    rng = np.random.default_rng(seed)
+
+    def experiment(root, steps, scale, experiment_id):
+        u = scale * rng.standard_normal(steps)
+        y = np.empty(steps)
+        y[0] = scale
+        for t in range(steps - 1):
+            y[t + 1] = root * y[t] + u[t]
+        data = np.column_stack([u, y])
+        return make_dataset(data, ["u", "y"], ["input", "observable"], experiment_id=experiment_id)
+
+    short = [experiment(1.05, 120, 1.0, f"s{i}") for i in range(3)]
+    return [*short, experiment(0.5, 20_000, long_scale, "long")]
+
+
 def parseval_gap(values: np.ndarray, magnitude: np.ndarray) -> float:
     """Relative mismatch between two-sided squared amplitudes and mean square."""
     values = np.asarray(values, dtype=float)

@@ -17,13 +17,14 @@ from dedsid.validation import Aggregate, CvReport, FoldResult
 
 
 def cv_report(r2: float) -> CvReport:
-    fold = FoldResult(0, ("e1",), {"y": 0.9}, {"y": r2}, {"y": 0.1}, {"y": 0.2}, 2, 1.5, 0.9)
+    fold = FoldResult(0, ("e1",), False, {"y": 0.9}, {"y": r2}, {"y": 0.1}, {"y": 0.2}, 2, 1.5, 0.9)
     return CvReport(
         p=1,
         repeats=1,
         eval_mode="rollout",
         observables=("y",),
         folds=(fold,),
+        finite_folds=1,
         aggregates={"r2_test": {"y": Aggregate(r2, 0.0)}},
     )
 
@@ -35,7 +36,7 @@ class TestToPlain:
     def test_dataclass_fields_in_order_with_lists_for_tuples_and_arrays(self):
         plain = to_plain({"report": cv_report(0.5), "m": np.eye(2)})
         assert list(plain["report"]) == [
-            "p", "repeats", "eval_mode", "observables", "folds", "aggregates"
+            "p", "repeats", "eval_mode", "observables", "folds", "finite_folds", "aggregates"
         ]
         assert plain["report"]["folds"][0]["test_ids"] == ["e1"]
         assert plain["report"]["aggregates"]["r2_test"]["y"] == {"mean": 0.5, "ci95": 0.0}

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -15,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dedsid
-from dedsid.cli import PIPELINE, _Run, build_parser, main
-from dedsid.config import RunConfig, load_run_config
+from dedsid import cli, validation
+from dedsid.cli import PIPELINE, _Run, _write_corpus, build_parser, main
+from dedsid.config import RunConfig, default_config_payload, load_run_config
 from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
 from dedsid.errors import ConfigError, DataError
 from dedsid.validation import predict_series
-from helpers import mostly
+from helpers import diverging_corpus, mostly
 
 
 @pytest.fixture(scope="session")
@@ -393,6 +396,122 @@ class TestPipeline:
                 test = np.concatenate([column[i] for i in fold["test_ids"]])
                 train = np.concatenate([v for i, v in column.items() if i not in fold["test_ids"]])
                 assert got == pytest.approx(scipy.stats.wasserstein_distance(test, train), rel=1e-9)
+
+
+def perfbench_checks():
+    """The benchmark's own output checks, ``perfbench/checks.py``, imported
+    without writing a bytecode cache next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+    return module
+
+
+@pytest.fixture(scope="module")
+def rated(corpus):
+    """``freq-study`` run alone, then ``pipeline`` and ``freq-study`` in the
+    same output directory: the output directory and the first run's
+    ``freq_study.*`` bytes."""
+    cfg_path = derived_config(corpus, "out_rate")
+    out = corpus / "out_rate"
+    assert main(["freq-study", "--config", str(cfg_path)]) == 0
+    alone = read_tree(out)
+    for command in ("pipeline", "freq-study"):
+        assert main([command, "--config", str(cfg_path)]) == 0
+    return out, alone
+
+
+class TestRateStudy:
+    def test_factor_one_is_the_cv_score(self, rated):
+        out = rated[0]
+        aggregates = json.loads((out / "cv_report.json").read_text())["cv"]["aggregates"]
+        row = json.loads((out / "freq_study.json").read_text())["rows"][0]
+        assert row["factor"] == 1
+        assert row["r2_test"] == aggregates["r2_test"]
+        assert row["rmse_test"] == aggregates["rmse_test"]
+
+    def test_alone_and_after_pipeline_write_the_same_study(self, rated):
+        out, alone = rated
+        after = read_tree(out)
+        assert set(alone) == {"freq_study.json", "freq_study.csv"}
+        assert {name: after[name] for name in alone} == alone
+
+    def test_benchmark_checks_pass(self, corpus, rated):
+        assert perfbench_checks().check_corpus_round(corpus, rated[0], True) == []
+
+    def test_one_full_rate_pass(self, corpus, monkeypatch):
+        # The screening pass, narrowed, is factor 1's; only factor 2 builds
+        # a pass of its own.
+        passes = []
+
+        def counted(build):
+            def wrapper(datasets, inputs, observables):
+                snapshots = build(datasets, inputs, observables)
+                passes.append(([ds.row_count for ds in datasets], snapshots.pair_count))
+                return snapshots
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_snapshots", counted(cli.build_snapshots))
+        monkeypatch.setattr(validation, "build_snapshots", counted(validation.build_snapshots))
+        cfg_path = derived_config(
+            corpus, "out_passes", decimation_factors=[1, 2], lpocv={"p": 2, "repeats": 2}
+        )
+        assert main(["freq-study", "--config", str(cfg_path)]) == 0
+        (rows, full), (slow_rows, slow) = passes
+        assert full == sum(rows) - len(rows)
+        assert slow_rows == [math.ceil(m / 2) for m in rows]
+        assert slow == sum(slow_rows) - len(slow_rows)
+
+
+def diverging_config(root: Path, long_scale: float) -> Path:
+    """A corpus of ``diverging_corpus(long_scale)`` under ``root`` and its
+    config: leave-one-out over 6 seeded draws."""
+    datasets = diverging_corpus(long_scale)
+    _write_corpus(datasets, datasets[0].channels, root)
+    payload = default_config_payload("manifest.json", "schema.json", "out", seed=0)
+    payload["lpocv"] = {"p": 1, "repeats": 6}
+    (root / "config.json").write_text(json.dumps(payload))
+    return root / "config.json"
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} in JSON")
+
+
+class TestDivergedFolds:
+    def test_diverged_folds_are_flagged_and_left_out(self, tmp_path):
+        cfg_path = diverging_config(tmp_path, long_scale=50.0)
+        assert main(["cv", "--config", str(cfg_path)]) == 0
+        text = (tmp_path / "out" / "cv_report.json").read_text()
+        payload = json.loads(text, parse_constant=refuse_constant)
+        cv, envelope = payload["cv"], payload["envelope"]
+        diverged = [fold["diverged"] for fold in cv["folds"]]
+        assert diverged == [fold["test_ids"] == ["long"] for fold in cv["folds"]]
+        assert 0 < sum(diverged) < len(diverged)
+        finite = [fold for fold in cv["folds"] if not fold["diverged"]]
+        assert cv["finite_folds"] == len(finite)
+        for fold in cv["folds"]:
+            if fold["diverged"]:
+                assert fold["rmse_test"] == {"y": None}
+        for metric, per_obs in cv["aggregates"].items():
+            vals = np.array([fold[metric]["y"] for fold in finite])
+            assert per_obs["y"]["mean"] == float(vals.mean())
+        rmse = cv["aggregates"]["rmse_test"]["y"]
+        assert envelope == {"rmse": {"y": rmse["mean"]}, "ci95": {"y": rmse["ci95"]}}
+
+    def test_every_fold_diverged_is_4(self, tmp_path, capsys):
+        cfg_path = diverging_config(tmp_path, long_scale=0.01)
+        assert main(["cv", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric failure: the rollouts of all 6 cross-validation folds diverged" in err
+        assert not (tmp_path / "out" / "cv_report.json").exists()
 
 
 class TestExitCodes:

@@ -58,8 +58,6 @@ class TestDataset:
         ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], names=["u", "y"], kinds=["input", "observable"])
         assert ds.row_count == 2
         assert ds.channel_names == ("u", "y")
-        assert ds.input_names == ("u",)
-        assert ds.observable_names == ("y",)
         assert np.array_equal(ds.column("y"), [2.0, 4.0])
         assert np.array_equal(ds.matrix_for(["y", "u"]), [[2.0, 1.0], [4.0, 3.0]])
 

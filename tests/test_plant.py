@@ -255,7 +255,8 @@ class TestDemoCorpus:
         ds = datasets[0]
         assert ds.channel_names[:3] == ("x_mm", "y_mm", "z_mm")
         assert set(spec.observable_names) <= set(ds.channel_names)
-        assert ds.names_of_kind("observable") == spec.observable_names
+        observables = tuple(c.name for c in ds.channels if c.kind == "observable")
+        assert observables == spec.observable_names
 
     def test_flags_are_complements_and_gas_constant(self):
         _, datasets = make_demo_experiments(2, seed=2)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    diverging_corpus,
     fit_on_datasets,
     linear_corpus,
     lpocv,
@@ -16,14 +17,21 @@ from helpers import (
 from dedsid.artifacts import to_plain
 from dedsid.config import EVAL_MODES, FitConfig
 from dedsid.dataset import decimate
-from dedsid.dmdc import StateSpaceModel
-from dedsid.errors import ConstantActual, DimensionMismatch, EmptySample, TooFewExperiments
+from dedsid.dmdc import StateSpaceModel, build_snapshots
+from dedsid.errors import (
+    AllFoldsDiverged,
+    ConstantActual,
+    DimensionMismatch,
+    EmptySample,
+    TooFewExperiments,
+)
 from dedsid.validation import (
     UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
     frequency_study,
     predict_series,
+    run_lpocv,
 )
 
 
@@ -187,6 +195,7 @@ class TestLpocv:
         spec, datasets = linear_corpus(q=2, p=2, n_exp=6, steps=900, seed=24)
         splits = draw_splits(len(datasets), 2, 6, 0)
         report, envelope = lpocv(datasets, _fit_config(spec), splits)
+        assert report.finite_folds == 6 and not any(f.diverged for f in report.folds)
         for obs in spec.observable_names:
             assert report.aggregates["r2_test"][obs].mean > 0.999
             assert envelope.rmse[obs] < 1e-4
@@ -216,6 +225,30 @@ class TestLpocv:
             lpocv(datasets, _fit_config(spec), draw_splits(3, 1, 2, 0))
         with pytest.raises(EmptySample):
             lpocv(datasets, _fit_config(spec), np.zeros((0, 4), dtype=bool))
+
+    def test_diverged_folds_left_out_of_the_aggregates(self):
+        # Holding out the long experiment leaves a fit of the explosive
+        # short ones, whose rollout of the long one overflows.
+        datasets = diverging_corpus(long_scale=50.0)
+        config = FitConfig(inputs=("u",), observables=("y",))
+        report, envelope = lpocv(datasets, config, np.eye(4, dtype=bool))
+        assert [f.diverged for f in report.folds] == [False, False, False, True]
+        assert report.folds[3].test_ids == ("long",)
+        assert report.folds[3].rmse_test == {"y": None}
+        assert report.finite_folds == 3
+        for metric, per_obs in report.aggregates.items():
+            vals = np.array([getattr(f, metric)["y"] for f in report.folds[:3]])
+            assert np.isfinite(vals).all()
+            assert per_obs["y"].mean == float(vals.mean())
+            assert per_obs["y"].ci95 == float(1.96 * vals.std(ddof=1) / np.sqrt(3))
+        assert envelope.rmse["y"] == report.aggregates["rmse_test"]["y"].mean
+        assert envelope.ci95["y"] == report.aggregates["rmse_test"]["y"].ci95
+
+    def test_every_fold_diverged_is_a_numeric_error(self):
+        datasets = diverging_corpus(long_scale=0.01)
+        config = FitConfig(inputs=("u",), observables=("y",))
+        with pytest.raises(AllFoldsDiverged, match="all 4 cross-validation folds diverged"):
+            lpocv(datasets, config, np.eye(4, dtype=bool))
 
     def test_envelope_from_dict_round_trip(self):
         env = UncertaintyEnvelope(rmse={"y1": 0.5}, ci95={"y1": 0.125})
@@ -325,21 +358,25 @@ class TestBoundPredictions:
 
 class TestFrequencyStudy:
     def test_factor_one_matches_direct_run(self):
+        # Factor 1 is scored on the pass it is given, so its row is the
+        # direct run's aggregates bit for bit, wherever it stands in the list.
         spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=600, seed=28, noise_sd=0.02)
         cfg = _fit_config(spec)
         splits = draw_splits(len(datasets), 2, 3, 5)
-        rows = frequency_study(datasets, cfg, factors=[1, 3], splits=splits)
-        direct, _ = lpocv(datasets, cfg, splits)
-        assert rows[0].factor == 1
-        assert rows[0].sample_rate_hz == 100.0
-        for obs in spec.observable_names:
-            assert rows[0].r2_test[obs].mean == pytest.approx(
-                direct.aggregates["r2_test"][obs].mean, rel=1e-12
-            )
+        snapshots = build_snapshots(datasets, cfg.inputs, cfg.observables)
+        rows = frequency_study(datasets, cfg, [3, 1], splits, snapshots)
+        direct, _ = run_lpocv(datasets, cfg, splits, snapshots)
+        assert rows[1].factor == 1
+        assert rows[1].sample_rate_hz == 100.0
+        assert rows[1].r2_test == direct.aggregates["r2_test"]
+        assert rows[1].rmse_test == direct.aggregates["rmse_test"]
+        assert rows[0].r2_test != direct.aggregates["r2_test"]
 
     def test_decimated_rate_recorded(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=600, seed=29)
         splits = draw_splits(len(datasets), 1, 2, 0)
-        rows = frequency_study(datasets, _fit_config(spec), factors=[2], splits=splits)
+        cfg = _fit_config(spec)
+        snapshots = build_snapshots(datasets, cfg.inputs, cfg.observables)
+        rows = frequency_study(datasets, cfg, [2], splits, snapshots)
         assert rows[0].sample_rate_hz == 50.0
         assert decimate(datasets[0], 2).row_count == 300

@@ -13,6 +13,8 @@ from dedsid.wasserstein import (
     PAIR_TEST_TRAIN,
     PAIR_TEST_UNIFORM,
     PAIR_TRAIN_UNIFORM,
+    _uniform_w1,
+    _w1_partition,
     ci95_halfwidth,
     split_shift_report,
 )
@@ -285,6 +287,31 @@ class TestSplitShiftReport:
         splits = np.array([[False, False, False, True, True]])
         results = {r.pair_label: r for r in split_shift_report(train + test, splits, ["m"])}
         assert results[PAIR_TEST_TRAIN].mean_distance > 3.0
+
+    def test_order_within_ties_changes_no_distance(self):
+        # A 0/1 flag channel and a few-valued one: numpy's default argsort
+        # orders their ties otherwise than a stable sort, and every distance
+        # still equals, bit for bit, the one scored on the stable order.
+        rng = np.random.default_rng(6)
+        columns = [
+            np.column_stack([rng.integers(0, 2, 4000), rng.integers(-3, 4, 4000)]).astype(float)
+            for _ in range(4)
+        ]
+        corpus = [make_dataset(c, names=["flag", "level"]) for c in columns]
+        splits = np.array([[True, False, False, True], [False, True, False, False]])
+        results = split_shift_report(corpus, splits, ["flag", "level"])
+        experiment = np.repeat(np.arange(4), 4000)
+        for j, channel in enumerate(("flag", "level")):
+            values = np.concatenate([c[:, j] for c in columns])
+            order = np.argsort(values, kind="stable")
+            assert not np.array_equal(np.argsort(values), order)
+            ordered = values[order]
+            expected = [
+                (_uniform_w1(ordered[~m]), _uniform_w1(ordered[m]), _w1_partition(ordered, m))
+                for m in splits[:, experiment[order]]
+            ]
+            got = [r.distances for r in results if r.channel == channel]
+            assert got == [tuple(d) for d in zip(*expected)]
 
     def test_splits_must_mark_each_experiment(self):
         corpus = self._corpus(3)
