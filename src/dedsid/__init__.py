@@ -20,6 +20,7 @@ _EXPORTS = {
         "ChannelSpec",
         "ExperimentManifest",
         "ManifestEntry",
+        "ParseCache",
         "StandardizationParams",
         "TimeSeriesDataset",
         "decimate",

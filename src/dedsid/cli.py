@@ -11,7 +11,6 @@ codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from functools import cached_property
@@ -29,11 +28,13 @@ from .config import (
     default_config_payload,
     load_run_config,
 )
-from .dataset import TimeSeriesDataset, load_datasets, load_manifest, load_schema
+from .dataset import ParseCache, TimeSeriesDataset, load_datasets, load_manifest, load_schema
 from .dmdc import SnapshotSet, StateSpaceModel, build_snapshots, fit, load_model, save_model
 from .errors import ConfigError, CorruptFile, DataError, NumericError, StaleArtifact
 from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
+    Aggregate,
+    FrequencyStudyRow,
     UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
@@ -90,6 +91,12 @@ class _Run:
         return load_manifest(self.cfg.manifest)
 
     @cached_property
+    def parse_cache(self) -> ParseCache:
+        """Each input file's bytes, read once for its digest and its parse;
+        the parses are kept under ``out/.parsed`` once a stage completes."""
+        return ParseCache(self.out / ".parsed")
+
+    @cached_property
     def provenance(self) -> dict:
         """What each JSON artifact carries and each stage checks upstream ones
         against: the config hash, the seed and the sha256 of every input file."""
@@ -98,17 +105,14 @@ class _Run:
             if entry.experiment_id in paths:
                 raise DataError(f"experiment id {entry.experiment_id!r} is reserved")
             paths[entry.experiment_id] = self.manifest.resolved_path(entry)
-        try:
-            inputs = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
-        except OSError as exc:
-            raise CorruptFile(str(exc.filename), exc.strerror) from None
+        inputs = {k: self.parse_cache.digest(p) for k, p in paths.items()}
         return {**self.cfg.provenance(), "inputs": inputs}
 
     @cached_property
     def ingested(self) -> tuple[list[TimeSeriesDataset], dict]:
         """The datasets as read and the ingest report, whose retained schema they share."""
         schema = load_schema(self.cfg.schema)
-        datasets, reports = load_datasets(self.manifest, schema)
+        datasets, reports = load_datasets(self.manifest, schema, self.parse_cache)
         # A channel that failed ingestion anywhere is dropped everywhere so
         # experiments keep a common schema.
         dropped = sorted({name for r in reports for name in r.excluded_all_nan})
@@ -158,8 +162,11 @@ class _Run:
 
     @cached_property
     def fit_config(self) -> FitConfig:
+        return self.fit_config_over(self.screening["surviving_features"])
+
+    def fit_config_over(self, inputs: Sequence[str]) -> FitConfig:
         return FitConfig(
-            inputs=tuple(self.screening["surviving_features"]),
+            inputs=tuple(inputs),
             observables=tuple(self.names("observable")),
             standardize_inputs=self.cfg.standardize_inputs,
             standardize_observables=self.cfg.standardize_observables,
@@ -344,19 +351,46 @@ def _spectrogram(run: _Run) -> str:
     return f"spectrogram similarity (measured vs model): {summary['model_similarity']:.4f}"
 
 
+def _reported_full_rate(run: _Run) -> tuple[FitConfig, FrequencyStudyRow] | None:
+    """The fit settings over the surviving inputs and factor 1's row, as this
+    run's ``vif_report.json`` and ``cv_report.json`` hold them; None unless
+    both carry its provenance."""
+    observables, provenance = run.names("observable"), run.provenance
+    try:
+        cv = read_json_object(run.out / "cv_report.json", provenance)["cv"]
+        vif = read_json_object(run.out / "vif_report.json", provenance)
+        scores = {
+            metric: {obs: Aggregate(**cv["aggregates"][metric][obs]) for obs in observables}
+            for metric in ("r2_test", "rmse_test")
+        }
+        row = FrequencyStudyRow(
+            factor=1,
+            sample_rate_hz=run.datasets[0].sample_rate_hz,
+            finite_folds=cv["finite_folds"],
+            **scores,
+        )
+        return run.fit_config_over(vif["surviving_features"]), row
+    except (DataError, KeyError, TypeError):
+        return None
+
+
 def _freq_study(run: _Run) -> str:
     factors = run.cfg.decimation_factors
-    rows = frequency_study(run.datasets, run.fit_config, factors, run.splits, run.fit_snapshots)
+    # Without the reports, the screening pass and factor 1's folds run here.
+    config, full_rate = _reported_full_rate(run) or (run.fit_config, run.fit_snapshots)
+    rows = frequency_study(run.datasets, config, factors, run.splits, full_rate)
     write_json(run.out / "freq_study.json", {"rows": rows}, run.provenance)
     table = []
     for row in rows:
         for obs in run.names("observable"):
             r2, rmse = row.r2_test[obs], row.rmse_test[obs]
             table.append(
-                (row.factor, row.sample_rate_hz, obs, r2.mean, r2.ci95, rmse.mean, rmse.ci95)
+                (row.factor, row.sample_rate_hz, row.finite_folds, obs)
+                + (r2.mean, r2.ci95, rmse.mean, rmse.ci95)
             )
-    header = "factor,sample_rate_hz,observable,r2_mean,r2_ci95,rmse_mean,rmse_ci95".split(",")
-    fmt = "%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g"
+    header = "factor,sample_rate_hz,finite_folds,observable,r2_mean,r2_ci95,rmse_mean,rmse_ci95"
+    header = header.split(",")
+    fmt = "%d,%.17g,%d,%s,%.17g,%.17g,%.17g,%.17g"
     _write_table(run, "freq_study.csv", header, np.array(table, dtype=object), fmt)
     return f"frequency study over factors {list(factors)} complete"
 
@@ -382,6 +416,7 @@ PIPELINE = (
 def cmd_stage(args) -> int:
     run = _Run(load_run_config(args.config, args.seed))
     print(STAGES[args.command][1](run))
+    run.parse_cache.save()
     return 0
 
 
@@ -390,6 +425,7 @@ def cmd_pipeline(args) -> int:
     run.splits  # too few experiments for lpocv.p stop the run before any file is written
     for name in PIPELINE:
         STAGES[name][1](run)
+        run.parse_cache.save()
     cv = read_json_object(run.out / "cv_report.json", run.provenance)["cv"]
     r2 = cv["aggregates"]["r2_test"]
     write_json(

@@ -9,6 +9,8 @@ than in call sites.
 from __future__ import annotations
 
 import csv
+import io
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -211,11 +213,106 @@ def pool_moments(
     return total, mean, m2.sum(axis=0) + counts @ (means - mean) ** 2
 
 
+class ParseCache:
+    """Experiment files read once each, and parsed at most once per ``root``.
+
+    ``digest`` reads a file and returns the sha256 of its bytes; ``parse``
+    turns those same bytes into the header and the float matrix below it.
+    With a ``root``, the matrix of bytes whose digest is D is kept in
+    ``root/D.npy``, and ``parse`` loads it in place of ``np.loadtxt``. An
+    entry that is not a float matrix as wide as the header counts as
+    absent, so it is parsed again and replaced. A fresh parse waits in
+    memory until ``save`` writes it (a temporary file, then ``os.replace``),
+    so a run that stops early writes no entry.
+    """
+
+    def __init__(self, root: Path | None = None):
+        self.root = root
+        self._digests: dict[Path, str] = {}
+        self._contents: dict[Path, bytes] = {}
+        self._pending: dict[str, np.ndarray] = {}
+
+    def digest(self, path: Path) -> str:
+        if path not in self._digests:
+            import hashlib  # OpenSSL adds ~4 MB to a process; only digesting runs need it
+
+            try:
+                content = path.read_bytes()
+            except OSError as exc:
+                raise CorruptFile(str(path), str(exc)) from None
+            self._digests[path] = hashlib.sha256(content).hexdigest()
+            self._contents[path] = content
+        return self._digests[path]
+
+    def parse(self, path: Path) -> tuple[list[str], np.ndarray]:
+        digest = self.digest(path)
+        if path not in self._contents:  # parsed before: read again, unchanged
+            del self._digests[path]
+            if self.digest(path) != digest:
+                raise CorruptFile(str(path), "changed while the run read it")
+        content = self._contents.pop(path)
+        header = _csv_header(path, content)
+        raw = self._load(digest, len(header))
+        if raw is None:
+            raw = _parse_rows(path, content, len(header))
+            if self.root is not None:
+                self._pending[digest] = raw
+        return header, raw
+
+    def _load(self, digest: str, width: int) -> np.ndarray | None:
+        if self.root is None:
+            return None
+        try:
+            raw = np.load(self.root / f"{digest}.npy", allow_pickle=False)
+        except (OSError, ValueError, EOFError):
+            return None
+        fits = isinstance(raw, np.ndarray) and raw.dtype == np.float64 and raw.ndim == 2
+        return raw if fits and raw.shape[1] == width else None
+
+    def save(self) -> None:
+        """Write every entry parsed since the last save; one that cannot be
+        written is left out, and a later run parses its file again."""
+        for digest, raw in self._pending.items():
+            entry = self.root / f"{digest}.npy"
+            partial = entry.with_name(f"{digest}.{os.getpid()}.tmp")
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+                with open(partial, "wb") as fh:
+                    np.save(fh, raw)
+                os.replace(partial, entry)
+            except OSError:
+                partial.unlink(missing_ok=True)
+        self._pending.clear()
+
+
+def _csv_header(path: Path, content: bytes) -> list[str]:
+    try:
+        header = next(csv.reader(io.TextIOWrapper(io.BytesIO(content), newline="")), None)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CorruptFile(str(path), str(exc)) from None
+    if not header:
+        raise CorruptFile(str(path), "empty file")
+    return [h.strip() for h in header]
+
+
+def _parse_rows(path: Path, content: bytes, width: int) -> np.ndarray:
+    """The float matrix after the header row; a header-only file is 0 x ``width``."""
+    try:
+        with warnings.catch_warnings():
+            # A header-only file is a valid recording of zero rows.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            raw = np.loadtxt(io.BytesIO(content), delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise CorruptFile(str(path), str(exc)) from None
+    return np.empty((0, width)) if raw.size == 0 else raw
+
+
 def ingest_csv(
     path: str | Path,
     schema: Sequence[ChannelSpec],
     sample_rate_hz: float,
     experiment_id: str | None = None,
+    cache: ParseCache | None = None,
 ) -> tuple[TimeSeriesDataset, IngestReport]:
     """Read one experiment CSV against a channel schema.
 
@@ -226,29 +323,14 @@ def ingest_csv(
     otherwise valid column is an error, because silent interpolation at ingest
     would mask sensor faults that the imputation stage handles explicitly. An
     optional leading ``time_s`` column is checked for uniform spacing against
-    the declared sample rate and then discarded.
+    the declared sample rate and then discarded. The file is read and parsed
+    through ``cache`` (by default one that keeps nothing); every check runs
+    whether its matrix was parsed or loaded.
     """
     path = Path(path)
     if experiment_id is None:
         experiment_id = path.stem
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-    except OSError as exc:
-        raise CorruptFile(str(path), str(exc)) from None
-    if not header:
-        raise CorruptFile(str(path), "empty file")
-    header = [h.strip() for h in header]
-
-    try:
-        with warnings.catch_warnings():
-            # A header-only file is a valid recording of zero rows.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise CorruptFile(str(path), str(exc)) from None
-    if raw.size == 0:
-        raw = np.empty((0, len(header)))
+    header, raw = (cache or ParseCache()).parse(path)
     if raw.shape[1] != len(header):
         raise CorruptFile(str(path), "row width disagrees with header")
 
@@ -407,9 +489,9 @@ def save_manifest(manifest: ExperimentManifest, path: str | Path) -> None:
 
 
 def load_datasets(
-    manifest: ExperimentManifest, schema: Sequence[ChannelSpec]
+    manifest: ExperimentManifest, schema: Sequence[ChannelSpec], cache: ParseCache | None = None
 ) -> tuple[list[TimeSeriesDataset], list[IngestReport]]:
-    """Ingest every experiment in the manifest against one schema."""
+    """Ingest every experiment in the manifest against one schema, through ``cache``."""
     datasets, reports = [], []
     for entry in manifest.entries:
         ds, report = ingest_csv(
@@ -417,6 +499,7 @@ def load_datasets(
             schema,
             entry.sample_rate_hz,
             experiment_id=entry.experiment_id,
+            cache=cache,
         )
         datasets.append(ds)
         reports.append(report)

@@ -85,7 +85,8 @@ def pulse_spectra(
             stacklevel=2,
         )
     out = {}
-    for count in np.unique(counts[counts >= MIN_SEGMENT_SAMPLES]).tolist():
+    # The distinct lengths, ascending; np.unique would import numpy.ma on first use.
+    for count in np.flatnonzero(np.bincount(counts[counts >= MIN_SEGMENT_SAMPLES])).tolist():
         starts = rows[counts == count, 0]
         pulses = values[starts[:, None] + np.arange(count)]
         out[count] = PulseSpectrum(

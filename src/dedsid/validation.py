@@ -337,6 +337,7 @@ def bound_predictions(
 class FrequencyStudyRow:
     factor: int
     sample_rate_hz: float
+    finite_folds: int
     r2_test: Mapping[str, Aggregate]
     rmse_test: Mapping[str, Aggregate]
 
@@ -346,25 +347,31 @@ def frequency_study(
     config: FitConfig,
     factors: Sequence[int],
     splits: np.ndarray,
-    snapshots: SnapshotSet,
+    full_rate: SnapshotSet | FrequencyStudyRow,
 ) -> list[FrequencyStudyRow]:
     """Rerun cross-validation at progressively slower recording rates.
 
     Decimation drops samples outright (no anti-alias filter), exactly as a
     slower sensor would. Every rate is scored on the same ``splits``.
-    Factor 1 is scored on ``snapshots``, the pass ``run_lpocv`` takes for
-    ``datasets``; only the decimated rates build a pass of their own.
+    Factor 1's row is ``full_rate`` when that is a row already scored (cv's,
+    read back from its report); else factor 1 is scored on ``full_rate``,
+    the pass ``run_lpocv`` takes for ``datasets``. Only the decimated rates
+    build a pass of their own.
     """
     rows = []
     channels = config.inputs, config.observables
     for factor in factors:
+        if factor == 1 and isinstance(full_rate, FrequencyStudyRow):
+            rows.append(full_rate)
+            continue
         slowed = [decimate(ds, factor) for ds in datasets]
-        rate_pass = snapshots if factor == 1 else build_snapshots(slowed, *channels)
+        rate_pass = full_rate if factor == 1 else build_snapshots(slowed, *channels)
         report, _ = run_lpocv(slowed, config, splits, rate_pass)
         rows.append(
             FrequencyStudyRow(
                 factor=int(factor),
                 sample_rate_hz=slowed[0].sample_rate_hz,
+                finite_folds=report.finite_folds,
                 r2_test=report.aggregates["r2_test"],
                 rmse_test=report.aggregates["rmse_test"],
             )

@@ -377,6 +377,7 @@ def test_09_pipeline_determinism(tmp_path):
     run("freq-study", "--config", str(cfg))
     second = tree(corpus / "out")
     assert "freq_study.json" in first and "freq_study.csv" in first
+    assert sum(name.startswith(".parsed/") for name in first) == 6
     identical = first == second
     ok = identical and len(first) > 0
     _criterion(

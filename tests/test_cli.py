@@ -93,6 +93,11 @@ def read_tree(root: Path) -> dict:
     }
 
 
+def artifacts(tree: dict) -> dict:
+    """``tree`` less the parse cache under ``.parsed/``."""
+    return {name: data for name, data in tree.items() if not name.startswith(".parsed/")}
+
+
 def child_env() -> dict:
     """This environment, with the imported ``dedsid`` first on a child's PYTHONPATH."""
     src = str(Path(dedsid.__file__).resolve().parents[1])
@@ -155,7 +160,8 @@ class TestStages:
         first_out = payload["iterations"][0]["excluded_feature"]
         assert first_out in ("infill_flag", "contour_flag")
         assert "infill_flag" not in survivors
-        assert sorted(read_tree(out)) == ["vif_report.json"]
+        assert sorted(artifacts(read_tree(out))) == ["vif_report.json"]
+        assert len(list((out / ".parsed").iterdir())) == 6
 
     def test_dist_report(self, corpus):
         cfg_path = derived_config(corpus, "out_dist")
@@ -398,11 +404,12 @@ class TestPipeline:
                 assert got == pytest.approx(scipy.stats.wasserstein_distance(test, train), rel=1e-9)
 
 
-def perfbench_checks():
-    """The benchmark's own output checks, ``perfbench/checks.py``, imported
-    without writing a bytecode cache next to it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, imported without writing a bytecode cache next to it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     written = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
@@ -439,11 +446,11 @@ class TestRateStudy:
     def test_alone_and_after_pipeline_write_the_same_study(self, rated):
         out, alone = rated
         after = read_tree(out)
-        assert set(alone) == {"freq_study.json", "freq_study.csv"}
+        assert set(artifacts(alone)) == {"freq_study.json", "freq_study.csv"}
         assert {name: after[name] for name in alone} == alone
 
     def test_benchmark_checks_pass(self, corpus, rated):
-        assert perfbench_checks().check_corpus_round(corpus, rated[0], True) == []
+        assert perfbench_module("checks").check_corpus_round(corpus, rated[0], True) == []
 
     def test_one_full_rate_pass(self, corpus, monkeypatch):
         # The screening pass, narrowed, is factor 1's; only factor 2 builds
@@ -468,6 +475,78 @@ class TestRateStudy:
         assert full == sum(rows) - len(rows)
         assert slow_rows == [math.ceil(m / 2) for m in rows]
         assert slow == sum(slow_rows) - len(slow_rows)
+
+    def test_study_ignores_missing_and_stale_reports(self, corpus):
+        # freq_study.* are the same bytes whether the run's cv and vif
+        # reports are absent, fresh, or another seed's.
+        cfg_path = derived_config(
+            corpus, "out_reuse", decimation_factors=[1, 2], lpocv={"p": 2, "repeats": 2}
+        )
+        out = corpus / "out_reuse"
+
+        def study() -> dict:
+            assert main(["freq-study", "--config", str(cfg_path)]) == 0
+            return {name: (out / name).read_bytes() for name in ("freq_study.json", "freq_study.csv")}
+
+        alone = study()
+        shutil.rmtree(out)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert study() == alone
+        assert main(["pipeline", "--config", str(cfg_path), "--seed", "5"]) == 0
+        stale = json.loads((out / "cv_report.json").read_text())["provenance"]
+        assert stale["seed"] == 5
+        assert study() == alone
+
+    def test_after_pipeline_parses_and_scores_full_rate_once(self, corpus, monkeypatch):
+        cfg_path = derived_config(
+            corpus, "out_once", decimation_factors=[1, 2, 5], lpocv={"p": 2, "repeats": 2}
+        )
+        calls = dict.fromkeys(["loadtxt", "run_lpocv", "build_snapshots"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        for module in (cli, validation):
+            for name in ("run_lpocv", "build_snapshots"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert calls == {"loadtxt": 6, "run_lpocv": 1, "build_snapshots": 1}
+        calls.update(dict.fromkeys(calls, 0))
+        assert main(["freq-study", "--config", str(cfg_path)]) == 0
+        # Factor 1 is cv's row; only factors 2 and 5 build a pass and fold.
+        assert calls == {"loadtxt": 0, "run_lpocv": 2, "build_snapshots": 2}
+        row = json.loads((corpus / "out_once" / "freq_study.json").read_text())["rows"][0]
+        cv = json.loads((corpus / "out_once" / "cv_report.json").read_text())["cv"]
+        assert row["finite_folds"] == cv["finite_folds"] == 2
+
+    def test_traced_benchmark_commands_run(self, corpus, tmp_path):
+        # The benchmark's traced path (worker.py wraps every public layer
+        # function and counts its work) runs pipeline, then freq-study.
+        spans = perfbench_module("spans")
+        cfg_path = derived_config(corpus, "out_traced", decimation_factors=[1, 2])
+        env = {**child_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+        totals = []
+        for command in ("pipeline", "freq-study"):
+            trace = tmp_path / f"{command}.json"
+            proc = subprocess.run(
+                [sys.executable, str(PERFBENCH / "worker.py"), "cli", "--trace", str(trace),
+                 "--", command, "--config", str(cfg_path)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            totals.append(spans.span_totals(spans.load_spans(trace)))
+        rows = [ds.row_count for ds in _Run(load_run_config(cfg_path)).datasets]
+        for part in totals:
+            assert part["dataset.ingest_csv.rows"] == sum(rows)
+        piped, rated = totals
+        assert piped["validation.run_lpocv.folds"] == rated["validation.run_lpocv.folds"] == 10
+        # The study's only pass is factor 2's.
+        assert rated["dmdc.build_snapshots.pairs"] == sum(math.ceil(m / 2) - 1 for m in rows)
 
 
 def diverging_config(root: Path, long_scale: float) -> Path:
@@ -512,6 +591,48 @@ class TestDivergedFolds:
         err = capsys.readouterr().err
         assert "numeric failure: the rollouts of all 6 cross-validation folds diverged" in err
         assert not (tmp_path / "out" / "cv_report.json").exists()
+
+
+class TestParseCache:
+    def test_damaged_entries_are_parsed_again(self, fitted, monkeypatch):
+        cfg_path = str(fitted / "config.json")
+        out = fitted / "out"
+        before = read_tree(out)
+        entries = sorted((out / ".parsed").iterdir())
+        assert len(entries) == 5
+        entries[0].write_bytes(entries[0].read_bytes()[:-100])
+        np.save(entries[1], np.zeros((4, 3)))
+        parses, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+        assert main(["cv", "--config", cfg_path]) == 0
+        assert len(parses) == 2
+        assert read_tree(out) == before
+
+    def test_edited_file_misses_and_the_run_follows_its_bytes(self, fitted):
+        path = fitted / "exp03.csv"
+        header = path.read_text().splitlines()[0]
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data[:, header.split(",").index("melt_pool_temp_c")] *= 1.5
+        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        cfg_path = fitted / "config.json"
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        report = json.loads((fitted / "out" / "ingest_report.json").read_text())
+        assert report["provenance"]["inputs"]["exp03"] == digest
+        assert len(list((fitted / "out" / ".parsed").iterdir())) == 6
+        assert (fitted / "out" / ".parsed" / f"{digest}.npy").exists()
+        cfg = load_run_config(cfg_path)
+        fresh, _ = load_datasets(load_manifest(cfg.manifest), load_schema(cfg.schema))
+        for got, expected in zip(_Run(cfg).ingested[0], fresh):
+            assert got.data.tobytes() == expected.data.tobytes()
+
+    def test_corrupt_file_leaves_no_entry(self, corpus, tmp_path):
+        lines = (corpus / "exp01.csv").read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        (tmp_path / "exp01.csv").write_text("\n".join(lines) + "\n")
+        cfg = one_experiment_config(corpus, tmp_path, "exp01.csv")
+        assert main(["ingest", "--config", str(cfg)]) == 3
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -19,7 +20,9 @@ from dedsid.artifacts import to_plain
 from dedsid.dataset import (
     ChannelSpec,
     ExperimentManifest,
+    IngestReport,
     ManifestEntry,
+    ParseCache,
     TimeSeriesDataset,
     decimate,
     impute_off_state,
@@ -189,6 +192,12 @@ class TestIngest:
         with pytest.raises(CorruptFile, match=detail):
             ingest_csv(p, SCHEMA, 100.0, "e")
 
+    def test_undecodable_header_is_corrupt(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_bytes(b"u,\xff\xfey\n1.0,2.0\n")
+        with pytest.raises(CorruptFile, match="codec can't decode"):
+            ingest_csv(p, SCHEMA, 100.0, "e")
+
     def test_nan_and_inf_literals_accepted(self, tmp_path):
         p = self._write(tmp_path / "e.csv", "u,y\nnan,inf\nNaN,-inf\n")
         ds, report = ingest_csv(p, SCHEMA, 100.0, "e")
@@ -207,6 +216,88 @@ class TestIngest:
         p = self._write(tmp_path / "e.csv", "y\n1.0\n2.0\n3.0\n")
         ds, _ = ingest_csv(p, (ChannelSpec("y", "au", "observable"),), 100.0, "e")
         assert np.array_equal(ds.data, [[1.0], [2.0], [3.0]])
+
+
+def refuse_loadtxt(*args, **kwargs):
+    raise AssertionError("np.loadtxt called on a cache hit")
+
+
+class TestParseCache:
+    def _record(self, tmp_path):
+        """A CSV of doubles of every size and sign, a time column and a NaN column."""
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(40, 2)) * 10.0 ** rng.integers(-300, 300, (40, 2))
+        values[::9] = [-0.0, 5e-324]
+        rows = np.column_stack([np.arange(40) / 100.0, values, np.full(40, np.nan)])
+        path = tmp_path / "e.csv"
+        with open(path, "w") as fh:
+            fh.write("time_s,u,y,z\n")
+            np.savetxt(fh, rows, delimiter=",", fmt="%.17g")
+        return path
+
+    def _ingest(self, path, cache):
+        schema = (*SCHEMA, ChannelSpec("z", "au", "observable"))
+        return ingest_csv(path, schema, 100.0, "e", cache)
+
+    def test_hit_is_bit_identical_to_a_fresh_parse(self, tmp_path, monkeypatch):
+        path = self._record(tmp_path)
+        fresh, report = self._ingest(path, None)
+        first = ParseCache(tmp_path / "cache")
+        assert first.digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+        self._ingest(path, first)
+        first.save()
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{first.digest(path)}.npy"]
+        monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
+        hit, hit_report = self._ingest(path, ParseCache(tmp_path / "cache"))
+        assert hit.data.tobytes() == fresh.data.tobytes()
+        assert hit.channels == fresh.channels
+        assert hit_report == report == IngestReport("e", ("u", "y"), ("z",))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entry: entry.write_bytes(entry.read_bytes()[:-12]),
+            lambda entry: np.save(entry, np.zeros((40, 3))),
+            lambda entry: np.save(entry, np.zeros((40, 4), dtype=np.float32)),
+            lambda entry: entry.write_bytes(b"not an array"),
+        ],
+        ids=["truncated", "narrow", "float32", "garbage"],
+    )
+    def test_damaged_entry_is_parsed_again_and_replaced(self, tmp_path, damage):
+        path = self._record(tmp_path)
+        cache = ParseCache(tmp_path / "cache")
+        fresh, _ = self._ingest(path, cache)
+        cache.save()
+        entry = tmp_path / "cache" / f"{cache.digest(path)}.npy"
+        good = entry.read_bytes()
+        damage(entry)
+        again = ParseCache(tmp_path / "cache")
+        ds, _ = self._ingest(path, again)
+        assert ds.data.tobytes() == fresh.data.tobytes()
+        again.save()
+        assert entry.read_bytes() == good
+        assert sorted(p.name for p in entry.parent.iterdir()) == [entry.name]
+
+    def test_failed_parse_holds_no_entry(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("u,y\n1.0,2.0\nabc,3.0\n")
+        cache = ParseCache(tmp_path / "cache")
+        with pytest.raises(CorruptFile, match="'abc'"):
+            ingest_csv(path, SCHEMA, 100.0, "e", cache)
+        cache.save()
+        assert not (tmp_path / "cache").exists()
+
+    def test_file_changed_between_reads_is_corrupt(self, tmp_path):
+        # A path parsed twice is read twice; the second read must give the
+        # bytes whose digest the run recorded.
+        path = tmp_path / "e.csv"
+        path.write_text("u,y\n1.0,2.0\n")
+        cache = ParseCache()
+        ingest_csv(path, SCHEMA, 100.0, "e", cache)
+        assert ingest_csv(path, SCHEMA, 100.0, "e", cache)[0].row_count == 1
+        path.write_text("u,y\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(CorruptFile, match="changed while the run read it"):
+            ingest_csv(path, SCHEMA, 100.0, "e", cache)
 
 
 class TestStandardizer:

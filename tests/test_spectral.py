@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from helpers import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dedsid
 from dedsid.config import FitConfig
 from dedsid.errors import (
     GridMismatch,
@@ -204,6 +209,35 @@ class TestPulseSpectra:
             expected = (segs1[count].magnitude * w1 + segs2[count].magnitude * w2) / (w1 + w2)
             assert np.allclose(merged[count].magnitude, expected, rtol=1e-14, atol=0)
             assert merged[count].pulses_averaged == w1 + w2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_buckets_are_the_distinct_lengths(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 12 * (seed + 1), size=40 * (seed + 1))
+        ends = np.cumsum(counts + rng.integers(1, 4, size=counts.size))
+        segments = np.column_stack([ends - counts, ends])
+        series = rng.normal(size=ends[-1] + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SegmentSkippedWarning)
+            buckets = pulse_spectra([series], [segments], 100.0)
+        assert list(buckets) == np.unique(counts[counts >= MIN_SEGMENT_SAMPLES]).tolist()
+
+    def test_loads_no_masked_arrays(self):
+        # numpy's unique imports numpy.ma on first use; every pipeline
+        # process would pay for that import.
+        code = (
+            "import sys, numpy as np\n"
+            "from dedsid.spectral import pulse_spectra\n"
+            "pulse_spectra([np.arange(20.0)], [np.array([[0, 5], [7, 19]])], 10.0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(dedsid.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
     def test_no_datasets_no_buckets(self):
         assert collect_pulse_spectra([], "power", []) == {}

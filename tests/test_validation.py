@@ -371,6 +371,17 @@ class TestFrequencyStudy:
         assert rows[1].r2_test == direct.aggregates["r2_test"]
         assert rows[1].rmse_test == direct.aggregates["rmse_test"]
         assert rows[0].r2_test != direct.aggregates["r2_test"]
+        assert rows[1].finite_folds == direct.finite_folds == 3
+
+    def test_scored_full_rate_row_is_kept(self):
+        # Given factor 1's row already scored, the study keeps it and scores
+        # only the decimated rates, as it would with the pass.
+        spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=600, seed=28, noise_sd=0.02)
+        cfg = _fit_config(spec)
+        splits = draw_splits(len(datasets), 2, 3, 5)
+        snapshots = build_snapshots(datasets, cfg.inputs, cfg.observables)
+        scored = frequency_study(datasets, cfg, [1, 3], splits, snapshots)
+        assert frequency_study(datasets, cfg, [3, 1], splits, scored[0]) == scored[::-1]
 
     def test_decimated_rate_recorded(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=600, seed=29)
