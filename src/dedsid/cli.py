@@ -182,9 +182,10 @@ class _Run:
     @cached_property
     def splits(self) -> np.ndarray:
         """The (repeats, experiments) masks of each split's test experiments:
-        one draw that dist-report, cv and freq-study all score."""
+        one draw that dist-report, cv and freq-study all score. Experiments
+        are counted in the manifest, so a refused p parses no file."""
         lpocv = self.cfg.lpocv
-        return draw_splits(len(self.ingested[0]), lpocv.p, lpocv.repeats, self.cfg.seed)
+        return draw_splits(len(self.manifest.entries), lpocv.p, lpocv.repeats, self.cfg.seed)
 
 
 def _upstream(run: _Run, name: str, stage: str) -> Path:

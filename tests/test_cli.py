@@ -748,6 +748,16 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(cfg_path)]) == 2
         assert not (corpus / "out_toofew_pipe").exists()
 
+    def test_pipeline_refuses_too_few_experiments_before_parsing(self, tmp_path, monkeypatch):
+        # Experiments are counted in the manifest, so the refusal reads no CSV.
+        assert main(["synth", "--out", str(tmp_path), "--experiments", "8", "--seed", "0"]) == 0
+        cfg_path = derived_config(tmp_path, "out_all_tested", lpocv={"p": 8, "repeats": 2})
+        parses, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+        assert main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert len(parses) == 0
+        assert not (tmp_path / "out_all_tested").exists()
+
     def test_missing_experiment_file_is_3(self, corpus, tmp_path, capsys):
         cfg = one_experiment_config(corpus, tmp_path, "ghost.csv")
         assert main(["ingest", "--config", str(cfg)]) == 3
@@ -1178,6 +1188,16 @@ class TestImports:
             "print(FitConfig.__module__, run_lpocv.__module__)"
         )
         assert self.child_lines(code) == ["[]", "dedsid.config dedsid.validation"]
+
+    def test_lapack_lite_is_not_deprecated(self):
+        # dmdc factors its QR blocks with numpy.linalg.lapack_lite.dgeqrf; a
+        # numpy that deprecates the module fails here instead of warning.
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c",
+             "import dedsid.dmdc, numpy.linalg.lapack_lite"],
+            capture_output=True, text=True, env={**child_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_package_attribute_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'nope'"):

@@ -556,30 +556,58 @@ class TestSummarize:
     @given(
         q=st.integers(1, 4),
         p=st.integers(0, 5),
-        rows=st.sampled_from([2, 2047, 2048, 2049, 2050, 32767, 32768, 32769, 32770]),
+        # Around block boundaries, and around the factor's width
+        # w = 1 + 2q + p: fewer than w pairs leave a short R factor.
+        pairs=st.sampled_from(
+            [1, "w - 1", "w", "w + 1", 2046, 2047, 2048, 2049, 32766, 32767, 32768, 32769]
+        ),
         layout=st.sampled_from(["C", "F", "strided"]),
-        spoil=st.sampled_from([None, "middle", "last"]),
+        spoil=st.sampled_from([None, "first", "middle", "last"]),
         value=st.sampled_from([np.nan, np.inf, -np.inf]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_bit_identical_to_chunked_oracle(self, q, p, rows, layout, spoil, value, seed):
+    def test_bit_identical_to_chunked_oracle(self, q, p, pairs, layout, spoil, value, seed):
         rng = np.random.default_rng(seed)
-        width = q + p + 1
+        if isinstance(pairs, str):
+            pairs = 1 + 2 * q + p + {"w - 1": -1, "w": 0, "w + 1": 1}[pairs]
+        rows, width = pairs + 1, q + p + 1
         data = rng.normal(loc=rng.normal(scale=1e3, size=width), size=(3 * rows, width))
         data = data[::3] if layout == "strided" else data[:rows]
         if layout == "F":
             data = np.asfortranarray(data)
         columns = list(rng.permutation(width)[: q + p])
         if spoil is not None:
-            # A middle row of a middle QR block, or the last row, which only
-            # the moments read.
+            # A row of the first QR block, a middle row of a middle block, or
+            # the last row, which only the moments and the last pair read.
             middle = rows // 2 // BLOCK * BLOCK + BLOCK // 2
-            row = rows - 1 if spoil == "last" else min(middle, rows - 1)
+            row = {
+                "first": rng.integers(min(rows, BLOCK)),
+                "middle": min(middle, rows - 1),
+                "last": rows - 1,
+            }[spoil]
             data[row, columns[rng.integers(q + p)]] = value
         got = dmdc._summarize(data[:-1], data[1:], columns, q)
         want = summarize_chunked(data[:-1], data[1:], columns, q)
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
+        if spoil is not None:
+            names = [f"c{j}" for j in columns]
+            snaps = build_snapshots([make_dataset(data)], names[q:], names[:q])
+            with pytest.raises(NonFiniteSnapshots):
+                snaps.require_finite()
+
+    def test_one_in_place_lapack_call_per_block(self, monkeypatch):
+        # Each block is factored by dgeqrf in the work array; the copying
+        # np.linalg.qr wrapper is not called at all.
+        calls, dgeqrf, qr = [], dmdc.lapack_lite.dgeqrf, np.linalg.qr
+        monkeypatch.setattr(
+            dmdc.lapack_lite, "dgeqrf", lambda *a: calls.append("dgeqrf") or dgeqrf(*a)
+        )
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append("qr") or qr(*a, **k))
+        lengths = [2, 9, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 1, 3 * BLOCK + 2]
+        datasets, inputs, observables = random_corpus(2, 3, lengths, seed=15)
+        build_snapshots(datasets, inputs, observables)
+        assert calls == ["dgeqrf"] * sum(-(-(m - 1) // BLOCK) for m in lengths)
 
     def test_peak_memory_independent_of_length(self):
         # No experiment's rows are copied whole: the pass copies the shift
