@@ -1,11 +1,14 @@
-"""One JSON encoding and one CSV row writer for every artifact the toolkit writes.
+"""One JSON codec and one CSV row writer for every file the toolkit writes.
 
 Artifacts are dataclasses, mappings, sequences and arrays of plain values.
 ``to_plain`` turns them into JSON-ready values by walking dataclass fields
-in declaration order, so a type's fields are its file format. ``write_json``
-is the only JSON writer: it refuses NaN and -inf, spells +inf as ``"inf"``
-(an infinite VIF is a legitimate result), and lays the file down only once
-the whole payload has encoded, so a refused artifact leaves no partial file.
+in declaration order, so a type's fields are its file format, and
+``from_plain`` reads such values back into the declared types, checking
+each one: the config, the manifest, the schema, ``model.json`` and the
+reports a later stage reuses are all read through it. ``write_json`` is the
+only JSON writer: it refuses NaN and -inf, spells +inf as ``"inf"`` (an
+infinite VIF is a legitimate result), and lays the file down only once the
+whole payload has encoded, so a refused artifact leaves no partial file.
 ``write_rows`` writes every CSV table, experiment files included.
 """
 
@@ -14,8 +17,10 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path, PurePath
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -43,6 +48,72 @@ def to_plain(obj):
     if isinstance(obj, float) and obj == math.inf:
         return "inf"
     return obj
+
+
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string", Path: "a path"}
+
+
+def from_plain(tp, value, base: Path = Path(), key: str = "", label: str = ""):
+    """``value``, as ``json.load`` returns it, read as the type ``tp``: the
+    inverse of ``to_plain`` for dataclasses, ``tuple[X, ...]``,
+    ``Mapping[str, X]``, ``np.ndarray`` (nested lists of numbers, read as
+    float64), ``X | None``, ``bool``, ``int``, finite ``float``, ``str`` and
+    ``Path`` (resolved against ``base``).
+
+    A dataclass is an object of its fields: a missing key takes the field
+    default, an unknown key is refused, and a field whose metadata sets
+    ``from_plain`` false is never read. A value of the wrong JSON type is a
+    ``ValueError`` naming ``key``, its path from the top, with ``label``
+    before each "key" or "section" of the message.
+    """
+    origin = get_origin(tp)
+    if origin is UnionType:  # ``X | None``, the only union used
+        return None if value is None else from_plain(get_args(tp)[0], value, base, key, label)
+    if origin is tuple or tp is np.ndarray:
+        if not isinstance(value, list):
+            raise ValueError(f"{label}key {key!r} must be a list, got {value!r}")
+        if origin is tuple:
+            item = get_args(tp)[0]
+            return tuple(
+                from_plain(item, v, base, f"{key}[{i}]", label) for i, v in enumerate(value)
+            )
+        cells = np.array(value, dtype=object)  # a ragged nest leaves lists among the cells
+        floats = [from_plain(float, v, key=key, label=label) for v in cells.flat]
+        return np.array(floats, dtype=float).reshape(cells.shape)
+    if origin is Mapping or is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{label}section {key!r} must be a JSON object")
+        prefix = f"{key}." if key else ""
+        if origin is Mapping:
+            item = get_args(tp)[1]
+            return {k: from_plain(item, v, base, prefix + k, label) for k, v in value.items()}
+        keys = [f for f in fields(tp) if f.metadata.get("from_plain", True)]
+        unknown = sorted(set(value) - {f.name for f in keys})
+        if unknown:
+            raise ValueError(f"unknown {label}key {prefix + unknown[0]!r}")
+        hints, values = get_type_hints(tp), {}
+        for f in keys:
+            if f.name in value:
+                name = prefix + f.name
+                values[f.name] = from_plain(hints[f.name], value[f.name], base, name, label)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{label}missing required key {prefix + f.name!r}")
+        return tp(**values)
+    if tp is float:  # an int too large for a float fails the conversion below
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        ok = ok or isinstance(value, float) and math.isfinite(value)
+    elif tp is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, str if tp is Path else tp)
+    if not ok:
+        raise ValueError(f"{label}key {key!r} must be {_KINDS[tp]}, got {value!r}")
+    try:
+        if tp is Path:
+            return (base / value).resolve()
+        return float(value) if tp is float else value
+    except (OSError, OverflowError, ValueError) as exc:  # NUL in a path, int beyond float
+        raise ValueError(f"{label}key {key!r} cannot be used: {exc}") from None
 
 
 def write_json(path: str | Path, obj, provenance: dict | None = None) -> None:

@@ -15,12 +15,12 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import dataset as dsmod
-from .artifacts import read_json_object, to_plain, write_json, write_rows
+from .artifacts import from_plain, read_json_object, to_plain, write_json, write_rows
 from .config import (
     FitConfig,
     ImputationDirective,
@@ -253,10 +253,10 @@ def _load_envelope(run: _Run, observables: Sequence[str]) -> UncertaintyEnvelope
     path = _upstream(run, "cv_report.json", "cv")
     payload = read_json_object(path, run.provenance)
     try:
-        envelope = UncertaintyEnvelope(**payload["envelope"])
-        for name in observables:  # every bound needs a numeric half-width
-            float(envelope.half_width(name))
-    except (KeyError, TypeError, ValueError) as exc:
+        envelope = from_plain(UncertaintyEnvelope, payload.get("envelope"), key="envelope")
+        for name in observables:  # every bound needs a half-width
+            envelope.half_width(name)
+    except (KeyError, ValueError) as exc:
         raise CorruptFile(str(path), f"no uncertainty envelope: {exc!r}") from None
     return envelope
 
@@ -355,23 +355,24 @@ def _spectrogram(run: _Run) -> str:
 def _reported_full_rate(run: _Run) -> tuple[FitConfig, FrequencyStudyRow] | None:
     """The fit settings over the surviving inputs and factor 1's row, as this
     run's ``vif_report.json`` and ``cv_report.json`` hold them; None unless
-    both carry its provenance."""
+    both carry its provenance and decode."""
     observables, provenance = run.names("observable"), run.provenance
     try:
         cv = read_json_object(run.out / "cv_report.json", provenance)["cv"]
         vif = read_json_object(run.out / "vif_report.json", provenance)
-        scores = {
-            metric: {obs: Aggregate(**cv["aggregates"][metric][obs]) for obs in observables}
-            for metric in ("r2_test", "rmse_test")
-        }
+        aggregates = from_plain(Mapping[str, Mapping[str, Aggregate]], cv["aggregates"])
         row = FrequencyStudyRow(
             factor=1,
             sample_rate_hz=run.datasets[0].sample_rate_hz,
-            finite_folds=cv["finite_folds"],
-            **scores,
+            finite_folds=from_plain(int, cv["finite_folds"]),
+            **{
+                metric: {obs: aggregates[metric][obs] for obs in observables}
+                for metric in ("r2_test", "rmse_test")
+            },
         )
-        return run.fit_config_over(vif["surviving_features"]), row
-    except (DataError, KeyError, TypeError):
+        survivors = from_plain(tuple[str, ...], vif["surviving_features"])
+        return run.fit_config_over(survivors), row
+    except (DataError, KeyError, TypeError, ValueError):  # absent, stale or undecodable
         return None
 
 

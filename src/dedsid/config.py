@@ -3,10 +3,11 @@
 The dataclasses below are the schema, and the one declaration of every run
 setting's default: library functions that take one of these settings as a
 parameter default to the field here. Each config key is a field, and a
-missing key takes the field default. ``load_run_config`` checks every value
-against its field type and rejects unknown keys, so a bad config ends in
-``ConfigError`` naming the key. Paths resolve relative to the config file's
-own directory so a config travels with its data.
+missing key takes the field default. ``load_run_config`` reads the payload
+with ``artifacts.from_plain``, which checks every value against its field
+type and rejects unknown keys, so a bad config ends in ``ConfigError``
+naming the key. Paths resolve relative to the config file's own directory
+so a config travels with its data.
 
 Every artifact is stamped with ``config_sha256``: the sha256 of the payload
 as written, with the effective seed substituted, serialized as key-sorted
@@ -18,13 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Sequence
 
-from .artifacts import to_plain
+from .artifacts import from_plain, to_plain
 from .errors import ConfigError
 
 EVAL_MODES = ("rollout", "one-step")
@@ -92,62 +91,10 @@ class RunConfig:
     predict_experiment: str | None = None
     position_channels: tuple[str, ...] = ("x_mm", "y_mm", "z_mm")
     # Stamped by load_run_config from the payload, never read from it.
-    config_sha256: str = field(default="", metadata={"config_key": False})
+    config_sha256: str = field(default="", metadata={"from_plain": False})
 
     def provenance(self) -> dict:
         return {"config_sha256": self.config_sha256, "seed": self.seed}
-
-
-_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string", Path: "a path"}
-
-
-def _value(tp, value, key: str, base: Path):
-    """``value`` checked against the field type ``tp``, paths resolved."""
-    if get_origin(tp) is UnionType:  # ``X | None``, the only union used
-        return None if value is None else _value(get_args(tp)[0], value, key, base)
-    if get_origin(tp) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
-        return tuple(_value(get_args(tp)[0], v, f"{key}[{i}]", base) for i, v in enumerate(value))
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {key!r} must be a JSON object")
-        return _load_section(tp, value, base, f"{key}.")
-    if tp is float:  # an int too large for a float fails the conversion below
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        ok = ok or isinstance(value, float) and math.isfinite(value)
-    elif tp is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, str if tp is Path else tp)
-    if not ok:
-        raise ConfigError(f"config key {key!r} must be {_KINDS[tp]}, got {value!r}")
-    try:
-        if tp is Path:
-            return (base / value).resolve()
-        return float(value) if tp is float else value
-    except (OSError, OverflowError, ValueError) as exc:  # NUL in a path, int beyond float
-        raise ConfigError(f"config key {key!r} cannot be used: {exc}") from None
-
-
-def _load_section(cls, mapping: dict, base: Path, prefix: str = ""):
-    """An instance of the config dataclass ``cls`` read from ``mapping``.
-
-    Each key is a field; a missing key takes the field default, an unknown
-    one is an error.
-    """
-    keys = [f for f in fields(cls) if f.metadata.get("config_key", True)]
-    unknown = sorted(set(mapping) - {f.name for f in keys})
-    if unknown:
-        raise ConfigError(f"unknown config key {prefix + unknown[0]!r}")
-    hints = get_type_hints(cls)
-    values = {}
-    for f in keys:
-        if f.name in mapping:
-            values[f.name] = _value(hints[f.name], mapping[f.name], prefix + f.name, base)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"config missing required key {prefix + f.name!r}")
-    return cls(**values)
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None) -> RunConfig:
@@ -162,7 +109,10 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
 
-    cfg = _load_section(RunConfig, payload, path.parent)
+    try:
+        cfg = from_plain(RunConfig, payload, path.parent, label="config ")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     seed = cfg.seed if seed_override is None else int(seed_override)
     cfg = replace(cfg, seed=seed, config_sha256=_hash_resolved(payload, seed))
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import read_json_object, write_json, write_rows
+from .artifacts import from_plain, read_json_object, write_json, write_rows
 from .errors import (
     AllSentinel,
     CorruptFile,
@@ -443,42 +443,29 @@ def decimate(ds: TimeSeriesDataset, factor: int) -> TimeSeriesDataset:
 def load_schema(path: str | Path) -> tuple[ChannelSpec, ...]:
     payload = read_json_object(path)
     try:
-        return tuple(ChannelSpec(**d) for d in payload["channels"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptFile(str(path), f"malformed channel list: {exc!r}") from None
+        return from_plain(tuple[ChannelSpec, ...], payload.get("channels"), key="channels")
+    except ValueError as exc:
+        raise CorruptFile(str(path), f"malformed channel list: {exc}") from None
 
 
 def save_schema(channels: Iterable[ChannelSpec], path: str | Path) -> None:
     write_json(path, {"channels": list(channels)})
 
 
-def _rate(value) -> float:
-    if isinstance(value, (str, bool)):  # float() would take "100" and true (1 Hz)
-        raise TypeError(f"sample_rate_hz must be a number, got {value!r}")
-    return float(value)
-
-
 def load_manifest(path: str | Path) -> ExperimentManifest:
     path = Path(path)
     payload = read_json_object(path)
     try:
-        entries = tuple(
-            ManifestEntry(
-                experiment_id=e["experiment_id"],
-                path=e["path"],
-                sample_rate_hz=_rate(e["sample_rate_hz"]),
-            )
-            for e in payload["experiments"]
+        entries = from_plain(
+            tuple[ManifestEntry, ...], payload.get("experiments"), key="experiments"
         )
         for i, e in enumerate(entries):
-            if not (isinstance(e.experiment_id, str) and isinstance(e.path, str)):
-                raise TypeError(f"experiment {i}: id and path must be strings, got {e}")
-            if not 0 < e.sample_rate_hz < np.inf:
-                raise ValueError(f"experiment {i}: rate must be finite and positive, got {e}")
+            if not e.sample_rate_hz > 0:
+                raise ValueError(f"experiment {i}: rate must be positive, got {e}")
         manifest = ExperimentManifest(entries=entries, root=path.parent)
         missing = [e.path for e in entries if not manifest.resolved_path(e).exists()]
-    except (KeyError, TypeError, ValueError, OverflowError, OSError) as exc:
-        raise CorruptFile(str(path), f"malformed experiment list: {exc!r}") from None
+    except (ValueError, OSError) as exc:
+        raise CorruptFile(str(path), f"malformed experiment list: {exc}") from None
     if missing:
         raise DataError(f"manifest references missing file {missing[0]!r}")
     return manifest

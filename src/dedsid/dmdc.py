@@ -15,7 +15,6 @@ full rank keeps the operator interpretable per channel.
 
 from __future__ import annotations
 
-import base64
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .artifacts import check_provenance, read_json_object, write_json
+from .artifacts import check_provenance, from_plain, read_json_object, write_json
 from .dataset import (
     StandardizationParams,
     TimeSeriesDataset,
@@ -44,7 +43,7 @@ from .errors import (
 )
 
 MODEL_FORMAT = "dedsid.model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 _EPS = float(np.finfo(float).eps)
 # Pairs per QR step of an experiment's pass: the block plus the carried R
@@ -241,6 +240,9 @@ def build_snapshots(
 
 @dataclass(frozen=True)
 class StateSpaceModel:
+    """y[t+1] = A y[t] + B u[t] over the named channels, each side with the
+    standardizer of its channels or None; the fields are ``model.json``'s."""
+
     A: np.ndarray
     B: np.ndarray
     observable_names: tuple[str, ...]
@@ -249,8 +251,7 @@ class StateSpaceModel:
     svd_rank_used: int
     input_standardizer: StandardizationParams | None = None
     observable_standardizer: StandardizationParams | None = None
-    # s[0] / s[r - 1] of the fitted snapshot matrix over the rank used; a
-    # model read from a file does not carry it.
+    # s[0] / s[r - 1] of the fitted snapshot matrix over the rank used.
     condition_number: float | None = None
 
     def __post_init__(self):
@@ -260,6 +261,14 @@ class StateSpaceModel:
             raise DimensionMismatch(f"A must be {q}x{q}, got {self.A.shape}")
         if self.B.shape != (q, p):
             raise DimensionMismatch(f"B must be {q}x{p}, got {self.B.shape}")
+        for std, names in (
+            (self.input_standardizer, self.input_names),
+            (self.observable_standardizer, self.observable_names),
+        ):
+            if std is not None and std.channels != tuple(names):
+                raise DimensionMismatch(
+                    f"standardizer of channels {list(std.channels)} for {list(names)}"
+                )
 
     @property
     def state_dim(self) -> int:
@@ -472,42 +481,9 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
     return y.reshape(batch, chunks * L, q)[:, :steps]
 
 
-def _encode_matrix(m: np.ndarray) -> dict:
-    m = np.ascontiguousarray(m, dtype="<f8")
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "encoding": "base64/float64-le/row-major",
-        "data": base64.b64encode(m.tobytes()).decode("ascii"),
-    }
-
-
-def _decode_matrix(d: dict, path: str) -> np.ndarray:
-    try:
-        raw = base64.b64decode(d["data"].encode("ascii"), validate=True)
-        rows, cols = int(d["rows"]), int(d["cols"])
-    except (KeyError, ValueError, AttributeError) as exc:
-        raise CorruptFile(path, f"bad matrix block: {exc}") from None
-    if len(raw) != rows * cols * 8:
-        raise CorruptFile(path, "matrix byte length disagrees with shape")
-    return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-
-
 def save_model(model: StateSpaceModel, path: str | Path, provenance: dict | None = None) -> None:
     """Write ``model``, with the ``provenance`` record of its run if given."""
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "sample_rate_hz": model.sample_rate_hz,
-        "svd_rank_used": model.svd_rank_used,
-        "observables": model.observable_names,
-        "inputs": model.input_names,
-        "A": _encode_matrix(model.A),
-        "B": _encode_matrix(model.B),
-        "input_standardizer": model.input_standardizer,
-        "observable_standardizer": model.observable_standardizer,
-    }
-    write_json(path, payload, provenance)
+    write_json(path, {"format": MODEL_FORMAT, "version": MODEL_VERSION, "model": model}, provenance)
 
 
 def load_model(path: str | Path, provenance: dict | None = None) -> StateSpaceModel:
@@ -522,18 +498,6 @@ def load_model(path: str | Path, provenance: dict | None = None) -> StateSpaceMo
     if provenance is not None:  # after the version, so a version-1 file reads as one
         check_provenance(payload, path, provenance)
     try:
-        in_std = payload["input_standardizer"]
-        obs_std = payload["observable_standardizer"]
-        model = StateSpaceModel(
-            A=_decode_matrix(payload["A"], path),
-            B=_decode_matrix(payload["B"], path),
-            observable_names=tuple(payload["observables"]),
-            input_names=tuple(payload["inputs"]),
-            sample_rate_hz=float(payload["sample_rate_hz"]),
-            svd_rank_used=int(payload["svd_rank_used"]),
-            input_standardizer=StandardizationParams(**in_std) if in_std else None,
-            observable_standardizer=StandardizationParams(**obs_std) if obs_std else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_plain(StateSpaceModel, payload.get("model"), key="model")
+    except (ValueError, DimensionMismatch) as exc:
         raise CorruptFile(path, f"missing or malformed field: {exc}") from None
-    return model

@@ -135,8 +135,9 @@ def predict_series(
 class FoldResult:
     fold_index: int
     test_ids: tuple[str, ...]
-    # A diverged fold's rollout overflowed somewhere: its non-finite metrics
-    # are None, and the aggregates leave the fold out.
+    # A diverged fold's A has spectral radius above 1 or its rollout
+    # overflowed somewhere: the aggregates leave the fold out, and its
+    # non-finite metrics are None.
     diverged: bool
     r2_train: Mapping[str, float | None]
     r2_test: Mapping[str, float | None]
@@ -223,7 +224,8 @@ def run_lpocv(
     individual rows; rows within an experiment are serially dependent, so
     splitting them would leak the test trajectory into training).
     Standardizers are refit on each fold's training pool. A fold whose
-    rollout overflows anywhere is flagged ``diverged``; aggregates are mean
+    fitted A has spectral radius above 1, or whose rollout overflows
+    anywhere, is flagged ``diverged``; aggregates are mean
     and 1.96*sd/sqrt(n) over the n finite folds, and with none left the run
     is ``AllFoldsDiverged``.
 
@@ -265,22 +267,23 @@ def run_lpocv(
                     ssr[side], steps[side], means[side], m2[side], config.observables
                 )
             ]
-        diverged = not all(np.isfinite(v) for metric in metrics for v in metric.values())
-        if diverged:
+        radius = spectral_radius(model.A)
+        overflowed = not all(np.isfinite(v) for metric in metrics for v in metric.values())
+        if overflowed:
             metrics = [{k: v if np.isfinite(v) else None for k, v in m.items()} for m in metrics]
         r2_train, rmse_train, r2_test, rmse_test = metrics
         folds.append(
             FoldResult(
                 fold_index=k,
                 test_ids=tuple(i for i, t in zip(ids, test) if t),
-                diverged=diverged,
+                diverged=overflowed or radius > 1.0,
                 r2_train=r2_train,
                 r2_test=r2_test,
                 rmse_train=rmse_train,
                 rmse_test=rmse_test,
                 svd_rank_used=model.svd_rank_used,
                 condition_number=model.condition_number,
-                spectral_radius=spectral_radius(model.A),
+                spectral_radius=radius,
             )
         )
 

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dedsid import dmdc
-from dedsid.artifacts import read_json_object
+from dedsid.artifacts import from_plain, read_json_object
 from dedsid.config import FitConfig, VifConfig
 from dedsid.dataset import (
     ChannelSpec,
@@ -32,7 +32,6 @@ from dedsid.errors import (
     RankDeficiencyWarning,
 )
 from dedsid.plant import (
-    DropoutSpec,
     PlantSpec,
     SimulationResult,
     gaussian_inputs,
@@ -550,17 +549,9 @@ def uniform_benchmark(samples: np.ndarray) -> float:
 
 def load_plant(path: str | Path) -> PlantSpec:
     """The plant that ``dedsid.plant.save_plant`` wrote to ``path``."""
-    d = read_json_object(path)
     try:
-        return PlantSpec(
-            A=d["A"],
-            B=d["B"],
-            input_channels=tuple(ChannelSpec(**c) for c in d["input_channels"]),
-            observable_channels=tuple(ChannelSpec(**c) for c in d["observable_channels"]),
-            noise_sd=d["noise_sd"],
-            dropout=DropoutSpec(**d["dropout"]) if d.get("dropout") else None,
-        )
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        return from_plain(PlantSpec, read_json_object(path))
+    except (ValueError, DimensionMismatch) as exc:
         raise CorruptFile(str(path), f"missing or malformed field: {exc!r}") from None
 
 

@@ -1,12 +1,15 @@
 import io
 import json
 import math
+import re
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 from dedsid.artifacts import (
     _CSV_BLOCK_ROWS,
+    from_plain,
     read_json_object,
     to_plain,
     write_json,
@@ -45,6 +48,33 @@ class TestToPlain:
     def test_positive_infinity_is_spelled_inf(self):
         assert to_plain({"vif": (math.inf, 2.0)}) == {"vif": ["inf", 2.0]}
         assert to_plain(np.array([np.inf])) == ["inf"]
+
+
+class TestFromPlain:
+    def test_inverse_of_to_plain(self):
+        report = cv_report(0.5)
+        assert from_plain(CvReport, json.loads(json.dumps(to_plain(report)))) == report
+
+    @pytest.mark.parametrize(
+        "tp, value, message",
+        [
+            (Aggregate, {"mean": 0.5}, "missing required key 'ci95'"),
+            (Aggregate, {"mean": 0.5, "ci95": 0.0, "n": 3}, "unknown key 'n'"),
+            (Mapping[str, Aggregate], {"y": []}, "section 'y' must be a JSON object"),
+            (
+                Mapping[str, Aggregate],
+                {"y": {"mean": True, "ci95": 0.0}},
+                "key 'y.mean' must be a finite number, got True",
+            ),
+            (tuple[int, ...], [1, 2.0], "key '[1]' must be an integer, got 2.0"),
+            (np.ndarray, [[1.0], [2.0, 3.0]], "key '' must be a finite number, got [1.0]"),
+            (np.ndarray, [[1.0, 10**400]], "key '' cannot be used: int too large"),
+        ],
+        ids=["missing", "unknown", "not_object", "bool_float", "float_int", "ragged", "huge_int"],
+    )
+    def test_a_bad_value_names_its_key(self, tp, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_plain(tp, value)
 
 
 class TestWriteJson:

@@ -497,6 +497,34 @@ class TestRateStudy:
         assert stale["seed"] == 5
         assert study() == alone
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cv: cv["aggregates"]["r2_test"]["melt_pool_temp_c"].update(mean="x"),
+            lambda cv: cv.update(finite_folds="3"),
+        ],
+        ids=["r2_mean_string", "finite_folds_string"],
+    )
+    def test_study_ignores_undecodable_cv_report(self, corpus, edit, request):
+        # A hand-edited report under the run's provenance counts as absent.
+        out_name = f"out_undecodable_{request.node.callspec.id}"
+        cfg_path = derived_config(
+            corpus, out_name, decimation_factors=[1, 2], lpocv={"p": 2, "repeats": 2}
+        )
+        out = corpus / out_name
+
+        def study() -> dict:
+            assert main(["freq-study", "--config", str(cfg_path)]) == 0
+            return {name: (out / name).read_bytes() for name in ("freq_study.json", "freq_study.csv")}
+
+        alone = study()
+        shutil.rmtree(out)
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        payload = json.loads((out / "cv_report.json").read_text())
+        edit(payload["cv"])
+        (out / "cv_report.json").write_text(json.dumps(payload))
+        assert study() == alone
+
     def test_after_pipeline_parses_and_scores_full_rate_once(self, corpus, monkeypatch):
         cfg_path = derived_config(
             corpus, "out_once", decimation_factors=[1, 2, 5], lpocv={"p": 2, "repeats": 2}
@@ -584,6 +612,23 @@ class TestDivergedFolds:
             assert per_obs["y"]["mean"] == float(vals.mean())
         rmse = cv["aggregates"]["rmse_test"]["y"]
         assert envelope == {"rmse": {"y": rmse["mean"]}, "ci95": {"y": rmse["ci95"]}}
+
+    def test_fold_of_an_unstable_fit_is_diverged(self, tmp_path):
+        # At factor 50 the fold that holds out ``long`` fits A of radius
+        # above 1 from the short experiments, yet its rollout stays finite.
+        cfg_path = diverging_config(tmp_path, long_scale=50.0)
+        payload = json.loads(cfg_path.read_text())
+        payload["decimation_factors"] = [1, 50]
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["cv", "--config", str(cfg_path)]) == 0
+        cv = json.loads((tmp_path / "out" / "cv_report.json").read_text())["cv"]
+        diverged = [fold["diverged"] for fold in cv["folds"]]
+        assert diverged == [fold["test_ids"] == ["long"] for fold in cv["folds"]]
+        assert main(["freq-study", "--config", str(cfg_path)]) == 0
+        full, slow = json.loads((tmp_path / "out" / "freq_study.json").read_text())["rows"]
+        assert full["finite_folds"] == cv["finite_folds"]
+        assert slow["factor"] == 50 and slow["finite_folds"] == 5
+        assert -10 < slow["r2_test"]["y"]["mean"] < 1
 
     def test_every_fold_diverged_is_4(self, tmp_path, capsys):
         cfg_path = diverging_config(tmp_path, long_scale=0.01)
@@ -835,6 +880,8 @@ class TestExitCodes:
             ("manifest.json", one_entry(sample_rate_hz=float("nan"))),
             ("manifest.json", one_entry(sample_rate_hz="100")),
             ("manifest.json", one_entry(sample_rate_hz=True)),
+            ("manifest.json", one_entry(note="spare")),
+            ("schema.json", {"channels": [{"name": "u", "unit": "au", "kind": "input", "gain": 2}]}),
         ],
         ids=[
             "no_channels",
@@ -848,6 +895,8 @@ class TestExitCodes:
             "rate_nan",
             "rate_string",
             "rate_bool",
+            "unknown_entry_key",
+            "unknown_channel_key",
         ],
     )
     def test_malformed_schema_or_manifest_is_3(self, corpus, tmp_path, name, payload, capsys):
@@ -915,7 +964,7 @@ class TestExitCodes:
             del payload["provenance"]
             payload["version"] = 1
             (out / "model.json").write_text(json.dumps(payload))
-            detail = "model file version 1 not supported (expected 2)"
+            detail = "model file version 1 not supported (expected 3)"
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
@@ -1014,14 +1063,34 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["predict", "spectrogram"])
     def test_model_with_a_renamed_observable_is_3(self, fitted, command, capsys):
-        # A hand-edited model file: provenance intact, one observable renamed.
+        # A hand-edited model file: provenance intact, one observable renamed
+        # in the names and the standardizer alike.
         path = fitted / "out" / "model.json"
         payload = json.loads(path.read_text())
-        payload["observables"][0] = "melt_pool_area_mm2"
+        model = payload["model"]
+        model["observable_names"][0] = "melt_pool_area_mm2"
+        model["observable_standardizer"]["channels"][0] = "melt_pool_area_mm2"
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main([command, "--config", str(fitted / "config.json")]) == 3
         assert "model.json fits observables ['melt_pool_area_mm2'," in capsys.readouterr().err
+        assert not (fitted / "out" / "predict_report.json").exists()
+        assert not (fitted / "out" / "spectrogram.json").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "spectrogram"])
+    def test_model_whose_standardizer_lacks_a_channel_is_3(self, fitted, command, capsys):
+        # A hand-edited model file: provenance intact, the last input's
+        # entries dropped from the input standardizer.
+        path = fitted / "out" / "model.json"
+        payload = json.loads(path.read_text())
+        standardizer = payload["model"]["input_standardizer"]
+        for values in standardizer.values():
+            del values[-1]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main([command, "--config", str(fitted / "config.json")]) == 3
+        err = capsys.readouterr().err
+        assert "model.json" in err and "standardizer of channels" in err
         assert not (fitted / "out" / "predict_report.json").exists()
         assert not (fitted / "out" / "spectrogram.json").exists()
 

@@ -10,10 +10,12 @@ from helpers import (
     summarize_chunked,
     traced_peak,
 )
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dedsid import dmdc
+from dedsid.dataset import StandardizationParams
 from dedsid.dmdc import (
     StateSpaceModel,
     build_snapshots,
@@ -854,6 +856,46 @@ class TestBatchedLinearRecurrence:
                 assert np.allclose(got[finite], expected[finite], rtol=1e-15, atol=0.0)
 
 
+# Finite float64 values, the edges of the range listed first: the smallest
+# subnormal, a subnormal near the normal range, +-1e300 and -0.0.
+FLOAT64 = st.sampled_from([5e-324, -2.5e-308, 1e300, -1e300, -0.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+SCALES = st.sampled_from([5e-324, 1e300]) | st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def state_space_models(draw):
+    q, p = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    observables = tuple(f"y{i}" for i in range(q))
+    inputs = tuple(f"u{i}" for i in range(p))
+
+    def standardizer(names):
+        n = len(names)
+        return st.none() | st.builds(
+            StandardizationParams,
+            st.just(names),
+            arrays(np.float64, n, elements=FLOAT64),
+            arrays(np.float64, n, elements=SCALES),
+        )
+
+    return StateSpaceModel(
+        A=draw(arrays(np.float64, (q, q), elements=FLOAT64)),
+        B=draw(arrays(np.float64, (q, p), elements=FLOAT64)),
+        observable_names=observables,
+        input_names=inputs,
+        sample_rate_hz=draw(FLOAT64),
+        svd_rank_used=draw(st.integers(1, q + p)),
+        input_standardizer=draw(standardizer(inputs)),
+        observable_standardizer=draw(standardizer(observables)),
+        condition_number=draw(st.none() | FLOAT64),
+    )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestModelFile:
     def _model(self):
         return StateSpaceModel(
@@ -874,6 +916,26 @@ class TestModelFile:
         assert back.observable_names == ("y1", "y2")
         assert back.input_names == ("u1",)
         assert back.sample_rate_hz == 100.0
+
+    @settings(max_examples=200)
+    @given(model=state_space_models())
+    def test_any_model_round_trips_bit_for_bit(self, tmp_path_factory, model):
+        path = tmp_path_factory.getbasetemp() / "model_round_trip.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert same_bits(back.A, model.A) and same_bits(back.B, model.B)
+        for side in ("input_standardizer", "observable_standardizer"):
+            got, want = getattr(back, side), getattr(model, side)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.channels == want.channels
+                assert same_bits(got.mean, want.mean) and same_bits(got.scale, want.scale)
+        for name in ("observable_names", "input_names", "sample_rate_hz", "svd_rank_used"):
+            assert getattr(back, name) == getattr(model, name)
+        if model.condition_number is None:
+            assert back.condition_number is None
+        else:
+            assert same_bits(np.float64(back.condition_number), np.float64(model.condition_number))
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.json"
@@ -910,10 +972,16 @@ class TestModelFile:
             load_model(path)
 
     def test_truncated_matrix_rejected(self, tmp_path):
+        # A matrix is nested lists of numbers: a short row or a string entry
+        # is refused, naming the key.
         path = tmp_path / "model.json"
         save_model(self._model(), path)
-        payload = json.loads(path.read_text())
-        payload["A"]["data"] = payload["A"]["data"][: len(payload["A"]["data"]) // 2]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CorruptFile):
-            load_model(path)
+        saved = json.loads(path.read_text())
+        for key, value, got in (
+            ("A", [[0.5, 0.1], [0.0]], r"\[0.5, 0.1\]"),
+            ("B", [[1.0], ["0.5"]], "'0.5'"),
+        ):
+            path.write_text(json.dumps({**saved, "model": {**saved["model"], key: value}}))
+            message = f"key 'model.{key}' must be a finite number, got {got}"
+            with pytest.raises(CorruptFile, match=message):
+                load_model(path)

@@ -14,7 +14,7 @@ from helpers import (
     unstandardize,
 )
 
-from dedsid.artifacts import to_plain
+from dedsid.artifacts import from_plain, to_plain
 from dedsid.config import EVAL_MODES, FitConfig
 from dedsid.dataset import decimate
 from dedsid.dmdc import StateSpaceModel, build_snapshots
@@ -252,7 +252,7 @@ class TestLpocv:
 
     def test_envelope_from_dict_round_trip(self):
         env = UncertaintyEnvelope(rmse={"y1": 0.5}, ci95={"y1": 0.125})
-        back = UncertaintyEnvelope(**to_plain(env))
+        back = from_plain(UncertaintyEnvelope, to_plain(env))
         assert back.rmse == env.rmse and back.ci95 == env.ci95
         assert back.half_width("y1") == 0.625
 
