@@ -15,7 +15,7 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .dmdc import SnapshotSet, StateSpaceModel, build_snapshots, fit, load_model
 from .errors import ConfigError, CorruptFile, DataError, NumericError, StaleArtifact
 from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
-    Aggregate,
-    FrequencyStudyRow,
+    CvReport,
     UncertaintyEnvelope,
     bound_predictions,
     draw_splits,
@@ -85,6 +84,17 @@ class _Run:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.out = cfg.output_dir
+        self.made: dict[str, object] = {}  # what this run's stages wrote, by artifact name
+
+    def upstream(self, name: str, stage: str, read: Callable[[_Run, Path], Any]) -> Any:
+        """What a stage of this run made as the artifact ``name``, else ``read``
+        of that file in the output directory, which the ``stage`` stage writes."""
+        if name not in self.made:
+            path = self.out / name
+            if not path.exists():
+                raise DataError(f"{path} not found; run the {stage} stage first")
+            self.made[name] = read(self, path)
+        return self.made[name]
 
     @cached_property
     def manifest(self) -> dsmod.ExperimentManifest:
@@ -162,11 +172,8 @@ class _Run:
 
     @cached_property
     def fit_config(self) -> FitConfig:
-        return self.fit_config_over(self.screening["surviving_features"])
-
-    def fit_config_over(self, inputs: Sequence[str]) -> FitConfig:
         return FitConfig(
-            inputs=tuple(inputs),
+            inputs=self.screening["surviving_features"],
             observables=tuple(self.names("observable")),
             standardize_inputs=self.cfg.standardize_inputs,
             standardize_observables=self.cfg.standardize_observables,
@@ -186,14 +193,6 @@ class _Run:
         are counted in the manifest, so a refused p parses no file."""
         lpocv = self.cfg.lpocv
         return draw_splits(len(self.manifest.entries), lpocv.p, lpocv.repeats, self.cfg.seed)
-
-
-def _upstream(run: _Run, name: str, stage: str) -> Path:
-    """``name`` in the output directory, which the ``stage`` stage writes."""
-    path = run.out / name
-    if not path.exists():
-        raise DataError(f"{path} not found; run the {stage} stage first")
-    return path
 
 
 def _ingest(run: _Run) -> str:
@@ -231,9 +230,11 @@ def _cv(run: _Run) -> str:
     report, envelope = run_lpocv(run.datasets, run.fit_config, run.splits, run.fit_snapshots)
     payload = {"cv": report, "envelope": envelope}
     write_json(run.out / "cv_report.json", payload, run.provenance)
+    run.made["cv_report.json"] = report, envelope
     r2 = report.aggregates["r2_test"]
     return "\n".join(
-        f"{obs}: test R^2 {r2[obs].mean:.4f} +/- {r2[obs].ci95:.4f}" for obs in report.observables
+        f"{obs}: test R^2 {r2[obs].mean:.4f} +/- {r2[obs].ci95:.4f}"
+        for obs in report.config.observables
     )
 
 
@@ -243,27 +244,28 @@ def _fit(run: _Run) -> str:
         run.fit_snapshots, cfg.svd_rank, cfg.standardize_inputs, cfg.standardize_observables
     )
     save_model(model, run.out / "model.json", run.provenance)
+    run.made["model.json"] = model
     return (
         f"fit model: {model.state_dim} observables, {model.input_dim} inputs, "
         f"svd rank {model.svd_rank_used}"
     )
 
 
-def _load_envelope(run: _Run, observables: Sequence[str]) -> UncertaintyEnvelope:
-    path = _upstream(run, "cv_report.json", "cv")
+def _read_cv(run: _Run, path: Path) -> tuple[CvReport, UncertaintyEnvelope]:
+    """``cv_report.json``, written under this run's provenance, with a
+    half-width in its envelope for each of the run's observables."""
     payload = read_json_object(path, run.provenance)
     try:
         envelope = from_plain(UncertaintyEnvelope, payload.get("envelope"), key="envelope")
-        for name in observables:  # every bound needs a half-width
+        for name in run.names("observable"):  # every bound needs a half-width
             envelope.half_width(name)
+        return from_plain(CvReport, payload.get("cv"), key="cv"), envelope
     except (KeyError, ValueError) as exc:
-        raise CorruptFile(str(path), f"no uncertainty envelope: {exc!r}") from None
-    return envelope
+        raise CorruptFile(str(path), f"no uncertainty envelope or scores: {exc!r}") from None
 
 
-def _load_model(run: _Run) -> StateSpaceModel:
+def _read_model(run: _Run, path: Path) -> StateSpaceModel:
     """``model.json``, written under this run's provenance and for its observables."""
-    path = _upstream(run, "model.json", "fit")
     model = load_model(path, run.provenance)
     observables = tuple(run.names("observable"))
     if model.observable_names != observables:
@@ -275,9 +277,9 @@ def _load_model(run: _Run) -> StateSpaceModel:
 
 def _predict(run: _Run) -> str:
     cfg = run.cfg
-    model = _load_model(run)
+    model = run.upstream("model.json", "fit", _read_model)
     names = model.observable_names
-    envelope = _load_envelope(run, names)
+    _, envelope = run.upstream("cv_report.json", "cv", _read_cv)
     by_id = {ds.experiment_id: ds for ds in run.datasets}
     exp_id = cfg.predict_experiment or run.datasets[0].experiment_id
     if exp_id not in by_id:
@@ -322,7 +324,8 @@ def _spectrogram(run: _Run) -> str:
     observable = sg_cfg.observable or observables[0]
     if observable not in observables:
         raise DataError(f"spectrogram observable {observable!r} not in schema")
-    model = _load_model(run) if (run.out / "model.json").exists() else None
+    fitted = (run.out / "model.json").exists()
+    model = run.upstream("model.json", "fit", _read_model) if fitted else None
     grid = (sg_cfg.rows, sg_cfg.cols)
     measured = collect_pulse_spectra(
         run.datasets, sg_cfg.power_channel, [ds.column(observable) for ds in run.datasets]
@@ -352,35 +355,13 @@ def _spectrogram(run: _Run) -> str:
     return f"spectrogram similarity (measured vs model): {summary['model_similarity']:.4f}"
 
 
-def _reported_full_rate(run: _Run) -> tuple[FitConfig, FrequencyStudyRow] | None:
-    """The fit settings over the surviving inputs and factor 1's row, as this
-    run's ``vif_report.json`` and ``cv_report.json`` hold them; None unless
-    both carry its provenance and decode."""
-    observables, provenance = run.names("observable"), run.provenance
-    try:
-        cv = read_json_object(run.out / "cv_report.json", provenance)["cv"]
-        vif = read_json_object(run.out / "vif_report.json", provenance)
-        aggregates = from_plain(Mapping[str, Mapping[str, Aggregate]], cv["aggregates"])
-        row = FrequencyStudyRow(
-            factor=1,
-            sample_rate_hz=run.datasets[0].sample_rate_hz,
-            finite_folds=from_plain(int, cv["finite_folds"]),
-            **{
-                metric: {obs: aggregates[metric][obs] for obs in observables}
-                for metric in ("r2_test", "rmse_test")
-            },
-        )
-        survivors = from_plain(tuple[str, ...], vif["surviving_features"])
-        return run.fit_config_over(survivors), row
-    except (DataError, KeyError, TypeError, ValueError):  # absent, stale or undecodable
-        return None
-
-
 def _freq_study(run: _Run) -> str:
     factors = run.cfg.decimation_factors
-    # Without the reports, the screening pass and factor 1's folds run here.
-    config, full_rate = _reported_full_rate(run) or (run.fit_config, run.fit_snapshots)
-    rows = frequency_study(run.datasets, config, factors, run.splits, full_rate)
+    try:
+        full_rate, _ = run.upstream("cv_report.json", "cv", _read_cv)
+    except DataError:  # absent, stale or undecodable: the screening pass and cv run here
+        full_rate, _ = run_lpocv(run.datasets, run.fit_config, run.splits, run.fit_snapshots)
+    rows = frequency_study(run.datasets, factors, run.splits, full_rate)
     write_json(run.out / "freq_study.json", {"rows": rows}, run.provenance)
     table = []
     for row in rows:
@@ -418,7 +399,7 @@ PIPELINE = (
 def cmd_stage(args) -> int:
     run = _Run(load_run_config(args.config, args.seed))
     print(STAGES[args.command][1](run))
-    run.parse_cache.save()
+    run.parse_cache.save(keep=run.provenance["inputs"].values())
     return 0
 
 
@@ -427,16 +408,16 @@ def cmd_pipeline(args) -> int:
     run.splits  # too few experiments for lpocv.p stop the run before any file is written
     for name in PIPELINE:
         STAGES[name][1](run)
-        run.parse_cache.save()
-    cv = read_json_object(run.out / "cv_report.json", run.provenance)["cv"]
-    r2 = cv["aggregates"]["r2_test"]
+        run.parse_cache.save(keep=run.provenance["inputs"].values())
+    cv, _ = run.upstream("cv_report.json", "cv", _read_cv)
+    r2 = cv.aggregates["r2_test"]
     write_json(
         run.out / "pipeline_report.json",
         {
             "stages": PIPELINE,
             "experiments": sorted(ds.experiment_id for ds in run.datasets),
             "surviving_inputs": run.fit_config.inputs,
-            "test_r2": {obs: r2[obs]["mean"] for obs in cv["observables"]},
+            "test_r2": {obs: r2[obs].mean for obs in cv.config.observables},
         },
         run.provenance,
     )

@@ -12,9 +12,10 @@ import csv
 import io
 import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -269,9 +270,14 @@ class ParseCache:
         fits = isinstance(raw, np.ndarray) and raw.dtype == np.float64 and raw.ndim == 2
         return raw if fits and raw.shape[1] == width else None
 
-    def save(self) -> None:
-        """Write every entry parsed since the last save; one that cannot be
-        written is left out, and a later run parses its file again."""
+    def save(self, keep: Collection[str]) -> None:
+        """Write every entry parsed since the last save, and remove each entry
+        whose digest is not in ``keep``; one that cannot be written is left
+        out, and a later run parses its file again."""
+        for entry in self.root.glob("*.npy") if self.root is not None else ():
+            if entry.stem not in keep:
+                with suppress(OSError):  # one that cannot be removed stays
+                    entry.unlink()
         for digest, raw in self._pending.items():
             entry = self.root / f"{digest}.npy"
             partial = entry.with_name(f"{digest}.{os.getpid()}.tmp")
@@ -292,7 +298,11 @@ def _csv_header(path: Path, content: bytes) -> list[str]:
         raise CorruptFile(str(path), str(exc)) from None
     if not header:
         raise CorruptFile(str(path), "empty file")
-    return [h.strip() for h in header]
+    header = [h.strip() for h in header]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise CorruptFile(str(path), f"column {repeated[0]!r} named twice in the header")
+    return header
 
 
 def _parse_rows(path: Path, content: bytes, width: int) -> np.ndarray:

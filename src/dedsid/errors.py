@@ -114,6 +114,11 @@ class MalformedNumber(DataError):
         super().__init__(f"malformed number in {token!r} on line {line_no}")
 
 
+class NegativeParameter(DataError):
+    def __init__(self, line_no: int, token: str):
+        super().__init__(f"negative dwell or laser power {token!r} on line {line_no}")
+
+
 class ZeroFeedMove(DataError):
     def __init__(self, command_index: int):
         self.command_index = command_index
@@ -166,8 +171,11 @@ class GridMismatch(NumericError):
 
 
 class AllFoldsDiverged(NumericError):
-    def __init__(self, folds: int):
-        super().__init__(f"the rollouts of all {folds} cross-validation folds diverged")
+    def __init__(self, folds: int, unstable: int, overflowed: int):
+        super().__init__(
+            f"all {folds} cross-validation folds diverged: the fitted A has spectral "
+            f"radius above 1 in {unstable}, the rollout overflowed in {overflowed}"
+        )
 
 
 class NonFiniteArtifact(NumericError):

@@ -3,8 +3,8 @@
 Supported words (one command per meaningful line, case-insensitive):
 
     G0/G1 [Xn] [Yn] [Zn] [Fn]   linear move; coordinates and feed are modal
-    G4 Pn                       dwell for n seconds
-    M3 Sn                       laser on at n watts
+    G4 Pn                       dwell for n >= 0 seconds
+    M3 Sn                       laser on at n >= 0 watts
     M5                          laser off
     ; text   or   (text)        comments
 
@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import ChannelSpec, TimeSeriesDataset
-from .errors import MalformedNumber, UnsupportedWord, ZeroFeedMove
+from .errors import MalformedNumber, NegativeParameter, UnsupportedWord, ZeroFeedMove
 
 INPUT_CHANNELS = (
     ChannelSpec("x_mm", "mm", "input"),
@@ -74,7 +74,7 @@ def _words(line: str, line_no: int) -> list[tuple[str, float]]:
     rest = line
     for match in _WORD_RE.finditer(line):
         letter, digits = match.group(1).upper(), match.group(2)
-        if not _NUMBER_RE.match(digits):
+        if not _NUMBER_RE.match(digits) or not math.isfinite(float(digits)):
             raise MalformedNumber(line_no, letter + digits)
         out.append((letter, float(digits)))
         rest = rest.replace(match.group(0), "", 1)
@@ -97,6 +97,8 @@ def parse_gcode_subset(text: str) -> ToolpathProgram:
         for w_letter, w_number in words[1:]:
             if w_letter in params:
                 raise UnsupportedWord(line_no, f"duplicate word {w_letter}")
+            if w_letter in "PS" and w_number < 0:  # a dwell's seconds, a laser's watts
+                raise NegativeParameter(line_no, f"{w_letter}{w_number:g}")
             params[w_letter] = w_number
 
         if letter == "G" and number in (0.0, 1.0):

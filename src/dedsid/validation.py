@@ -160,8 +160,7 @@ class Aggregate:
 class CvReport:
     p: int
     repeats: int
-    eval_mode: str
-    observables: tuple[str, ...]
+    config: FitConfig
     folds: tuple[FoldResult, ...]
     finite_folds: int
     aggregates: Mapping[str, Mapping[str, Aggregate]]
@@ -245,7 +244,7 @@ def run_lpocv(
     targets = obs[:, 1:]
     means = targets.sum(axis=1) / steps[:, None]
     m2 = np.array([((t[:n] - m) ** 2).sum(axis=0) for t, m, n in zip(targets, means, steps)])
-    folds = []
+    folds, overflows = [], 0
     for k, test in enumerate(splits):
         train = ~test
         model = fit(
@@ -269,6 +268,7 @@ def run_lpocv(
             ]
         radius = spectral_radius(model.A)
         overflowed = not all(np.isfinite(v) for metric in metrics for v in metric.values())
+        overflows += overflowed
         if overflowed:
             metrics = [{k: v if np.isfinite(v) else None for k, v in m.items()} for m in metrics]
         r2_train, rmse_train, r2_test, rmse_test = metrics
@@ -289,7 +289,7 @@ def run_lpocv(
 
     finite = [f for f in folds if not f.diverged]
     if not finite:
-        raise AllFoldsDiverged(len(folds))
+        raise AllFoldsDiverged(len(folds), sum(f.spectral_radius > 1.0 for f in folds), overflows)
     aggregates = {}
     for metric in ("r2_train", "r2_test", "rmse_train", "rmse_test"):
         aggregates[metric] = {}
@@ -300,8 +300,7 @@ def run_lpocv(
     report = CvReport(
         p=int(splits[0].sum()),
         repeats=len(splits),
-        eval_mode=config.eval_mode,
-        observables=config.observables,
+        config=config,
         folds=tuple(folds),
         finite_folds=len(finite),
         aggregates=aggregates,
@@ -347,29 +346,25 @@ class FrequencyStudyRow:
 
 def frequency_study(
     datasets: Sequence[TimeSeriesDataset],
-    config: FitConfig,
     factors: Sequence[int],
     splits: np.ndarray,
-    full_rate: SnapshotSet | FrequencyStudyRow,
+    full_rate: CvReport,
 ) -> list[FrequencyStudyRow]:
     """Rerun cross-validation at progressively slower recording rates.
 
     Decimation drops samples outright (no anti-alias filter), exactly as a
-    slower sensor would. Every rate is scored on the same ``splits``.
-    Factor 1's row is ``full_rate`` when that is a row already scored (cv's,
-    read back from its report); else factor 1 is scored on ``full_rate``,
-    the pass ``run_lpocv`` takes for ``datasets``. Only the decimated rates
-    build a pass of their own.
+    slower sensor would. Factor 1's row is read off ``full_rate``, the
+    ``run_lpocv`` report of ``datasets`` on ``splits``; every decimated rate
+    builds its own pass and is scored on the same ``splits`` under
+    ``full_rate.config``.
     """
-    rows = []
-    channels = config.inputs, config.observables
+    config, rows = full_rate.config, []
     for factor in factors:
-        if factor == 1 and isinstance(full_rate, FrequencyStudyRow):
-            rows.append(full_rate)
-            continue
-        slowed = [decimate(ds, factor) for ds in datasets]
-        rate_pass = full_rate if factor == 1 else build_snapshots(slowed, *channels)
-        report, _ = run_lpocv(slowed, config, splits, rate_pass)
+        report, slowed = full_rate, datasets
+        if factor != 1:
+            slowed = [decimate(ds, factor) for ds in datasets]
+            rate_pass = build_snapshots(slowed, config.inputs, config.observables)
+            report, _ = run_lpocv(slowed, config, splits, rate_pass)
         rows.append(
             FrequencyStudyRow(
                 factor=int(factor),

@@ -273,8 +273,8 @@ def test_06_recording_rate_knee():
         datasets.append(simulate(spec, inputs, experiment_id=exp).dataset)
     cfg = FitConfig(inputs=spec.input_names, observables=spec.observable_names)
     splits = draw_splits(len(datasets), 3, 10, 0)
-    snapshots = build_snapshots(datasets, cfg.inputs, cfg.observables)
-    rows = frequency_study(datasets, cfg, (1, 2, 5, 10, 25, 50), splits, snapshots)
+    full_rate, _ = lpocv(datasets, cfg, splits)
+    rows = frequency_study(datasets, (1, 2, 5, 10, 25, 50), splits, full_rate)
     elapsed = time.perf_counter() - t0
 
     r2 = [row.r2_test["y1"].mean for row in rows]

@@ -15,6 +15,7 @@ from dedsid.artifacts import (
     write_json,
     write_rows,
 )
+from dedsid.config import FitConfig
 from dedsid.errors import CorruptFile, NumericError, StaleArtifact
 from dedsid.validation import Aggregate, CvReport, FoldResult
 
@@ -24,8 +25,7 @@ def cv_report(r2: float) -> CvReport:
     return CvReport(
         p=1,
         repeats=1,
-        eval_mode="rollout",
-        observables=("y",),
+        config=FitConfig(inputs=("u",), observables=("y",)),
         folds=(fold,),
         finite_folds=1,
         aggregates={"r2_test": {"y": Aggregate(r2, 0.0)}},
@@ -39,8 +39,9 @@ class TestToPlain:
     def test_dataclass_fields_in_order_with_lists_for_tuples_and_arrays(self):
         plain = to_plain({"report": cv_report(0.5), "m": np.eye(2)})
         assert list(plain["report"]) == [
-            "p", "repeats", "eval_mode", "observables", "folds", "finite_folds", "aggregates"
+            "p", "repeats", "config", "folds", "finite_folds", "aggregates"
         ]
+        assert plain["report"]["config"]["inputs"] == ["u"]
         assert plain["report"]["folds"][0]["test_ids"] == ["e1"]
         assert plain["report"]["aggregates"]["r2_test"]["y"] == {"mean": 0.5, "ci95": 0.0}
         assert plain["m"] == [[1.0, 0.0], [0.0, 1.0]]

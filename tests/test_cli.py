@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dedsid
-from dedsid import cli, validation
+from dedsid import cli, dmdc, validation
 from dedsid.cli import PIPELINE, _Run, _write_corpus, build_parser, main
 from dedsid.config import RunConfig, default_config_payload, load_run_config
 from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
@@ -56,6 +56,10 @@ def piped(corpus):
     cfg_path = derived_config(corpus, "out_pipe")
     assert main(["pipeline", "--config", str(cfg_path)]) == 0
     return cfg_path, corpus / "out_pipe"
+
+
+# An envelope entry for each observable of the demo corpus.
+HALF_WIDTHS = dict.fromkeys(["melt_pool_size_mm", "melt_pool_temp_c", "working_distance_mm"], 1.0)
 
 
 def derived_config(corpus, out_name, **overrides):
@@ -502,8 +506,9 @@ class TestRateStudy:
         [
             lambda cv: cv["aggregates"]["r2_test"]["melt_pool_temp_c"].update(mean="x"),
             lambda cv: cv.update(finite_folds="3"),
+            lambda cv: cv["config"].update(inputs="x_mm"),
         ],
-        ids=["r2_mean_string", "finite_folds_string"],
+        ids=["r2_mean_string", "finite_folds_string", "config_inputs_string"],
     )
     def test_study_ignores_undecodable_cv_report(self, corpus, edit, request):
         # A hand-edited report under the run's provenance counts as absent.
@@ -530,6 +535,7 @@ class TestRateStudy:
             corpus, "out_once", decimation_factors=[1, 2, 5], lpocv={"p": 2, "repeats": 2}
         )
         calls = dict.fromkeys(["loadtxt", "run_lpocv", "build_snapshots"], 0)
+        reads = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -538,16 +544,30 @@ class TestRateStudy:
 
             return wrapper
 
+        def recorded(fn):
+            def wrapper(path, *args, **kwargs):
+                reads.append(Path(path).name)
+                return fn(path, *args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
         for module in (cli, validation):
             for name in ("run_lpocv", "build_snapshots"):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for module, name in [(cli, "read_json_object"), (dmdc, "read_json_object")]:
+            monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+        monkeypatch.setattr(cli, "load_model", recorded(cli.load_model))
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         assert calls == {"loadtxt": 6, "run_lpocv": 1, "build_snapshots": 1}
+        # predict, spectrogram and pipeline_report.json use what cv and fit made.
+        assert reads == []
         calls.update(dict.fromkeys(calls, 0))
         assert main(["freq-study", "--config", str(cfg_path)]) == 0
-        # Factor 1 is cv's row; only factors 2 and 5 build a pass and fold.
+        # Factor 1 is cv's row, and cv's config names the survivors; only
+        # factors 2 and 5 build a pass and fold.
         assert calls == {"loadtxt": 0, "run_lpocv": 2, "build_snapshots": 2}
+        assert reads == ["cv_report.json"]
         row = json.loads((corpus / "out_once" / "freq_study.json").read_text())["rows"][0]
         cv = json.loads((corpus / "out_once" / "cv_report.json").read_text())["cv"]
         assert row["finite_folds"] == cv["finite_folds"] == 2
@@ -634,7 +654,10 @@ class TestDivergedFolds:
         cfg_path = diverging_config(tmp_path, long_scale=0.01)
         assert main(["cv", "--config", str(cfg_path)]) == 4
         err = capsys.readouterr().err
-        assert "numeric failure: the rollouts of all 6 cross-validation folds diverged" in err
+        assert (
+            "numeric failure: all 6 cross-validation folds diverged: the fitted A has "
+            "spectral radius above 1 in 6, the rollout overflowed in 6"
+        ) in err
         assert not (tmp_path / "out" / "cv_report.json").exists()
 
 
@@ -655,6 +678,7 @@ class TestParseCache:
 
     def test_edited_file_misses_and_the_run_follows_its_bytes(self, fitted):
         path = fitted / "exp03.csv"
+        old = hashlib.sha256(path.read_bytes()).hexdigest()
         header = path.read_text().splitlines()[0]
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         data[:, header.split(",").index("melt_pool_temp_c")] *= 1.5
@@ -664,8 +688,11 @@ class TestParseCache:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         report = json.loads((fitted / "out" / "ingest_report.json").read_text())
         assert report["provenance"]["inputs"]["exp03"] == digest
-        assert len(list((fitted / "out" / ".parsed").iterdir())) == 6
-        assert (fitted / "out" / ".parsed" / f"{digest}.npy").exists()
+        # The old content's entry goes with the run that no longer reads it.
+        entries = {p.stem for p in (fitted / "out" / ".parsed").iterdir()}
+        inputs = report["provenance"]["inputs"]
+        assert entries == {inputs[f"exp{i:02d}"] for i in range(1, 6)}
+        assert digest in entries and old not in entries
         cfg = load_run_config(cfg_path)
         fresh, _ = load_datasets(load_manifest(cfg.manifest), load_schema(cfg.schema))
         for got, expected in zip(_Run(cfg).ingested[0], fresh):
@@ -915,6 +942,7 @@ class TestExitCodes:
             '{"cv": {}}',
             '{"envelope": {"rmse": {}, "ci95": {}}}',
             '{"envelope": {"rmse": 3, "ci95": 4}}',
+            json.dumps({"envelope": {"rmse": HALF_WIDTHS, "ci95": HALF_WIDTHS}, "cv": {}}),
         ],
     )
     def test_malformed_cv_report_is_3(self, corpus, text, capsys):
@@ -932,7 +960,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "cv_report.json" in err
         if isinstance(payload, dict):
-            assert "no uncertainty envelope" in err
+            assert "no uncertainty envelope or scores" in err
 
     @pytest.mark.parametrize(
         "command, upstream, refit",

@@ -40,12 +40,14 @@ from dedsid.config import VifConfig
 from dedsid.dmdc import build_snapshots
 from dedsid.errors import (
     AllSentinel,
+    ConfigError,
     CorruptFile,
     DataError,
     DegenerateChannelWarning,
     MissingColumn,
     NaNInRetainedColumn,
     NonUniformTimestamps,
+    NumericError,
     UnknownChannel,
 )
 from dedsid.vif import screen_inputs
@@ -54,6 +56,25 @@ SCHEMA = (
     ChannelSpec("u", "au", "input"),
     ChannelSpec("y", "au", "observable"),
 )
+
+# Small CSV files: lines of fields that are names, numbers, or neither, and
+# arbitrary bytes.
+CSV_FIELDS = st.sampled_from(
+    ["u", "y", " y", "time_s", '"u"', "", "0", "0.01", "-2.5", "1e400", "nan", "inf", "x", "#"]
+)
+CSV_FILES = st.one_of(
+    st.lists(st.lists(CSV_FIELDS, max_size=4).map(",".join), max_size=5).flatmap(
+        lambda lines: st.sampled_from(["\n", "\r\n", "\r"]).map(
+            lambda end: end.join(lines).encode()
+        )
+    ),
+    st.binary(max_size=40),
+)
+
+
+@pytest.fixture(scope="module")
+def csv_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_property")
 
 
 class TestDataset:
@@ -212,6 +233,24 @@ class TestIngest:
         assert ds.row_count == 0
         assert report.retained == ("u", "y")
 
+    @pytest.mark.parametrize("header", ["a,a,u,y", "u,y, u"])
+    def test_column_named_twice_is_corrupt(self, tmp_path, header):
+        p = self._write(tmp_path / "e.csv", f"{header}\n1,2,3,4\n")
+        name = header.split(",")[0].strip()
+        with pytest.raises(CorruptFile, match=f"column {name!r} named twice in the header"):
+            ingest_csv(p, SCHEMA, 100.0, "e")
+
+    @settings(max_examples=300)
+    @given(content=CSV_FILES)
+    def test_any_file_ingests_or_raises_a_named_error(self, csv_root, content):
+        path = csv_root / "e.csv"
+        path.write_bytes(content)
+        try:
+            ds, report = ingest_csv(path, SCHEMA, 100.0, "e")
+        except (ConfigError, DataError, NumericError):
+            return
+        assert ds.channel_names + report.excluded_all_nan == ("u", "y")
+
     def test_single_column_file(self, tmp_path):
         p = self._write(tmp_path / "e.csv", "y\n1.0\n2.0\n3.0\n")
         ds, _ = ingest_csv(p, (ChannelSpec("y", "au", "observable"),), 100.0, "e")
@@ -245,7 +284,7 @@ class TestParseCache:
         first = ParseCache(tmp_path / "cache")
         assert first.digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
         self._ingest(path, first)
-        first.save()
+        first.save(keep=[first.digest(path)])
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [f"{first.digest(path)}.npy"]
         monkeypatch.setattr(np, "loadtxt", refuse_loadtxt)
         hit, hit_report = self._ingest(path, ParseCache(tmp_path / "cache"))
@@ -267,16 +306,30 @@ class TestParseCache:
         path = self._record(tmp_path)
         cache = ParseCache(tmp_path / "cache")
         fresh, _ = self._ingest(path, cache)
-        cache.save()
+        cache.save(keep=[cache.digest(path)])
         entry = tmp_path / "cache" / f"{cache.digest(path)}.npy"
         good = entry.read_bytes()
         damage(entry)
         again = ParseCache(tmp_path / "cache")
         ds, _ = self._ingest(path, again)
         assert ds.data.tobytes() == fresh.data.tobytes()
-        again.save()
+        again.save(keep=[again.digest(path)])
         assert entry.read_bytes() == good
         assert sorted(p.name for p in entry.parent.iterdir()) == [entry.name]
+
+    def test_save_removes_entries_not_kept(self, tmp_path):
+        # An entry of content no longer read (an edited file's old bytes)
+        # goes; a kept one stays even when this save wrote nothing.
+        path = self._record(tmp_path)
+        cache = ParseCache(tmp_path / "cache")
+        self._ingest(path, cache)
+        stray = tmp_path / "cache" / f"{'0' * 64}.npy"
+        stray.parent.mkdir()
+        np.save(stray, np.zeros((1, 4)))
+        cache.save(keep=[cache.digest(path), stray.stem])
+        assert stray.exists()
+        cache.save(keep=[cache.digest(path)])
+        assert [p.name for p in stray.parent.iterdir()] == [f"{cache.digest(path)}.npy"]
 
     def test_failed_parse_holds_no_entry(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -284,7 +337,7 @@ class TestParseCache:
         cache = ParseCache(tmp_path / "cache")
         with pytest.raises(CorruptFile, match="'abc'"):
             ingest_csv(path, SCHEMA, 100.0, "e", cache)
-        cache.save()
+        cache.save(keep=[cache.digest(path)])
         assert not (tmp_path / "cache").exists()
 
     def test_file_changed_between_reads_is_corrupt(self, tmp_path):

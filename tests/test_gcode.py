@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dedsid.errors import MalformedNumber, UnsupportedWord, ZeroFeedMove
+from dedsid.errors import (
+    DataError,
+    MalformedNumber,
+    NegativeParameter,
+    UnsupportedWord,
+    ZeroFeedMove,
+)
 from dedsid.gcode import (
     Dwell,
     LinearMove,
@@ -20,6 +28,30 @@ M3 S200
 G1 Y10 (second leg)
 M5
 """
+
+
+
+def _number(low, high):
+    """A decimal literal of the dialect (no exponent) in [low, high]."""
+    return st.floats(low, high).map(lambda v: f"{v:.3f}")
+
+
+# Small programs: every move stays within 100 mm (coordinates in [-25, 25])
+# and every positive feed is at least 1 mm/min, so no program samples to a
+# huge series. Dwells and powers may be negative, and a line may be junk
+# without digits.
+_AXIS = st.tuples(st.sampled_from("XYZ"), _number(-25, 25))
+_FEED = st.tuples(st.just("F"), st.one_of(_number(1, 1000), _number(-1000, 0)))
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(["G0", "G1"]), st.lists(st.one_of(_AXIS, _FEED), max_size=4)).map(
+        lambda cmd: " ".join([cmd[0], *(f"{k}{v}" for k, v in dict(cmd[1]).items())])
+    ),
+    _number(-10, 10).map(lambda v: f"G4 P{v}"),
+    _number(-500, 500).map(lambda v: f"M3 S{v}"),
+    st.just("M5"),
+    st.text(alphabet="GMXYZFPS ;()-.", max_size=8),
+)
+PROGRAMS = st.lists(_LINES, max_size=8).map("\n".join)
 
 
 class TestParser:
@@ -60,6 +92,28 @@ class TestParser:
     def test_dwell_requires_p(self):
         with pytest.raises(UnsupportedWord):
             parse_gcode_subset("G4 X1")
+
+    @pytest.mark.parametrize(
+        "text, token, line",
+        [("G4 P-5", "P-5", 1), ("G1 X5 F600\nG4 P-0.5", "P-0.5", 2), ("M3 S-10", "S-10", 1)],
+    )
+    def test_negative_dwell_or_power_rejected(self, text, token, line):
+        with pytest.raises(NegativeParameter, match=f"'{token}' on line {line}"):
+            parse_gcode_subset(text)
+
+    def test_number_beyond_float_range_is_malformed(self):
+        with pytest.raises(MalformedNumber):
+            parse_gcode_subset("G1 X" + "9" * 400 + " F60")
+
+    @settings(max_examples=300)
+    @given(text=PROGRAMS, rate=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_any_small_program_samples_or_raises_a_named_error(self, text, rate):
+        try:
+            ds = program_to_timeseries(parse_gcode_subset(text), rate)
+        except DataError:
+            return
+        assert np.isfinite(ds.data).all()
+        assert (ds.column("power_w") >= 0).all()
 
 
 class TestSampling:

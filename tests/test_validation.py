@@ -17,7 +17,7 @@ from helpers import (
 from dedsid.artifacts import from_plain, to_plain
 from dedsid.config import EVAL_MODES, FitConfig
 from dedsid.dataset import decimate
-from dedsid.dmdc import StateSpaceModel, build_snapshots
+from dedsid.dmdc import StateSpaceModel
 from dedsid.errors import (
     AllFoldsDiverged,
     ConstantActual,
@@ -31,7 +31,6 @@ from dedsid.validation import (
     draw_splits,
     frequency_study,
     predict_series,
-    run_lpocv,
 )
 
 
@@ -247,8 +246,21 @@ class TestLpocv:
     def test_every_fold_diverged_is_a_numeric_error(self):
         datasets = diverging_corpus(long_scale=0.01)
         config = FitConfig(inputs=("u",), observables=("y",))
-        with pytest.raises(AllFoldsDiverged, match="all 4 cross-validation folds diverged"):
+        message = (
+            "all 4 cross-validation folds diverged: the fitted A has spectral radius "
+            "above 1 in 4, the rollout overflowed in 4"
+        )
+        with pytest.raises(AllFoldsDiverged, match=message):
             lpocv(datasets, config, np.eye(4, dtype=bool))
+
+    def test_unstable_folds_with_finite_rollouts_are_counted(self):
+        # The short explosive experiments alone fit A of radius near 1.05,
+        # and their 120-step rollouts stay finite.
+        datasets = diverging_corpus(long_scale=0.01)[:3]
+        config = FitConfig(inputs=("u",), observables=("y",))
+        message = "spectral radius above 1 in 3, the rollout overflowed in 0"
+        with pytest.raises(AllFoldsDiverged, match=message):
+            lpocv(datasets, config, np.eye(3, dtype=bool))
 
     def test_envelope_from_dict_round_trip(self):
         env = UncertaintyEnvelope(rmse={"y1": 0.5}, ci95={"y1": 0.125})
@@ -358,14 +370,13 @@ class TestBoundPredictions:
 
 class TestFrequencyStudy:
     def test_factor_one_matches_direct_run(self):
-        # Factor 1 is scored on the pass it is given, so its row is the
-        # direct run's aggregates bit for bit, wherever it stands in the list.
+        # Factor 1's row is read off the cv report it is given, bit for bit,
+        # wherever it stands in the list; the other rates are scored anew.
         spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=600, seed=28, noise_sd=0.02)
         cfg = _fit_config(spec)
         splits = draw_splits(len(datasets), 2, 3, 5)
-        snapshots = build_snapshots(datasets, cfg.inputs, cfg.observables)
-        rows = frequency_study(datasets, cfg, [3, 1], splits, snapshots)
-        direct, _ = run_lpocv(datasets, cfg, splits, snapshots)
+        direct, _ = lpocv(datasets, cfg, splits)
+        rows = frequency_study(datasets, [3, 1], splits, direct)
         assert rows[1].factor == 1
         assert rows[1].sample_rate_hz == 100.0
         assert rows[1].r2_test == direct.aggregates["r2_test"]
@@ -374,20 +385,23 @@ class TestFrequencyStudy:
         assert rows[1].finite_folds == direct.finite_folds == 3
 
     def test_scored_full_rate_row_is_kept(self):
-        # Given factor 1's row already scored, the study keeps it and scores
-        # only the decimated rates, as it would with the pass.
-        spec, datasets = linear_corpus(q=2, p=1, n_exp=5, steps=600, seed=28, noise_sd=0.02)
-        cfg = _fit_config(spec)
+        # Given cv's report, the study keeps its row and scores only the
+        # decimated rates, each under the report's config (here one input of
+        # two, one-step), whatever the order of the factors.
+        spec, datasets = linear_corpus(q=2, p=2, n_exp=5, steps=600, seed=28, noise_sd=0.02)
+        cfg = replace(_fit_config(spec), inputs=spec.input_names[:1], eval_mode="one-step")
         splits = draw_splits(len(datasets), 2, 3, 5)
-        snapshots = build_snapshots(datasets, cfg.inputs, cfg.observables)
-        scored = frequency_study(datasets, cfg, [1, 3], splits, snapshots)
-        assert frequency_study(datasets, cfg, [3, 1], splits, scored[0]) == scored[::-1]
+        full_rate, _ = lpocv(datasets, cfg, splits)
+        rows = frequency_study(datasets, [1, 3], splits, full_rate)
+        slowed, _ = lpocv([decimate(ds, 3) for ds in datasets], cfg, splits)
+        assert rows[1].r2_test == slowed.aggregates["r2_test"]
+        assert rows[1].rmse_test == slowed.aggregates["rmse_test"]
+        assert frequency_study(datasets, [3, 1], splits, full_rate) == rows[::-1]
 
     def test_decimated_rate_recorded(self):
         spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=600, seed=29)
         splits = draw_splits(len(datasets), 1, 2, 0)
-        cfg = _fit_config(spec)
-        snapshots = build_snapshots(datasets, cfg.inputs, cfg.observables)
-        rows = frequency_study(datasets, cfg, [2], splits, snapshots)
+        full_rate, _ = lpocv(datasets, _fit_config(spec), splits)
+        rows = frequency_study(datasets, [2], splits, full_rate)
         assert rows[0].sample_rate_hz == 50.0
         assert decimate(datasets[0], 2).row_count == 300
