@@ -9,7 +9,9 @@ reports a later stage reuses are all read through it. ``write_json`` is the
 only JSON writer: it refuses NaN and -inf, spells +inf as ``"inf"`` (an
 infinite VIF is a legitimate result), and lays the file down only once the
 whole payload has encoded, so a refused artifact leaves no partial file.
-``write_rows`` writes every CSV table, experiment files included.
+``write_rows`` writes every CSV table, each a float matrix in one format:
+the experiment files, the bounded predictions and the spectrograms. Every
+other result is JSON only, so no file repeats another.
 """
 
 from __future__ import annotations
@@ -134,19 +136,15 @@ def write_json(path: str | Path, obj, provenance: dict | None = None) -> None:
     path.write_text(text + "\n")
 
 
-def write_rows(fh, rows: np.ndarray, fmt: str = "%.17g") -> None:
-    """Write the rows of a 2-D array to ``fh`` as comma-separated lines.
+def write_rows(fh, rows: np.ndarray) -> None:
+    """Write the rows of a 2-D float array to ``fh`` as comma-separated lines.
 
-    The bytes are those of ``np.savetxt(fh, rows, delimiter=",", fmt=fmt)``:
-    ``fmt`` is one format for every value or one for the whole row. Instead
-    of one ``%`` per row, each block of rows is formatted by one ``%`` over
-    a format repeated per row; an object array keeps its values' types. A
-    table of no rows writes nothing.
+    The bytes are those of ``np.savetxt(fh, rows, delimiter=",", fmt="%.17g")``,
+    which round-trips every float64. Instead of one ``%`` per row, each block
+    of rows is formatted by one ``%`` over the row's format repeated per row.
+    A table of no rows writes nothing.
     """
-    if len(rows) == 0:
-        return
-    rows = np.asarray(rows)
-    line = (fmt if fmt.count("%") > 1 else ",".join([fmt] * rows.shape[1])) + "\n"
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
         part = rows[start : start + _CSV_BLOCK_ROWS]
         fh.write((line * len(part)) % tuple(part.ravel().tolist()))

@@ -45,11 +45,9 @@ from .vif import screen_inputs
 from .wasserstein import split_shift_report
 
 
-def _write_table(
-    run: _Run, name: str, header: Sequence[str], rows: np.ndarray, fmt: str = "%.17g"
-) -> None:
+def _write_table(run: _Run, name: str, header: Sequence[str], rows: np.ndarray) -> None:
     """The CSV artifact ``name``: one comment line with the run's provenance
-    (the input digests as compact JSON), the header row, then ``rows`` in ``fmt``."""
+    (the input digests as compact JSON), the header row, then ``rows``."""
     provenance = run.provenance
     inputs = json.dumps(provenance["inputs"], separators=(",", ":"))
     run.out.mkdir(parents=True, exist_ok=True)
@@ -59,7 +57,7 @@ def _write_table(
             f"inputs={inputs}\n"
         )
         fh.write(",".join(header) + "\n")
-        write_rows(fh, rows, fmt)
+        write_rows(fh, rows)
 
 
 def _write_corpus(datasets: Sequence[TimeSeriesDataset], schema, root: Path) -> None:
@@ -217,19 +215,12 @@ def _select_features(run: _Run) -> str:
 def _dist_report(run: _Run) -> str:
     results = split_shift_report(run.datasets, run.splits, run.names("observable"))
     write_json(run.out / "dist_report.json", {"results": results}, run.provenance)
-    table = [
-        (r.channel, r.pair_label, r.mean_distance, r.ci95_halfwidth, r.repeats) for r in results
-    ]
-    header = "channel,pair,mean_distance,ci95_halfwidth,repeats".split(",")
-    fmt = "%s,%s,%.17g,%.17g,%d"
-    _write_table(run, "dist_report.csv", header, np.array(table, dtype=object), fmt)
     return f"wrote {len(results)} distance summaries"
 
 
 def _cv(run: _Run) -> str:
     report, envelope = run_lpocv(run.datasets, run.fit_config, run.splits, run.fit_snapshots)
-    payload = {"cv": report, "envelope": envelope}
-    write_json(run.out / "cv_report.json", payload, run.provenance)
+    write_json(run.out / "cv_report.json", {"cv": report}, run.provenance)
     run.made["cv_report.json"] = report, envelope
     r2 = report.aggregates["r2_test"]
     return "\n".join(
@@ -252,14 +243,15 @@ def _fit(run: _Run) -> str:
 
 
 def _read_cv(run: _Run, path: Path) -> tuple[CvReport, UncertaintyEnvelope]:
-    """``cv_report.json``, written under this run's provenance, with a
-    half-width in its envelope for each of the run's observables."""
+    """``cv_report.json``, written under this run's provenance, and the
+    envelope of its scores, with a half-width for each of the run's observables."""
     payload = read_json_object(path, run.provenance)
     try:
-        envelope = from_plain(UncertaintyEnvelope, payload.get("envelope"), key="envelope")
+        report = from_plain(CvReport, payload.get("cv"), key="cv")
+        envelope = UncertaintyEnvelope.of(report)
         for name in run.names("observable"):  # every bound needs a half-width
             envelope.half_width(name)
-        return from_plain(CvReport, payload.get("cv"), key="cv"), envelope
+        return report, envelope
     except (KeyError, ValueError) as exc:
         raise CorruptFile(str(path), f"no uncertainty envelope or scores: {exc!r}") from None
 
@@ -289,19 +281,16 @@ def _predict(run: _Run) -> str:
         model, envelope, ds, cfg.eval_mode
     )
 
+    # The position channels follow t when the experiment records every one.
+    positions = list(cfg.position_channels)
+    if not all(c in ds.channel_names for c in positions):
+        positions = []
     t = np.arange(1, ds.row_count)
     kinds = ("pred", "lower", "upper", "measured", "violation")
-    header = ["t"] + [f"{name}_{kind}" for name in names for kind in kinds]
+    header = ["t", *positions] + [f"{name}_{kind}" for name in names for kind in kinds]
     per_name = np.stack([predictions, lower, upper, measured, violated], 2)
-    rows = np.column_stack([t, per_name.reshape(t.size, -1)])
+    rows = np.column_stack([t, ds.matrix_for(positions)[1:], per_name.reshape(t.size, -1)])
     _write_table(run, "bounded_predictions.csv", header, rows)
-
-    positions = list(cfg.position_channels)
-    geometry_written = all(c in ds.channel_names for c in positions)
-    if geometry_written:
-        header = ["t"] + positions + [f"{name}_pred" for name in names]
-        rows = np.column_stack([t, ds.matrix_for(positions)[1:], predictions])
-        _write_table(run, "geometry.csv", header, rows)
 
     counts = violated.sum(axis=0)
     total = violated.size
@@ -311,7 +300,6 @@ def _predict(run: _Run) -> str:
         "steps": int(t.size),
         "violations": {name: int(c) for name, c in zip(names, counts)},
         "within_bounds_fraction": within,
-        "geometry_written": geometry_written,
     }
     write_json(run.out / "predict_report.json", summary, run.provenance)
     return f"bounded predictions for {exp_id}: {within:.3f} within bounds"
@@ -359,22 +347,13 @@ def _freq_study(run: _Run) -> str:
     factors = run.cfg.decimation_factors
     try:
         full_rate, _ = run.upstream("cv_report.json", "cv", _read_cv)
-    except DataError:  # absent, stale or undecodable: the screening pass and cv run here
-        full_rate, _ = run_lpocv(run.datasets, run.fit_config, run.splits, run.fit_snapshots)
-    rows = frequency_study(run.datasets, factors, run.splits, full_rate)
+        config = full_rate.config
+    except DataError:  # absent, stale or undecodable: the screening pass runs here
+        full_rate, config = None, run.fit_config
+        if 1 in factors:  # and cv, whose report is factor 1's row
+            full_rate, _ = run_lpocv(run.datasets, config, run.splits, run.fit_snapshots)
+    rows = frequency_study(run.datasets, factors, run.splits, config, full_rate)
     write_json(run.out / "freq_study.json", {"rows": rows}, run.provenance)
-    table = []
-    for row in rows:
-        for obs in run.names("observable"):
-            r2, rmse = row.r2_test[obs], row.rmse_test[obs]
-            table.append(
-                (row.factor, row.sample_rate_hz, row.finite_folds, obs)
-                + (r2.mean, r2.ci95, rmse.mean, rmse.ci95)
-            )
-    header = "factor,sample_rate_hz,finite_folds,observable,r2_mean,r2_ci95,rmse_mean,rmse_ci95"
-    header = header.split(",")
-    fmt = "%d,%.17g,%d,%s,%.17g,%.17g,%.17g,%.17g"
-    _write_table(run, "freq_study.csv", header, np.array(table, dtype=object), fmt)
     return f"frequency study over factors {list(factors)} complete"
 
 
@@ -409,18 +388,6 @@ def cmd_pipeline(args) -> int:
     for name in PIPELINE:
         STAGES[name][1](run)
         run.parse_cache.save(keep=run.provenance["inputs"].values())
-    cv, _ = run.upstream("cv_report.json", "cv", _read_cv)
-    r2 = cv.aggregates["r2_test"]
-    write_json(
-        run.out / "pipeline_report.json",
-        {
-            "stages": PIPELINE,
-            "experiments": sorted(ds.experiment_id for ds in run.datasets),
-            "surviving_inputs": run.fit_config.inputs,
-            "test_r2": {obs: r2[obs].mean for obs in cv.config.observables},
-        },
-        run.provenance,
-    )
     print(f"pipeline complete: {', '.join(PIPELINE)}")
     return 0
 

@@ -173,6 +173,12 @@ class UncertaintyEnvelope:
     rmse: Mapping[str, float]
     ci95: Mapping[str, float]
 
+    @classmethod
+    def of(cls, report: CvReport) -> UncertaintyEnvelope:
+        """The mean and CI half-width of ``report``'s test RMSE, per observable."""
+        rmse = report.aggregates["rmse_test"]
+        return cls({k: a.mean for k, a in rmse.items()}, {k: a.ci95 for k, a in rmse.items()})
+
     def half_width(self, observable: str) -> float:
         return self.rmse[observable] + self.ci95[observable]
 
@@ -305,11 +311,7 @@ def run_lpocv(
         finite_folds=len(finite),
         aggregates=aggregates,
     )
-    envelope = UncertaintyEnvelope(
-        rmse={obs: aggregates["rmse_test"][obs].mean for obs in config.observables},
-        ci95={obs: aggregates["rmse_test"][obs].ci95 for obs in config.observables},
-    )
-    return report, envelope
+    return report, UncertaintyEnvelope.of(report)
 
 
 def bound_predictions(
@@ -348,17 +350,20 @@ def frequency_study(
     datasets: Sequence[TimeSeriesDataset],
     factors: Sequence[int],
     splits: np.ndarray,
-    full_rate: CvReport,
+    config: FitConfig,
+    full_rate: CvReport | None = None,
 ) -> list[FrequencyStudyRow]:
     """Rerun cross-validation at progressively slower recording rates.
 
     Decimation drops samples outright (no anti-alias filter), exactly as a
-    slower sensor would. Factor 1's row is read off ``full_rate``, the
-    ``run_lpocv`` report of ``datasets`` on ``splits``; every decimated rate
-    builds its own pass and is scored on the same ``splits`` under
-    ``full_rate.config``.
+    slower sensor would. Every decimated rate builds its own pass and is
+    scored on the same ``splits`` under ``config``. Factor 1's row is read
+    off ``full_rate``, the ``run_lpocv`` report of ``datasets`` on ``splits``
+    under ``config``, which only factors that include 1 need.
     """
-    config, rows = full_rate.config, []
+    if 1 in factors and full_rate is None:
+        raise ValueError("factor 1 is read off a full-rate cv report, and none was given")
+    rows = []
     for factor in factors:
         report, slowed = full_rate, datasets
         if factor != 1:

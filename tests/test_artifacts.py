@@ -139,12 +139,12 @@ class TestReadJsonObject:
             read_json_object(tmp_path / "r.json", RUN)
 
 
-def first_difference(rows, fmt: str = "%.17g"):
+def first_difference(rows):
     """``None`` if ``write_rows`` writes what numpy's per-row ``np.savetxt``
-    writes, else the first line where they part (a short failure report)."""
+    writes in ``%.17g``, else the first line where they part (a short failure report)."""
     got, expected = io.StringIO(), io.StringIO()
-    write_rows(got, rows, fmt)
-    np.savetxt(expected, rows, delimiter=",", fmt=fmt)
+    write_rows(got, rows)
+    np.savetxt(expected, rows, delimiter=",", fmt="%.17g")
     if got.getvalue() == expected.getvalue():
         return None
     got_lines, expected_lines = got.getvalue().split("\n"), expected.getvalue().split("\n")
@@ -167,21 +167,8 @@ class TestWriteRows:
         table.flat[1::97] = np.resize(specials, table.flat[1::97].size)
         assert first_difference(table) is None
 
-    @pytest.mark.parametrize(
-        "fmt, row",
-        [
-            ("%s,%s,%.17g,%.17g,%d", ("melt_pool_temp_c", "train_vs_test", 0.1, 1e-17, 10)),
-            ("%d,%.17g,%s,%.17g,%.17g,%.17g,%.17g", (5, 20.0, "y", 0.97, -2e-3, 1.5, np.inf)),
-        ],
-        ids=["dist_report", "freq_study"],
-    )
-    def test_object_rows_byte_identical_to_savetxt(self, fmt, row):
-        table = np.array([row] * (_CSV_BLOCK_ROWS + 3), dtype=object)
-        assert first_difference(table, fmt) is None
-
     def test_no_rows_write_nothing(self):
         assert first_difference(np.empty((0, 3))) is None
-        for table, fmt in ((np.empty((0, 3)), "%.17g"), (np.array([], dtype=object), "%s,%d")):
-            out = io.StringIO()
-            write_rows(out, table, fmt)
-            assert out.getvalue() == ""
+        out = io.StringIO()
+        write_rows(out, np.empty((0, 3)))
+        assert out.getvalue() == ""

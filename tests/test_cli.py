@@ -102,6 +102,23 @@ def artifacts(tree: dict) -> dict:
     return {name: data for name, data in tree.items() if not name.startswith(".parsed/")}
 
 
+def columns_of(path: Path) -> dict:
+    """The columns of a CSV artifact, keyed by its header."""
+    lines = path.read_text().splitlines()
+    return dict(zip(lines[1].split(","), np.loadtxt(lines[2:], delimiter=",", ndmin=2).T))
+
+
+def assert_bounds_from_scores(out: Path) -> None:
+    """Each observable's bounds in ``bounded_predictions.csv`` are its
+    prediction -/+ h, h = rmse_test mean + ci95 of ``cv_report.json``, bit for bit."""
+    rmse = json.loads((out / "cv_report.json").read_text())["cv"]["aggregates"]["rmse_test"]
+    col = columns_of(out / "bounded_predictions.csv")
+    for obs, score in rmse.items():
+        h = score["mean"] + score["ci95"]
+        assert np.array_equal(col[f"{obs}_lower"], col[f"{obs}_pred"] - h)
+        assert np.array_equal(col[f"{obs}_upper"], col[f"{obs}_lower"] + 2 * h)
+
+
 def child_env() -> dict:
     """This environment, with the imported ``dedsid`` first on a child's PYTHONPATH."""
     src = str(Path(dedsid.__file__).resolve().parents[1])
@@ -173,10 +190,7 @@ class TestStages:
         out = corpus / "out_dist"
         payload = json.loads((out / "dist_report.json").read_text())
         assert len(payload["results"]) == 9  # 3 pairs x 3 observables
-        lines = (out / "dist_report.csv").read_text().splitlines()
-        assert lines[0].startswith("# config_sha256=")
-        assert lines[1] == "channel,pair,mean_distance,ci95_halfwidth,repeats"
-        assert len(lines) == 11
+        assert sorted(artifacts(read_tree(out))) == ["dist_report.json"]
 
     def test_fit_cv_predict_chain(self, corpus):
         cfg_path = derived_config(corpus, "out_chain", predict_experiment="exp02")
@@ -188,23 +202,21 @@ class TestStages:
 
         assert main(["cv", "--config", str(cfg_path)]) == 0
         payload = json.loads((out / "cv_report.json").read_text())
+        assert list(payload) == ["provenance", "cv"]
         assert payload["cv"]["p"] == 3 and payload["cv"]["repeats"] == 10
-        assert set(payload["envelope"]["rmse"]) == {
-            "melt_pool_size_mm",
-            "melt_pool_temp_c",
-            "working_distance_mm",
-        }
+        assert set(payload["cv"]["aggregates"]["rmse_test"]) == set(HALF_WIDTHS)
 
         assert main(["predict", "--config", str(cfg_path)]) == 0
         report = json.loads((out / "predict_report.json").read_text())
         assert report["experiment_id"] == "exp02"
         assert 0.0 <= report["within_bounds_fraction"] <= 1.0
+        assert "geometry_written" not in report
         header = (out / "bounded_predictions.csv").read_text().splitlines()[1].split(",")
-        assert header[0] == "t"
-        assert "melt_pool_size_mm_pred" in header
+        assert header[:5] == ["t", "x_mm", "y_mm", "z_mm", "melt_pool_size_mm_pred"]
         assert "melt_pool_size_mm_lower" in header
-        geo_header = (out / "geometry.csv").read_text().splitlines()[1].split(",")
-        assert geo_header[:4] == ["t", "x_mm", "y_mm", "z_mm"]
+        assert sorted(artifacts(read_tree(out))) == [
+            "bounded_predictions.csv", "cv_report.json", "model.json", "predict_report.json"
+        ]
 
     def test_predict_artifacts_agree_with_the_rollout(self, corpus):
         cfg_path = derived_config(corpus, "out_predict_check")
@@ -273,6 +285,24 @@ class TestStages:
             assert np.array_equal(col[f"{name}_pred"], expected[:, j])
         assert not np.array_equal(expected, predict_series(model, [ds], "rollout")[0][1:])
 
+    def test_bounds_come_from_the_cv_scores(self, fitted):
+        # An envelope planted beside the scores, as the reports of earlier
+        # versions carried one, bounds nothing.
+        path = fitted / "out" / "cv_report.json"
+        payload = json.loads(path.read_text())
+        payload["envelope"] = {"rmse": HALF_WIDTHS, "ci95": HALF_WIDTHS}
+        path.write_text(json.dumps(payload))
+        assert main(["predict", "--config", str(fitted / "config.json")]) == 0
+        assert_bounds_from_scores(fitted / "out")
+
+    def test_absent_position_channel_leaves_positions_out(self, fitted):
+        cfg_path = derived_config(fitted, "out_no_w", position_channels=["x_mm", "w_mm"])
+        for command in ("fit", "cv", "predict"):
+            assert main([command, "--config", str(cfg_path)]) == 0
+        lines = (fitted / "out_no_w" / "bounded_predictions.csv").read_text().splitlines()
+        assert lines[1].startswith("t,melt_pool_size_mm_pred,")
+        assert "x_mm" not in lines[1].split(",")
+
     def test_spectrogram_with_and_without_model(self, corpus):
         bare = derived_config(corpus, "out_sg_bare")
         assert main(["spectrogram", "--config", str(bare)]) == 0
@@ -293,8 +323,7 @@ class TestStages:
             corpus, "out_freq", decimation_factors=[1, 2], lpocv={"p": 2, "repeats": 2}
         )
         assert main(["freq-study", "--config", str(cfg_path)]) == 0
-        lines = (corpus / "out_freq" / "freq_study.csv").read_text().splitlines()
-        assert len(lines) == 2 + 2 * 3
+        assert sorted(artifacts(read_tree(corpus / "out_freq"))) == ["freq_study.json"]
         payload = json.loads((corpus / "out_freq" / "freq_study.json").read_text())
         assert [row["factor"] for row in payload["rows"]] == [1, 2]
         assert payload["rows"][1]["sample_rate_hz"] == 50.0
@@ -308,18 +337,15 @@ class TestPipeline:
             "impute_report.json",
             "vif_report.json",
             "dist_report.json",
-            "dist_report.csv",
             "cv_report.json",
             "model.json",
             "predict_report.json",
             "bounded_predictions.csv",
-            "geometry.csv",
             "spectrogram.csv",
             "spectrogram_model.csv",
             "spectrogram.json",
-            "pipeline_report.json",
         }
-        assert expected <= set(read_tree(out))
+        assert set(artifacts(read_tree(out))) == expected
         first = read_tree(out)
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         assert read_tree(out) == first
@@ -335,10 +361,8 @@ class TestPipeline:
         out.rename(corpus / "out_stage_by_stage_staged")
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         piped = read_tree(out)
-        assert set(piped) == set(staged) | {"pipeline_report.json"}
-        assert {n: piped[n] for n in staged} == staged
-        stages = json.loads(piped["pipeline_report.json"])["stages"]
-        assert stages == list(PIPELINE)
+        assert set(piped) == set(staged)  # the pipeline adds no file
+        assert piped == staged
 
     def test_fit_alone_writes_the_pipeline_model(self, corpus):
         # The pipeline's fit reuses the snapshot summaries its cv built; a fit
@@ -369,7 +393,7 @@ class TestPipeline:
         out = corpus / "out_digests"
         provenance = json.loads((out / "ingest_report.json").read_text())["provenance"]
         tables = sorted(out.glob("*.csv"))
-        assert len(tables) == 6
+        assert len(tables) == 3
         for path in tables:
             first_line = path.read_text().splitlines()[0]
             stamp, inputs = first_line.split(" inputs=")
@@ -379,7 +403,7 @@ class TestPipeline:
     def test_provenance_consistent_across_artifacts(self, corpus, piped):
         out = piped[1]
         blocks = [json.loads(p.read_text())["provenance"] for p in sorted(out.glob("*.json"))]
-        assert len(blocks) == 9
+        assert len(blocks) == 8
         assert all(block == blocks[0] for block in blocks)
         files = {"schema": "schema.json", "manifest": "manifest.json"}
         files.update({f"exp{i:02d}": f"exp{i:02d}.csv" for i in range(1, 7)})
@@ -389,6 +413,9 @@ class TestPipeline:
         first_line = (out / "bounded_predictions.csv").read_text().splitlines()[0]
         hashes.add(first_line.split("config_sha256=")[1].split()[0])
         assert len(hashes) == 1
+
+    def test_bounds_come_from_the_cv_scores(self, piped):
+        assert_bounds_from_scores(piped[1])
 
     def test_dist_report_scores_the_cv_folds(self, piped):
         # dist-report and cv read one draw of splits: the k-th test-to-train
@@ -450,7 +477,7 @@ class TestRateStudy:
     def test_alone_and_after_pipeline_write_the_same_study(self, rated):
         out, alone = rated
         after = read_tree(out)
-        assert set(artifacts(alone)) == {"freq_study.json", "freq_study.csv"}
+        assert set(artifacts(alone)) == {"freq_study.json"}
         assert {name: after[name] for name in alone} == alone
 
     def test_benchmark_checks_pass(self, corpus, rated):
@@ -480,6 +507,33 @@ class TestRateStudy:
         assert slow_rows == [math.ceil(m / 2) for m in rows]
         assert slow == sum(slow_rows) - len(slow_rows)
 
+    def test_alone_without_factor_one_runs_no_full_rate_cv(self, corpus, monkeypatch):
+        # Factors without 1 are scored under the screened config: cv's folds
+        # at the full rate would only repeat what a cv report holds.
+        cfg_path = derived_config(
+            corpus, "out_no_one", decimation_factors=[2, 5], lpocv={"p": 2, "repeats": 2}
+        )
+        out = corpus / "out_no_one"
+        calls = []
+
+        def counted(fn):
+            def wrapper(datasets, *args, **kwargs):
+                calls.append(datasets[0].sample_rate_hz)
+                return fn(datasets, *args, **kwargs)
+
+            return wrapper
+
+        for module in (cli, validation):
+            monkeypatch.setattr(module, "run_lpocv", counted(module.run_lpocv))
+        assert main(["freq-study", "--config", str(cfg_path)]) == 0
+        assert calls == [50.0, 20.0]
+        alone = (out / "freq_study.json").read_bytes()
+        assert main(["cv", "--config", str(cfg_path)]) == 0
+        calls.clear()
+        assert main(["freq-study", "--config", str(cfg_path)]) == 0  # reads the fresh report
+        assert calls == [50.0, 20.0]
+        assert (out / "freq_study.json").read_bytes() == alone
+
     def test_study_ignores_missing_and_stale_reports(self, corpus):
         # freq_study.* are the same bytes whether the run's cv and vif
         # reports are absent, fresh, or another seed's.
@@ -488,9 +542,9 @@ class TestRateStudy:
         )
         out = corpus / "out_reuse"
 
-        def study() -> dict:
+        def study() -> bytes:
             assert main(["freq-study", "--config", str(cfg_path)]) == 0
-            return {name: (out / name).read_bytes() for name in ("freq_study.json", "freq_study.csv")}
+            return (out / "freq_study.json").read_bytes()
 
         alone = study()
         shutil.rmtree(out)
@@ -518,9 +572,9 @@ class TestRateStudy:
         )
         out = corpus / out_name
 
-        def study() -> dict:
+        def study() -> bytes:
             assert main(["freq-study", "--config", str(cfg_path)]) == 0
-            return {name: (out / name).read_bytes() for name in ("freq_study.json", "freq_study.csv")}
+            return (out / "freq_study.json").read_bytes()
 
         alone = study()
         shutil.rmtree(out)
@@ -560,7 +614,7 @@ class TestRateStudy:
         monkeypatch.setattr(cli, "load_model", recorded(cli.load_model))
         assert main(["pipeline", "--config", str(cfg_path)]) == 0
         assert calls == {"loadtxt": 6, "run_lpocv": 1, "build_snapshots": 1}
-        # predict, spectrogram and pipeline_report.json use what cv and fit made.
+        # predict and spectrogram use what cv and fit made.
         assert reads == []
         calls.update(dict.fromkeys(calls, 0))
         assert main(["freq-study", "--config", str(cfg_path)]) == 0
@@ -618,7 +672,8 @@ class TestDivergedFolds:
         assert main(["cv", "--config", str(cfg_path)]) == 0
         text = (tmp_path / "out" / "cv_report.json").read_text()
         payload = json.loads(text, parse_constant=refuse_constant)
-        cv, envelope = payload["cv"], payload["envelope"]
+        assert list(payload) == ["provenance", "cv"]
+        cv = payload["cv"]
         diverged = [fold["diverged"] for fold in cv["folds"]]
         assert diverged == [fold["test_ids"] == ["long"] for fold in cv["folds"]]
         assert 0 < sum(diverged) < len(diverged)
@@ -630,8 +685,6 @@ class TestDivergedFolds:
         for metric, per_obs in cv["aggregates"].items():
             vals = np.array([fold[metric]["y"] for fold in finite])
             assert per_obs["y"]["mean"] == float(vals.mean())
-        rmse = cv["aggregates"]["rmse_test"]["y"]
-        assert envelope == {"rmse": {"y": rmse["mean"]}, "ci95": {"y": rmse["ci95"]}}
 
     def test_fold_of_an_unstable_fit_is_diverged(self, tmp_path):
         # At factor 50 the fold that holds out ``long`` fits A of radius
@@ -934,29 +987,46 @@ class TestExitCodes:
         assert f"data error: cannot read {tmp_path / name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text",
+        "report",
         [
+            # The file's text. An envelope with no scores, as earlier versions
+            # wrote one beside them, bounds nothing.
             '{"envelope": 3}',
             "{not json",
             "[]",
             '{"cv": {}}',
+            '{"cv": 3}',
             '{"envelope": {"rmse": {}, "ci95": {}}}',
             '{"envelope": {"rmse": 3, "ci95": 4}}',
             json.dumps({"envelope": {"rmse": HALF_WIDTHS, "ci95": HALF_WIDTHS}, "cv": {}}),
+            # An edit to the cv block that fit and cv wrote.
+            pytest.param(
+                lambda cv: cv["aggregates"]["rmse_test"].pop("melt_pool_temp_c"),
+                id="rmse_test_lacks_an_observable",
+            ),
+            pytest.param(lambda cv: cv["aggregates"].pop("rmse_test"), id="no_rmse_test"),
+            pytest.param(lambda cv: cv["aggregates"].update(rmse_test=3), id="rmse_test_number"),
+            pytest.param(
+                lambda cv: cv["aggregates"]["rmse_test"]["melt_pool_temp_c"].update(ci95=None),
+                id="rmse_test_ci95_null",
+            ),
         ],
     )
-    def test_malformed_cv_report_is_3(self, corpus, text, capsys):
-        cfg_path = derived_config(corpus, "out_bad_envelope")
-        assert main(["fit", "--config", str(cfg_path)]) == 0
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            payload = None
-        if isinstance(payload, dict):  # the run's provenance, so the envelope itself is read
-            provenance = _Run(load_run_config(cfg_path)).provenance
-            text = json.dumps({"provenance": provenance, **payload})
-        (corpus / "out_bad_envelope" / "cv_report.json").write_text(text)
-        assert main(["predict", "--config", str(cfg_path)]) == 3
+    def test_malformed_cv_report_is_3(self, fitted, report, capsys):
+        path = fitted / "out" / "cv_report.json"
+        written = json.loads(path.read_text())
+        if callable(report):
+            report(written["cv"])
+            payload = written
+        else:
+            try:
+                payload = json.loads(report)
+            except ValueError:
+                payload = None
+            if isinstance(payload, dict):  # the run's provenance, so the scores are read
+                payload = {"provenance": written["provenance"], **payload}
+        path.write_text(json.dumps(payload) if isinstance(payload, dict) else report)
+        assert main(["predict", "--config", str(fitted / "config.json")]) == 3
         err = capsys.readouterr().err
         assert "cv_report.json" in err
         if isinstance(payload, dict):

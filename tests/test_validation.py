@@ -242,6 +242,7 @@ class TestLpocv:
             assert per_obs["y"].ci95 == float(1.96 * vals.std(ddof=1) / np.sqrt(3))
         assert envelope.rmse["y"] == report.aggregates["rmse_test"]["y"].mean
         assert envelope.ci95["y"] == report.aggregates["rmse_test"]["y"].ci95
+        assert envelope == UncertaintyEnvelope.of(report)
 
     def test_every_fold_diverged_is_a_numeric_error(self):
         datasets = diverging_corpus(long_scale=0.01)
@@ -376,7 +377,7 @@ class TestFrequencyStudy:
         cfg = _fit_config(spec)
         splits = draw_splits(len(datasets), 2, 3, 5)
         direct, _ = lpocv(datasets, cfg, splits)
-        rows = frequency_study(datasets, [3, 1], splits, direct)
+        rows = frequency_study(datasets, [3, 1], splits, cfg, direct)
         assert rows[1].factor == 1
         assert rows[1].sample_rate_hz == 100.0
         assert rows[1].r2_test == direct.aggregates["r2_test"]
@@ -392,16 +393,22 @@ class TestFrequencyStudy:
         cfg = replace(_fit_config(spec), inputs=spec.input_names[:1], eval_mode="one-step")
         splits = draw_splits(len(datasets), 2, 3, 5)
         full_rate, _ = lpocv(datasets, cfg, splits)
-        rows = frequency_study(datasets, [1, 3], splits, full_rate)
+        rows = frequency_study(datasets, [1, 3], splits, cfg, full_rate)
         slowed, _ = lpocv([decimate(ds, 3) for ds in datasets], cfg, splits)
         assert rows[1].r2_test == slowed.aggregates["r2_test"]
         assert rows[1].rmse_test == slowed.aggregates["rmse_test"]
-        assert frequency_study(datasets, [3, 1], splits, full_rate) == rows[::-1]
+        assert frequency_study(datasets, [3, 1], splits, cfg, full_rate) == rows[::-1]
 
     def test_decimated_rate_recorded(self):
+        # Factors without 1 need only the config, no full-rate report.
         spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=600, seed=29)
         splits = draw_splits(len(datasets), 1, 2, 0)
-        full_rate, _ = lpocv(datasets, _fit_config(spec), splits)
-        rows = frequency_study(datasets, [2], splits, full_rate)
+        rows = frequency_study(datasets, [2], splits, _fit_config(spec))
         assert rows[0].sample_rate_hz == 50.0
         assert decimate(datasets[0], 2).row_count == 300
+
+    def test_factor_one_without_a_report_is_refused(self):
+        spec, datasets = linear_corpus(q=2, p=1, n_exp=4, steps=600, seed=29)
+        splits = draw_splits(len(datasets), 1, 2, 0)
+        with pytest.raises(ValueError, match="factor 1 is read off a full-rate cv report"):
+            frequency_study(datasets, [2, 1], splits, _fit_config(spec))
