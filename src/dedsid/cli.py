@@ -25,6 +25,8 @@ from .config import (
     FitConfig,
     ImputationDirective,
     RunConfig,
+    check_output_dir,
+    check_seed,
     default_config_payload,
     load_run_config,
 )
@@ -120,6 +122,9 @@ class _Run:
     def ingested(self) -> tuple[list[TimeSeriesDataset], dict]:
         """The datasets as read and the ingest report, whose retained schema they share."""
         schema = load_schema(self.cfg.schema)
+        for name in [n for d in self.cfg.imputation for n in (d.channel, d.gate_channel)]:
+            if name not in {c.name for c in schema}:  # refused before any file is parsed
+                raise DataError(f"imputation channel {name!r} not in schema")
         datasets, reports = load_datasets(self.manifest, schema, self.parse_cache)
         # A channel that failed ingestion anywhere is dropped everywhere so
         # experiments keep a common schema.
@@ -176,7 +181,6 @@ class _Run:
             standardize_inputs=self.cfg.standardize_inputs,
             standardize_observables=self.cfg.standardize_observables,
             svd_rank=self.cfg.svd_rank,
-            eval_mode=self.cfg.eval_mode,
         )
 
     @cached_property
@@ -277,9 +281,7 @@ def _predict(run: _Run) -> str:
     if exp_id not in by_id:
         raise DataError(f"experiment {exp_id!r} not in manifest")
     ds = by_id[exp_id]
-    predictions, lower, upper, measured, violated = bound_predictions(
-        model, envelope, ds, cfg.eval_mode
-    )
+    predictions, lower, upper, measured, violated = bound_predictions(model, envelope, ds)
 
     # The position channels follow t when the experiment records every one.
     positions = list(cfg.position_channels)
@@ -306,41 +308,36 @@ def _predict(run: _Run) -> str:
 
 
 def _spectrogram(run: _Run) -> str:
-    cfg = run.cfg
-    sg_cfg = cfg.spectrogram
+    sg_cfg = run.cfg.spectrogram
     observables = run.names("observable")
     observable = sg_cfg.observable or observables[0]
     if observable not in observables:
         raise DataError(f"spectrogram observable {observable!r} not in schema")
-    fitted = (run.out / "model.json").exists()
-    model = run.upstream("model.json", "fit", _read_model) if fitted else None
-    grid = (sg_cfg.rows, sg_cfg.cols)
+    # The measured spectra first: a corpus of mixed rates is refused as such.
     measured = collect_pulse_spectra(
         run.datasets, sg_cfg.power_channel, [ds.column(observable) for ds in run.datasets]
     )
+    model = run.upstream("model.json", "fit", _read_model)
+    column = model.observable_names.index(observable)
+    predicted = [p[:, column] for p in predict_series(model, run.datasets)]
+    spectra = collect_pulse_spectra(run.datasets, sg_cfg.power_channel, predicted)
+    grid = (sg_cfg.rows, sg_cfg.cols)
     sg = build_spectrogram(measured, grid=grid, cap_hz=sg_cfg.cap_hz)
+    sg_model = build_spectrogram(spectra, grid=grid, cap_hz=sg_cfg.cap_hz)
     header = ["pulse_length_s", "frequency_hz", "intensity"]
     _write_table(run, "spectrogram.csv", header, sg.to_csv_rows())
+    _write_table(run, "spectrogram_model.csv", header, sg_model.to_csv_rows())
+    similarity = compare_spectrograms(sg, sg_model)
     summary = {
         "observable": observable,
         "grid": list(grid),
         "nyquist_hz": sg.nyquist_hz,
         "display_cap_hz": sg.display_cap_hz,
         "pulse_length_range_s": [float(v) for v in sg.pulse_length_axis_s[[0, -1]]],
+        "model_similarity": similarity,
     }
-    if model is not None:
-        column = list(model.observable_names).index(observable)
-        predicted = predict_series(model, run.datasets, cfg.eval_mode)
-        spectra = collect_pulse_spectra(
-            run.datasets, sg_cfg.power_channel, [p[:, column] for p in predicted]
-        )
-        sg_model = build_spectrogram(spectra, grid=grid, cap_hz=sg_cfg.cap_hz)
-        _write_table(run, "spectrogram_model.csv", header, sg_model.to_csv_rows())
-        summary["model_similarity"] = compare_spectrograms(sg, sg_model)
     write_json(run.out / "spectrogram.json", summary, run.provenance)
-    if model is None:
-        return "wrote measured spectrogram (no model file present)"
-    return f"spectrogram similarity (measured vs model): {summary['model_similarity']:.4f}"
+    return f"spectrogram similarity (measured vs model): {similarity:.4f}"
 
 
 def _freq_study(run: _Run) -> str:
@@ -406,7 +403,9 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"--rate must be a finite number of Hz above 0, got {args.rate}")
     if args.dropout is not None and not 0 <= args.dropout <= 1:
         raise ConfigError(f"--dropout must lie in [0, 1], got {args.dropout}")
+    check_seed(args.seed)
     out = Path(args.out)
+    check_output_dir(out)
     spec, datasets = make_demo_experiments(
         args.experiments,
         args.seed,

@@ -26,9 +26,6 @@ from typing import Sequence
 from .artifacts import from_plain, to_plain
 from .errors import ConfigError
 
-EVAL_MODES = ("rollout", "one-step")
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """What to fit on and how, shared by every cross-validation consumer."""
@@ -38,7 +35,6 @@ class FitConfig:
     standardize_inputs: bool = True
     standardize_observables: bool = True
     svd_rank: int | None = None
-    eval_mode: str = "rollout"
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -87,7 +83,6 @@ class RunConfig:
     standardize_inputs: bool = FitConfig.standardize_inputs
     standardize_observables: bool = FitConfig.standardize_observables
     svd_rank: int | None = FitConfig.svd_rank
-    eval_mode: str = FitConfig.eval_mode
     predict_experiment: str | None = None
     position_channels: tuple[str, ...] = ("x_mm", "y_mm", "z_mm")
     # Stamped by load_run_config from the payload, never read from it.
@@ -113,7 +108,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         cfg = from_plain(RunConfig, payload, path.parent, label="config ")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    seed = cfg.seed if seed_override is None else int(seed_override)
+    seed = check_seed(cfg.seed if seed_override is None else int(seed_override))
     cfg = replace(cfg, seed=seed, config_sha256=_hash_resolved(payload, seed))
 
     if cfg.lpocv.p < 1 or cfg.lpocv.repeats < 1:
@@ -125,14 +120,27 @@ def load_run_config(path: str | Path, seed_override: int | None = None) -> RunCo
         raise ConfigError(f"spectrogram rows and cols must be at least 1, got {sg.rows}x{sg.cols}")
     if sg.cap_hz <= 0:
         raise ConfigError(f"spectrogram cap_hz must be finite and positive, got {sg.cap_hz}")
-    if cfg.eval_mode not in EVAL_MODES:
-        raise ConfigError(f"unknown eval_mode {cfg.eval_mode!r}")
     if any(f < 1 for f in cfg.decimation_factors):
         raise ConfigError("decimation factors must be positive integers")
     for p in (cfg.manifest, cfg.schema):
         if not p.exists():
             raise ConfigError(f"configured path does not exist: {p}")
+    check_output_dir(cfg.output_dir)
     return cfg
+
+
+def check_seed(seed: int) -> int:
+    """``seed``, which numpy's generators take only when it is non-negative."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def check_output_dir(path: Path) -> None:
+    """Refuse an output directory that is an existing file or lies under one."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {path} cannot be made: {existing} is a file")
 
 
 def _hash_resolved(payload: dict, seed: int) -> str:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import EVAL_MODES, FitConfig
+from .config import FitConfig
 from .dataset import StandardizationParams, TimeSeriesDataset, decimate, pool_moments
 from .dmdc import (
     SnapshotSet,
@@ -75,15 +75,13 @@ def _padded_predictions(
     inp: np.ndarray,
     obs_center: np.ndarray,
     inp_center: np.ndarray,
-    eval_mode: str,
 ) -> np.ndarray:
-    """Predictions of steps 1..T of ``_padded`` arrays, less ``obs_center``.
+    """Rollouts of steps 1..T of ``_padded`` arrays, less ``obs_center``.
 
-    ``rollout`` feeds each prediction back, from the measured first state;
-    ``one-step`` feeds the measured state at every step; any other mode is
-    a ``ValueError``. Every sequence runs in one ``linear_recurrence``
-    batch; a padded step's inputs, ones column included, are zero, so its
-    drive is zero, and what it predicts is not a result.
+    Each prediction is fed back, from the measured first state. Every
+    sequence runs in one ``linear_recurrence`` batch; a padded step's
+    inputs, ones column included, are zero, so its drive is zero, and what
+    it predicts is not a result.
 
     The standardizers fold into the operator: with y_s = (y - mean_y) /
     scale_y and z = y - c_y, the model y_s' = A y_s + B u_s reads z' = A' z +
@@ -101,30 +99,22 @@ def _padded_predictions(
     b = model.B * obs_std.scale[:, None] / in_std.scale
     d_obs, d_in = obs_std.mean - obs_center, in_std.mean - inp_center
     drive = inp @ np.vstack([b.T, d_obs - a @ d_obs - b @ d_in])
-    if eval_mode == "rollout":
-        return linear_recurrence(a, drive, obs[:, 0])
-    if eval_mode == "one-step":
-        return obs[:, :-1] @ a.T + drive
-    raise ValueError(f"eval_mode must be one of {EVAL_MODES}, got {eval_mode!r}")
+    return linear_recurrence(a, drive, obs[:, 0])
 
 
 def predict_series(
-    model: StateSpaceModel,
-    datasets: Sequence[TimeSeriesDataset],
-    eval_mode: str = FitConfig.eval_mode,
+    model: StateSpaceModel, datasets: Sequence[TimeSeriesDataset]
 ) -> list[np.ndarray]:
-    """Model predictions aligned with each dataset's rows, in original units.
+    """Self-fed rollouts aligned with each dataset's rows, in original units.
 
     Row 0 is the measured initial state (a rollout has nothing to predict
-    there); rows 1..m-1 are predictions. ``rollout`` feeds each prediction
-    back; ``one-step`` feeds the measured state at every step and exists for
-    diagnosing whether errors come from the operator or from compounding.
+    there); rows 1..m-1 are predictions, each fed back into the next.
     """
     if not datasets:
         return []
     padded = _padded(datasets, model.observable_names, model.input_names)
     _, _, obs_center, _, steps = padded
-    pred = _padded_predictions(model, *padded[:4], eval_mode)
+    pred = _padded_predictions(model, *padded[:4])
     return [
         np.concatenate([ds.matrix_for(model.observable_names)[:1], p[:n] + obs_center])
         for ds, p, n in zip(datasets, pred, steps)
@@ -260,7 +250,7 @@ def run_lpocv(
             config.standardize_observables,
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = _padded_predictions(model, *padded[:4], config.eval_mode)
+            residual = _padded_predictions(model, *padded[:4])
             residual -= targets
             for row, n in zip(residual, steps):
                 row[n:] = 0.0
@@ -315,17 +305,18 @@ def run_lpocv(
 
 
 def bound_predictions(
-    model: StateSpaceModel, envelope: UncertaintyEnvelope, ds: TimeSeriesDataset, eval_mode: str
+    model: StateSpaceModel, envelope: UncertaintyEnvelope, ds: TimeSeriesDataset
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The predictions of ``ds`` with symmetric bounds at rmse + ci per observable.
 
     Returns ``predictions, lower, upper, measured, violated`` for rows
     1..m-1, each (m-1) x q in ``model.observable_names`` order; the
-    predictions are ``predict_series``'s in ``eval_mode``, the mode whose
-    test errors the envelope holds, and ``violated`` marks measurements
-    strictly outside the bounds (one exactly on a bound is inside).
+    predictions are ``predict_series``' rollout, the kind of prediction
+    whose test errors the envelope holds, and ``violated`` marks
+    measurements strictly outside the bounds (one exactly on a bound is
+    inside).
     """
-    predictions = predict_series(model, [ds], eval_mode)[0][1:]
+    predictions = predict_series(model, [ds])[0][1:]
     measured = ds.matrix_for(model.observable_names)[1:]
     half = np.asarray([envelope.half_width(obs) for obs in model.observable_names])
     lower = predictions - half

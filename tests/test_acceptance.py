@@ -236,7 +236,7 @@ def test_05_envelope_coverage_and_width():
         names=["y1", "u1"],
         kinds=["observable", "input"],
     )
-    _, lower, upper, _, violated = bound_predictions(model, envelope, ds, "rollout")
+    _, lower, upper, _, violated = bound_predictions(model, envelope, ds)
     coverage = 1.0 - int(violated.sum()) / n
     half = envelope.rmse["y1"] + envelope.ci95["y1"]
     width_exact = np.array_equal(upper, lower + 2.0 * half)
@@ -299,7 +299,7 @@ def test_07_spectral_closure():
     cfg = FitConfig(inputs=spec.input_names, observables=spec.observable_names)
     model = fit_on_datasets(datasets, cfg)
     obs, power = spec.observable_names[0], spec.input_names[0]
-    predictions = predict_series(model, datasets, "rollout")
+    predictions = predict_series(model, datasets)
     measured = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
     predicted = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
     similarity = compare_spectrograms(

@@ -23,7 +23,7 @@ from dedsid.config import RunConfig, default_config_payload, load_run_config
 from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
 from dedsid.errors import ConfigError, DataError
-from dedsid.validation import predict_series
+from dedsid.validation import draw_splits, predict_series
 from helpers import diverging_corpus, mostly
 
 
@@ -270,21 +270,6 @@ class TestStages:
         assert default_line == f"# config_sha256={default_sha} seed=1 inputs={inputs}"
         assert other_line == f"# config_sha256={other_sha} seed=1 inputs={inputs}"
 
-    def test_predict_bounds_the_configured_eval_mode(self, fitted):
-        cfg_path = derived_config(fitted, "out_one_step", eval_mode="one-step")
-        for command in ("fit", "cv", "predict"):
-            assert main([command, "--config", str(cfg_path)]) == 0
-        run = _Run(load_run_config(cfg_path))
-        model = load_model(run.out / "model.json", run.provenance)
-        ds = next(d for d in run.datasets if d.experiment_id == "exp01")
-        expected = predict_series(model, [ds], "one-step")[0][1:]
-        lines = (run.out / "bounded_predictions.csv").read_text().splitlines()
-        table = np.loadtxt(lines[2:], delimiter=",", ndmin=2)
-        col = dict(zip(lines[1].split(","), table.T))
-        for j, name in enumerate(model.observable_names):
-            assert np.array_equal(col[f"{name}_pred"], expected[:, j])
-        assert not np.array_equal(expected, predict_series(model, [ds], "rollout")[0][1:])
-
     def test_bounds_come_from_the_cv_scores(self, fitted):
         # An envelope planted beside the scores, as the reports of earlier
         # versions carried one, bounds nothing.
@@ -303,20 +288,26 @@ class TestStages:
         assert lines[1].startswith("t,melt_pool_size_mm_pred,")
         assert "x_mm" not in lines[1].split(",")
 
-    def test_spectrogram_with_and_without_model(self, corpus):
-        bare = derived_config(corpus, "out_sg_bare")
-        assert main(["spectrogram", "--config", str(bare)]) == 0
-        bare_payload = json.loads((corpus / "out_sg_bare" / "spectrogram.json").read_text())
-        assert "model_similarity" not in bare_payload
-        assert (corpus / "out_sg_bare" / "spectrogram.csv").exists()
-        assert not (corpus / "out_sg_bare" / "spectrogram_model.csv").exists()
+    def test_spectrogram_with_and_without_model(self, corpus, capsys):
+        # Run alone, spectrogram scores the run's model, so without one it
+        # writes nothing; after fit it writes the pipeline's three files.
+        cfg_path = derived_config(corpus, "out_sg")
+        out = corpus / "out_sg"
+        assert main(["spectrogram", "--config", str(cfg_path)]) == 3
+        assert "model.json not found; run the fit stage first" in capsys.readouterr().err
+        assert not out.exists()
 
-        chained = derived_config(corpus, "out_sg_model")
-        assert main(["fit", "--config", str(chained)]) == 0
-        assert main(["spectrogram", "--config", str(chained)]) == 0
-        payload = json.loads((corpus / "out_sg_model" / "spectrogram.json").read_text())
-        assert payload["model_similarity"] > 0.9
-        assert (corpus / "out_sg_model" / "spectrogram_model.csv").exists()
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+        assert main(["spectrogram", "--config", str(cfg_path)]) == 0
+        alone = artifacts(read_tree(out))
+        assert sorted(alone) == [
+            "model.json", "spectrogram.csv", "spectrogram.json", "spectrogram_model.csv"
+        ]
+        assert json.loads(alone["spectrogram.json"])["model_similarity"] > 0.9
+        out.rename(corpus / "out_sg_alone")
+        assert main(["pipeline", "--config", str(cfg_path)]) == 0
+        piped = read_tree(out)
+        assert {name: piped[name] for name in alone} == alone
 
     def test_freq_study(self, corpus):
         cfg_path = derived_config(
@@ -765,9 +756,73 @@ class TestExitCodes:
         assert main(["cv", "--config", str(tmp_path / "nope.json")]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_bad_eval_mode_is_2(self, corpus):
-        cfg_path = derived_config(corpus, "out_bad", eval_mode="sideways")
+    def test_bad_eval_mode_is_2(self, corpus, capsys):
+        # Every prediction is a self-fed rollout; the key older configs
+        # carried is refused, whatever its value.
+        cfg_path = derived_config(corpus, "out_eval_mode", eval_mode="rollout")
         assert main(["cv", "--config", str(cfg_path)]) == 2
+        assert "unknown config key 'eval_mode'" in capsys.readouterr().err
+        assert not (corpus / "out_eval_mode").exists()
+
+    @pytest.mark.parametrize("flag", [[], ["--seed", "-1"]], ids=["config", "override"])
+    @pytest.mark.parametrize("command", [*cli.STAGES, "pipeline"])
+    def test_negative_seed_is_2(self, corpus, command, flag, capsys):
+        cfg_path = derived_config(corpus, "out_negative_seed", seed=0 if flag else -1)
+        assert main([command, "--config", str(cfg_path), *flag]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (corpus / "out_negative_seed").exists()
+
+    def test_negative_synth_seed_is_2(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("output_dir", ["plant.json", "plant.json/out"])
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_output_dir_that_is_or_lies_under_a_file_is_2(
+        self, corpus, tmp_path, command, output_dir, capsys
+    ):
+        root = shutil.copytree(corpus, tmp_path / "corpus", ignore=shutil.ignore_patterns("out*"))
+        payload = json.loads((root / "config.json").read_text())
+        payload["output_dir"] = output_dir
+        (root / "config.json").write_text(json.dumps(payload))
+        before = read_tree(root)
+        assert main([command, "--config", str(root / "config.json")]) == 2
+        assert "is a file" in capsys.readouterr().err
+        assert read_tree(root) == before
+
+    def test_synth_out_that_is_a_file_is_2(self, tmp_path, capsys):
+        (tmp_path / "plant.json").write_text("{}")
+        assert main(["synth", "--out", str(tmp_path / "plant.json")]) == 2
+        assert "is a file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["plant.json"]
+
+    @pytest.mark.parametrize("key", ["channel", "gate_channel"])
+    @pytest.mark.parametrize("command", ["impute", "pipeline"])
+    def test_imputation_channel_not_in_schema_is_3(self, corpus, key, command, capsys):
+        payload = json.loads((corpus / "config.json").read_text())
+        directive = {**payload["imputation"][0], key: "working_distance"}
+        cfg_path = derived_config(corpus, "out_misspelled", imputation=[directive])
+        assert main([command, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "imputation channel 'working_distance' not in schema" in err
+        assert not (corpus / "out_misspelled").exists()
+
+    def test_imputation_channel_dropped_by_ingest_is_skipped(self, corpus, tmp_path):
+        # A channel the schema lists but no experiment recorded is dropped
+        # at ingest, and its directive then has nothing to impute.
+        root = shutil.copytree(corpus, tmp_path / "corpus", ignore=shutil.ignore_patterns("out*"))
+        for path in root.glob("exp*.csv"):
+            header, *rows = path.read_text().splitlines()
+            j = header.split(",").index("working_distance_mm")
+            fields = [row.split(",") for row in rows]
+            for f in fields:
+                f[j] = "nan"
+            path.write_text("\n".join([header, *map(",".join, fields)]) + "\n")
+        assert main(["impute", "--config", str(root / "config.json")]) == 0
+        report = json.loads((root / "out" / "impute_report.json").read_text())
+        assert report["channels"] == {}
 
     @pytest.mark.parametrize("rank", [0, -2])
     def test_svd_rank_below_one_is_2(self, corpus, rank, capsys):
@@ -1290,7 +1345,7 @@ CONFIG_PAYLOADS = st.fixed_dictionaries(
     {
         "manifest": mostly(st.just("manifest.json")),
         "schema": mostly(st.just("schema.json")),
-        "output_dir": mostly(st.just("out_property")),
+        "output_dir": mostly(st.sampled_from(["out_property", "plant.json", "plant.json/out"])),
     },
     optional={
         "seed": mostly(INTS),
@@ -1306,7 +1361,6 @@ CONFIG_PAYLOADS = st.fixed_dictionaries(
         "standardize_inputs": mostly(st.booleans()),
         "standardize_observables": mostly(st.booleans()),
         "svd_rank": mostly(st.none() | INTS),
-        "eval_mode": mostly(st.sampled_from(["rollout", "one-step"])),
         "predict_experiment": mostly(st.none() | TEXT),
         "position_channels": mostly(st.lists(TEXT, max_size=3)),
     },
@@ -1317,13 +1371,17 @@ class TestConfigSchema:
     @settings(max_examples=300)
     @given(payload=CONFIG_PAYLOADS)
     def test_any_payload_loads_or_raises_a_named_error(self, corpus, payload):
+        # A payload that loads also draws its splits, into a directory that
+        # can be made, or stops at a named error.
         path = corpus / "config_property.json"
         path.write_text(json.dumps(payload))
         try:
             cfg = load_run_config(path)
+            draw_splits(8, cfg.lpocv.p, min(cfg.lpocv.repeats, 3), cfg.seed)
         except (ConfigError, DataError):
             return
         assert isinstance(cfg, RunConfig)
+        assert not any(p.is_file() for p in (cfg.output_dir, *cfg.output_dir.parents))
 
 
 class TestImports:

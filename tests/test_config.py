@@ -7,7 +7,6 @@ import pytest
 
 from dedsid.config import FitConfig, RunConfig, SpectrogramConfig, VifConfig
 from dedsid.spectral import build_spectrogram
-from dedsid.validation import predict_series
 from dedsid.vif import select_features
 
 
@@ -24,11 +23,9 @@ MIRRORS = [
     (select_features, "accept_below", VifConfig, ("accept_below",)),
     (build_spectrogram, "grid", SpectrogramConfig, ("rows", "cols")),
     (build_spectrogram, "cap_hz", SpectrogramConfig, ("cap_hz",)),
-    (predict_series, "eval_mode", FitConfig, ("eval_mode",)),
     (RunConfig, "standardize_inputs", FitConfig, ("standardize_inputs",)),
     (RunConfig, "standardize_observables", FitConfig, ("standardize_observables",)),
     (RunConfig, "svd_rank", FitConfig, ("svd_rank",)),
-    (RunConfig, "eval_mode", FitConfig, ("eval_mode",)),
 ]
 
 

@@ -345,7 +345,7 @@ class TestCompare:
         cfg = FitConfig(inputs=spec.input_names, observables=spec.observable_names)
         model = fit_on_datasets(datasets, cfg)
         obs, power = spec.observable_names[0], spec.input_names[0]
-        predictions = predict_series(model, datasets, "rollout")
+        predictions = predict_series(model, datasets)
         measured = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
         predicted = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
         assert set(measured) == set(predicted)

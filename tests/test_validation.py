@@ -15,7 +15,7 @@ from helpers import (
 )
 
 from dedsid.artifacts import from_plain, to_plain
-from dedsid.config import EVAL_MODES, FitConfig
+from dedsid.config import FitConfig
 from dedsid.dataset import decimate
 from dedsid.dmdc import StateSpaceModel
 from dedsid.errors import (
@@ -100,20 +100,13 @@ class TestFitOnDatasets:
     def test_standardized_fit_predicts_in_original_units(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
         model = fit_on_datasets(datasets, _fit_config(spec, standardize=True))
-        pred = predict_series(model, [datasets[0]], "rollout")[0]
+        pred = predict_series(model, [datasets[0]])[0]
         truth = datasets[0].matrix_for(spec.observable_names)
         assert np.allclose(pred, truth, atol=1e-6)
 
-    def test_one_step_mode(self):
-        spec, datasets = linear_corpus(q=2, p=1, n_exp=3, steps=600, seed=23)
-        model = fit_on_datasets(datasets, _fit_config(spec))
-        pred = predict_series(model, [datasets[1]], "one-step")[0]
-        truth = datasets[1].matrix_for(spec.observable_names)
-        assert np.allclose(pred, truth, atol=1e-6)
 
-
-def per_step_prediction(model, ds, eval_mode):
-    """One dataset at a time through the per-step loop, for ``predict_series``."""
+def per_step_prediction(model, ds):
+    """One dataset at a time through the per-step rollout loop, for ``predict_series``."""
     measured = ds.matrix_for(model.observable_names)
     y, u = measured, ds.matrix_for(model.input_names)
     if model.input_standardizer is not None:
@@ -123,7 +116,7 @@ def per_step_prediction(model, ds, eval_mode):
     out = np.empty_like(y)
     state = out[0] = y[0]
     for t in range(len(y) - 1):
-        state = model.A @ (state if eval_mode == "rollout" else y[t]) + model.B @ u[t]
+        state = model.A @ state + model.B @ u[t]
         out[t + 1] = state
     if model.observable_standardizer is not None:
         out = unstandardize(model.observable_standardizer, out)
@@ -133,8 +126,7 @@ def per_step_prediction(model, ds, eval_mode):
 
 class TestPredictSeries:
     @pytest.mark.parametrize("standardize", [True, False])
-    @pytest.mark.parametrize("eval_mode", ["rollout", "one-step"])
-    def test_batch_of_unequal_lengths_matches_per_step_loop(self, eval_mode, standardize):
+    def test_batch_of_unequal_lengths_matches_per_step_loop(self, standardize):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=4, steps=600, seed=27, noise_sd=0.05)
         model = fit_on_datasets(datasets, _fit_config(spec, standardize))
         batch = [
@@ -143,20 +135,11 @@ class TestPredictSeries:
             datasets[2].with_data(datasets[2].data[:2]),
             datasets[3].with_data(datasets[3].data[:450]),
         ]
-        for ds, pred in zip(batch, predict_series(model, batch, eval_mode)):
-            expected = per_step_prediction(model, ds, eval_mode)
+        for ds, pred in zip(batch, predict_series(model, batch)):
+            expected = per_step_prediction(model, ds)
             assert pred.shape == expected.shape == (ds.row_count, 2)
             assert np.array_equal(pred[0], expected[0])
             assert np.max(np.abs(pred - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-    def test_unknown_eval_mode_is_a_value_error(self):
-        spec, datasets = linear_corpus(q=2, p=2, n_exp=4, steps=300, seed=22)
-        config = replace(_fit_config(spec), eval_mode="sideways")
-        model = fit_on_datasets(datasets, _fit_config(spec))
-        with pytest.raises(ValueError, match="eval_mode must be one of"):
-            predict_series(model, datasets, "sideways")
-        with pytest.raises(ValueError, match="eval_mode must be one of"):
-            lpocv(datasets, config, draw_splits(len(datasets), 1, 1, 0))
 
     def test_no_datasets_no_predictions(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
@@ -164,8 +147,7 @@ class TestPredictSeries:
 
 
 class TestColumnOrder:
-    @pytest.mark.parametrize("eval_mode", EVAL_MODES)
-    def test_results_independent_of_column_order(self, eval_mode):
+    def test_results_independent_of_column_order(self):
         # The same channels in two column orders: observables a contiguous run
         # (blocks are views) and observables split by an input (blocks are
         # copies). Offset observables make any change of summation order show.
@@ -178,11 +160,9 @@ class TestColumnOrder:
         shuffled = [ds.select_channels(order) for ds in datasets]
         assert not np.shares_memory(shuffled[0].matrix_for(spec.observable_names), shuffled[0].data)
         assert np.shares_memory(datasets[0].matrix_for(spec.observable_names), datasets[0].data)
-        config = replace(_fit_config(spec), eval_mode=eval_mode)
+        config = _fit_config(spec)
         model = fit_on_datasets(datasets, config)
-        for a, b in zip(
-            predict_series(model, datasets, eval_mode), predict_series(model, shuffled, eval_mode)
-        ):
+        for a, b in zip(predict_series(model, datasets), predict_series(model, shuffled)):
             assert np.array_equal(a, b)
         splits = draw_splits(len(datasets), 2, 3, 4)
         got = [to_plain(lpocv(d, config, splits)) for d in (datasets, shuffled)]
@@ -274,12 +254,11 @@ class TestLpocvAgainstRows:
     """Fold metrics from per-experiment sums against the rows they summarize."""
 
     @pytest.mark.parametrize("standardize", [True, False])
-    @pytest.mark.parametrize("eval_mode", ["rollout", "one-step"])
-    def test_fold_metrics_match_row_oracle(self, eval_mode, standardize):
+    def test_fold_metrics_match_row_oracle(self, standardize):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=6, steps=500, seed=30, noise_sd=0.05)
         # Unequal lengths, so the padding shows if it leaks into a sum.
         datasets = [ds.with_data(ds.data[: 200 + 60 * i]) for i, ds in enumerate(datasets)]
-        config = replace(_fit_config(spec, standardize), eval_mode=eval_mode)
+        config = _fit_config(spec, standardize)
         splits = draw_splits(len(datasets), 2, 4, 3)
         report, _ = lpocv(datasets, config, splits)
         for fold, test in zip(report.folds, splits):
@@ -295,9 +274,7 @@ class TestLpocvAgainstRows:
                 (tested, fold.r2_test, fold.rmse_test),
             ):
                 actual = np.concatenate([ds.matrix_for(spec.observable_names)[1:] for ds in side])
-                predicted = np.concatenate(
-                    [per_step_prediction(model, ds, eval_mode)[1:] for ds in side]
-                )
+                predicted = np.concatenate([per_step_prediction(model, ds)[1:] for ds in side])
                 for j, obs in enumerate(spec.observable_names):
                     assert r2_map[obs] == pytest.approx(r2(actual[:, j], predicted[:, j]), rel=1e-9)
                     assert rmse_map[obs] == pytest.approx(
@@ -332,7 +309,7 @@ class TestBoundPredictions:
             np.column_stack([truth, np.zeros(6)]), names=["y1", "u1"], kinds=["observable", "input"]
         )
         pred, lower, upper, measured, violated = bound_predictions(
-            self._zero_model(), envelope, ds, "rollout"
+            self._zero_model(), envelope, ds
         )
         assert np.allclose(pred, 0.0)
         assert np.allclose(lower, -0.625)
@@ -348,7 +325,7 @@ class TestBoundPredictions:
             rmse={"y1": 0.21, "y2": 0.043}, ci95={"y1": 0.011, "y2": 0.0021}
         )
         ds = datasets[0]
-        pred, lower, upper, measured, violated = bound_predictions(model, envelope, ds, "rollout")
+        pred, lower, upper, measured, violated = bound_predictions(model, envelope, ds)
         half = np.asarray([envelope.half_width(o) for o in spec.observable_names])
         assert np.array_equal(upper, lower + 2.0 * half)
         assert np.allclose(upper - lower, 2.0 * half, rtol=0, atol=1e-12)
@@ -356,17 +333,6 @@ class TestBoundPredictions:
         assert np.array_equal(pred, predict_series(model, [ds])[0][1:])
         assert np.array_equal(measured, ds.matrix_for(spec.observable_names)[1:])
         assert violated.shape == measured.shape == (ds.row_count - 1, 2)
-
-    def test_predictions_follow_eval_mode(self):
-        spec, datasets = linear_corpus(q=2, p=1, n_exp=3, steps=400, seed=27, noise_sd=0.05)
-        model = fit_on_datasets(datasets, _fit_config(spec))
-        envelope = UncertaintyEnvelope(rmse={"y1": 0.2, "y2": 0.04}, ci95={"y1": 0.0, "y2": 0.0})
-        ds = datasets[1]
-        by_mode = {}
-        for mode in EVAL_MODES:
-            by_mode[mode] = bound_predictions(model, envelope, ds, mode)[0]
-            assert np.array_equal(by_mode[mode], predict_series(model, [ds], mode)[0][1:])
-        assert not np.array_equal(by_mode["rollout"], by_mode["one-step"])
 
 
 class TestFrequencyStudy:
@@ -388,9 +354,9 @@ class TestFrequencyStudy:
     def test_scored_full_rate_row_is_kept(self):
         # Given cv's report, the study keeps its row and scores only the
         # decimated rates, each under the report's config (here one input of
-        # two, one-step), whatever the order of the factors.
+        # two), whatever the order of the factors.
         spec, datasets = linear_corpus(q=2, p=2, n_exp=5, steps=600, seed=28, noise_sd=0.02)
-        cfg = replace(_fit_config(spec), inputs=spec.input_names[:1], eval_mode="one-step")
+        cfg = replace(_fit_config(spec), inputs=spec.input_names[:1])
         splits = draw_splits(len(datasets), 2, 3, 5)
         full_rate, _ = lpocv(datasets, cfg, splits)
         rows = frequency_study(datasets, [1, 3], splits, cfg, full_rate)
