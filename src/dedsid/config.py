@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import stat
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -49,7 +50,6 @@ class LpocvConfig:
 
 @dataclass(frozen=True)
 class VifConfig:
-    remove_above: float = 10.0
     accept_below: float = 5.0
 
 
@@ -137,10 +137,19 @@ def check_seed(seed: int) -> int:
 
 
 def check_output_dir(path: Path) -> None:
-    """Refuse an output directory that is an existing file or lies under one."""
-    existing = next(p for p in (path, *path.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"output directory {path} cannot be made: {existing} is a file")
+    """Refuse an output directory that is an existing file, lies under one, or
+    has a name the file system refuses (``Path.exists`` hides that last on
+    newer Pythons, so the nearest existing path is found by ``stat``)."""
+    for existing in (path, *path.parents):
+        try:
+            mode = existing.stat().st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:
+            raise ConfigError(f"output directory {path} cannot be made: {exc.strerror}") from None
+        if not stat.S_ISDIR(mode):
+            raise ConfigError(f"output directory {path} cannot be made: {existing} is a file")
+        return
 
 
 def _hash_resolved(payload: dict, seed: int) -> str:

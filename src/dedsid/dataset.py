@@ -453,9 +453,14 @@ def decimate(ds: TimeSeriesDataset, factor: int) -> TimeSeriesDataset:
 def load_schema(path: str | Path) -> tuple[ChannelSpec, ...]:
     payload = read_json_object(path)
     try:
-        return from_plain(tuple[ChannelSpec, ...], payload.get("channels"), key="channels")
+        channels = from_plain(tuple[ChannelSpec, ...], payload.get("channels"), key="channels")
     except ValueError as exc:
         raise CorruptFile(str(path), f"malformed channel list: {exc}") from None
+    names = [c.name for c in channels]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise CorruptFile(str(path), f"channel {repeated[0]!r} listed twice")
+    return channels
 
 
 def save_schema(channels: Iterable[ChannelSpec], path: str | Path) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class Dwell:
 Command = Union[LinearMove, SetPower, Dwell]
 
 
-@dataclass(frozen=True)
-class ToolpathProgram:
-    commands: tuple[Command, ...]
-
-
 def _strip_comments(line: str) -> str:
     line = re.sub(r"\(.*?\)", " ", line)
     return line.split(";", 1)[0].strip()
@@ -83,8 +78,9 @@ def _words(line: str, line_no: int) -> list[tuple[str, float]]:
     return out
 
 
-def parse_gcode_subset(text: str) -> ToolpathProgram:
-    """Parse the mini dialect; empty/comment-only input is a valid empty program."""
+def parse_gcode_subset(text: str) -> tuple[Command, ...]:
+    """Parse the mini dialect into its commands; empty/comment-only input is a
+    valid empty program."""
     commands: list[Command] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comments(raw)
@@ -127,32 +123,21 @@ def parse_gcode_subset(text: str) -> ToolpathProgram:
             commands.append(SetPower(watts=0.0))
         else:
             raise UnsupportedWord(line_no, head)
-    return ToolpathProgram(commands=tuple(commands))
-
-
-@dataclass(frozen=True)
-class _Segment:
-    t0: float
-    t1: float
-    start: np.ndarray
-    end: np.ndarray
-    power: float
-    feed_mm_min: float
-    heading_deg: float
-    distance0: float
+    return tuple(commands)
 
 
 def program_to_timeseries(
-    program: ToolpathProgram, sample_rate_hz: float
+    commands: Sequence[Command], sample_rate_hz: float
 ) -> TimeSeriesDataset:
-    """Sample a program on a uniform clock into commanded machine inputs.
+    """Sample a program's commands on a uniform clock into commanded machine inputs.
 
     The machine starts at the origin with the laser off. Samples land at
     t = 1/rate, 2/rate, ... through the program's total duration, so a 1 s
     program at 100 Hz yields exactly 100 rows. Derived kinematic channels
     (scan rate, heading, cumulative distance) come from the active segment;
     heading holds its last value through dwells so the channel never jumps to
-    an arbitrary zero.
+    an arbitrary zero. Each dwell or move is one row of a segment table, and
+    every sample reads its channels from the row of the segment it falls in.
     """
     pos = np.zeros(3)
     power = 0.0
@@ -160,14 +145,15 @@ def program_to_timeseries(
     heading = 0.0
     distance = 0.0
     t = 0.0
-    segments: list[_Segment] = []
-    for idx, cmd in enumerate(program.commands):
+    # One row per dwell or move: t0, t1, then the seven channels at its start
+    # (start xyz, power, feed, heading, the distance travelled before it),
+    # then end xyz and its own length.
+    segments: list[tuple[float, ...]] = []
+    for idx, cmd in enumerate(commands):
         if isinstance(cmd, SetPower):
             power = cmd.watts
         elif isinstance(cmd, Dwell):
-            segments.append(
-                _Segment(t, t + cmd.seconds, pos.copy(), pos.copy(), power, 0.0, heading, distance)
-            )
+            segments.append((t, t + cmd.seconds, *pos, power, 0.0, heading, distance, *pos, 0.0))
             t += cmd.seconds
         elif isinstance(cmd, LinearMove):
             if cmd.feed_mm_min is not None:
@@ -187,34 +173,29 @@ def program_to_timeseries(
                     heading = math.degrees(math.atan2(target[1] - pos[1], target[0] - pos[0]))
                 duration = length / (feed / 60.0)
                 segments.append(
-                    _Segment(t, t + duration, pos.copy(), target, power, feed, heading, distance)
+                    (t, t + duration, *pos, power, feed, heading, distance, *target, length)
                 )
                 t += duration
                 distance += length
             pos = target
 
-    total = t
-    n = int(round(total * sample_rate_hz))
-    data = np.zeros((n, len(INPUT_CHANNELS)))
-    if n:
+    n = int(round(t * sample_rate_hz))
+    if n == 0:
+        data = np.zeros((0, len(INPUT_CHANNELS)))
+    else:
+        table = np.array(segments)
         times = (np.arange(n) + 1) / sample_rate_hz
-        starts = np.asarray([s.t0 for s in segments])
         # Sample at a boundary belongs to the segment ending there.
-        owner = np.searchsorted(starts, times, side="left") - 1
-        owner = np.clip(owner, 0, len(segments) - 1)
-        for k, seg in enumerate(segments):
-            rows = np.nonzero(owner == k)[0]
-            if rows.size == 0:
-                continue
-            local = np.clip(times[rows] - seg.t0, 0.0, seg.t1 - seg.t0)
-            span = seg.t1 - seg.t0
-            frac = local / span if span > 0 else np.zeros_like(local)
-            seg_len = float(np.linalg.norm(seg.end - seg.start))
-            data[rows, 0:3] = seg.start + np.outer(frac, seg.end - seg.start)
-            data[rows, 3] = seg.power
-            data[rows, 4] = seg.feed_mm_min
-            data[rows, 5] = seg.heading_deg
-            data[rows, 6] = seg.distance0 + frac * seg_len
+        owner = np.searchsorted(table[:, 0], times, side="left") - 1
+        owner = np.clip(owner, 0, len(table) - 1)
+        t0 = table[:, 0].take(owner)
+        span = table[:, 1].take(owner) - t0
+        frac = np.divide(np.clip(times - t0, 0.0, span), span, out=np.zeros(n), where=span > 0)
+        data = table[:, 2:9].take(owner, axis=0)
+        step = (table[:, 9:12] - table[:, 2:5]).T
+        for axis in range(3):  # column by column: an n x 3 broadcast is slower
+            data[:, axis] += frac * step[axis].take(owner)
+        data[:, 6] += frac * table[:, 12].take(owner)
     return TimeSeriesDataset(
         experiment_id="toolpath",
         sample_rate_hz=sample_rate_hz,

@@ -76,7 +76,6 @@ class VifSelectionReport:
     surviving_features: tuple[str, ...]
     final_vif: Mapping[str, float]
     final_rank: int
-    remove_above: float
     accept_below: float
 
 
@@ -84,21 +83,17 @@ def select_features(
     factor: np.ndarray,
     rows: int,
     names: Sequence[str],
-    remove_above: float = VifConfig.remove_above,
     accept_below: float = VifConfig.accept_below,
 ) -> VifSelectionReport:
     """Iteratively drop the highest-VIF feature until all scores sit below
     ``accept_below``.
 
     ``factor`` is an R factor (R^T R = Z^T Z) of the ``rows`` x k matrix Z
-    of centered features, one column per name. ``remove_above`` marks the
-    definitely-dependent band and is recorded with the report; the loop
-    keeps removing through the in-between band as well, since stopping
-    inside it would leave the termination condition unsatisfiable. Ties on
-    the maximum (typically several infinities, or finite VIFs within a
-    relative 1e-9 of it) break toward the earliest column, so the order
-    follows the data, not the rounding. The matrix rank is recomputed with
-    every iteration as a cross-check on the elimination.
+    of centered features, one column per name. Ties on the maximum
+    (typically several infinities, or finite VIFs within a relative 1e-9 of
+    it) break toward the earliest column, so the order follows the data, not
+    the rounding. The matrix rank is recomputed with every iteration as a
+    cross-check on the elimination.
     """
     r = np.asarray(factor, dtype=float)
     names = list(names)
@@ -135,7 +130,6 @@ def select_features(
         surviving_features=tuple(names[g] for g in active),
         final_vif=vif_map,
         final_rank=rank,
-        remove_above=float(remove_above),
         accept_below=float(accept_below),
     )
 
@@ -162,5 +156,5 @@ def screen_inputs(
     last = (snapshots.last_rows[:, keep] - mean) / scale
     stacked = np.vstack([stacked, np.column_stack([np.ones(len(last)), last])])
     factor = np.linalg.qr(stacked, mode="r")[1:, 1:]
-    report = select_features(factor, rows, names, config.remove_above, config.accept_below)
+    report = select_features(factor, rows, names, config.accept_below)
     return [name for name in snapshots.input_names if name not in names], report

@@ -30,7 +30,9 @@ from dedsid.errors import (
     EmptySample,
     InsufficientPairs,
     RankDeficiencyWarning,
+    ZeroFeedMove,
 )
+from dedsid.gcode import Dwell, LinearMove, SetPower
 from dedsid.plant import (
     PlantSpec,
     SimulationResult,
@@ -278,9 +280,7 @@ def pooled_screen(datasets, inputs, config=VifConfig()):
     candidates = [name for name, c in zip(inputs, is_constant) if not c]
     values = pooled[:, ~is_constant]
     z = standardize(standardizer_from_matrix(values, candidates), values)
-    report = select_on_rows(
-        z, candidates, remove_above=config.remove_above, accept_below=config.accept_below
-    )
+    report = select_on_rows(z, candidates, accept_below=config.accept_below)
     return constant, report
 
 
@@ -524,6 +524,84 @@ def impute_off_state_loop(ds, channel, sentinel, gate_channel):
                 x[gated_rows] = x[left] + frac * (x[right] - x[left])
         i = j
     return ds.with_column(channel, x)
+
+
+@dataclass(frozen=True)
+class _Segment:
+    t0: float
+    t1: float
+    start: np.ndarray
+    end: np.ndarray
+    power: float
+    feed_mm_min: float
+    heading_deg: float
+    distance0: float
+
+
+def sample_per_segment(commands, sample_rate_hz: float) -> np.ndarray:
+    """The sampled channels of a program, filled one segment at a time: the
+    oracle for ``dedsid.gcode.program_to_timeseries``, which fills every
+    sample from one segment table."""
+    pos = np.zeros(3)
+    power = 0.0
+    feed = None
+    heading = 0.0
+    distance = 0.0
+    t = 0.0
+    segments: list[_Segment] = []
+    for idx, cmd in enumerate(commands):
+        if isinstance(cmd, SetPower):
+            power = cmd.watts
+        elif isinstance(cmd, Dwell):
+            segments.append(
+                _Segment(t, t + cmd.seconds, pos.copy(), pos.copy(), power, 0.0, heading, distance)
+            )
+            t += cmd.seconds
+        elif isinstance(cmd, LinearMove):
+            if cmd.feed_mm_min is not None:
+                feed = cmd.feed_mm_min
+            target = pos.copy()
+            if cmd.x is not None:
+                target[0] = cmd.x
+            if cmd.y is not None:
+                target[1] = cmd.y
+            if cmd.z is not None:
+                target[2] = cmd.z
+            length = float(np.linalg.norm(target - pos))
+            if length > 0.0:
+                if feed is None or feed <= 0.0:
+                    raise ZeroFeedMove(idx)
+                if target[0] != pos[0] or target[1] != pos[1]:
+                    heading = math.degrees(math.atan2(target[1] - pos[1], target[0] - pos[0]))
+                duration = length / (feed / 60.0)
+                segments.append(
+                    _Segment(t, t + duration, pos.copy(), target, power, feed, heading, distance)
+                )
+                t += duration
+                distance += length
+            pos = target
+
+    n = int(round(t * sample_rate_hz))
+    data = np.zeros((n, 7))
+    if n:
+        times = (np.arange(n) + 1) / sample_rate_hz
+        starts = np.asarray([s.t0 for s in segments])
+        owner = np.searchsorted(starts, times, side="left") - 1
+        owner = np.clip(owner, 0, len(segments) - 1)
+        for k, seg in enumerate(segments):
+            rows = np.nonzero(owner == k)[0]
+            if rows.size == 0:
+                continue
+            local = np.clip(times[rows] - seg.t0, 0.0, seg.t1 - seg.t0)
+            span = seg.t1 - seg.t0
+            frac = local / span if span > 0 else np.zeros_like(local)
+            seg_len = float(np.linalg.norm(seg.end - seg.start))
+            data[rows, 0:3] = seg.start + np.outer(frac, seg.end - seg.start)
+            data[rows, 3] = seg.power
+            data[rows, 4] = seg.feed_mm_min
+            data[rows, 5] = seg.heading_deg
+            data[rows, 6] = seg.distance0 + frac * seg_len
+    return data
 
 
 def wasserstein_1d(a: np.ndarray, b: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import dedsid
 from dedsid import cli, dmdc, validation
+from dedsid.artifacts import from_plain
 from dedsid.cli import PIPELINE, _Run, _write_corpus, build_parser, main
 from dedsid.config import RunConfig, default_config_payload, load_run_config
 from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
@@ -798,6 +799,30 @@ class TestExitCodes:
         assert "is a file" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["plant.json"]
 
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_output_dir_name_too_long_is_2(self, corpus, command, capsys):
+        payload = json.loads((corpus / "config.json").read_text())
+        cfg_path = corpus / "config_long_name.json"
+        cfg_path.write_text(json.dumps({**payload, "output_dir": "o" * 300}))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert "File name too long" in capsys.readouterr().err
+
+    def test_synth_out_name_too_long_is_2(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / ("o" * 300))]) == 2
+        assert "File name too long" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ingest", "pipeline"])
+    def test_schema_listing_a_channel_twice_is_3(self, corpus, tmp_path, command, capsys):
+        root = shutil.copytree(corpus, tmp_path / "corpus", ignore=shutil.ignore_patterns("out*"))
+        schema = json.loads((root / "schema.json").read_text())
+        power = next(c for c in schema["channels"] if c["name"] == "power_w")
+        schema["channels"].append(power)
+        (root / "schema.json").write_text(json.dumps(schema))
+        assert main([command, "--config", str(root / "config.json")]) == 3
+        assert "channel 'power_w' listed twice" in capsys.readouterr().err
+        assert not (root / "out").exists()
+
     @pytest.mark.parametrize("key", ["channel", "gate_channel"])
     @pytest.mark.parametrize("command", ["impute", "pipeline"])
     def test_imputation_channel_not_in_schema_is_3(self, corpus, key, command, capsys):
@@ -858,13 +883,16 @@ class TestExitCodes:
             ({"lpocvv": {"p": 2}}, "lpocvv"),
             ({"vif": {"remove_abov": 9.0}}, "vif.remove_abov"),
             ({"config_sha256": "0" * 64}, "config_sha256"),
-            ({"vif": {"remove_above": 10**400}}, "vif.remove_above"),
+            ({"vif": {"accept_below": 10**400}}, "vif.accept_below"),
             ({"manifest": "manifest\x00.json"}, "manifest"),
             (
                 {"imputation": [{"channel": "c", "sentinel": float("nan"), "gate_channel": "g"}]},
                 "imputation[0].sentinel",
             ),
             ({"vif": {"accept_below": float("inf")}}, "vif.accept_below"),
+            # The screen stops on accept_below alone; the threshold older
+            # configs carried is refused rather than recorded.
+            ({"vif": {"remove_above": 10.0, "accept_below": 5.0}}, "vif.remove_above"),
         ],
         ids=[
             "seed_word",
@@ -886,6 +914,7 @@ class TestExitCodes:
             "nul_in_path",
             "sentinel_nan",
             "accept_below_infinity",
+            "remove_above",
         ],
     )
     def test_mistyped_or_unknown_config_key_is_2(self, corpus, overrides, key, capsys):
@@ -1350,7 +1379,7 @@ CONFIG_PAYLOADS = st.fixed_dictionaries(
     optional={
         "seed": mostly(INTS),
         "lpocv": section(p=INTS, repeats=INTS),
-        "vif": section(remove_above=FLOATS, accept_below=FLOATS),
+        "vif": section(accept_below=FLOATS),
         "imputation": mostly(
             st.lists(section(channel=TEXT, sentinel=FLOATS, gate_channel=TEXT), max_size=2)
         ),
@@ -1441,6 +1470,21 @@ class TestReadme:
             tuple(f"exp{i + 1:02d}" for i in np.flatnonzero(test)) for test in namespace["splits"]
         ]
         assert all(len(r.distances) == 10 for r in namespace["shift"])
+
+    def test_config_example_loads(self, tmp_path):
+        # The example spells out every key synth writes, and none that the
+        # loader refuses.
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("\n## Configuration\n", 1)[1].split("```jsonc\n", 1)[1]
+        payload = json.loads(re.sub(r"\s*//.*", "", block.split("```", 1)[0]))
+        assert isinstance(from_plain(RunConfig, payload, tmp_path), RunConfig)
+
+        def keys(value, prefix=""):
+            if not isinstance(value, dict):
+                return {prefix}
+            return {k for name, v in value.items() for k in keys(v, f"{prefix}.{name}")}
+
+        assert keys(payload) == keys(default_config_payload("m.json", "s.json", "out", 0))
 
     def test_cli_table_lists_every_subcommand(self):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -19,7 +19,6 @@ def config_default(cls, *keys):
 
 # Each parameter that takes a config key's value, and that key.
 MIRRORS = [
-    (select_features, "remove_above", VifConfig, ("remove_above",)),
     (select_features, "accept_below", VifConfig, ("accept_below",)),
     (build_spectrogram, "grid", SpectrogramConfig, ("rows", "cols")),
     (build_spectrogram, "cap_hz", SpectrogramConfig, ("cap_hz",)),

@@ -17,6 +17,7 @@ from dedsid.gcode import (
     parse_gcode_subset,
     program_to_timeseries,
 )
+from helpers import sample_per_segment
 
 # 10 mm at 600 mm/min is 1.0 s; the dwell sits between the move and the
 # powered move, so sampling at 10 Hz gives 25 rows with known values.
@@ -41,23 +42,39 @@ def _number(low, high):
 # huge series. Dwells and powers may be negative, and a line may be junk
 # without digits.
 _AXIS = st.tuples(st.sampled_from("XYZ"), _number(-25, 25))
-_FEED = st.tuples(st.just("F"), st.one_of(_number(1, 1000), _number(-1000, 0)))
-_LINES = st.one_of(
-    st.tuples(st.sampled_from(["G0", "G1"]), st.lists(st.one_of(_AXIS, _FEED), max_size=4)).map(
+
+
+def _moves(feed):
+    """G0/G1 lines of up to four axis or feed words, feeds drawn from ``feed``."""
+    words = st.lists(st.one_of(_AXIS, st.tuples(st.just("F"), feed)), max_size=4)
+    return st.tuples(st.sampled_from(["G0", "G1"]), words).map(
         lambda cmd: " ".join([cmd[0], *(f"{k}{v}" for k, v in dict(cmd[1]).items())])
-    ),
+    )
+
+
+_LINES = st.one_of(
+    _moves(st.one_of(_number(1, 1000), _number(-1000, 0))),
     _number(-10, 10).map(lambda v: f"G4 P{v}"),
     _number(-500, 500).map(lambda v: f"M3 S{v}"),
     st.just("M5"),
     st.text(alphabet="GMXYZFPS ;()-.", max_size=8),
 )
 PROGRAMS = st.lists(_LINES, max_size=8).map("\n".join)
-
+# Programs that parse: positive feeds, dwells and powers of at least 0, no
+# junk. Most of them sample; a move before any feed is ZeroFeedMove.
+VALID_PROGRAMS = st.lists(
+    st.one_of(
+        _moves(_number(1, 1000)),
+        _number(0, 10).map(lambda v: f"G4 P{v}"),
+        _number(0, 500).map(lambda v: f"M3 S{v}"),
+        st.just("M5"),
+    ),
+    max_size=8,
+).map("\n".join)
 
 class TestParser:
     def test_square_corner_commands(self):
-        program = parse_gcode_subset(SQUARE_CORNER)
-        assert program.commands == (
+        assert parse_gcode_subset(SQUARE_CORNER) == (
             LinearMove(x=10.0, feed_mm_min=600.0),
             Dwell(seconds=0.5),
             SetPower(watts=200.0),
@@ -66,12 +83,12 @@ class TestParser:
         )
 
     def test_empty_and_comment_only(self):
-        assert parse_gcode_subset("").commands == ()
-        assert parse_gcode_subset("; nothing\n(also nothing)\n").commands == ()
+        assert parse_gcode_subset("") == ()
+        assert parse_gcode_subset("; nothing\n(also nothing)\n") == ()
 
     def test_case_insensitive(self):
-        program = parse_gcode_subset("g1 x5 f100\nm3 s10")
-        assert program.commands[0] == LinearMove(x=5.0, feed_mm_min=100.0)
+        commands = parse_gcode_subset("g1 x5 f100\nm3 s10")
+        assert commands[0] == LinearMove(x=5.0, feed_mm_min=100.0)
 
     def test_unsupported_word_rejected(self):
         with pytest.raises(UnsupportedWord):
@@ -86,8 +103,8 @@ class TestParser:
             parse_gcode_subset("G1 X1.2.3 F100")
 
     def test_negative_and_decimal_numbers(self):
-        program = parse_gcode_subset("G0 X-1.5 Y+2. Z.25 F100")
-        assert program.commands[0] == LinearMove(x=-1.5, y=2.0, z=0.25, feed_mm_min=100.0)
+        commands = parse_gcode_subset("G0 X-1.5 Y+2. Z.25 F100")
+        assert commands[0] == LinearMove(x=-1.5, y=2.0, z=0.25, feed_mm_min=100.0)
 
     def test_dwell_requires_p(self):
         with pytest.raises(UnsupportedWord):
@@ -106,7 +123,7 @@ class TestParser:
             parse_gcode_subset("G1 X" + "9" * 400 + " F60")
 
     @settings(max_examples=300)
-    @given(text=PROGRAMS, rate=st.sampled_from([0.5, 1.0, 2.0]))
+    @given(text=st.one_of(PROGRAMS, VALID_PROGRAMS), rate=st.sampled_from([0.5, 1.0, 2.0]))
     def test_any_small_program_samples_or_raises_a_named_error(self, text, rate):
         try:
             ds = program_to_timeseries(parse_gcode_subset(text), rate)
@@ -116,7 +133,25 @@ class TestParser:
         assert (ds.column("power_w") >= 0).all()
 
 
+def _outcome(sample, text, rate):
+    """The sampled bytes, or the named error and its message."""
+    try:
+        return sample(parse_gcode_subset(text), rate).tobytes()
+    except DataError as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestSampling:
+    @settings(max_examples=600)
+    @given(
+        text=st.one_of(PROGRAMS, VALID_PROGRAMS), rate=st.sampled_from([0.5, 1.0, 2.0, 3.0, 33.3])
+    )
+    def test_matches_per_segment_oracle(self, text, rate):
+        # At 3 and 33.3 Hz segment boundaries fall between samples, so a
+        # segment can own no sample or only part of its span.
+        sampled = _outcome(lambda c, r: program_to_timeseries(c, r).data, text, rate)
+        assert sampled == _outcome(sample_per_segment, text, rate)
+
     def test_square_corner_trace(self):
         ds = program_to_timeseries(parse_gcode_subset(SQUARE_CORNER), 10.0)
         assert ds.row_count == 25
