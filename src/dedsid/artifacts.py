@@ -20,6 +20,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from pathlib import Path, PurePath
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -51,6 +52,9 @@ def to_plain(obj):
         return "inf"
     return obj
 
+
+# A dataclass's field annotations, evaluated once per type and process.
+_field_types = cache(get_type_hints)
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string", Path: "a path"}
 
@@ -93,7 +97,7 @@ def from_plain(tp, value, base: Path = Path(), key: str = "", label: str = ""):
         unknown = sorted(set(value) - {f.name for f in keys})
         if unknown:
             raise ValueError(f"unknown {label}key {prefix + unknown[0]!r}")
-        hints, values = get_type_hints(tp), {}
+        hints, values = _field_types(tp), {}
         for f in keys:
             if f.name in value:
                 name = prefix + f.name

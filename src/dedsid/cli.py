@@ -33,7 +33,6 @@ from .config import (
 from .dataset import ParseCache, TimeSeriesDataset, load_datasets, load_manifest, load_schema
 from .dmdc import SnapshotSet, StateSpaceModel, build_snapshots, fit, load_model, save_model
 from .errors import ConfigError, CorruptFile, DataError, NumericError, StaleArtifact
-from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
 from .validation import (
     CvReport,
     UncertaintyEnvelope,
@@ -43,7 +42,6 @@ from .validation import (
     predict_series,
     run_lpocv,
 )
-from .vif import screen_inputs
 from .wasserstein import split_shift_report
 
 
@@ -120,7 +118,9 @@ class _Run:
 
     @cached_property
     def ingested(self) -> tuple[list[TimeSeriesDataset], dict]:
-        """The datasets as read and the ingest report, whose retained schema they share."""
+        """The datasets as read and the ingest report, whose retained schema
+        they share. ``imputed`` takes the datasets over, so that the run holds
+        one copy of the data."""
         schema = load_schema(self.cfg.schema)
         for name in [n for d in self.cfg.imputation for n in (d.channel, d.gate_channel)]:
             if name not in {c.name for c in schema}:  # refused before any file is parsed
@@ -135,15 +135,22 @@ class _Run:
         report = {"experiments": reports, "dropped_channels": dropped, "retained_schema": schema}
         return datasets, report
 
+    @cached_property
+    def ingest_report(self) -> dict:
+        return self.ingested[1]
+
     def names(self, kind: str) -> list[str]:
-        return [c.name for c in self.ingested[1]["retained_schema"] if c.kind == kind]
+        return [c.name for c in self.ingest_report["retained_schema"] if c.kind == kind]
 
     @cached_property
     def imputed(self) -> tuple[list[TimeSeriesDataset], dict]:
-        """The datasets with every imputation directive applied, and sentinel counts."""
+        """The datasets with every imputation directive applied, and sentinel
+        counts. Each replaces its ingested dataset in the list as it is made,
+        and the run keeps only the ingest report."""
+        self.ingest_report  # names() reads it once the datasets are gone
+        datasets = self.__dict__.pop("ingested")[0]
         counts = {}
-        datasets = []
-        for ds in self.ingested[0]:
+        for i, ds in enumerate(datasets):
             for directive in self.cfg.imputation:
                 if directive.channel not in ds.channel_names:
                     continue
@@ -154,7 +161,7 @@ class _Run:
                 after = int(np.sum(ds.column(directive.channel) == directive.sentinel))
                 key = f"{ds.experiment_id}/{directive.channel}"
                 counts[key] = {"sentinels_before": before, "sentinels_after": after}
-            datasets.append(ds)
+            datasets[i] = ds
         return datasets, counts
 
     @property
@@ -170,6 +177,7 @@ class _Run:
     @cached_property
     def screening(self) -> dict:
         """The VIF report (constant inputs, then VIF elimination) of the snapshots."""
+        from .vif import screen_inputs
         constant, report = screen_inputs(self.snapshots, self.cfg.vif)
         return {"constant_channels_excluded": constant, **to_plain(report)}
 
@@ -198,9 +206,9 @@ class _Run:
 
 
 def _ingest(run: _Run) -> str:
-    datasets, report = run.ingested
+    report = run.ingest_report
     write_json(run.out / "ingest_report.json", report, run.provenance)
-    return f"ingested {len(datasets)} experiments"
+    return f"ingested {len(report['experiments'])} experiments"
 
 
 def _impute(run: _Run) -> str:
@@ -308,6 +316,7 @@ def _predict(run: _Run) -> str:
 
 
 def _spectrogram(run: _Run) -> str:
+    from .spectral import build_spectrogram, collect_pulse_spectra, compare_spectrograms
     sg_cfg = run.cfg.spectrogram
     observables = run.names("observable")
     observable = sg_cfg.observable or observables[0]

@@ -55,9 +55,17 @@ _QR_BLOCK_ROWS = 2048
 # Rows whose mean sets an experiment's shift: enough to find the level of a
 # channel, few enough that their copy stays small next to the record.
 _SHIFT_ROWS = 16 * _QR_BLOCK_ROWS
-# Steps per chunk of linear_recurrence: 8 ran fastest of 4-32 on 1e6 steps
-# and on batches of 8 x 70-3,500 steps (q = 3, one BLAS thread).
+# Steps per chunk of linear_recurrence: with the drive read in place, 8, 12
+# and 16 tie as the fastest of 4-32 on 1e6 steps (15-16 ms) and on batches
+# of 8 x 70-3,500 steps (0.33-0.34 ms); 4, 6 and 32 run 7-48% slower (q = 3,
+# one BLAS thread, median of 9 and 31 warm calls).
 _SCAN_CHUNK = 8
+# Chunks per block of linear_recurrence's matmuls: blocks of 512-16,384
+# chunks tie on 1e6 steps. A block of 4,096 chunks of 8 steps, q = 3, is
+# 768 KB of drive. Cutting a product's rows into blocks leaves each row's
+# bits as they are on OpenBLAS 0.3.31 (Haswell kernels), but for a block of
+# one row, which goes to gemv.
+_SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,18 @@ def standardized_stack(
     return stacked.reshape(-1, factors.shape[2])
 
 
+def _runs(columns: Sequence[int]) -> list[list[int]]:
+    """``[j, c, size]`` for each run of consecutive ``columns``: entries j to
+    j + size - 1 of ``columns`` are c to c + size - 1."""
+    runs: list[list[int]] = []
+    for j, c in enumerate(columns):
+        if runs and runs[-1][1] + runs[-1][2] == c:
+            runs[-1][2] += 1
+        else:
+            runs.append([j, c, 1])
+    return runs
+
+
 def _summarize(
     current: np.ndarray, following: np.ndarray, columns: Sequence[int], q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,9 +175,10 @@ def _summarize(
     layout: ``columns`` pick x = [y u] from ``current``, their first q pick
     y from ``following``, whose last row is the experiment's last. Each
     block of ``_QR_BLOCK_ROWS`` pairs is shifted and written straight from
-    the rows into the work array, then reduced into the carried R factor (a
-    sequential tall-skinny QR, Demmel et al. 2012); only the first
-    ``_SHIFT_ROWS`` rows are copied, once, for the shift.
+    the rows into the work array, one ``np.subtract`` per run of consecutive
+    columns, then reduced into the carried R factor (a sequential
+    tall-skinny QR, Demmel et al. 2012); only the first ``_SHIFT_ROWS`` rows
+    are copied, once, for the shift.
     """
     n, k = len(current), len(columns)
     # A NaN or inf in the rows turns R into NaN, which require_finite names.
@@ -175,14 +196,17 @@ def _summarize(
         work = np.empty((w, w + min(n, _QR_BLOCK_ROWS)))
         tau, scratch = np.empty(w), np.empty(64 * w)
         reflectors = np.triu_indices(w, 1)
+        x_runs, y_runs = _runs(columns), _runs(columns[:q])
         top = 0
         for pos in range(0, n, _QR_BLOCK_ROWS):
             take = min(_QR_BLOCK_ROWS, n - pos)
             block = work[:, top : top + take]
             block[0] = 1.0
             now, then = current[pos : pos + take].T, following[pos : pos + take].T
-            np.subtract(now[columns], shift[:, None], out=block[1 : 1 + k])
-            np.subtract(then[columns[:q]], shift[:q, None], out=block[1 + k :])
+            for rows, row0, runs in ((now, 1, x_runs), (then, 1 + k, y_runs)):
+                for j, c, size in runs:
+                    out = block[row0 + j : row0 + j + size]
+                    np.subtract(rows[c : c + size], shift[j : j + size, None], out=out)
             info = lapack_lite.dgeqrf(
                 top + take, w, work, work.shape[1], tau, scratch, len(scratch), 0
             )["info"]
@@ -413,12 +437,18 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
 
         y[j] = A^(j+1) s + sum_{i<=j} A^(j-i) d[i].
 
-    The sum is one matmul of every chunk's drive against the block
-    lower-triangular Toeplitz matrix of A^0 ... A^(L-1). The chunk-entry
-    states follow s[c+1] = A^L s[c] + e[c], with e[c] the last row of chunk
-    c's sum: a recurrence of its own, T/L steps long, which this function
-    solves by calling itself, down to a single chunk. The A^(j+1) s term is
-    one more matmul. Agrees with the per-step loop to rounding.
+    The sum is a matmul of the chunks' drive against the block
+    lower-triangular Toeplitz matrix of A^0 ... A^(L-1), taken over blocks of
+    ``_SCAN_BLOCK`` chunks: each block is read in place from ``drive`` (a
+    view when it is C-ordered, else a copy of the block) and written into the
+    one output array, and only the block holding a partial last chunk is
+    copied, zero-padded. The chunk-entry states follow s[c+1] = A^L s[c] +
+    e[c], with e[c] the last row of chunk c's sum: a recurrence of its own,
+    T/L steps long, which this function solves by calling itself, down to a
+    single chunk. The A^(j+1) s term is added block by block, so nothing but
+    the output and the chunk-entry states is as long as the drive. Agrees
+    with the per-step loop to rounding, and with one matmul over a padded
+    copy of the whole drive bit for bit.
 
     Parameters
     ----------
@@ -461,23 +491,34 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
         return out
 
     chunks = -(-steps // L)
-    if chunks * L == steps:
-        d = drive
-    else:
-        d = np.zeros((batch, chunks * L, q))
-        d[:, :steps] = drive
     # Row-vector form: block (i, j) of the Toeplitz matrix is (A^(j-i))^T.
     lag = np.arange(L)[None, :] - np.arange(L)[:, None]
     toeplitz = powers[np.maximum(lag, 0)].transpose(0, 1, 3, 2) * (lag >= 0)[:, :, None, None]
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(L * q, L * q)
-    y = d.reshape(batch, chunks, L * q) @ toeplitz
-    del d  # a padded copy is not read again; free it before the carry allocates
+    # The last block holds the partial chunk. A product of one row goes to
+    # gemv, which rounds otherwise, so a lone last chunk joins the block
+    # before it.
+    bounds = [*range(0, chunks, _SCAN_BLOCK), chunks]
+    if len(bounds) > 2 and chunks - bounds[-2] == 1:
+        del bounds[-2]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    y = np.empty((batch, chunks, L * q))
+    for lo, hi in blocks:
+        if hi * L <= steps:
+            d = drive[:, lo * L : hi * L].reshape(batch, hi - lo, L * q)
+        else:
+            d = np.zeros((batch, hi - lo, L * q))
+            d.reshape(batch, -1, q)[:, : steps - lo * L] = drive[:, lo * L :]
+        np.matmul(d, toeplitz, out=y[:, lo:hi])
+    del d  # a padded block is not read again; free it before the carry allocates
 
     starts = np.empty((batch, chunks, q))
     starts[:, 0] = y0
     if chunks > 1:
         starts[:, 1:] = linear_recurrence(powers[L], y[:, :-1, -q:], y0)
-    y += starts @ powers[1:].transpose(2, 0, 1).reshape(q, L * q)
+    lift = powers[1:].transpose(2, 0, 1).reshape(q, L * q)
+    for lo, hi in blocks:
+        y[:, lo:hi] += starts[:, lo:hi] @ lift
     return y.reshape(batch, chunks * L, q)[:, :steps]
 
 

@@ -470,6 +470,57 @@ def summarize_chunked(current, following, columns, q):
     return factor, shift, following[-1].take(columns)
 
 
+def linear_recurrence_padded(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """``dmdc.linear_recurrence`` as one Toeplitz matmul over a zero-padded
+    copy of the whole drive, plus one output-sized chunk-entry term: the
+    bit-identity oracle for the kernel that reads the drive block by block."""
+    drive = np.asarray(drive, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    if drive.ndim == 2:
+        return linear_recurrence_padded(a, drive[None], y0[None])[0]
+    batch, steps, q = drive.shape
+    L = max(1, min(dmdc._SCAN_CHUNK, 256 // max(q, 1), steps))
+
+    powers = np.empty((L + 1, q, q))
+    powers[0] = np.eye(q)
+    powers[1] = a
+    have = 1
+    while have < L:
+        k = min(have, L - have)
+        powers[have + 1 : have + k + 1] = powers[1 : k + 1] @ powers[have]
+        have += k
+    bad = ~np.isfinite(powers).all(axis=(1, 2))
+    if bad.any():
+        L = max(1, int(np.argmax(bad)) - 1)
+        powers = powers[: L + 1]
+    if L == 1:
+        out = np.empty_like(drive)
+        state, a_t = y0, powers[1].T
+        for t in range(steps):
+            state = state @ a_t + drive[:, t]
+            out[:, t] = state
+        return out
+
+    chunks = -(-steps // L)
+    if chunks * L == steps:
+        d = drive
+    else:
+        d = np.zeros((batch, chunks * L, q))
+        d[:, :steps] = drive
+    lag = np.arange(L)[None, :] - np.arange(L)[:, None]
+    toeplitz = powers[np.maximum(lag, 0)].transpose(0, 1, 3, 2) * (lag >= 0)[:, :, None, None]
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(L * q, L * q)
+    y = d.reshape(batch, chunks, L * q) @ toeplitz
+    del d
+
+    starts = np.empty((batch, chunks, q))
+    starts[:, 0] = y0
+    if chunks > 1:
+        starts[:, 1:] = linear_recurrence_padded(powers[L], y[:, :-1, -q:], y0)
+    y += starts @ powers[1:].transpose(2, 0, 1).reshape(q, L * q)
+    return y.reshape(batch, chunks * L, q)[:, :steps]
+
+
 def r2(actual: np.ndarray, predicted: np.ndarray) -> float:
     """Coefficient of determination over one vector; undefined (error) for
     constant actuals. The row oracle for LPOCV's metrics from sums."""

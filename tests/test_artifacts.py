@@ -7,6 +7,7 @@ from typing import Mapping
 import numpy as np
 import pytest
 
+from dedsid import artifacts
 from dedsid.artifacts import (
     _CSV_BLOCK_ROWS,
     from_plain,
@@ -55,6 +56,16 @@ class TestFromPlain:
     def test_inverse_of_to_plain(self):
         report = cv_report(0.5)
         assert from_plain(CvReport, json.loads(json.dumps(to_plain(report)))) == report
+
+    def test_field_types_are_evaluated_once_per_type(self):
+        # Decoding many objects of a type reads its annotations once: one
+        # miss for each of CvReport, FitConfig, FoldResult and Aggregate.
+        artifacts._field_types.cache_clear()
+        plain = json.loads(json.dumps(to_plain([cv_report(0.5), cv_report(-0.25)])))
+        for _ in range(3):
+            decoded = from_plain(tuple[CvReport, ...], plain)
+            assert decoded == (cv_report(0.5), cv_report(-0.25))
+        assert artifacts._field_types.cache_info().misses == 4
 
     @pytest.mark.parametrize(
         "tp, value, message",

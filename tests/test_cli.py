@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +323,40 @@ class TestStages:
         assert payload["rows"][1]["sample_rate_hz"] == 50.0
 
 
+def held_arrays(root) -> list[np.ndarray]:
+    """The buffers that ``root`` holds: every array reachable from it through
+    containers and instance attributes, traced to the array owning its memory."""
+    seen, found, stack = set(), {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            found[id(obj)] = obj
+        else:
+            stack.extend(gc.get_referents(obj))
+    return list(found.values())
+
+
 class TestPipeline:
+    def test_run_holds_one_array_per_experiment_after_impute(self, corpus):
+        # Imputation rewrites a sentinel in every experiment of the corpus,
+        # so each imputed dataset is a copy; the run then keeps the ingest
+        # report, not the datasets it was read into.
+        run = _Run(load_run_config(derived_config(corpus, "out_one_copy")))
+        for name in ("ingest", "impute"):
+            cli.STAGES[name][1](run)
+            run.parse_cache.save(keep=run.provenance["inputs"].values())
+        counts = run.imputed[1].values()
+        assert all(c["sentinels_before"] > c["sentinels_after"] for c in counts)
+        held = {id(a) for a in held_arrays(run)}
+        assert held == {id(ds.data) for ds in run.datasets}
+        assert len(held) == len(run.manifest.entries)
+        assert run.names("observable") == list(HALF_WIDTHS)
+
     def test_all_artifacts_and_determinism(self, piped):
         cfg_path, out = piped
         expected = {
@@ -1431,6 +1466,18 @@ class TestImports:
             "print(make_demo_experiments.__module__, simulate.__module__)"
         )
         assert self.child_lines(code) == ["[]", "dedsid.plant dedsid.plant"]
+
+    def test_freq_study_after_pipeline_skips_spectral_and_vif(self, fitted):
+        # cv's report gives the study its fit settings, so no screening runs,
+        # and no spectrogram is made: neither stage's module loads.
+        cfg_path = str(fitted / "config.json")
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        code = (
+            "import sys; from dedsid.cli import main; "
+            f"code = main(['freq-study', '--config', {cfg_path!r}]); "
+            "print(code, sorted(m for m in ('dedsid.spectral', 'dedsid.vif') if m in sys.modules))"
+        )
+        assert self.child_lines(code)[-1] == "0 []"
 
     def test_config_loads_no_pipeline_module(self):
         # config.py declares the defaults the pipeline modules import, so it

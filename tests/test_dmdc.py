@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from helpers import (
     ArraySnapshots,
+    linear_recurrence_padded,
     make_dataset,
     row_fit_oracle,
     summarize_chunked,
@@ -674,6 +675,15 @@ class TestRollout:
         )
         assert peak < len(inp) * (ds.row_count - 1) * 8
 
+    def test_peak_memory_below_2_6_outputs(self):
+        # The drive B u and the scan's output, whose chunk-entry term is
+        # added block by block, and no copy of either.
+        model = random_model(3, 2, 0.9, 17)
+        rng = np.random.default_rng(18)
+        u = rng.normal(size=(2, 2**20 + 3))
+        peak = traced_peak(lambda: rollout(model, rng.normal(size=3), u))
+        assert peak < 2.6 * 3 * u.shape[1] * 8
+
     def test_superposition(self):
         rng = np.random.default_rng(9)
         model = StateSpaceModel(
@@ -785,6 +795,87 @@ class TestLinearRecurrence:
         assert finite.all() or unstable_mode_driven
         assert np.all(np.isfinite(got)[finite])
         assert np.allclose(got[finite], expected[finite], rtol=1e-15, atol=0.0)
+
+
+# Steps per block of the scan's matmuls at the top level, with q = 3.
+SPAN = dmdc._SCAN_BLOCK * dmdc._SCAN_CHUNK
+
+
+def drive_in(layout: str, values: np.ndarray) -> np.ndarray:
+    """``values``, a (S, T, q) drive, as a C-ordered array, as the transpose
+    of a (S, q, T) array, or as a view that skips a column of a wider one."""
+    if layout == "contiguous":
+        return values
+    if layout == "transposed":
+        return np.ascontiguousarray(values.transpose(0, 2, 1)).transpose(0, 2, 1)
+    wide = np.zeros(values.shape[:2] + (values.shape[2] + 1,))
+    wide[:, :, 1:] = values
+    return wide[:, :, 1:]
+
+
+class TestScanMatchesPaddedOracle:
+    """The blocked kernel against the one it replaced, which padded a copy of
+    the whole drive: the same bits for any length, batch and layout."""
+
+    def _check(self, a, steps, batch, layout, seed):
+        rng = np.random.default_rng(seed)
+        q = a.shape[0]
+        drive = drive_in(layout, rng.normal(size=(batch, steps, q)))
+        y0 = rng.normal(size=(batch, q))
+        got = linear_recurrence(a, drive, y0)
+        want = linear_recurrence_padded(a, drive, y0)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        if batch == 1:
+            assert np.array_equal(linear_recurrence(a, drive[0], y0[0]), want[0])
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize(
+        "steps", [0, 1, 7, 8, 9, SPAN - 1, SPAN, SPAN + 1, SPAN + 9, 2 * SPAN + 3]
+    )
+    def test_block_boundaries(self, steps, batch, layout):
+        self._check(random_model(3, 1, 0.97, 20).A, steps, batch, layout, steps)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    def test_a_million_steps(self, layout):
+        # One sequence only, to bound the test's memory: several blocks at
+        # the top level and at the carry's first level.
+        self._check(random_model(3, 1, 0.99, 21).A, 10**6 - 1, 1, layout, 22)
+
+    @given(
+        q=st.integers(1, 8),
+        steps=st.sampled_from([1, 2, SPAN // 3, SPAN // 2, 2 * SPAN]).flatmap(
+            lambda base: st.integers(max(0, base - 17), base + 17)
+        ),
+        batch=st.integers(1, 3),
+        layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_any_width(self, q, steps, batch, layout, seed):
+        self._check(random_model(q, 1, 0.97, seed).A, steps, batch, layout, seed)
+
+    @pytest.mark.parametrize("top", [1e60, 1e10])
+    @pytest.mark.parametrize("steps", [400, 5 * dmdc._SCAN_BLOCK + 1, 2 * SPAN + 7])
+    def test_overflowing_operator(self, top, steps):
+        # With 1e60 the top level shortens its chunks to 5, with 1e10 the
+        # carry does one level down; both trajectories overflow.
+        a = np.array([[0.5, 0.1], [0.0, top]])
+        drive = np.ones((3, steps, 2))
+        y0 = np.ones((3, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = linear_recurrence(a, drive, y0)
+            want = linear_recurrence_padded(a, drive, y0)
+        assert not np.isfinite(want).all()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_peak_memory_below_1_5_outputs(self):
+        # The output and its chunk-entry states; no padded copy of the drive
+        # and no output-sized temporary.
+        rng = np.random.default_rng(23)
+        drive = rng.normal(size=(2**20 + 3, 3))
+        a, y0 = random_model(3, 1, 0.9, 24).A, rng.normal(size=3)
+        assert traced_peak(lambda: linear_recurrence(a, drive, y0)) < 1.5 * drive.nbytes
 
 
 class TestBatchedLinearRecurrence:
