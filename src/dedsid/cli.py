@@ -323,13 +323,13 @@ def _spectrogram(run: _Run) -> str:
     if observable not in observables:
         raise DataError(f"spectrogram observable {observable!r} not in schema")
     # The measured spectra first: a corpus of mixed rates is refused as such.
-    measured = collect_pulse_spectra(
+    measured, skipped = collect_pulse_spectra(
         run.datasets, sg_cfg.power_channel, [ds.column(observable) for ds in run.datasets]
     )
     model = run.upstream("model.json", "fit", _read_model)
     column = model.observable_names.index(observable)
     predicted = [p[:, column] for p in predict_series(model, run.datasets)]
-    spectra = collect_pulse_spectra(run.datasets, sg_cfg.power_channel, predicted)
+    spectra, _ = collect_pulse_spectra(run.datasets, sg_cfg.power_channel, predicted)
     grid = (sg_cfg.rows, sg_cfg.cols)
     sg = build_spectrogram(measured, grid=grid, cap_hz=sg_cfg.cap_hz)
     sg_model = build_spectrogram(spectra, grid=grid, cap_hz=sg_cfg.cap_hz)
@@ -344,6 +344,9 @@ def _spectrogram(run: _Run) -> str:
         "display_cap_hz": sg.display_cap_hz,
         "pulse_length_range_s": [float(v) for v in sg.pulse_length_axis_s[[0, -1]]],
         "model_similarity": similarity,
+        # Both surfaces are cut from the same pulses and skip the same ones.
+        "pulses_found": skipped + sum(s.pulses_averaged for s in measured.values()),
+        "pulses_skipped": skipped,
     }
     write_json(run.out / "spectrogram.json", summary, run.provenance)
     return f"spectrogram similarity (measured vs model): {similarity:.4f}"

@@ -24,7 +24,6 @@ from .errors import (
     AllSentinel,
     CorruptFile,
     DataError,
-    DegenerateChannelWarning,
     MissingColumn,
     NaNInRetainedColumn,
     NonUniformTimestamps,
@@ -107,11 +106,6 @@ class TimeSeriesDataset:
     def with_data(self, data: np.ndarray) -> "TimeSeriesDataset":
         return replace(self, data=data)
 
-    def with_column(self, name: str, values: np.ndarray) -> "TimeSeriesDataset":
-        data = self.data.copy()
-        data[:, self.index_of(name)] = values
-        return self.with_data(data)
-
     def select_channels(self, names: Sequence[str]) -> "TimeSeriesDataset":
         idx = [self.index_of(n) for n in names]
         return replace(
@@ -182,20 +176,12 @@ def standardizer_from_moments(
     """Population mean/std from a row count, the column means and the sums
     of squared deviations (M2); constant columns get scale 1.
 
-    The unit scale keeps the transform invertible; a warning flags the
-    degenerate channel because it carries no information for regression.
+    The unit scale keeps the transform invertible. A constant channel
+    carries no information for regression: its centred column is exactly
+    zero, and a fit records it in ``svd_rank_used``.
     """
     scale = np.sqrt(m2 / count)
-    constant = scale == 0.0
-    if np.any(constant):
-        names = [channels[i] for i in np.nonzero(constant)[0]]
-        warnings.warn(
-            f"channels {names} are constant; using unit scale",
-            DegenerateChannelWarning,
-            stacklevel=2,
-        )
-        scale = np.where(constant, 1.0, scale)
-    return StandardizationParams(tuple(channels), mean, scale)
+    return StandardizationParams(tuple(channels), mean, np.where(scale == 0.0, 1.0, scale))
 
 
 def pool_moments(

@@ -15,7 +15,6 @@ full rank keeps the operator interpretable per channel.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -36,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     InsufficientPairs,
     NonFiniteSnapshots,
-    RankDeficiencyWarning,
     SchemaMismatch,
     TooShort,
     VersionMismatch,
@@ -329,8 +327,9 @@ def fit(
         Fit that side on (x - mean) / scale, with the population mean and
         standard deviation of each channel over every row of the
         experiments (Chan, Golub & LeVeque 1979 merge the experiments'
-        moments); a channel constant over them gets unit scale and a
-        ``DegenerateChannelWarning``. The standardizers ride on the model.
+        moments); a channel constant over them gets unit scale, and its
+        zero column lowers ``svd_rank_used``. The standardizers ride on the
+        model.
 
     Notes
     -----
@@ -344,8 +343,8 @@ def fit(
     Omega has the singular values of R11 = U S V^T, and the minimum-norm
     solution y_next pinv(Omega) is [A B] = R12^T U S^-1 V^T, split
     column-wise into the state and input blocks. Rank deficiency of Omega is
-    survivable (truncation handles it) but suspicious, so it warns rather
-    than raises.
+    survivable (truncation handles it); the model records it as an
+    ``svd_rank_used`` below q + p, or below ``rank`` under a cap.
     """
     if rank is not None and rank < 1:
         raise ConfigError(f"svd rank cap must be at least 1, got {rank}")
@@ -377,13 +376,6 @@ def fit(
     r = numerical_rank if rank is None else min(int(rank), numerical_rank)
     if r < 1:
         raise InsufficientPairs(n, k)
-    if numerical_rank < k:
-        warnings.warn(
-            f"snapshot matrix rank {numerical_rank} < {k}; "
-            "solution is minimum-norm on a deficient span",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
 
     # R12^T U_r, scaled by 1/s_r, then mapped back through the state and
     # input columns of V_r^T.

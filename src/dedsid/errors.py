@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception types shared across the toolkit.
 
 The three bases map onto CLI exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.
@@ -182,18 +182,3 @@ class NonFiniteArtifact(NumericError):
     def __init__(self, path: str):
         super().__init__(f"refusing to write NaN or -inf into {path}")
 
-
-class DegenerateChannelWarning(UserWarning):
-    """Raised when a channel has zero variance and gets a unit scale."""
-
-
-class RankDeficiencyWarning(UserWarning):
-    """Raised when the snapshot matrix is numerically rank deficient."""
-
-
-class SegmentSkippedWarning(UserWarning):
-    """Raised when a pulse segment is too short to transform."""
-
-
-class StabilityWarning(UserWarning):
-    """Raised when an unstable plant operator is rescaled into the unit circle."""

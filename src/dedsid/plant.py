@@ -9,7 +9,6 @@ command-line pipeline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,10 +18,8 @@ import numpy as np
 from .artifacts import write_json
 from .dataset import ChannelSpec, TimeSeriesDataset
 from .dmdc import linear_recurrence, spectral_radius
-from .errors import DimensionMismatch, StabilityWarning, UnknownChannel
+from .errors import DimensionMismatch, UnknownChannel
 from .gcode import INPUT_CHANNELS, parse_gcode_subset, program_to_timeseries
-
-STABILITY_LIMIT = 0.99
 
 
 @dataclass(frozen=True)
@@ -59,15 +56,9 @@ class PlantSpec:
         if np.any(noise < 0):
             raise ValueError("noise_sd must be nonnegative")
         radius = spectral_radius(a)
-        if radius >= 1.0:
-            # An unstable plant makes every long rollout meaningless; pull the
-            # operator inside the unit circle instead of failing late.
-            warnings.warn(
-                f"spectral radius {radius:.4f} >= 1; rescaling A to {STABILITY_LIMIT}",
-                StabilityWarning,
-                stacklevel=2,
-            )
-            a = a * (STABILITY_LIMIT / radius)
+        if not radius < 1.0:
+            # An unstable plant makes every long rollout meaningless.
+            raise ValueError(f"A must have spectral radius below 1, got {radius:.4f}")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "noise_sd", noise)

@@ -9,7 +9,6 @@ fingerprint on its own rollouts has captured more than pointwise accuracy.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -17,12 +16,7 @@ import numpy as np
 
 from .config import SpectrogramConfig
 from .dataset import TimeSeriesDataset
-from .errors import (
-    GridMismatch,
-    InsufficientPulseLengthDiversity,
-    SchemaMismatch,
-    SegmentSkippedWarning,
-)
+from .errors import GridMismatch, InsufficientPulseLengthDiversity, SchemaMismatch
 
 MIN_SEGMENT_SAMPLES = 4
 
@@ -68,22 +62,14 @@ def pulse_spectra(
     ``segments[i]`` holds the ``[start, end)`` rows of ``series[i]``'s
     pulses. Buckets are exact because pulses with the same count share a
     frequency axis; mixing nearby lengths would smear bins. Pulses shorter
-    than MIN_SEGMENT_SAMPLES carry no usable spectrum; they are skipped and
-    counted in one warning. Each bucket's pulses are stacked as rows, series
-    by series in time order, and take one ``amplitude_spectrum`` call.
+    than MIN_SEGMENT_SAMPLES carry no usable spectrum and are skipped. Each
+    bucket's pulses are stacked as rows, series by series in time order, and
+    take one ``amplitude_spectrum`` call.
     """
     values = np.concatenate(series)
     offsets = np.cumsum([0, *map(len, series)])
     rows = np.concatenate([seg + off for seg, off in zip(segments, offsets)])
     counts = rows[:, 1] - rows[:, 0]
-    short = int(np.count_nonzero(counts < MIN_SEGMENT_SAMPLES))
-    if short:
-        warnings.warn(
-            f"{short} of {len(counts)} pulses have fewer than {MIN_SEGMENT_SAMPLES} "
-            "samples; skipped",
-            SegmentSkippedWarning,
-            stacklevel=2,
-        )
     out = {}
     # The distinct lengths, ascending; np.unique would import numpy.ma on first use.
     for count in np.flatnonzero(np.bincount(counts[counts >= MIN_SEGMENT_SAMPLES])).tolist():
@@ -104,13 +90,14 @@ def collect_pulse_spectra(
     datasets: Sequence[TimeSeriesDataset],
     power_channel: str,
     series: Sequence[np.ndarray],
-) -> dict[int, PulseSpectrum]:
+) -> tuple[dict[int, PulseSpectrum], int]:
     """The pulse spectra of ``series``, one array per dataset (a measured
     column or a model's predictions), cut where each dataset's power channel
-    is on. Pulses pool by sample count, so every dataset must share one
-    sample rate; a dataset at another rate is ``SchemaMismatch``."""
+    is on, and the number of pulses skipped as too short. Pulses pool by
+    sample count, so every dataset must share one sample rate; a dataset at
+    another rate is ``SchemaMismatch``."""
     if not datasets:
-        return {}
+        return {}, 0
     ref = datasets[0]
     for ds in datasets[1:]:
         if ds.sample_rate_hz != ref.sample_rate_hz:
@@ -118,7 +105,8 @@ def collect_pulse_spectra(
                 f"{ds.experiment_id!r} sample rate differs from {ref.experiment_id!r}"
             )
     segments = [segment_pulses(ds.column(power_channel)) for ds in datasets]
-    return pulse_spectra(series, segments, ref.sample_rate_hz)
+    skipped = sum(int(np.count_nonzero(np.diff(s) < MIN_SEGMENT_SAMPLES)) for s in segments)
+    return pulse_spectra(series, segments, ref.sample_rate_hz), skipped
 
 
 @dataclass(frozen=True)

@@ -333,6 +333,9 @@ class FrequencyStudyRow:
     factor: int
     sample_rate_hz: float
     finite_folds: int
+    # The smallest rank kept by any fold's fit at this rate: below q + p
+    # (or the rank cap), some fold's snapshot matrix was rank deficient.
+    min_svd_rank_used: int
     r2_test: Mapping[str, Aggregate]
     rmse_test: Mapping[str, Aggregate]
 
@@ -366,6 +369,7 @@ def frequency_study(
                 factor=int(factor),
                 sample_rate_hz=slowed[0].sample_rate_hz,
                 finite_folds=report.finite_folds,
+                min_svd_rank_used=min(f.svd_rank_used for f in report.folds),
                 r2_test=report.aggregates["r2_test"],
                 rmse_test=report.aggregates["rmse_test"],
             )

@@ -52,10 +52,12 @@ def _all_vifs(r: np.ndarray, n: int) -> np.ndarray:
         others = np.delete(r, j, axis=1)
         coef, *_ = np.linalg.lstsq(others, y, rcond=_EPS * max(n, k - 1))
         resid = y - others @ coef
-        r_squared = 1.0 - float(resid @ resid) / sst
-        if r_squared >= 1.0 - _EPS:
+        ssr = float(resid @ resid)
+        # 1 / (1 - R^2) is sst / ssr; through R^2 it would cancel, since
+        # doubles just below 1 sit eps / 2 apart.
+        if ssr <= _EPS * sst:
             continue
-        out[j] = 1.0 / (1.0 - r_squared)
+        out[j] = sst / ssr
     return out
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +28,6 @@ from dedsid.errors import (
     DimensionMismatch,
     EmptySample,
     InsufficientPairs,
-    RankDeficiencyWarning,
     ZeroFeedMove,
 )
 from dedsid.gcode import Dwell, LinearMove, SetPower
@@ -252,10 +250,9 @@ def vif_single(features: np.ndarray, index: int) -> float:
         return float("inf")
     coef, *_ = np.linalg.lstsq(others, y, rcond=None)
     ssr = float(np.sum((y - others @ coef) ** 2))
-    r_squared = 1.0 - ssr / sst
-    if r_squared >= 1.0 - _EPS:
+    if ssr <= _EPS * sst:
         return float("inf")
-    return 1.0 / (1.0 - r_squared)
+    return sst / ssr
 
 
 def select_on_rows(features, names, **thresholds):
@@ -289,8 +286,7 @@ def pulse_spectra_per_pulse(series, segments, sample_rate_hz: float) -> dict:
 
     The per-pulse oracle for ``dedsid.spectral.pulse_spectra``, which pools
     the series and transforms each bucket's pulses in one call. Pulses are
-    taken series by series in time order; short ones are skipped silently
-    here, and the kernel's warning is tested on its own.
+    taken series by series in time order; short ones are skipped.
     """
     grouped: dict[int, list[np.ndarray]] = {}
     for values, rows in zip(series, segments):
@@ -405,7 +401,7 @@ def row_fit_oracle(
 
     Standardizers come from the concatenated rows, the pairs are standardized
     copies stacked into one snapshot matrix, and A and B come from its
-    economy SVD with ``fit``'s rank cutoff, warning and errors. Returns
+    economy SVD with ``fit``'s rank cutoff and errors. Returns
     ``A, B, rank, singular values, input standardizer, observable
     standardizer``.
     """
@@ -427,12 +423,6 @@ def row_fit_oracle(
     r = numerical_rank if rank is None else min(rank, numerical_rank)
     if r < 1:
         raise InsufficientPairs(n, k)
-    if numerical_rank < k:
-        warnings.warn(
-            f"snapshot matrix rank {numerical_rank} < {k}; "
-            "solution is minimum-norm on a deficient span",
-            RankDeficiencyWarning,
-        )
     proj = (y_next @ zeta_t[:r].T) / s[:r]
     return proj @ eta[:q, :r].T, proj @ eta[q:, :r].T, r, s, in_std, obs_std
 
@@ -574,7 +564,14 @@ def impute_off_state_loop(ds, channel, sentinel, gate_channel):
                 frac = (gated_rows - left) / span
                 x[gated_rows] = x[left] + frac * (x[right] - x[left])
         i = j
-    return ds.with_column(channel, x)
+    return with_column(ds, channel, x)
+
+
+def with_column(ds: TimeSeriesDataset, name: str, values) -> TimeSeriesDataset:
+    """``ds`` with channel ``name`` replaced by ``values``, on a copy of its data."""
+    data = ds.data.copy()
+    data[:, ds.index_of(name)] = values
+    return ds.with_data(data)
 
 
 @dataclass(frozen=True)

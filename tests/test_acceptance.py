@@ -300,8 +300,8 @@ def test_07_spectral_closure():
     model = fit_on_datasets(datasets, cfg)
     obs, power = spec.observable_names[0], spec.input_names[0]
     predictions = predict_series(model, datasets)
-    measured = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
-    predicted = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
+    measured, _ = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
+    predicted, _ = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
     similarity = compare_spectrograms(
         build_spectrogram(measured, cap_hz=60.0), build_spectrogram(predicted, cap_hz=60.0)
     )

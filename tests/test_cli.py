@@ -26,6 +26,7 @@ from dedsid.config import RunConfig, default_config_payload, load_run_config
 from dedsid.dataset import impute_off_state, load_datasets, load_manifest, load_schema
 from dedsid.dmdc import load_model
 from dedsid.errors import ConfigError, DataError
+from dedsid.spectral import MIN_SEGMENT_SAMPLES, segment_pulses
 from dedsid.validation import draw_splits, predict_series
 from helpers import diverging_corpus, mostly
 
@@ -339,6 +340,44 @@ def held_arrays(root) -> list[np.ndarray]:
         else:
             stack.extend(gc.get_referents(obj))
     return list(found.values())
+
+
+def pulse_lengths(cfg_path) -> np.ndarray:
+    """The sample count of every ``segment_pulses`` run of the run's power channel."""
+    run = _Run(load_run_config(cfg_path))
+    power = run.cfg.spectrogram.power_channel
+    return np.concatenate([np.diff(segment_pulses(ds.column(power))).ravel() for ds in run.datasets])
+
+
+class TestRecordedFacts:
+    def test_pulse_counts_are_the_segment_pulses_runs(self, piped):
+        cfg_path, out = piped
+        summary = json.loads((out / "spectrogram.json").read_text())
+        lengths = pulse_lengths(cfg_path)
+        assert summary["pulses_found"] == lengths.size
+        assert summary["pulses_skipped"] == np.count_nonzero(lengths < MIN_SEGMENT_SAMPLES) > 0
+
+    def test_slow_corpus_runs_clean_under_warnings_as_errors(self, tmp_path):
+        # At 20 Hz most pulses are shorter than a spectrum needs; the run
+        # records them in spectrogram.json and says nothing on stderr.
+        config = str(tmp_path / "config.json")
+        for args in (
+            ["synth", "--out", str(tmp_path), "--experiments", "6", "--seed", "3", "--rate", "20"],
+            ["pipeline", "--config", config],
+            ["freq-study", "--config", config],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "dedsid.cli", *args],
+                capture_output=True, text=True, env={**child_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+        summary = json.loads((tmp_path / "out" / "spectrogram.json").read_text())
+        lengths = pulse_lengths(config)
+        assert summary["pulses_skipped"] == np.count_nonzero(lengths < MIN_SEGMENT_SAMPLES)
+        assert summary["pulses_skipped"] > summary["pulses_found"] / 2
+        rows = json.loads((tmp_path / "out" / "freq_study.json").read_text())["rows"]
+        model = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert {row["min_svd_rank_used"] for row in rows} == {model["model"]["svd_rank_used"]}
 
 
 class TestPipeline:

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from helpers import (
     row_fit_oracle,
     summarize_chunked,
     traced_peak,
+    with_column,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,10 +29,8 @@ from dedsid.dmdc import (
 from dedsid.errors import (
     ConfigError,
     CorruptFile,
-    DegenerateChannelWarning,
     InsufficientPairs,
     NonFiniteSnapshots,
-    RankDeficiencyWarning,
     SchemaMismatch,
     StaleArtifact,
     TooShort,
@@ -181,7 +179,7 @@ class TestFit:
         assert np.allclose(perm.A, base.A, atol=1e-10)
         assert np.allclose(perm.B, base.B[:, [2, 0, 1]], atol=1e-10)
 
-    def test_duplicate_input_warns_rank_deficient(self):
+    def test_duplicate_input_records_rank_deficiency(self):
         rng = np.random.default_rng(3)
         y_cur = rng.normal(size=(2, 100))
         u = rng.normal(size=(1, 100))
@@ -193,9 +191,7 @@ class TestFit:
             input_names=("u1", "u2"),
             sample_rate_hz=100.0,
         )
-        with pytest.warns(RankDeficiencyWarning):
-            model = fit(snaps)
-        assert model.svd_rank_used == 3
+        assert fit(snaps).svd_rank_used == 3  # q + p - 1
 
     def test_insufficient_pairs(self):
         rng = np.random.default_rng(4)
@@ -221,15 +217,8 @@ class TestFit:
             input_names=("u1", "u2"),
             sample_rate_hz=100.0,
         )
-        import warnings
+        assert fit(snaps, rank=2).svd_rank_used == 2
 
-        with warnings.catch_warnings():
-            # A requested cap is a deliberate choice, not a data defect.
-            warnings.simplefilter("error", RankDeficiencyWarning)
-            model = fit(snaps, rank=2)
-        assert model.svd_rank_used == 2
-
-    @pytest.mark.filterwarnings("ignore::dedsid.errors.RankDeficiencyWarning")
     @pytest.mark.parametrize("smallest, rank", [(1.5e-12, 2), (6e-12, 3)])
     def test_rank_cutoff_counts_every_pair(self, smallest, rank):
         # With n = 8 blocks of pairs the cutoff eps * n is 3.6e-12 (relative
@@ -292,22 +281,18 @@ class TestFitAgainstSvd:
         assert fit(snaps, rank=cap).svd_rank_used == svd_fit_oracle(snaps, rank=cap)[2]
 
     @given(**shapes)
-    def test_duplicate_input_warns_with_same_rank(self, q, p, which, seed):
+    def test_duplicate_input_records_same_rank(self, q, p, which, seed):
+        # q + p + 1 columns, one of them a copy: the rank kept is one short.
         snaps = random_snapshots(q, p, pair_count(q + p + 1, which), seed, duplicate_input=True)
-        with pytest.warns(RankDeficiencyWarning):
-            model = fit(snaps)
-        assert model.svd_rank_used == svd_fit_oracle(snaps)[2] == q + p
+        assert fit(snaps).svd_rank_used == svd_fit_oracle(snaps)[2] == q + p
 
 
-def fit_and_warnings(fn):
-    """Result or error type of ``fn()``, and the rank warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = fn()
-        except InsufficientPairs:
-            result = InsufficientPairs
-    return result, [str(w.message) for w in caught if w.category is RankDeficiencyWarning]
+def fit_or_error(fn):
+    """Result of ``fn()``, or ``InsufficientPairs`` if it raised that."""
+    try:
+        return fn()
+    except InsufficientPairs:
+        return InsufficientPairs
 
 
 def random_corpus(q, p, lengths, seed, duplicate_input=False):
@@ -365,7 +350,7 @@ class TestFitFromDatasets:
         self, q, p, lengths, standardize_inputs, standardize_observables, rank, duplicate_input, seed
     ):
         datasets, inputs, observables = random_corpus(q, p, lengths, seed, duplicate_input)
-        expected, expected_warnings = fit_and_warnings(
+        expected = fit_or_error(
             lambda: row_fit_oracle(
                 datasets, inputs, observables, standardize_inputs, standardize_observables, rank
             )
@@ -375,7 +360,7 @@ class TestFitFromDatasets:
             s, cutoff = expected[3], _EPS * max(q + p, sum(lengths) - len(lengths))
             ratio = s / s[0] / cutoff
             assume(not np.any((ratio > 1e-2) & (ratio < 1e2)))
-        got, got_warnings = fit_and_warnings(
+        got = fit_or_error(
             lambda: fit(
                 build_snapshots(datasets, inputs, observables),
                 rank,
@@ -383,7 +368,6 @@ class TestFitFromDatasets:
                 standardize_observables,
             )
         )
-        assert got_warnings == expected_warnings
         if expected is InsufficientPairs:
             assert got is InsufficientPairs
             return
@@ -425,8 +409,8 @@ class TestFitFromDatasets:
         # pass loses no further digits (at 1e9 the row path is also ~5e-10).
         datasets, inputs, observables = random_corpus(2, 3, [3000, 2500, 4000], seed=11)
         name = observables[0] if role == "observable" else inputs[0]
-        planted = [ds.with_column(name, ds.column(name) + offset) for ds in datasets]
-        reference = [ds.with_column(name, ds.column(name) - offset) for ds in planted]
+        planted = [with_column(ds, name, ds.column(name) + offset) for ds in datasets]
+        reference = [with_column(ds, name, ds.column(name) - offset) for ds in planted]
         got = fit(build_snapshots(planted, inputs, observables), None, True, True)
         want = fit(build_snapshots(reference, inputs, observables), None, True, True)
         a, b, *_ = row_fit_oracle(planted, inputs, observables, True, True)
@@ -440,18 +424,15 @@ class TestFitFromDatasets:
         # merged moments still see the channel as constant.
         datasets, inputs, observables = random_corpus(2, 3, [600, 700, 701, 800], seed=12)
         flat = inputs[1]
-        datasets[:3] = [ds.with_column(flat, np.full(ds.row_count, 0.1)) for ds in datasets[:3]]
+        datasets[:3] = [with_column(ds, flat, np.full(ds.row_count, 0.1)) for ds in datasets[:3]]
         snaps = build_snapshots(datasets, inputs, observables)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficiencyWarning)
-            with pytest.warns(DegenerateChannelWarning, match=flat):
-                model = fit(snaps.subset(ids_of(datasets[:3])), None, True, True)
-            assert model.input_standardizer.mean[1] == 0.1
-            assert model.input_standardizer.scale[1] == 1.0
-            assert model.svd_rank_used == 4
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DegenerateChannelWarning)
-                assert fit(snaps, None, True, True).svd_rank_used == 5
+        # Constant over the pool, the channel's standardized column is zero:
+        # the rank kept is q + p - 1.
+        model = fit(snaps.subset(ids_of(datasets[:3])), None, True, True)
+        assert model.input_standardizer.mean[1] == 0.1
+        assert model.input_standardizer.scale[1] == 1.0
+        assert model.svd_rank_used == 4
+        assert fit(snaps, None, True, True).svd_rank_used == 5
 
     @pytest.mark.parametrize("standardize", [False, True])
     @pytest.mark.parametrize("role", ["observable", "input"])

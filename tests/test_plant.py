@@ -13,7 +13,7 @@ from helpers import (
 )
 
 from dedsid.dataset import ChannelSpec
-from dedsid.errors import CorruptFile, StabilityWarning
+from dedsid.errors import CorruptFile
 from dedsid.plant import (
     DropoutSpec,
     PlantSpec,
@@ -180,17 +180,25 @@ class TestDropout:
 
 
 class TestStability:
-    def test_unstable_matrix_rescaled_with_warning(self):
-        a = np.array([[1.2, 0.0], [0.0, 0.3]])
-        with pytest.warns(StabilityWarning):
-            spec = PlantSpec(
-                A=a,
-                B=np.ones((2, 1)),
-                input_channels=generic_channels("u", "input", 1),
-                observable_channels=generic_channels("y", "observable", 2),
-                noise_sd=np.zeros(2),
-            )
-        assert spectral_radius(spec.A) == pytest.approx(0.99, rel=1e-9)
+    def test_unstable_matrix_refused(self):
+        for radius in (1.0, 1.2):
+            with pytest.raises(ValueError, match=f"spectral radius below 1, got {radius:.4f}"):
+                PlantSpec(
+                    A=np.array([[radius, 0.0], [0.0, 0.3]]),
+                    B=np.ones((2, 1)),
+                    input_channels=generic_channels("u", "input", 1),
+                    observable_channels=generic_channels("y", "observable", 2),
+                    noise_sd=np.zeros(2),
+                )
+
+    def test_unstable_plant_file_is_corrupt(self, tmp_path):
+        path = tmp_path / "plant.json"
+        save_plant(tiny_plant(), path)
+        plain = json.loads(path.read_text())
+        plain["A"][0][0] = 1.5
+        path.write_text(json.dumps(plain))
+        with pytest.raises(CorruptFile, match="spectral radius below 1"):
+            load_plant(path)
 
     def test_random_plant_radius(self):
         spec = random_stable_plant(4, 2, seed=0, radius=0.7)

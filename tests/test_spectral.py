@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,12 +18,7 @@ from hypothesis import strategies as st
 
 import dedsid
 from dedsid.config import FitConfig
-from dedsid.errors import (
-    GridMismatch,
-    InsufficientPulseLengthDiversity,
-    SchemaMismatch,
-    SegmentSkippedWarning,
-)
+from dedsid.errors import GridMismatch, InsufficientPulseLengthDiversity, SchemaMismatch
 from dedsid.spectral import (
     MIN_SEGMENT_SAMPLES,
     amplitude_spectrum,
@@ -111,7 +105,7 @@ def pulsed_dataset(seed=0, steps=3000, rate=100.0):
 
 def measured_spectra(datasets):
     """``collect_pulse_spectra`` of each dataset's ``m`` column, cut at ``power``."""
-    return collect_pulse_spectra(datasets, "power", [ds.column("m") for ds in datasets])
+    return collect_pulse_spectra(datasets, "power", [ds.column("m") for ds in datasets])[0]
 
 
 class TestPulseSpectra:
@@ -155,12 +149,10 @@ class TestPulseSpectra:
         rng = np.random.default_rng(seed)
         series = [rng.normal(size=len(o)) * 10.0 ** rng.integers(-3, 4) for o in on]
         segments = [segment_pulses(np.asarray(o, dtype=float)) for o in on]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SegmentSkippedWarning)
-            got = pulse_spectra(series, segments, 37.0)
+        got = pulse_spectra(series, segments, 37.0)
         self._assert_identical(got, pulse_spectra_per_pulse(series, segments, 37.0))
 
-    def test_short_segments_skipped_with_warning(self):
+    def test_short_segments_skipped(self):
         power = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
         datasets = [
             make_dataset(
@@ -170,13 +162,11 @@ class TestPulseSpectra:
             )
             for k in (1.0, 2.0)
         ]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            buckets = measured_spectra(datasets)
-        assert [str(w.message) for w in caught] == [
-            "4 of 6 pulses have fewer than 4 samples; skipped"
-        ]
-        assert caught[0].category is SegmentSkippedWarning
+        # Each dataset's pulses are 2, 5 and 1 samples long.
+        buckets, skipped = collect_pulse_spectra(
+            datasets, "power", [ds.column("m") for ds in datasets]
+        )
+        assert skipped == 4
         assert list(buckets) == [5]
         assert buckets[5].pulses_averaged == 2
 
@@ -217,9 +207,7 @@ class TestPulseSpectra:
         ends = np.cumsum(counts + rng.integers(1, 4, size=counts.size))
         segments = np.column_stack([ends - counts, ends])
         series = rng.normal(size=ends[-1] + 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SegmentSkippedWarning)
-            buckets = pulse_spectra([series], [segments], 100.0)
+        buckets = pulse_spectra([series], [segments], 100.0)
         assert list(buckets) == np.unique(counts[counts >= MIN_SEGMENT_SAMPLES]).tolist()
 
     def test_loads_no_masked_arrays(self):
@@ -240,7 +228,7 @@ class TestPulseSpectra:
         assert proc.stdout.strip() == "False"
 
     def test_no_datasets_no_buckets(self):
-        assert collect_pulse_spectra([], "power", []) == {}
+        assert collect_pulse_spectra([], "power", []) == ({}, 0)
 
     def test_mixed_sample_rates_refused(self):
         # Pulses pool by sample count, which names one length only at one rate.
@@ -346,8 +334,8 @@ class TestCompare:
         model = fit_on_datasets(datasets, cfg)
         obs, power = spec.observable_names[0], spec.input_names[0]
         predictions = predict_series(model, datasets)
-        measured = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
-        predicted = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
+        measured, _ = collect_pulse_spectra(datasets, power, [ds.column(obs) for ds in datasets])
+        predicted, _ = collect_pulse_spectra(datasets, power, [p[:, 0] for p in predictions])
         assert set(measured) == set(predicted)
         for count, spectrum in measured.items():
             assert predicted[count].pulses_averaged == spectrum.pulses_averaged
@@ -361,7 +349,7 @@ class TestCompare:
         ds = pulsed_dataset(seed=5)
         series = np.cos(np.arange(ds.row_count) / 7.0)
         segments = [segment_pulses(ds.column("power"))]
-        got = collect_pulse_spectra([ds], "power", [series])
+        got, _ = collect_pulse_spectra([ds], "power", [series])
         TestPulseSpectra._assert_identical(
             got, pulse_spectra_per_pulse([series], segments, ds.sample_rate_hz)
         )

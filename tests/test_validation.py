@@ -12,6 +12,7 @@ from helpers import (
     rmse,
     standardize,
     unstandardize,
+    with_column,
 )
 
 from dedsid.artifacts import from_plain, to_plain
@@ -281,12 +282,10 @@ class TestLpocvAgainstRows:
                         rmse(actual[:, j], predicted[:, j]), rel=1e-9
                     )
 
-    @pytest.mark.filterwarnings("ignore::dedsid.errors.DegenerateChannelWarning")
-    @pytest.mark.filterwarnings("ignore::dedsid.errors.RankDeficiencyWarning")
     def test_constant_actual_side_rejected(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=4, steps=300, seed=31)
         name = spec.observable_names[0]
-        flat = [ds.with_column(name, np.full(ds.row_count, 2.0)) for ds in datasets]
+        flat = [with_column(ds, name, np.full(ds.row_count, 2.0)) for ds in datasets]
         with pytest.raises(ConstantActual):
             lpocv(flat, _fit_config(spec), draw_splits(len(flat), 1, 1, 0))
 
@@ -350,6 +349,26 @@ class TestFrequencyStudy:
         assert rows[1].rmse_test == direct.aggregates["rmse_test"]
         assert rows[0].r2_test != direct.aggregates["r2_test"]
         assert rows[1].finite_folds == direct.finite_folds == 3
+        assert rows[1].min_svd_rank_used == min(f.svd_rank_used for f in direct.folds) == 3
+
+    @pytest.mark.parametrize("defect", ["duplicate", "constant"])
+    def test_rank_deficient_input_recorded_at_every_rate(self, defect):
+        # One input a copy of the other, or constant: the fit of every fold,
+        # at every rate, keeps one rank fewer than its q + p = 4 columns.
+        spec, datasets = linear_corpus(q=2, p=2, n_exp=5, steps=600, seed=28, noise_sd=0.02)
+        first, second = spec.input_names
+        datasets = [
+            with_column(
+                ds, second, ds.column(first) if defect == "duplicate" else np.full(ds.row_count, 0.5)
+            )
+            for ds in datasets
+        ]
+        cfg = _fit_config(spec)
+        splits = draw_splits(len(datasets), 2, 3, 5)
+        direct, _ = lpocv(datasets, cfg, splits)
+        assert [f.svd_rank_used for f in direct.folds] == [3, 3, 3]
+        rows = frequency_study(datasets, [1, 2, 4], splits, cfg, direct)
+        assert [row.min_svd_rank_used for row in rows] == [3, 3, 3]
 
     def test_scored_full_rate_row_is_kept(self):
         # Given cv's report, the study keeps its row and scores only the
