@@ -321,7 +321,7 @@ def _spectrogram(run: _Run) -> str:
     observables = run.names("observable")
     observable = sg_cfg.observable or observables[0]
     if observable not in observables:
-        raise DataError(f"spectrogram observable {observable!r} not in schema")
+        raise DataError(f"spectrogram observable {observable!r} is not one of {observables}")
     # The measured spectra first: a corpus of mixed rates is refused as such.
     measured, skipped = collect_pulse_spectra(
         run.datasets, sg_cfg.power_channel, [ds.column(observable) for ds in run.datasets]

@@ -178,7 +178,7 @@ def standardizer_from_moments(
 
     The unit scale keeps the transform invertible. A constant channel
     carries no information for regression: its centred column is exactly
-    zero, and a fit records it in ``svd_rank_used``.
+    zero, and a fit records it in ``numerical_rank``.
     """
     scale = np.sqrt(m2 / count)
     return StandardizationParams(tuple(channels), mean, np.where(scale == 0.0, 1.0, scale))

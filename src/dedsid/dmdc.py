@@ -41,7 +41,7 @@ from .errors import (
 )
 
 MODEL_FORMAT = "dedsid.model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 _EPS = float(np.finfo(float).eps)
 # Pairs per QR step of an experiment's pass: the block plus the carried R
@@ -273,8 +273,10 @@ class StateSpaceModel:
     svd_rank_used: int
     input_standardizer: StandardizationParams | None = None
     observable_standardizer: StandardizationParams | None = None
-    # s[0] / s[r - 1] of the fitted snapshot matrix over the rank used.
+    # s[0] / s[r - 1] of the fitted snapshot matrix over the rank used, and
+    # its numerical rank, uncapped: below q + p, the matrix was deficient.
     condition_number: float | None = None
+    numerical_rank: int | None = None
 
     def __post_init__(self):
         q = len(self.observable_names)
@@ -343,8 +345,8 @@ def fit(
     Omega has the singular values of R11 = U S V^T, and the minimum-norm
     solution y_next pinv(Omega) is [A B] = R12^T U S^-1 V^T, split
     column-wise into the state and input blocks. Rank deficiency of Omega is
-    survivable (truncation handles it); the model records it as an
-    ``svd_rank_used`` below q + p, or below ``rank`` under a cap.
+    survivable (truncation handles it); the model records it as a
+    ``numerical_rank`` below q + p, whatever the cap.
     """
     if rank is not None and rank < 1:
         raise ConfigError(f"svd rank cap must be at least 1, got {rank}")
@@ -392,6 +394,7 @@ def fit(
         input_standardizer=in_std,
         observable_standardizer=obs_std,
         condition_number=float(s[0] / s[r - 1]),
+        numerical_rank=numerical_rank,
     )
 
 

@@ -42,53 +42,38 @@ def _column_sums(block: np.ndarray) -> np.ndarray:
     return np.array([column.sum() for column in block.T])
 
 
-def _padded(
+def _centered_inputs(
     datasets: Sequence[TimeSeriesDataset], observables: Sequence[str], inputs: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each dataset's observables and inputs, centered and zero-padded to the longest.
-
-    Returns ``obs`` (S, T + 1, q), rows 0..m-1 less ``obs_center``; ``inp``
-    (S, T, p + 1), rows 0..m-2 less ``inp_center`` and then a column of
-    ones; the two centers, each channel's mean over the gathered rows; and
-    ``steps`` (S,), each dataset's m - 1 real steps. Padding is zero
-    throughout, so it adds nothing to sums over the rows.
-    """
-    steps = np.array([ds.row_count - 1 for ds in datasets])
-    if np.any(steps < 1):
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Each observable's mean over every row, each input's over rows 0..m-2
+    (the rows a rollout reads), and each dataset's input rows 0..m-2 less it."""
+    if any(ds.row_count < 2 for ds in datasets):
         raise EmptySample("prediction needs at least 2 rows")
-    obs_rows = [ds.matrix_for(observables) for ds in datasets]
-    inp_rows = [ds.matrix_for(inputs)[:-1] for ds in datasets]
-    obs_center = sum(map(_column_sums, obs_rows)) / (steps + 1).sum()
-    inp_center = sum(map(_column_sums, inp_rows)) / steps.sum()
-    obs = np.zeros((len(datasets), steps.max() + 1, len(observables)))
-    inp = np.zeros((len(datasets), steps.max(), len(inputs) + 1))
-    for o, u, obs_row, inp_row in zip(obs_rows, inp_rows, obs, inp):
-        obs_row[: len(o)] = o - obs_center
-        inp_row[: len(u), :-1] = u - inp_center
-        inp_row[: len(u), -1] = 1.0
-    return obs, inp, obs_center, inp_center, steps
+    rows = sum(ds.row_count for ds in datasets)
+    obs_center = sum(_column_sums(ds.matrix_for(observables)) for ds in datasets) / rows
+    inp_sums = sum(_column_sums(ds.matrix_for(inputs)[:-1]) for ds in datasets)
+    inp_center = inp_sums / (rows - len(datasets))
+    return obs_center, inp_center, [ds.matrix_for(inputs)[:-1] - inp_center for ds in datasets]
 
 
-def _padded_predictions(
+def _rollouts(
     model: StateSpaceModel,
-    obs: np.ndarray,
-    inp: np.ndarray,
+    y0: np.ndarray,
+    inputs: Sequence[np.ndarray],
     obs_center: np.ndarray,
     inp_center: np.ndarray,
 ) -> np.ndarray:
-    """Rollouts of steps 1..T of ``_padded`` arrays, less ``obs_center``.
-
-    Each prediction is fed back, from the measured first state. Every
-    sequence runs in one ``linear_recurrence`` batch; a padded step's
-    inputs, ones column included, are zero, so its drive is zero, and what
-    it predicts is not a result.
+    """Self-fed rollouts from each ``y0`` row under each entry of ``inputs``,
+    all less their centers, in one (S, T, q) ``linear_recurrence`` batch.
+    Past a shorter entry's rows the drive is zero; what it predicts there is
+    not a result.
 
     The standardizers fold into the operator: with y_s = (y - mean_y) /
     scale_y and z = y - c_y, the model y_s' = A y_s + B u_s reads z' = A' z +
     B' (u - c_u) + e, for A' = S_y A S_y^-1, B' = S_y B S_u^-1 (S the
     diagonal scales) and the constant e = d_y - A' d_y - B' d_u, d = mean -
-    c. Centered by the data's means, nothing cancels, and one matmul of
-    ``inp`` against [B'^T; e] makes the drive.
+    c. Centered by the data's means, nothing cancels, and each experiment's
+    (u - c_u) B'^T + e is written straight into its rows of the drive.
     """
     # A side without a standardizer gets the identity map, which changes no value.
     in_std = model.input_standardizer or StandardizationParams.identity(model.input_names)
@@ -98,8 +83,12 @@ def _padded_predictions(
     a = model.A * obs_std.scale[:, None] / obs_std.scale
     b = model.B * obs_std.scale[:, None] / in_std.scale
     d_obs, d_in = obs_std.mean - obs_center, in_std.mean - inp_center
-    drive = inp @ np.vstack([b.T, d_obs - a @ d_obs - b @ d_in])
-    return linear_recurrence(a, drive, obs[:, 0])
+    e = d_obs - a @ d_obs - b @ d_in
+    drive = np.zeros((len(inputs), max(map(len, inputs)), len(a)))
+    for u, row in zip(inputs, drive):
+        np.matmul(u, b.T, out=row[: len(u)])
+        row[: len(u)] += e
+    return linear_recurrence(a, drive, y0)
 
 
 def predict_series(
@@ -112,12 +101,13 @@ def predict_series(
     """
     if not datasets:
         return []
-    padded = _padded(datasets, model.observable_names, model.input_names)
-    _, _, obs_center, _, steps = padded
-    pred = _padded_predictions(model, *padded[:4])
+    names = model.observable_names
+    obs_center, inp_center, inputs = _centered_inputs(datasets, names, model.input_names)
+    firsts = np.array([ds.matrix_for(names)[0] for ds in datasets])
+    pred = _rollouts(model, firsts - obs_center, inputs, obs_center, inp_center)
     return [
-        np.concatenate([ds.matrix_for(model.observable_names)[:1], p[:n] + obs_center])
-        for ds, p, n in zip(datasets, pred, steps)
+        np.concatenate([first[None], p[: len(u)] + obs_center])
+        for first, p, u in zip(firsts, pred, inputs)
     ]
 
 
@@ -133,10 +123,11 @@ class FoldResult:
     r2_test: Mapping[str, float | None]
     rmse_train: Mapping[str, float | None]
     rmse_test: Mapping[str, float | None]
-    # Numerical health of the fold's fit: the rank kept, s[0] / s[rank - 1]
-    # of the snapshot matrix, and the largest eigenvalue modulus of A.
+    # Numerical health of the fold's fit: the rank kept, s[0] / s[rank - 1] and
+    # numerical rank of the snapshot matrix, and the largest eigenvalue modulus of A.
     svd_rank_used: int
     condition_number: float
+    numerical_rank: int
     spectral_radius: float
 
 
@@ -225,9 +216,9 @@ def run_lpocv(
     is ``AllFoldsDiverged``.
 
     ``snapshots``, ``build_snapshots`` of ``datasets`` over the config's
-    channels, serves every fold's fit; one padded copy of the observables
-    and inputs serves every fold's rollout. Metrics come from
-    per-experiment residual sums and target moments, pooled per side.
+    channels, serves every fold's fit, and the inputs, centered once per
+    call, every fold's rollout. Metrics come from per-experiment residual
+    sums and target moments, pooled per side.
     """
     splits = np.asarray(splits, dtype=bool)
     if splits.ndim != 2 or splits.shape[1] != len(datasets):
@@ -235,25 +226,22 @@ def run_lpocv(
     if not splits.size:
         raise EmptySample("splits")
     ids = [ds.experiment_id for ds in datasets]
-    padded = _padded(datasets, config.observables, config.inputs)
-    obs, _, _, _, steps = padded
-    targets = obs[:, 1:]
-    means = targets.sum(axis=1) / steps[:, None]
-    m2 = np.array([((t[:n] - m) ** 2).sum(axis=0) for t, m, n in zip(targets, means, steps)])
+    obs_center, inp_center, inputs = _centered_inputs(datasets, config.observables, config.inputs)
+    observed = [ds.matrix_for(config.observables) - obs_center for ds in datasets]
+    y0, targets = np.array([o[0] for o in observed]), [o[1:] for o in observed]
+    steps = np.array([len(t) for t in targets])
+    means = np.array([t.sum(axis=0) for t in targets]) / steps[:, None]
+    m2 = np.array([((t - m) ** 2).sum(axis=0) for t, m in zip(targets, means)])
     folds, overflows = [], 0
     for k, test in enumerate(splits):
         train = ~test
-        model = fit(
-            snapshots.subset([i for i, t in zip(ids, train) if t]),
-            config.svd_rank,
-            config.standardize_inputs,
-            config.standardize_observables,
-        )
+        subset = snapshots.subset([i for i, t in zip(ids, train) if t])
+        model = fit(subset, config.svd_rank, config.standardize_inputs, config.standardize_observables)
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = _padded_predictions(model, *padded[:4])
-            residual -= targets
-            for row, n in zip(residual, steps):
-                row[n:] = 0.0
+            residual = _rollouts(model, y0, inputs, obs_center, inp_center)
+            for row, t in zip(residual, targets):
+                row[: len(t)] -= t
+                row[len(t) :] = 0.0
             ssr = np.einsum("stq,stq->sq", residual, residual)
             metrics = [
                 metric
@@ -279,6 +267,7 @@ def run_lpocv(
                 rmse_test=rmse_test,
                 svd_rank_used=model.svd_rank_used,
                 condition_number=model.condition_number,
+                numerical_rank=model.numerical_rank,
                 spectral_radius=radius,
             )
         )

@@ -402,8 +402,8 @@ def row_fit_oracle(
     Standardizers come from the concatenated rows, the pairs are standardized
     copies stacked into one snapshot matrix, and A and B come from its
     economy SVD with ``fit``'s rank cutoff and errors. Returns
-    ``A, B, rank, singular values, input standardizer, observable
-    standardizer``.
+    ``A, B, rank, numerical rank, singular values, input standardizer,
+    observable standardizer``.
     """
     in_std = fit_standardizer_pooled(datasets, inputs) if standardize_inputs else None
     obs_std = fit_standardizer_pooled(datasets, observables) if standardize_observables else None
@@ -424,7 +424,7 @@ def row_fit_oracle(
     if r < 1:
         raise InsufficientPairs(n, k)
     proj = (y_next @ zeta_t[:r].T) / s[:r]
-    return proj @ eta[:q, :r].T, proj @ eta[q:, :r].T, r, s, in_std, obs_std
+    return proj @ eta[:q, :r].T, proj @ eta[q:, :r].T, r, numerical_rank, s, in_std, obs_std
 
 
 def summarize_chunked(current, following, columns, q):

@@ -22,7 +22,7 @@ from dedsid.validation import Aggregate, CvReport, FoldResult
 
 
 def cv_report(r2: float) -> CvReport:
-    fold = FoldResult(0, ("e1",), False, {"y": 0.9}, {"y": r2}, {"y": 0.1}, {"y": 0.2}, 2, 1.5, 0.9)
+    fold = FoldResult(0, ("e1",), False, {"y": 0.9}, {"y": r2}, {"y": 0.1}, {"y": 0.2}, 2, 1.5, 2, 0.9)
     return CvReport(
         p=1,
         repeats=1,

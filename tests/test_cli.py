@@ -908,20 +908,39 @@ class TestExitCodes:
         assert "imputation channel 'working_distance' not in schema" in err
         assert not (corpus / "out_misspelled").exists()
 
-    def test_imputation_channel_dropped_by_ingest_is_skipped(self, corpus, tmp_path):
-        # A channel the schema lists but no experiment recorded is dropped
-        # at ingest, and its directive then has nothing to impute.
-        root = shutil.copytree(corpus, tmp_path / "corpus", ignore=shutil.ignore_patterns("out*"))
+    @staticmethod
+    def _unrecorded(corpus, root: Path, name: str) -> Path:
+        """A copy of ``corpus`` at ``root`` whose experiments hold no value of ``name``."""
+        root = shutil.copytree(corpus, root, ignore=shutil.ignore_patterns("out*"))
         for path in root.glob("exp*.csv"):
             header, *rows = path.read_text().splitlines()
-            j = header.split(",").index("working_distance_mm")
+            j = header.split(",").index(name)
             fields = [row.split(",") for row in rows]
             for f in fields:
                 f[j] = "nan"
             path.write_text("\n".join([header, *map(",".join, fields)]) + "\n")
+        return root
+
+    def test_imputation_channel_dropped_by_ingest_is_skipped(self, corpus, tmp_path):
+        # A channel the schema lists but no experiment recorded is dropped
+        # at ingest, and its directive then has nothing to impute.
+        root = self._unrecorded(corpus, tmp_path / "corpus", "working_distance_mm")
         assert main(["impute", "--config", str(root / "config.json")]) == 0
         report = json.loads((root / "out" / "impute_report.json").read_text())
         assert report["channels"] == {}
+
+    @pytest.mark.parametrize("observable", ["power_w", "working_distance_mm"])
+    def test_spectrogram_observable_not_retained_is_3(self, corpus, tmp_path, observable, capsys):
+        # An input, or an observable dropped at ingest as all-NaN: each is in
+        # schema.json, so the message names the observables that are retained.
+        root = self._unrecorded(corpus, tmp_path / "corpus", "working_distance_mm")
+        payload = json.loads((root / "config.json").read_text())
+        payload["spectrogram"]["observable"] = observable
+        (root / "config.json").write_text(json.dumps(payload))
+        assert main(["spectrogram", "--config", str(root / "config.json")]) == 3
+        err = capsys.readouterr().err
+        retained = ["melt_pool_size_mm", "melt_pool_temp_c"]
+        assert f"spectrogram observable {observable!r} is not one of {retained}" in err
 
     @pytest.mark.parametrize("rank", [0, -2])
     def test_svd_rank_below_one_is_2(self, corpus, rank, capsys):
@@ -1220,7 +1239,7 @@ class TestExitCodes:
             del payload["provenance"]
             payload["version"] = 1
             (out / "model.json").write_text(json.dumps(payload))
-            detail = "model file version 1 not supported (expected 3)"
+            detail = f"model file version 1 not supported (expected {dmdc.MODEL_VERSION})"
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err

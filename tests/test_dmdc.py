@@ -191,7 +191,8 @@ class TestFit:
             input_names=("u1", "u2"),
             sample_rate_hz=100.0,
         )
-        assert fit(snaps).svd_rank_used == 3  # q + p - 1
+        model = fit(snaps)
+        assert model.svd_rank_used == model.numerical_rank == 3  # q + p - 1
 
     def test_insufficient_pairs(self):
         rng = np.random.default_rng(4)
@@ -217,7 +218,8 @@ class TestFit:
             input_names=("u1", "u2"),
             sample_rate_hz=100.0,
         )
-        assert fit(snaps, rank=2).svd_rank_used == 2
+        model = fit(snaps, rank=2)
+        assert (model.svd_rank_used, model.numerical_rank) == (2, 5)
 
     @pytest.mark.parametrize("smallest, rank", [(1.5e-12, 2), (6e-12, 3)])
     def test_rank_cutoff_counts_every_pair(self, smallest, rank):
@@ -357,7 +359,7 @@ class TestFitFromDatasets:
         )
         if expected is not InsufficientPairs:
             # Away from the rank cutoff both paths must make the same decision.
-            s, cutoff = expected[3], _EPS * max(q + p, sum(lengths) - len(lengths))
+            s, cutoff = expected[4], _EPS * max(q + p, sum(lengths) - len(lengths))
             ratio = s / s[0] / cutoff
             assume(not np.any((ratio > 1e-2) & (ratio < 1e2)))
         got = fit_or_error(
@@ -371,11 +373,12 @@ class TestFitFromDatasets:
         if expected is InsufficientPairs:
             assert got is InsufficientPairs
             return
-        a, b, r, _, input_std, obs_std = expected
+        a, b, r, numerical_rank, _, input_std, obs_std = expected
         scale = max(np.abs(a).max(), np.abs(b).max())
         assert np.abs(got.A - a).max() <= ORACLE_RTOL * scale
         assert np.abs(got.B - b).max() <= ORACLE_RTOL * scale
         assert got.svd_rank_used == r
+        assert got.numerical_rank == numerical_rank
         for std, want in (
             (got.input_standardizer, input_std),
             (got.observable_standardizer, obs_std),
@@ -961,6 +964,7 @@ def state_space_models(draw):
         input_standardizer=draw(standardizer(inputs)),
         observable_standardizer=draw(standardizer(observables)),
         condition_number=draw(st.none() | FLOAT64),
+        numerical_rank=draw(st.none() | st.integers(1, q + p)),
     )
 
 
@@ -1002,7 +1006,9 @@ class TestModelFile:
             if want is not None:
                 assert got.channels == want.channels
                 assert same_bits(got.mean, want.mean) and same_bits(got.scale, want.scale)
-        for name in ("observable_names", "input_names", "sample_rate_hz", "svd_rank_used"):
+        for name in (
+            "observable_names", "input_names", "sample_rate_hz", "svd_rank_used", "numerical_rank"
+        ):
             assert getattr(back, name) == getattr(model, name)
         if model.condition_number is None:
             assert back.condition_number is None

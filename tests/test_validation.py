@@ -11,6 +11,7 @@ from helpers import (
     r2,
     rmse,
     standardize,
+    traced_peak,
     unstandardize,
     with_column,
 )
@@ -18,7 +19,7 @@ from helpers import (
 from dedsid.artifacts import from_plain, to_plain
 from dedsid.config import FitConfig
 from dedsid.dataset import decimate
-from dedsid.dmdc import StateSpaceModel
+from dedsid.dmdc import StateSpaceModel, build_snapshots
 from dedsid.errors import (
     AllFoldsDiverged,
     ConstantActual,
@@ -32,6 +33,7 @@ from dedsid.validation import (
     draw_splits,
     frequency_study,
     predict_series,
+    run_lpocv,
 )
 
 
@@ -145,6 +147,32 @@ class TestPredictSeries:
     def test_no_datasets_no_predictions(self):
         spec, datasets = linear_corpus(q=2, p=2, n_exp=3, steps=800, seed=22)
         assert predict_series(fit_on_datasets(datasets, _fit_config(spec)), []) == []
+
+
+class TestMemory:
+    """Rollouts read each experiment's own rows. On one long experiment and
+    five short ones, q = 2 and p = 6, the drive and the rollout, each S x T x
+    q, hold about the bytes of the rows each; a copy of every channel padded
+    to the longest would add about 4.5 times them."""
+
+    @pytest.fixture(scope="class")
+    def uneven(self):
+        spec, datasets = linear_corpus(q=2, p=6, n_exp=6, steps=8000, seed=40)
+        datasets = [datasets[0]] + [ds.with_data(ds.data[:800]) for ds in datasets[1:]]
+        row_bytes = sum(ds.row_count for ds in datasets) * 8 * 8
+        return datasets, _fit_config(spec), row_bytes
+
+    def test_lpocv_peak(self, uneven):
+        datasets, config, row_bytes = uneven
+        snapshots = build_snapshots(datasets, config.inputs, config.observables)
+        splits = draw_splits(len(datasets), 2, 3, 1)
+        peak = traced_peak(lambda: run_lpocv(datasets, config, splits, snapshots))
+        assert peak < 6.5 * row_bytes
+
+    def test_predict_series_peak(self, uneven):
+        datasets, config, row_bytes = uneven
+        model = fit_on_datasets(datasets, config)
+        assert traced_peak(lambda: predict_series(model, datasets)) < 5.0 * row_bytes
 
 
 class TestColumnOrder:
@@ -267,7 +295,7 @@ class TestLpocvAgainstRows:
             train = [ds for ds, t in zip(datasets, test) if not t]
             assert fold.test_ids == tuple(ds.experiment_id for ds in tested)
             model = fit_on_datasets(train, config)
-            assert fold.svd_rank_used == model.svd_rank_used == 4
+            assert fold.svd_rank_used == model.svd_rank_used == fold.numerical_rank == 4
             assert fold.condition_number == model.condition_number >= 1.0
             assert fold.spectral_radius == np.max(np.abs(np.linalg.eigvals(model.A)))
             for side, r2_map, rmse_map in (
