@@ -42,7 +42,6 @@ from .validation import (
     predict_series,
     run_lpocv,
 )
-from .wasserstein import split_shift_report
 
 
 def _write_table(run: _Run, name: str, header: Sequence[str], rows: np.ndarray) -> None:
@@ -225,6 +224,7 @@ def _select_features(run: _Run) -> str:
 
 
 def _dist_report(run: _Run) -> str:
+    from .wasserstein import split_shift_report
     results = split_shift_report(run.datasets, run.splits, run.names("observable"))
     write_json(run.out / "dist_report.json", {"results": results}, run.provenance)
     return f"wrote {len(results)} distance summaries"

@@ -58,11 +58,13 @@ _SHIFT_ROWS = 16 * _QR_BLOCK_ROWS
 # of 8 x 70-3,500 steps (0.33-0.34 ms); 4, 6 and 32 run 7-48% slower (q = 3,
 # one BLAS thread, median of 9 and 31 warm calls).
 _SCAN_CHUNK = 8
-# Chunks per block of linear_recurrence's matmuls: blocks of 512-16,384
-# chunks tie on 1e6 steps. A block of 4,096 chunks of 8 steps, q = 3, is
-# 768 KB of drive. Cutting a product's rows into blocks leaves each row's
-# bits as they are on OpenBLAS 0.3.31 (Haswell kernels), but for a block of
-# one row, which goes to gemv.
+# Chunk rows, over the whole batch, per block of linear_recurrence's
+# matmuls: blocks of 512-16,384 chunks tie on 1e6 steps. A block of 4,096
+# chunks of 8 steps, q = 3, is 768 KB of drive, and numpy reads a block it
+# writes over from a copy of it. Cutting a product's rows into blocks leaves
+# each row's bits as they are on OpenBLAS 0.3.31 (Haswell kernels), but for
+# a block of one row, which goes to gemv, and for states of 32 or more
+# observables, whose rows round by the product's row count.
 _SCAN_BLOCK = 4096
 
 
@@ -411,7 +413,9 @@ def rollout(model: StateSpaceModel, y0: np.ndarray, inputs: np.ndarray) -> np.nd
     Returns
     -------
     array, shape (q, T)
-        Predictions for times 1 ... T; column t-1 is the estimate of y[t].
+        Predictions for times 1 ... T; column t-1 is the estimate of y[t]. A
+        transposed view of the (T, q) drive u^T B^T, built in the scan's row
+        order and overwritten by it.
     """
     y0 = np.asarray(y0, dtype=float).ravel()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -420,11 +424,15 @@ def rollout(model: StateSpaceModel, y0: np.ndarray, inputs: np.ndarray) -> np.nd
         raise DimensionMismatch(f"y0 must have length {q}, got {y0.shape}")
     if inputs.shape[0] != p:
         raise DimensionMismatch(f"inputs must have {p} rows, got {inputs.shape[0]}")
-    return linear_recurrence(model.A, (model.B @ inputs).T, y0).T
+    return linear_recurrence(model.A, inputs.T @ model.B.T, y0).T
 
 
 def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Run y[t] = A y[t-1] + drive[t-1] for t = 1 ... T; return rows y[1..T].
+
+    The scan works in place: a writable, C-ordered float64 ``drive`` is
+    overwritten by the states and returned (a 2-D one as itself). Any other
+    drive is copied once first, and the caller's array is left as it was.
 
     Chunked form of the parallel linear-recurrence scan (Blelloch 1990;
     Martin & Cundy 2018). With chunks of length L and s the state entering a
@@ -433,17 +441,16 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
         y[j] = A^(j+1) s + sum_{i<=j} A^(j-i) d[i].
 
     The sum is a matmul of the chunks' drive against the block
-    lower-triangular Toeplitz matrix of A^0 ... A^(L-1), taken over blocks of
-    ``_SCAN_BLOCK`` chunks: each block is read in place from ``drive`` (a
-    view when it is C-ordered, else a copy of the block) and written into the
-    one output array, and only the block holding a partial last chunk is
-    copied, zero-padded. The chunk-entry states follow s[c+1] = A^L s[c] +
-    e[c], with e[c] the last row of chunk c's sum: a recurrence of its own,
-    T/L steps long, which this function solves by calling itself, down to a
-    single chunk. The A^(j+1) s term is added block by block, so nothing but
-    the output and the chunk-entry states is as long as the drive. Agrees
-    with the per-step loop to rounding, and with one matmul over a padded
-    copy of the whole drive bit for bit.
+    lower-triangular Toeplitz matrix of A^0 ... A^(L-1), written back over
+    the drive in blocks of at most ``_SCAN_BLOCK`` chunk rows across the
+    batch. A partial last chunk goes with the chunk before it through a
+    zero-padded copy of those two chunks. The chunk-entry states follow
+    s[c+1] = A^L s[c] + e[c], with e[c] the last row of chunk c's sum: a
+    recurrence of its own, T/L steps long, which this function solves by
+    calling itself on a copy of the e[c], down to a single chunk. The A^(j+1)
+    s term is added block by block, so nothing but the drive is as long as
+    the drive. Agrees with the per-step loop to rounding, and with one
+    matmul over a padded copy of the whole drive bit for bit.
 
     Parameters
     ----------
@@ -452,10 +459,13 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
         Row t is the input contribution entering step t + 1.
     y0 : array, shape (q,), or (S, q) with a batch of drives
     """
-    drive = np.asarray(drive, dtype=float)
+    drive = np.asarray(drive)
+    if not (drive.dtype == np.float64 and drive.flags.c_contiguous and drive.flags.writeable):
+        drive = np.array(drive, dtype=float, order="C")
     y0 = np.asarray(y0, dtype=float)
     if drive.ndim == 2:
-        return linear_recurrence(a, drive[None], y0[None])[0]
+        linear_recurrence(a, drive[None], y0[None])
+        return drive
     batch, steps, q = drive.shape
     # Short chunks keep the Toeplitz matmul at L q^2 flops per step; the cap
     # on L*q bounds the Toeplitz matrix for wide states.
@@ -478,43 +488,54 @@ def linear_recurrence(a: np.ndarray, drive: np.ndarray, y0: np.ndarray) -> np.nd
         L = max(1, int(np.argmax(bad)) - 1)
         powers = powers[: L + 1]
     if L == 1:  # the per-step loop
-        out = np.empty_like(drive)
         state, a_t = y0, powers[1].T
         for t in range(steps):
             state = state @ a_t + drive[:, t]
-            out[:, t] = state
-        return out
+            drive[:, t] = state
+        return drive
 
-    chunks = -(-steps // L)
+    # A product of one row goes to gemv, which rounds otherwise than gemm:
+    # every product spans at least two chunks unless there is only one.
+    full, rem = divmod(steps, L)
+    chunks = full + (rem > 0)
+    inplace = full if rem == 0 or full > 1 else 0
+    per_block = max(2, _SCAN_BLOCK // batch)
+    bounds = [*range(0, inplace, per_block), inplace]
+    if len(bounds) > 2 and inplace - bounds[-2] == 1:
+        del bounds[-2]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    rows = drive[:, : full * L].reshape(batch, full, L * q)  # a view: one row per whole chunk
+
     # Row-vector form: block (i, j) of the Toeplitz matrix is (A^(j-i))^T.
     lag = np.arange(L)[None, :] - np.arange(L)[:, None]
     toeplitz = powers[np.maximum(lag, 0)].transpose(0, 1, 3, 2) * (lag >= 0)[:, :, None, None]
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(L * q, L * q)
-    # The last block holds the partial chunk. A product of one row goes to
-    # gemv, which rounds otherwise, so a lone last chunk joins the block
-    # before it.
-    bounds = [*range(0, chunks, _SCAN_BLOCK), chunks]
-    if len(bounds) > 2 and chunks - bounds[-2] == 1:
-        del bounds[-2]
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    y = np.empty((batch, chunks, L * q))
-    for lo, hi in blocks:
-        if hi * L <= steps:
-            d = drive[:, lo * L : hi * L].reshape(batch, hi - lo, L * q)
-        else:
-            d = np.zeros((batch, hi - lo, L * q))
-            d.reshape(batch, -1, q)[:, : steps - lo * L] = drive[:, lo * L :]
-        np.matmul(d, toeplitz, out=y[:, lo:hi])
-    del d  # a padded block is not read again; free it before the carry allocates
+    first = full - 1  # the tail's first chunk, copied before the blocks overwrite it
+    if rem:
+        tail = np.zeros((batch, chunks - first, L * q))
+        tail.reshape(batch, -1, q)[:, : steps - first * L] = drive[:, first * L :]
+        tail = tail @ toeplitz
+    for lo, hi in blocks:  # numpy reads each block from a copy of it
+        np.matmul(rows[:, lo:hi], toeplitz, out=rows[:, lo:hi])
 
-    starts = np.empty((batch, chunks, q))
-    starts[:, 0] = y0
+    carry = np.array((rows if inplace else tail)[:, : chunks - 1, -q:])
     if chunks > 1:
-        starts[:, 1:] = linear_recurrence(powers[L], y[:, :-1, -q:], y0)
+        linear_recurrence(powers[L], carry, y0)
     lift = powers[1:].transpose(2, 0, 1).reshape(q, L * q)
+
+    def starts(lo, hi):  # the states entering chunks lo .. hi-1
+        if lo:
+            return carry[:, lo - 1 : hi - 1]
+        return np.concatenate([y0[:, None], carry[:, : hi - 1]], axis=1)
+
+    flat = rows.reshape(batch, -1)  # numpy may copy a 3-D view it adds into; not a 2-D one
     for lo, hi in blocks:
-        y[:, lo:hi] += starts[:, lo:hi] @ lift
-    return y.reshape(batch, chunks * L, q)[:, :steps]
+        flat[:, lo * L * q : hi * L * q] += (starts(lo, hi) @ lift).reshape(batch, -1)
+    if rem:
+        tail += starts(first, chunks) @ lift
+        done = inplace * L  # steps the blocks wrote
+        drive[:, done:] = tail.reshape(batch, -1, q)[:, done - first * L : steps - first * L]
+    return drive
 
 
 def save_model(model: StateSpaceModel, path: str | Path, provenance: dict | None = None) -> None:

@@ -96,7 +96,9 @@ def simulate(
     """Drive the plant with a sampled input dataset.
 
     Observable row t satisfies y[t] = A y[t-1] + B u[t-1] to rounding before
-    noise; row 0 is the initial state (default zero). Observation noise and
+    noise; row 0 is the initial state (default zero). The drive B u[t-1] is
+    written into rows 1.. of the clean trajectory, which the scan overwrites
+    in place, so the trajectory is held once. Observation noise and
     sentinel dropout are applied after the recursion, in that order, from a
     single seeded generator.
     """
@@ -113,7 +115,8 @@ def simulate(
     clean = np.empty((m, q))
     if m:
         clean[0] = y0
-        clean[1:] = linear_recurrence(spec.A, u[:-1] @ spec.B.T, y0)
+        np.matmul(u[:-1], spec.B.T, out=clean[1:])
+        linear_recurrence(spec.A, clean[1:], y0)
 
     # The record is written once: the inputs, then the observables, noised in place.
     rng = np.random.default_rng(seed)

@@ -33,7 +33,15 @@ from .errors import (
     EmptySample,
     TooFewExperiments,
 )
-from .wasserstein import ci95_halfwidth
+
+
+def ci95_halfwidth(values: np.ndarray) -> float:
+    """1.96 * sd / sqrt(n) with the sample standard deviation; 0 for n < 2."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    if n < 2:
+        return 0.0
+    return float(1.96 * values.std(ddof=1) / np.sqrt(n))
 
 
 def _column_sums(block: np.ndarray) -> np.ndarray:
@@ -64,9 +72,10 @@ def _rollouts(
     inp_center: np.ndarray,
 ) -> np.ndarray:
     """Self-fed rollouts from each ``y0`` row under each entry of ``inputs``,
-    all less their centers, in one (S, T, q) ``linear_recurrence`` batch.
-    Past a shorter entry's rows the drive is zero; what it predicts there is
-    not a result.
+    all less their centers, in one batched ``linear_recurrence`` call that
+    scans the (S, T, q) drive in place: the drive and the rollouts are one
+    array. Past a shorter entry's rows the drive is zero; what it predicts
+    there is not a result.
 
     The standardizers fold into the operator: with y_s = (y - mean_y) /
     scale_y and z = y - c_y, the model y_s' = A y_s + B u_s reads z' = A' z +

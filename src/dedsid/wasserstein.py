@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ConstantChannel, DimensionMismatch, EmptySample
 from .dataset import TimeSeriesDataset
+from .validation import ci95_halfwidth
 
 PAIR_TRAIN_UNIFORM = "train_to_uniform"
 PAIR_TEST_UNIFORM = "test_to_uniform"
@@ -65,15 +66,6 @@ class WassersteinResult:
     ci95_halfwidth: float
     repeats: int
     distances: tuple[float, ...]
-
-
-def ci95_halfwidth(values: np.ndarray) -> float:
-    """1.96 * sd / sqrt(n) with the sample standard deviation; 0 for n < 2."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 2:
-        return 0.0
-    return float(1.96 * values.std(ddof=1) / np.sqrt(n))
 
 
 def split_shift_report(

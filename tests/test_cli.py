@@ -1527,13 +1527,15 @@ class TestImports:
 
     def test_freq_study_after_pipeline_skips_spectral_and_vif(self, fitted):
         # cv's report gives the study its fit settings, so no screening runs,
-        # and no spectrogram is made: neither stage's module loads.
+        # no spectrogram is made and no split shift is measured: none of
+        # those stages' modules loads.
         cfg_path = str(fitted / "config.json")
         assert main(["pipeline", "--config", cfg_path]) == 0
         code = (
             "import sys; from dedsid.cli import main; "
             f"code = main(['freq-study', '--config', {cfg_path!r}]); "
-            "print(code, sorted(m for m in ('dedsid.spectral', 'dedsid.vif') if m in sys.modules))"
+            "print(code, sorted(m for m in ('dedsid.spectral', 'dedsid.vif', 'dedsid.wasserstein') "
+            "if m in sys.modules))"
         )
         assert self.child_lines(code)[-1] == "0 []"
 

@@ -122,7 +122,8 @@ class TestSimulate:
 
     def test_peak_memory_below_1_4_records(self):
         # The record is allocated once and noised in place; beside it live
-        # only (m, q) arrays: the trajectory, its drive, the noise draw.
+        # only (m, q) arrays: the trajectory, scanned in place over its
+        # drive, and the noise draw.
         spec = random_stable_plant(3, 21, seed=5, radius=0.9, noise_sd=0.1)
         spec = replace(spec, dropout=DropoutSpec("y2", 0.05, -1.0, gate_channel="u1"))
         inputs = gaussian_inputs(list(spec.input_names), 200_000, 100.0, seed=6)
